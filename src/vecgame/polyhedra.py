@@ -76,102 +76,123 @@ def _normalize_ray(r: np.ndarray) -> np.ndarray | None:
 def _dedupe_rays(rays: list[np.ndarray]) -> list[np.ndarray]:
     seen = set()
     out = []
-    for r in rays:
-        key = tuple(np.round(r, 9))
+    keys = np.round(np.array(rays), 9).tolist() if rays else []
+    for r, key in zip(rays, map(tuple, keys)):
         if key not in seen:
             seen.add(key)
             out.append(r)
     return out
 
 
-def cone_extreme_rays(constraints: np.ndarray, *, tol: float = 1e-9) -> np.ndarray:
-    """Extreme rays of {x : C x >= 0} for a cone that ends up pointed.
+class ConeDD:
+    """Incremental double description of {x : C x >= 0}, one row of C at a time.
 
-    Incremental double description.  While the lineality space is nontrivial
-    a violated constraint consumes one basis vector; afterwards the classic
-    positive/negative combination step with the combinatorial adjacency test
-    runs.  Rays are kept orthogonal to the remaining lineality space so that
-    representatives are canonical.
+    While the lineality space is nontrivial a violated row consumes one basis
+    vector; afterwards the classic positive/negative combination step with
+    the combinatorial adjacency test runs.  Rays are kept orthogonal to the
+    remaining lineality space so that representatives are canonical.  The
+    state after a sequence of `add` calls depends only on the rows and their
+    order, so a caller that keeps one object across cuts gets exactly what a
+    fresh run over all rows would give.
     """
-    C = np.atleast_2d(np.asarray(constraints, dtype=float))
-    m, d = C.shape
-    basis: list[np.ndarray] = [np.eye(d)[i] for i in range(d)]
-    rays: list[np.ndarray] = []
-    done: list[np.ndarray] = []
 
-    def project_out_basis() -> None:
-        nonlocal basis, rays
-        if not basis:
+    def __init__(self, dim: int, *, tol: float = 1e-9) -> None:
+        self.dim = dim
+        self.tol = tol
+        self.basis: list[np.ndarray] = [np.eye(dim)[i] for i in range(dim)]
+        self.rays: list[np.ndarray] = []
+        self.done: list[np.ndarray] = []
+
+    def _project_out_basis(self) -> None:
+        if not self.basis:
             return
-        B = np.array(basis)
+        B = np.array(self.basis)
         q, _ = np.linalg.qr(B.T)
-        q = q[:, : len(basis)]
-        basis = [q[:, i] for i in range(q.shape[1])]
+        q = q[:, : len(self.basis)]
+        self.basis = [q[:, i] for i in range(q.shape[1])]
         proj = []
-        for r in rays:
+        for r in self.rays:
             r2 = r - q @ (q.T @ r)
             nr = _normalize_ray(r2)
             if nr is not None:
                 proj.append(nr)
-        rays = _dedupe_rays(proj)
+        self.rays = _dedupe_rays(proj)
 
-    for a in C:
+    def add(self, row) -> None:
+        """Intersect the cone with {x : row·x >= 0}."""
+        a = np.asarray(row, dtype=float)
+        tol = self.tol
+        basis, rays = self.basis, self.rays
         if basis:
             dots = np.array([a @ bvec for bvec in basis])
             k = int(np.argmax(np.abs(dots)))
             if abs(dots[k]) > tol:
                 b0 = basis[k] if dots[k] > 0 else -basis[k]
                 ab0 = float(a @ b0)
-                new_basis = [
+                self.basis = [
                     bvec - (float(a @ bvec) / ab0) * b0
                     for i, bvec in enumerate(basis)
                     if i != k
                 ]
-                rays = [r - (float(a @ r) / ab0) * b0 for r in rays]
-                rays.append(b0)
-                basis = new_basis
-                done.append(a)
-                project_out_basis()
-                rays = _dedupe_rays([r for r in map(_normalize_ray, rays) if r is not None])
-                continue
+                self.rays = [r - (float(a @ r) / ab0) * b0 for r in rays] + [b0]
+                self.done.append(a)
+                self._project_out_basis()
+                self.rays = _dedupe_rays(
+                    [r for r in map(_normalize_ray, self.rays) if r is not None]
+                )
+                return
 
         vals = np.array([float(a @ r) for r in rays]) if rays else np.zeros(0)
         neg_idx = np.nonzero(vals < -tol)[0]
         if neg_idx.size == 0:
-            done.append(a)
-            continue
+            self.done.append(a)
+            return
         pos_idx = np.nonzero(vals > tol)[0]
         zer_idx = np.nonzero(np.abs(vals) <= tol)[0]
-        D = np.array(done) if done else np.zeros((0, d))
-        zsets = [np.abs(D @ r) <= 1e-8 for r in rays]
-        quotient_dim = d - len(basis)
         new_rays: list[np.ndarray] = []
-        for ip in pos_idx:
-            for ineg in neg_idx:
-                common = zsets[ip] & zsets[ineg]
-                if int(common.sum()) < quotient_dim - 2:
-                    continue
-                adjacent = True
-                for other in range(len(rays)):
-                    if other == ip or other == ineg:
-                        continue
-                    if np.all(zsets[other][common]):
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                w = vals[ip] * rays[ineg] - vals[ineg] * rays[ip]
-                nw = _normalize_ray(w)
-                if nw is not None:
-                    new_rays.append(nw)
-        rays = _dedupe_rays(
+        for ip, ineg in self._adjacent_pairs(pos_idx, neg_idx):
+            w = vals[ip] * rays[ineg] - vals[ineg] * rays[ip]
+            nw = _normalize_ray(w)
+            if nw is not None:
+                new_rays.append(nw)
+        self.rays = _dedupe_rays(
             [rays[i] for i in pos_idx] + [rays[i] for i in zer_idx] + new_rays
         )
-        done.append(a)
+        self.done.append(a)
 
-    if basis:
-        raise NumericalError("cone has nontrivial lineality; extreme rays undefined")
-    return np.array(rays) if rays else np.zeros((0, d))
+    def _adjacent_pairs(self, pos_idx: np.ndarray, neg_idx: np.ndarray) -> np.ndarray:
+        """The adjacent (positive, negative) ray pairs, in row-major order.
+
+        Two rays are adjacent when their common zero set among the processed
+        rows has at least quotient_dim - 2 rows and no third ray is zero on
+        all of it.  Counting is done with matrix products on the zero-set
+        matrix, and the blocking test runs only on pairs that pass the count.
+        """
+        R = np.array(self.rays)
+        Z = (np.abs(R @ np.array(self.done).T) <= 1e-8).astype(float)
+        quotient_dim = self.dim - len(self.basis)
+        ci, cj = np.nonzero(Z[pos_idx] @ Z[neg_idx].T >= quotient_dim - 2)
+        pairs = np.stack([pos_idx[ci], neg_idx[cj]], axis=1)
+        common = Z[pairs[:, 0]] * Z[pairs[:, 1]]
+        # misses[c, r] counts the common zero rows of pair c on which ray r is
+        # nonzero; the pair's own two rays always miss none.
+        misses = common @ (1.0 - Z).T
+        return pairs[(misses == 0).sum(axis=1) == 2]
+
+    def extreme_rays(self) -> np.ndarray:
+        """Current extreme rays; the cone must be pointed by now."""
+        if self.basis:
+            raise NumericalError("cone has nontrivial lineality; extreme rays undefined")
+        return np.array(self.rays) if self.rays else np.zeros((0, self.dim))
+
+
+def cone_extreme_rays(constraints: np.ndarray, *, tol: float = 1e-9) -> np.ndarray:
+    """Extreme rays of {x : C x >= 0} for a cone that ends up pointed."""
+    C = np.atleast_2d(np.asarray(constraints, dtype=float))
+    dd = ConeDD(C.shape[1], tol=tol)
+    for a in C:
+        dd.add(a)
+    return dd.extreme_rays()
 
 
 def _lower_halfspaces(points: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -372,23 +393,37 @@ def exposing_normal_at_vertex(
     return Halfspace(tuple(c), gamma)
 
 
+def halfspace_row(h: Halfspace) -> np.ndarray:
+    """The row (-b, a) of a·y >= b on the homogenized cone {(t, y) : a·y >= b t}."""
+    return np.concatenate(([-float(h.offset)], np.asarray(h.normal, dtype=float)))
+
+
+def upper_set_cone(halfspaces, *, tol: float = 1e-9) -> ConeDD:
+    """Double description of the homogenized cone of {y : a·y >= b for all (a, b)}.
+
+    The first row is t >= 0, then one `halfspace_row` per halfspace; further
+    halfspaces go in with `add(halfspace_row(h))`, and `upper_set_vertices`
+    reads the vertices at any point.
+    """
+    halfspaces = list(halfspaces)
+    k = len(halfspaces[0].normal)
+    dd = ConeDD(k + 1, tol=tol)
+    dd.add(np.concatenate(([1.0], np.zeros(k))))
+    for h in halfspaces:
+        dd.add(halfspace_row(h))
+    return dd
+
+
+def upper_set_vertices(dd: ConeDD) -> np.ndarray:
+    """Sorted vertices of the upper set whose homogenized cone `dd` holds."""
+    rays = dd.extreme_rays()
+    rays = rays[rays[:, 0] > 1e-9]
+    verts = rays[:, 1:] / rays[:, :1]
+    return verts[np.lexsort(verts.T[::-1])]
+
+
 def upper_set_vertices_from_halfspaces(
     halfspaces, *, tol: float = 1e-9
 ) -> np.ndarray:
-    """Vertices of {y : a·y >= b for all (a, b)}; normals must span R^K.
-
-    Used by the security-image iteration, where the first K halfspaces are
-    coordinate bounds, so the homogenized cone is always pointed.
-    """
-    pairs = [(np.asarray(h.normal, dtype=float), float(h.offset)) for h in halfspaces]
-    k = pairs[0][0].size
-    rows = [np.concatenate(([1.0], np.zeros(k)))]
-    for a, b in pairs:
-        rows.append(np.concatenate(([-b], a)))
-    rays = cone_extreme_rays(np.array(rows), tol=tol)
-    verts = []
-    for r in rays:
-        if r[0] > 1e-9:
-            verts.append(tuple(r[1:] / r[0]))
-    verts.sort()
-    return np.array(verts) if verts else np.zeros((0, k))
+    """Vertices of {y : a·y >= b for all (a, b)}; normals must span R^K."""
+    return upper_set_vertices(upper_set_cone(halfspaces, tol=tol))

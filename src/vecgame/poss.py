@@ -30,11 +30,13 @@ from .polyhedra import (
     Halfspace,
     build_lower_set,
     build_upper_set,
+    halfspace_row,
     pareto_max_points,
     pareto_min_points,
-    upper_set_vertices_from_halfspaces,
+    upper_set_cone,
+    upper_set_vertices,
 )
-from .solver import StrategyFront, _payoff_polyhedron
+from .solver import StrategyFront, _lp_strategy, _payoff_polyhedron
 
 # A candidate vertex belongs to the image when its clearance LP stays below this.
 VERIFY_TOL = 1e-7
@@ -58,7 +60,6 @@ class SecurityImage:
     player: Player
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[tuple[float, ...], ...]
-    constraint_system: LinearProgram
     attainments: tuple[MixedStrategy, ...]
 
     @property
@@ -205,13 +206,13 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
     halfspaces.append(Halfspace(tuple(ones), _support_value(entries, ones)))
 
     verified: dict[tuple, np.ndarray] = {}
+    dd = upper_set_cone(halfspaces)
     for _ in range(MAX_ROUNDS):
-        vertices = upper_set_vertices_from_halfspaces(halfspaces)
+        vertices = upper_set_vertices(dd)
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
         pending = None
-        for v in vertices:
-            key = tuple(np.round(v, 9))
+        for v, key in zip(vertices, map(tuple, np.round(vertices, 9).tolist())):
             if key in verified:
                 continue
             lift, witness = _verify_vertex(entries, v)
@@ -222,7 +223,7 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
                 break
         if pending is None:
             return vertices, verified
-        halfspaces.append(_cut_for_vertex(entries, pending))
+        dd.add(halfspace_row(_cut_for_vertex(entries, pending)))
     raise NumericalError(f"security image not settled after {MAX_ROUNDS} cuts")
 
 
@@ -247,15 +248,12 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
             lift, weights = _verify_vertex(entries, target)
             if lift > VERIFY_TOL:
                 raise NumericalError(f"image vertex {vertex} has no attaining strategy")
-        attainments.append(MixedStrategy.cleaned(weights, owner=player))
+        attainments.append(_lp_strategy(weights, player))
 
-    k = game.dim
-    system = _support_lp(entries, np.full(k, 1.0 / k))
     return SecurityImage(
         player=player,
         halfspaces=poly.halfspaces,
         vertices=poly.vertices,
-        constraint_system=system,
         attainments=tuple(attainments),
     )
 

@@ -113,6 +113,14 @@ def _payoff_polyhedron(game: VectorPayoffGame, strategy: MixedStrategy) -> Orien
     return build_upper_set(col_generator_matrix(game, strategy))
 
 
+def _lp_strategy(weights, owner: Player) -> MixedStrategy:
+    """A strategy read off an LP solution; invalid weights are a numerical fault."""
+    try:
+        return MixedStrategy.cleaned(weights, owner=owner)
+    except InputError as exc:
+        raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
+
+
 def _minimality_core(
     game: VectorPayoffGame, pbar: MixedStrategy, tol: float
 ) -> MinimalityCertificate:
@@ -158,7 +166,7 @@ def _minimality_core(
     if value <= tol:
         return MinimalityCertificate(pbar, value, None, True, slacks)
 
-    improving = MixedStrategy.cleaned(out.solution[:m], owner=Player.ROW)
+    improving = _lp_strategy(out.solution[:m], Player.ROW)
     improved = build_lower_set(row_generator_matrix(game, improving))
     if not poly_subset(improved, target, tol=1e-7):
         raise NumericalError(
@@ -457,4 +465,4 @@ def scalarized_game_solve(
     out = solve_lp(lp)
     if out.status != "optimal":
         raise NumericalError(f"scalar game LP ended with status {out.status}")
-    return MixedStrategy.cleaned(out.solution[:size], owner=player)
+    return _lp_strategy(out.solution[:size], player)

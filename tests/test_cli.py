@@ -398,6 +398,20 @@ def test_nonpositive_tol(game_files, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+def test_invalid_lp_strategy_is_a_numerical_failure(tmp_path, capsys):
+    # At payoff scale 1e-4 an improvement LP of this game returns a
+    # weight of -0.5; that is the program's fault, not the input's.
+    payoffs = [[[2, -2, 1], [2, 0, 1], [1, -2, 2]],
+               [[2, 2, -2], [2, 2, 0], [-2, 1, -2]],
+               [[-1, 1, 2], [2, -1, -2], [2, 2, -1]]]
+    scaled = [[[x * 1e-4 for x in cell] for cell in row] for row in payoffs]
+    path = tmp_path / "tiny_scale.json"
+    path.write_text(json.dumps({"rows": 3, "cols": 3, "dim": 3, "payoffs": scaled}),
+                    encoding="utf-8")
+    assert main(["solve", "-i", str(path), "--step-row", "1/4", "--workers", "1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_missing_required_input_flag():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vecgame.errors import InputError
+from vecgame.errors import InputError, NumericalError
 from vecgame.game import row_generator_matrix, row_strategy
 from vecgame.polyhedra import (
     LOWER,
     UPPER,
+    ConeDD,
     Halfspace,
     OrientedPayoffPolyhedron,
     build_lower_set,
     build_upper_set,
+    cone_extreme_rays,
     contains_point,
     exposing_normal_at_vertex,
     pareto_max_points,
@@ -252,6 +254,125 @@ def test_exposing_normals_random_k3():
                 if max(abs(a - b) for a, b in zip(g, v)) <= 1e-8:
                     continue
                 assert float(c @ np.array(g)) < cut.offset - 1e-12
+
+
+# --- double description kernel ---------------------------------------------
+
+def _random_cone_rows(rng, d):
+    """Rows in {-1, 0, 1}^d plus sums of two of them, shuffled: sums are tight
+    wherever both summands are, so degenerate steps are common."""
+    base = rng.integers(-1, 2, size=(int(rng.integers(d, 2 * d)), d)).astype(float)
+    sums = [base[i] + base[j] for i, j in rng.integers(0, len(base), size=(d, 2))]
+    rows = np.vstack([base, sums])
+    return rows[rng.permutation(len(rows))]
+
+
+def _benson_rows(rng, k):
+    """t >= 0, coordinate bounds, then cuts (-b, a) with a >= 0 of unit sum;
+    small integer offsets make cuts pass through earlier vertices."""
+    rows = [np.eye(k + 1)[0]]
+    rows += [np.concatenate(([-float(rng.integers(0, 2))], np.eye(k)[i])) for i in range(k)]
+    for _ in range(int(rng.integers(k, 3 * k))):
+        a = rng.integers(0, 2, size=k).astype(float)
+        if a.sum() > 0:
+            rows.append(np.concatenate(([-float(rng.integers(1, 4))], a / a.sum())))
+    return np.array(rows)
+
+
+def _rays_or_error(extreme_rays):
+    try:
+        return extreme_rays()
+    except NumericalError:
+        return None
+
+
+def test_cone_dd_incremental_state_equals_a_fresh_run():
+    rng = np.random.default_rng(71)
+    sequences = [_random_cone_rows(rng, int(rng.integers(3, 7))) for _ in range(20)]
+    sequences += [_benson_rows(rng, int(rng.integers(2, 6))) for _ in range(20)]
+    for C in sequences:
+        dd = ConeDD(C.shape[1])
+        for i, row in enumerate(C):
+            dd.add(row)
+            got = _rays_or_error(dd.extreme_rays)
+            want = _rays_or_error(lambda: cone_extreme_rays(C[: i + 1]))
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class _LoopAdjacencyDD(ConeDD):
+    """The combinatorial adjacency test, one pair and one third ray at a time."""
+
+    def _adjacent_pairs(self, pos_idx, neg_idx):
+        D = np.array(self.done)
+        zsets = [np.abs(D @ r) <= 1e-8 for r in self.rays]
+        quotient_dim = self.dim - len(self.basis)
+        out = []
+        for ip in pos_idx:
+            for ineg in neg_idx:
+                common = zsets[ip] & zsets[ineg]
+                if int(common.sum()) < quotient_dim - 2:
+                    continue
+                if not any(
+                    np.all(zsets[other][common])
+                    for other in range(len(self.rays))
+                    if other not in (ip, ineg)
+                ):
+                    out.append((ip, ineg))
+        return np.array(out, dtype=int).reshape(-1, 2)
+
+
+class _RankAdjacencyDD(ConeDD):
+    """The algebraic adjacency test: the common zero rows have rank quotient_dim - 2."""
+
+    def _adjacent_pairs(self, pos_idx, neg_idx):
+        D = np.array(self.done)
+        zero = np.abs(np.array(self.rays) @ D.T) <= 1e-8
+        quotient_dim = self.dim - len(self.basis)
+        out = []
+        for ip in pos_idx:
+            for ineg in neg_idx:
+                common = zero[ip] & zero[ineg]
+                rank = np.linalg.matrix_rank(D[common]) if common.any() else 0
+                if rank == quotient_dim - 2:
+                    out.append((ip, ineg))
+        return np.array(out, dtype=int).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("reference", [_LoopAdjacencyDD, _RankAdjacencyDD])
+def test_vectorised_adjacency_matches_pairwise_references(reference):
+    rng = np.random.default_rng(73)
+    checked = 0
+    while checked < 40:
+        d = int(rng.integers(3, 7))
+        C = _random_cone_rows(rng, d) if checked % 2 else _benson_rows(rng, d - 1)
+        if np.linalg.matrix_rank(C) < d:
+            continue  # not pointed
+        fast, slow = ConeDD(d), reference(d)
+        for row in C:
+            fast.add(row)
+            slow.add(row)
+        got, want = fast.extreme_rays(), slow.extreme_rays()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        checked += 1
+
+
+def test_cone_extreme_rays_of_the_nonnegative_orthant():
+    rays = cone_extreme_rays(np.eye(3))
+    assert {tuple(r) for r in np.round(rays, 12)} == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                                       (0.0, 0.0, 1.0)}
+
+
+def test_cone_that_is_not_pointed_raises():
+    with pytest.raises(NumericalError):
+        cone_extreme_rays(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    dd = ConeDD(2)
+    dd.add([1.0, -1.0])
+    dd.add([-1.0, 1.0])  # the line x1 = x2 remains
+    with pytest.raises(NumericalError):
+        dd.extreme_rays()
 
 
 # --- vertex recovery from halfspaces ----------------------------------------

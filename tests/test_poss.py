@@ -19,7 +19,14 @@ from vecgame.game import (
     row_strategy,
 )
 from vecgame.polyhedra import build_lower_set, build_upper_set, contains_point
-from vecgame.poss import SecurityImage, compute_security_image, poss_strategies, verify_gap
+from vecgame.poss import (
+    VERIFY_TOL,
+    SecurityImage,
+    _verify_vertex,
+    compute_security_image,
+    poss_strategies,
+    verify_gap,
+)
 from vecgame.solver import MinimalityCertificate, StrategyFront, classify_grid
 
 from properties import random_game, scalar_game_value
@@ -164,6 +171,25 @@ def test_every_vertex_has_an_attainment(two_by_two, three_by_three, two_by_two_r
         for vertex, witness in zip(image.vertices, image.attainments):
             point = np.array(tuple(componentwise_security_point(game, witness)))
             assert point == pytest.approx(vertex, abs=1e-7)
+
+
+@pytest.mark.parametrize("player", [Player.ROW, Player.COL])
+def test_five_by_five_by_four_image_is_verified_and_valid(player):
+    # Benson's loop runs dozens of cuts on one incremental DD here.
+    game = random_game(np.random.default_rng(20241017), 5, 5, 4, lo=-10, hi=10)
+    image = compute_security_image(game, player)
+    entries = game.entries if player is Player.ROW else game.mirror().entries
+    sign = 1.0 if player is Player.ROW else -1.0
+    assert len(image.vertices) > 10
+    for vertex, witness in zip(image.vertices, image.attainments, strict=True):
+        lift, _ = _verify_vertex(entries, sign * np.array(vertex))
+        assert lift <= VERIFY_TOL
+        point = np.array(tuple(componentwise_security_point(game, witness)))
+        assert point == pytest.approx(vertex, abs=1e-7)
+    grid = enumerate_simplex_grid(5, Fraction(1, 4), owner=player)
+    points = np.array([tuple(componentwise_security_point(game, s)) for s in grid.points])
+    slack = sign * (points @ image.normal_matrix().T - image.offset_vector())
+    assert slack.min() >= -1e-7
 
 
 def test_image_to_dict_round_trip(two_by_two_row_image):
