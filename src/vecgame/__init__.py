@@ -57,7 +57,6 @@ from .solver import (
     improve_to_minimal,
     maximality_lp,
     minimality_lp,
-    poss_prefilter,
     scalarized_game_solve,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "pareto_max_points",
     "pareto_min_points",
     "poly_subset",
-    "poss_prefilter",
     "poss_strategies",
     "scalarized_game_solve",
     "solve_lp",

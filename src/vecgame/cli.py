@@ -30,13 +30,12 @@ from .game import (
     MixedStrategy,
     Player,
     VectorPayoffGame,
-    componentwise_security_point,
-    expected_payoff,
+    col_generator_matrix,
+    row_generator_matrix,
 )
 from .polyhedra import build_lower_set, build_upper_set
-from .game import col_generator_matrix, row_generator_matrix
 from .poss import compute_security_image, poss_strategies, verify_gap
-from .solver import StrategyFront, classify_grid, maximality_lp, minimality_lp
+from .solver import StrategyFront, _certificate, classify_grid
 
 from . import __version__ as VERSION
 
@@ -57,7 +56,6 @@ class RunConfig:
     step_row: Fraction | None = None
     step_col: Fraction | None = None
     tol: float = 1e-7
-    prefilter: bool = False
     fmt: str = "json"
     workers: int | None = None
     output: str | None = None
@@ -82,7 +80,6 @@ class RunConfig:
         if self.step_col is not None:
             out["step_col"] = str(self.step_col)
         out["tol"] = self.tol
-        out["prefilter"] = self.prefilter
         out["format"] = self.fmt
         if self.command == "random":
             out.update(rows=self.rows, cols=self.cols, dim=self.dim, seed=self.seed)
@@ -157,6 +154,17 @@ def _parse_weights(text: str, owner: Player) -> MixedStrategy:
     return MixedStrategy(tuple(weights), owner=owner)
 
 
+def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy]:
+    halves = text.split(";")
+    if len(halves) != 2:
+        raise InputError("--pair expects 'p1,p2,...;q1,q2,...'")
+    return _parse_weights(halves[0], Player.ROW), _parse_weights(halves[1], Player.COL)
+
+
+def _owner(config: RunConfig) -> Player:
+    return Player.ROW if (config.player or "row") == "row" else Player.COL
+
+
 def _parse_step(text: str) -> Fraction:
     try:
         step = Fraction(text)
@@ -208,7 +216,6 @@ def _front_dict(front: StrategyFront) -> dict:
                 "rational": [_rational(w) for w in cert.tested_strategy.weights],
                 "lp_value": cert.lp_value,
                 "minimal": cert.is_minimal,
-                "prefiltered": cert.prefiltered,
                 "improving": list(improving.weights) if improving is not None else None,
             }
         )
@@ -242,12 +249,8 @@ def _fronts(game: VectorPayoffGame, config: RunConfig):
     step_row = config.step_row if config.step_row is not None else Fraction(1, 10)
     step_col = config.step_col if config.step_col is not None else step_row
     kwargs = {"tol": config.tol, "workers": config.workers}
-    front_row = classify_grid(
-        game, Player.ROW, step_row, use_prefilter=config.prefilter, **kwargs
-    )
-    front_col = classify_grid(
-        game, Player.COL, step_col, use_prefilter=config.prefilter, **kwargs
-    )
+    front_row = classify_grid(game, Player.ROW, step_row, **kwargs)
+    front_col = classify_grid(game, Player.COL, step_col, **kwargs)
     return front_row, front_col
 
 
@@ -266,7 +269,7 @@ def _cmd_solve(config: RunConfig) -> str:
                         " ".join(format(w, ".17g") for w in cert.tested_strategy.weights),
                         " ".join(_rational(w) for w in cert.tested_strategy.weights),
                         str(cert.is_minimal).lower(),
-                        "" if cert.prefiltered else format(cert.lp_value, ".17g"),
+                        format(cert.lp_value, ".17g"),
                     ]
                 )
         return buf.getvalue()
@@ -346,10 +349,8 @@ def _cmd_poss(config: RunConfig) -> str:
     image_row = compute_security_image(game, Player.ROW)
     image_col = compute_security_image(game, Player.COL)
     front_row, front_col = _fronts(game, config)
-    step_row = config.step_row if config.step_row is not None else Fraction(1, 10)
-    step_col = config.step_col if config.step_col is not None else step_row
-    poss_row = poss_strategies(game, Player.ROW, step_row, image=image_row)
-    poss_col = poss_strategies(game, Player.COL, step_col, image=image_col)
+    poss_row = poss_strategies(game, Player.ROW, front_row.grid.step, image=image_row)
+    poss_col = poss_strategies(game, Player.COL, front_col.grid.step, image=image_col)
     gap_row = verify_gap(game, front_row, image_row)
     gap_col = verify_gap(game, front_col, image_col)
     report = _report(
@@ -370,11 +371,7 @@ def _cmd_poss(config: RunConfig) -> str:
 def _cmd_check(config: RunConfig) -> str:
     game = load_game(config.input)
     if config.pair is not None:
-        halves = config.pair.split(";")
-        if len(halves) != 2:
-            raise InputError("--pair expects 'p1,p2,...;q1,q2,...'")
-        p = _parse_weights(halves[0], Player.ROW)
-        q = _parse_weights(halves[1], Player.COL)
+        p, q = _parse_pair(config.pair)
         record = classify_pair(game, p, q, tol=config.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]
         if config.fmt == "table":
@@ -390,14 +387,10 @@ def _cmd_check(config: RunConfig) -> str:
         )
     if config.strategy is None:
         raise InputError("check needs --strategy or --pair")
-    owner = Player.ROW if (config.player or "row") == "row" else Player.COL
+    owner = _owner(config)
     strategy = _parse_weights(config.strategy, owner)
-    if owner is Player.ROW:
-        cert = minimality_lp(game, strategy, tol=config.tol)
-        kind = "minimal"
-    else:
-        cert = maximality_lp(game, strategy, tol=config.tol)
-        kind = "maximal"
+    cert = _certificate(game, strategy, config.tol)
+    kind = "minimal" if owner is Player.ROW else "maximal"
     if config.fmt == "table":
         verdict = kind if cert.is_minimal else f"not {kind}"
         lines = [
@@ -433,21 +426,17 @@ def _cmd_plot(config: RunConfig) -> str:
     game = load_game(config.input)
     if game.dim != 2:
         raise InputError("plot geometry is only available for two payoff components")
-    shapes = []
-    if config.strategy is not None and (config.player or "row") == "row":
-        p = _parse_weights(config.strategy, Player.ROW)
-        poly = build_lower_set(row_generator_matrix(game, p))
-        shapes.append(("V_I(p)", poly))
+    # as in `check`: --pair if given, otherwise --strategy for --player
+    p = q = None
     if config.pair is not None:
-        halves = config.pair.split(";")
-        if len(halves) != 2:
-            raise InputError("--pair expects 'p1,p2,...;q1,q2,...'")
-        p = _parse_weights(halves[0], Player.ROW)
-        q = _parse_weights(halves[1], Player.COL)
+        p, q = _parse_pair(config.pair)
+    elif config.strategy is not None:
+        strategy = _parse_weights(config.strategy, _owner(config))
+        p, q = (strategy, None) if strategy.owner is Player.ROW else (None, strategy)
+    shapes = []
+    if p is not None:
         shapes.append(("V_I(p)", build_lower_set(row_generator_matrix(game, p))))
-        shapes.append(("V_II(q)", build_upper_set(col_generator_matrix(game, q))))
-    elif config.strategy is not None and config.player == "col":
-        q = _parse_weights(config.strategy, Player.COL)
+    if q is not None:
         shapes.append(("V_II(q)", build_upper_set(col_generator_matrix(game, q))))
     image_row = compute_security_image(game, Player.ROW)
     image_col = compute_security_image(game, Player.COL)
@@ -543,7 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--step-row", default="1/10", help="grid step for player I, a fraction 1/N")
         p.add_argument("--step-col", default=None, help="grid step for player II (default: step-row)")
-        p.add_argument("--prefilter", action="store_true", help="skip strategies cut by the image test")
         p.add_argument("--workers", type=int, default=os.cpu_count(), help="parallel processes")
 
     p = sub.add_parser("check")
@@ -575,7 +563,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.step_col = (
             _parse_step(args.step_col) if args.step_col is not None else config.step_row
         )
-        config.prefilter = args.prefilter
+        if args.workers is not None and args.workers < 1:
+            raise InputError("workers must be at least 1")
         config.workers = args.workers
     for name in ("player", "strategy", "pair", "rows", "cols", "dim", "seed"):
         if hasattr(args, name):

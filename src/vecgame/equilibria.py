@@ -28,6 +28,7 @@ from .game import (
 from .lp import LinearProgram, solve_lp
 from .polyhedra import (
     OrientedPayoffPolyhedron,
+    active_halfspace_indices,
     build_lower_set,
     build_upper_set,
     pareto_max_points,
@@ -45,8 +46,6 @@ from .solver import (
     StrategyFront,
 )
 
-# |a·v - b| below this marks a halfspace as active at the payoff point.
-ACTIVE_TOL = 1e-7
 # The strong test accepts when the separation LP value stays below this.
 STRONG_TOL = 1e-7
 # A summed normal counts as strictly positive when every component exceeds this.
@@ -88,62 +87,59 @@ def _classification(p_min: bool, q_max: bool, shapley: bool, strong: bool) -> Cl
     return Classification.NONE
 
 
-def _active_normal_sum(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> np.ndarray | None:
-    """Sum of facet normals active at the point, or None for interior points."""
-    A = poly.normal_matrix()
-    b = poly.offset_vector()
-    residual = A @ point - b
-    active = np.abs(residual) <= ACTIVE_TOL
-    if not active.any():
-        return None
-    return A[active].sum(axis=0)
+def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bool:
+    """Whether the facets of `poly` active at `point` sum to a strictly positive normal.
+
+    Such a point is Pareto-maximal in a lower set and Pareto-minimal in an
+    upper set.
+    """
+    active = active_halfspace_indices(poly, point)
+    return bool(active) and bool(np.all(poly.normal_matrix()[active].sum(axis=0) > POSITIVE_TOL))
 
 
-def is_max_point_of_row_set(
-    game: VectorPayoffGame,
-    p: MixedStrategy,
-    q: MixedStrategy,
-    *,
-    row_set: OrientedPayoffPolyhedron | None = None,
+def _payoff_sets(
+    game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy
+) -> tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]:
+    """V_I(p), the row player's lower set, and V_II(q), the column player's upper set."""
+    return (
+        build_lower_set(row_generator_matrix(game, p)),
+        build_upper_set(col_generator_matrix(game, q)),
+    )
+
+
+def _is_shapley(
+    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron], point: np.ndarray
 ) -> bool:
+    return _on_pareto_boundary(sets[0], point) and _on_pareto_boundary(sets[1], point)
+
+
+def is_max_point_of_row_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
     """Whether the pair's payoff is Pareto-maximal in the row payoff set."""
-    v = expected_payoff(game, p, q).as_array()
-    poly = row_set if row_set is not None else build_lower_set(row_generator_matrix(game, p))
-    total = _active_normal_sum(poly, v)
-    return total is not None and bool(np.all(total > POSITIVE_TOL))
+    row_set = build_lower_set(row_generator_matrix(game, p))
+    return _on_pareto_boundary(row_set, expected_payoff(game, p, q).as_array())
 
 
-def is_min_point_of_col_set(
-    game: VectorPayoffGame,
-    p: MixedStrategy,
-    q: MixedStrategy,
-    *,
-    col_set: OrientedPayoffPolyhedron | None = None,
-) -> bool:
+def is_min_point_of_col_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
     """Whether the pair's payoff is Pareto-minimal in the column payoff set."""
-    v = expected_payoff(game, p, q).as_array()
-    poly = col_set if col_set is not None else build_upper_set(col_generator_matrix(game, q))
-    total = _active_normal_sum(poly, v)
-    return total is not None and bool(np.all(total > POSITIVE_TOL))
+    col_set = build_upper_set(col_generator_matrix(game, q))
+    return _on_pareto_boundary(col_set, expected_payoff(game, p, q).as_array())
 
 
 def is_shapley_equilibrium(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    return is_max_point_of_row_set(game, p, q) and is_min_point_of_col_set(game, p, q)
+    return _is_shapley(_payoff_sets(game, p, q), expected_payoff(game, p, q).as_array())
 
 
 def _strong_lp_value(
     game: VectorPayoffGame,
     p: MixedStrategy,
     q: MixedStrategy,
-    row_set: OrientedPayoffPolyhedron | None = None,
-    col_set: OrientedPayoffPolyhedron | None = None,
+    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron] | None = None,
 ) -> float:
     """Largest total downward shift from a point of V_I(p) landing in V_II(q).
 
     Zero means the intersection contains no improvable point.
     """
-    vi = row_set if row_set is not None else build_lower_set(row_generator_matrix(game, p))
-    vii = col_set if col_set is not None else build_upper_set(col_generator_matrix(game, q))
+    vi, vii = sets if sets is not None else _payoff_sets(game, p, q)
     k = game.dim
     rows: list[np.ndarray] = []
     relations: list[str] = []
@@ -171,10 +167,32 @@ def _strong_lp_value(
     return float(out.objective_value)
 
 
+def _pair_record(
+    game: VectorPayoffGame,
+    p: MixedStrategy,
+    q: MixedStrategy,
+    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron],
+    p_min: bool,
+    q_max: bool,
+) -> EquilibriumRecord:
+    """The record of one pair from its two payoff sets; the payoff is computed once."""
+    payoff = expected_payoff(game, p, q)
+    shapley = _is_shapley(sets, payoff.as_array())
+    strong = shapley and _strong_lp_value(game, p, q, sets) <= STRONG_TOL
+    return EquilibriumRecord(
+        p=p,
+        q=q,
+        payoff=payoff,
+        p_minimal=p_min,
+        q_maximal=q_max,
+        shapley=shapley,
+        strong=strong,
+        classification=_classification(p_min, q_max, shapley, strong),
+    )
+
+
 def is_strong_shapley(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    if not is_shapley_equilibrium(game, p, q):
-        return False
-    return _strong_lp_value(game, p, q) <= STRONG_TOL
+    return _pair_record(game, p, q, _payoff_sets(game, p, q), False, False).strong
 
 
 def classify_pair(
@@ -183,22 +201,7 @@ def classify_pair(
     """Full classification of one pair, running the optimality LPs."""
     p_min = minimality_lp(game, p, tol=tol).is_minimal
     q_max = maximality_lp(game, q, tol=tol).is_minimal
-    vi = build_lower_set(row_generator_matrix(game, p))
-    vii = build_upper_set(col_generator_matrix(game, q))
-    shapley = is_max_point_of_row_set(game, p, q, row_set=vi) and is_min_point_of_col_set(
-        game, p, q, col_set=vii
-    )
-    strong = shapley and _strong_lp_value(game, p, q, vi, vii) <= STRONG_TOL
-    return EquilibriumRecord(
-        p=p,
-        q=q,
-        payoff=expected_payoff(game, p, q),
-        p_minimal=p_min,
-        q_maximal=q_max,
-        shapley=shapley,
-        strong=strong,
-        classification=_classification(p_min, q_max, shapley, strong),
-    )
+    return _pair_record(game, p, q, _payoff_sets(game, p, q), p_min, q_max)
 
 
 def classify_pairs(
@@ -215,26 +218,11 @@ def classify_pairs(
     maximal = [c.tested_strategy for c in front_col.certificates if c.is_minimal]
     row_sets = [build_lower_set(row_generator_matrix(game, p)) for p in minimal]
     col_sets = [build_upper_set(col_generator_matrix(game, q)) for q in maximal]
-    records = []
-    for p, vi in zip(minimal, row_sets):
-        for q, vii in zip(maximal, col_sets):
-            shapley = is_max_point_of_row_set(game, p, q, row_set=vi) and (
-                is_min_point_of_col_set(game, p, q, col_set=vii)
-            )
-            strong = shapley and _strong_lp_value(game, p, q, vi, vii) <= STRONG_TOL
-            records.append(
-                EquilibriumRecord(
-                    p=p,
-                    q=q,
-                    payoff=expected_payoff(game, p, q),
-                    p_minimal=True,
-                    q_maximal=True,
-                    shapley=shapley,
-                    strong=strong,
-                    classification=_classification(True, True, shapley, strong),
-                )
-            )
-    return records
+    return [
+        _pair_record(game, p, q, (vi, vii), True, True)
+        for p, vi in zip(minimal, row_sets)
+        for q, vii in zip(maximal, col_sets)
+    ]
 
 
 def vector_minimax_diagnostic(
@@ -249,38 +237,26 @@ def vector_minimax_diagnostic(
     Per own-grid strategy the opponent-grid payoff samples are filtered
     to their weak or strict Pareto frontier; a strategy is reported when
     one of its samples coincides with a strict Pareto point of the union
-    of all frontiers.  Accurate only up to both grid resolutions.
+    of all frontiers.  Accurate only up to both grid resolutions.  Player
+    II's question is player I's on the mirrored game, whose samples are
+    the negated ones.
     """
     mode_l = mode.lower()
     if mode_l not in ("weak", "strong"):
         raise InputError("mode must be 'weak' or 'strong'")
-    own_dim = game.rows if player is Player.ROW else game.cols
-    opp_dim = game.cols if player is Player.ROW else game.rows
-    own_grid = enumerate_simplex_grid(own_dim, step, owner=player)
+    oriented = game.for_player(player)
+    own_grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
     opp_grid = enumerate_simplex_grid(
-        opp_dim, opponent_step if opponent_step is not None else step, owner=player.opponent
+        oriented.cols, opponent_step if opponent_step is not None else step, owner=player.opponent
     )
     opp_matrix = np.array([o.weights for o in opp_grid.points])  # (num_opp, dim_opp)
-
-    sample_sets: list[np.ndarray] = []
-    for s in own_grid.points:
-        if player is Player.ROW:
-            gen = row_generator_matrix(game, s)  # (n, K)
-        else:
-            gen = col_generator_matrix(game, s)  # (m, K)
-        sample_sets.append(opp_matrix @ gen)  # (num_opp, K)
-
-    inner_sense = "max" if player is Player.ROW else "min"
-    filtered = []
-    for samples in sample_sets:
-        if mode_l == "weak":
-            filtered.append(weak_pareto_points(samples, inner_sense))
-        elif player is Player.ROW:
-            filtered.append(pareto_max_points(samples))
-        else:
-            filtered.append(pareto_min_points(samples))
-    union = np.vstack(filtered)
-    outer = pareto_min_points(union) if player is Player.ROW else pareto_max_points(union)
+    # one (num_opp, K) sample array per own strategy
+    sample_sets = [opp_matrix @ row_generator_matrix(oriented, s) for s in own_grid.points]
+    if mode_l == "weak":
+        filtered = [weak_pareto_points(samples, "max") for samples in sample_sets]
+    else:
+        filtered = [pareto_max_points(samples) for samples in sample_sets]
+    outer = pareto_min_points(np.vstack(filtered))
 
     chosen = []
     for s, samples in zip(own_grid.points, sample_sets):

@@ -153,6 +153,18 @@ class VectorPayoffGame:
         """
         return VectorPayoffGame(-np.transpose(self.entries, (1, 0, 2)))
 
+    def for_player(self, player: Player) -> "VectorPayoffGame":
+        """The game in which `player` is the row player: `self` or its mirror.
+
+        A strategy of `player` keeps its weights and owner there; only
+        payoff-valued results (payoffs, vertices, offsets) change sign.
+        """
+        if player is Player.ROW:
+            return self
+        if player is Player.COL:
+            return self.mirror()
+        raise InputError(f"unknown player {player!r}")
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Sequence[float]]]) -> "VectorPayoffGame":
         return cls(np.array(rows, dtype=float))
@@ -187,14 +199,6 @@ def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) 
     wp = _require_row(game, p)
     wq = _require_col(game, q)
     return PayoffVector(tuple(np.einsum("i,ijk,j->k", wp, game.entries, wq)))
-
-
-def row_payoff_generators(game: VectorPayoffGame, p: MixedStrategy) -> list[PayoffVector]:
-    return [PayoffVector(tuple(row)) for row in row_generator_matrix(game, p)]
-
-
-def col_payoff_generators(game: VectorPayoffGame, q: MixedStrategy) -> list[PayoffVector]:
-    return [PayoffVector(tuple(row)) for row in col_generator_matrix(game, q)]
 
 
 def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:

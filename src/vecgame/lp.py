@@ -27,7 +27,8 @@ class LinearProgram:
     """min/max objective @ x  subject to  lhs @ x (relations) rhs, bounds.
 
     `bounds` gives per-variable (lower, upper) with None for unbounded;
-    omitted bounds default to x >= 0 for every variable.
+    omitted bounds default to x >= 0 for every variable.  Upper bounds
+    are not supported: write them as constraint rows.
     """
 
     objective: np.ndarray
@@ -68,6 +69,8 @@ class LinearProgram:
             )
             if len(bounds) != obj.size:
                 raise InputError("bounds length does not match variable count")
+            if any(hi is not None for _, hi in bounds):
+                raise InputError("upper bounds are not supported; write them as constraints")
         for arr in (obj, lhs, rhs):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", obj)
@@ -164,31 +167,21 @@ def solve_lp(
 ) -> LPOutcome:
     """Solve the LP by two-phase dense simplex."""
     c0 = lp.objective if lp.sense == "min" else -lp.objective
-    b = lp.rhs.copy()
+    rhs = lp.rhs.copy()
     rels = list(lp.relations)
 
     # Substitute bounds away: x >= 0 columns only after this block.
     cols: list[np.ndarray] = []
     cobj: list[float] = []
     transforms: list[tuple] = []
-    box_rows: list[tuple[int, float]] = []
     for j in range(lp.num_vars):
-        lo, hi = lp.bounds[j]
+        lo = lp.bounds[j][0]
         col = lp.lhs[:, j]
         if lo is not None:
-            if hi is not None and hi < lo - 1e-12:
-                return LPOutcome("infeasible", None, None, 0)
-            b = b - col * lo
+            rhs = rhs - col * lo
             cols.append(col.copy())
             cobj.append(float(c0[j]))
             transforms.append(("shift", len(cols) - 1, lo))
-            if hi is not None:
-                box_rows.append((len(cols) - 1, hi - lo))
-        elif hi is not None:
-            b = b - col * hi
-            cols.append(-col)
-            cobj.append(float(-c0[j]))
-            transforms.append(("flip", len(cols) - 1, hi))
         else:
             cols.append(col.copy())
             cobj.append(float(c0[j]))
@@ -197,15 +190,8 @@ def solve_lp(
             transforms.append(("split", len(cols) - 2, len(cols) - 1))
 
     n_core = len(cols)
-    m0 = lp.num_constraints
-    mat = np.zeros((m0 + len(box_rows), n_core))
-    if n_core and m0:
-        mat[:m0] = np.column_stack(cols)
-    for r, (jcol, ub) in enumerate(box_rows):
-        mat[m0 + r, jcol] = 1.0
-    rhs = np.concatenate([b, np.array([ub for _, ub in box_rows], dtype=float)])
-    rels = rels + ["<="] * len(box_rows)
-    m = rhs.size
+    m = lp.num_constraints
+    mat = np.column_stack(cols) if n_core and m else np.zeros((m, n_core))
 
     slack_sign = {}
     slack_cols: list[np.ndarray] = []
@@ -302,8 +288,6 @@ def solve_lp(
         kind = tr[0]
         if kind == "shift":
             x[j] = xprime[tr[1]] + tr[2]
-        elif kind == "flip":
-            x[j] = tr[2] - xprime[tr[1]]
         else:
             x[j] = xprime[tr[1]] - xprime[tr[2]]
     value = float(lp.objective @ x)

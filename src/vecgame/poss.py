@@ -20,8 +20,8 @@ from .game import (
     MixedStrategy,
     Player,
     VectorPayoffGame,
-    componentwise_security_point,
     enumerate_simplex_grid,
+    row_generator_matrix,
 )
 from .lp import LinearProgram, check_feasibility, solve_lp
 from .polyhedra import (
@@ -31,12 +31,11 @@ from .polyhedra import (
     build_lower_set,
     build_upper_set,
     halfspace_row,
-    pareto_max_points,
     pareto_min_points,
     upper_set_cone,
     upper_set_vertices,
 )
-from .solver import StrategyFront, _lp_strategy, _payoff_polyhedron
+from .solver import StrategyFront, _lp_strategy
 
 # A candidate vertex belongs to the image when its clearance LP stays below this.
 VERIFY_TOL = 1e-7
@@ -228,17 +227,18 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityImage:
-    """Exact polyhedral image of guaranteeable payoffs for one player."""
-    entries = game.entries if player is Player.ROW else game.mirror().entries
+    """Exact polyhedral image of guaranteeable payoffs for one player.
+
+    Player II's image is player I's image of the mirrored game, negated.
+    """
+    entries = game.for_player(player).entries
+    sign = _payoff_sign(player)
     raw_vertices, verified = _benson(entries)
-    if player is Player.ROW:
-        poly = build_upper_set(raw_vertices)
-    else:
-        poly = build_lower_set(-raw_vertices)
+    poly = build_upper_set(raw_vertices)
 
     attainments = []
     for vertex in poly.vertices:
-        target = np.array(vertex) if player is Player.ROW else -np.array(vertex)
+        target = np.array(vertex)
         weights = None
         for key, witness in verified.items():
             if np.max(np.abs(np.array(key) - target)) <= VERIFY_TOL:
@@ -247,24 +247,32 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
         if weights is None:
             lift, weights = _verify_vertex(entries, target)
             if lift > VERIFY_TOL:
-                raise NumericalError(f"image vertex {vertex} has no attaining strategy")
+                raise NumericalError(
+                    f"image vertex {tuple(sign * x for x in vertex)} has no attaining strategy"
+                )
         attainments.append(_lp_strategy(weights, player))
 
+    vertices = [tuple(sign * x for x in v) for v in poly.vertices]
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
     return SecurityImage(
         player=player,
-        halfspaces=poly.halfspaces,
-        vertices=poly.vertices,
-        attainments=tuple(attainments),
+        halfspaces=tuple(Halfspace(h.normal, sign * h.offset) for h in poly.halfspaces),
+        vertices=tuple(vertices[i] for i in order),
+        attainments=tuple(attainments[i] for i in order),
     )
 
 
-def _boundary_slack(image: SecurityImage, point: np.ndarray) -> float:
-    A = image.normal_matrix()
-    b = image.offset_vector()
-    residual = A @ point - b
-    if image.player is Player.COL:
-        residual = -residual
-    return float(residual.min())
+def _payoff_sign(player: Player) -> float:
+    """Factor taking payoffs between the game and the game seen by `player`."""
+    return 1.0 if player is Player.ROW else -1.0
+
+
+def _row_view(
+    game: VectorPayoffGame, image: SecurityImage
+) -> tuple[VectorPayoffGame, np.ndarray, np.ndarray]:
+    """The game seen by the image's player, and the image there as rows a·y >= b."""
+    sign = _payoff_sign(image.player)
+    return game.for_player(image.player), image.normal_matrix(), sign * image.offset_vector()
 
 
 def poss_strategies(
@@ -283,16 +291,17 @@ def poss_strategies(
         raise InputError("image belongs to the other player")
     if image is None:
         image = compute_security_image(game, player)
-    dim = game.rows if player is Player.ROW else game.cols
-    grid = enumerate_simplex_grid(dim, step, owner=player)
-    points = np.array([componentwise_security_point(game, s).value for s in grid.points])
-    frontier = pareto_min_points(points) if player is Player.ROW else pareto_max_points(points)
+    oriented, img_A, img_b = _row_view(game, image)
+    grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
+    # security points as losses: the worst column for each component
+    points = np.array([row_generator_matrix(oriented, s).max(axis=0) for s in grid.points])
+    frontier = pareto_min_points(points)
     chosen = []
     for s, w in zip(grid.points, points):
         undominated = bool(
             (np.max(np.abs(frontier - w), axis=1) <= 1e-9).any()
         )
-        if undominated and _boundary_slack(image, w) <= BOUNDARY_TOL:
+        if undominated and float((img_A @ w - img_b).min()) <= BOUNDARY_TOL:
             chosen.append(s)
     return chosen
 
@@ -323,10 +332,8 @@ def verify_gap(
         raise InputError("eps must be strictly positive")
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
-    player = front.player
+    oriented, img_A, img_b = _row_view(game, image)
     k = game.dim
-    img_A = image.normal_matrix()
-    img_b = image.offset_vector()
     checked = []
     violations = []
     for cert in front.certificates:
@@ -334,34 +341,22 @@ def verify_gap(
             continue
         strategy = cert.tested_strategy
         checked.append(strategy)
-        poly = _payoff_polyhedron(game, strategy)
-        rows = [np.array(h.normal) for h in poly.halfspaces]
-        rels = ["<=" if player is Player.ROW else ">="] * len(rows)
-        base_rhs = [h.offset for h in poly.halfspaces]
+        poly = build_lower_set(row_generator_matrix(oriented, strategy))
+        lhs = np.vstack([poly.normal_matrix(), img_A])
+        relations = ("<=",) * len(poly.halfspaces) + (">=",) * len(img_b)
         for kk in range(k):
-            lhs = list(rows)
-            relations = list(rels)
-            rhs = list(base_rhs)
-            for a, b in zip(img_A, img_b):
-                lhs.append(a)
-                if player is Player.ROW:
-                    relations.append(">=")
-                    rhs.append(b + eps * a[kk])
-                else:
-                    relations.append("<=")
-                    rhs.append(b - eps * a[kk])
             lp = LinearProgram(
                 objective=np.zeros(k),
-                lhs=np.array(lhs),
-                relations=tuple(relations),
-                rhs=np.array(rhs),
+                lhs=lhs,
+                relations=relations,
+                rhs=np.concatenate([poly.offset_vector(), img_b + eps * img_A[:, kk]]),
                 sense="min",
                 bounds=((None, None),) * k,
             )
             if check_feasibility(lp).feasible:
                 violations.append((strategy, kk))
     return GapReport(
-        player=player,
+        player=front.player,
         eps=eps,
         checked=tuple(checked),
         violations=tuple(violations),

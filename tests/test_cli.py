@@ -69,8 +69,8 @@ def test_solve_report_structure(solve_report):
     assert config["step_row"] == "1/10"
     assert config["step_col"] == "1/10"
     assert config["tol"] == pytest.approx(1e-7)
-    assert config["prefilter"] is False
     assert config["format"] == "json"
+    assert "prefilter" not in config
     assert "workers" not in config
     assert "output" not in config
 
@@ -313,6 +313,15 @@ def test_plot_with_a_single_strategy(game_files, capsys):
     assert [s["label"] for s in shapes] == ["V_I(p)", "W_I", "W_II"]
 
 
+def test_plot_pair_takes_precedence_over_a_strategy(game_files, capsys):
+    # as in `check`: one V_I(p) shape, the pair's, not a second one for --strategy
+    assert main(["plot", "-i", game_files["two_by_two"], "--strategy", "1,0",
+                 "--pair", "1/3,2/3;1/2,1/2"]) == 0
+    shapes = json.loads(capsys.readouterr().out)
+    assert [s["label"] for s in shapes] == ["V_I(p)", "V_II(q)", "W_I", "W_II"]
+    assert shapes[0]["vertices"] == [pytest.approx([2.0, 10 / 3], abs=1e-9)]
+
+
 def test_plot_requires_two_payoff_components(game_files, capsys):
     assert main(["plot", "-i", game_files["scalar"]]) == 2
     assert "input error" in capsys.readouterr().err
@@ -391,6 +400,12 @@ def test_bad_step(game_files, capsys):
 def test_bad_pair_syntax(game_files, capsys):
     assert main(["check", "-i", game_files["corley"], "--pair", "1,0"]) == 2
     assert "--pair expects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_count_below_one_is_an_input_error(game_files, capsys, workers):
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", workers]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
 
 
 def test_nonpositive_tol(game_files, capsys):

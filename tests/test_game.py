@@ -22,7 +22,6 @@ from vecgame.game import (
     enumerate_simplex_grid,
     expected_payoff,
     row_generator_matrix,
-    row_payoff_generators,
     row_strategy,
 )
 
@@ -80,11 +79,6 @@ def test_col_generators(two_by_two):
     assert np.allclose(
         col_generator_matrix(two_by_two, col_strategy(0.5, 0.5)), [(2, 2), (2, 2)]
     )
-
-
-def test_payoff_generator_wrappers(two_by_two):
-    pts = row_payoff_generators(two_by_two, row_strategy(1, 0))
-    assert [tuple(p) for p in pts] == [(0.0, 0.0), (4.0, 4.0)]
 
 
 # --- security points -------------------------------------------------------

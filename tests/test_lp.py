@@ -94,7 +94,7 @@ def test_optimal_solution_is_primal_feasible():
 
 
 def test_free_and_upper_bounded_variables():
-    # min x + y  s.t.  x + y >= -3,  x in [-5, 5],  y free
+    # min x + y  s.t.  x + y >= -3,  x >= -5,  y free
     out = solve_lp(
         LinearProgram(
             objective=[1.0, 1.0],
@@ -102,11 +102,21 @@ def test_free_and_upper_bounded_variables():
             relations=(">=",),
             rhs=[-3.0],
             sense="min",
-            bounds=((-5.0, 5.0), (None, None)),
+            bounds=((-5.0, None), (None, None)),
         )
     )
     assert out.status == "optimal"
     assert abs(out.objective_value - (-3.0)) <= 1e-9
+    # an upper bound is rejected: it belongs in a constraint row
+    for bound in ((-5.0, 5.0), (None, 5.0)):
+        with pytest.raises(InputError):
+            LinearProgram(
+                objective=[1.0, 1.0],
+                lhs=[[1.0, 1.0]],
+                relations=(">=",),
+                rhs=[-3.0],
+                bounds=(bound, (None, None)),
+            )
 
 
 def test_malformed_lp_is_rejected():

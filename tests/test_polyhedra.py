@@ -453,18 +453,17 @@ def test_every_generator_is_dominated_by_a_frontier_point():
             A = poly.normal_matrix()
             b = poly.offset_vector()
             rel = "<=" if sense == "max" else ">="
+            # y >= g (lower sets) or y <= g (upper sets), as constraint rows
+            own = ">=" if sense == "max" else "<="
             for g in poly.generators:
-                bounds = tuple(
-                    (x, None) if sense == "max" else (None, x) for x in g
-                )
                 out = solve_lp(
                     LinearProgram(
                         objective=np.ones(k),
-                        lhs=A,
-                        relations=(rel,) * len(b),
-                        rhs=b,
+                        lhs=np.vstack([A, np.eye(k)]),
+                        relations=(rel,) * len(b) + (own,) * k,
+                        rhs=np.concatenate([b, g]),
                         sense=sense,
-                        bounds=bounds,
+                        bounds=((None, None),) * k,
                     )
                 )
                 assert out.status == "optimal"

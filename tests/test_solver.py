@@ -17,7 +17,6 @@ from vecgame.game import (
     row_strategy,
 )
 from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset, support_value
-from vecgame.poss import compute_security_image
 from vecgame.solver import (
     DECISION_TOL,
     MinimalityCertificate,
@@ -27,7 +26,6 @@ from vecgame.solver import (
     improve_to_minimal,
     maximality_lp,
     minimality_lp,
-    poss_prefilter,
     scalarized_game_solve,
 )
 
@@ -108,7 +106,6 @@ def test_certificate_slacks_sum_to_the_value(two_by_two):
     cert = minimality_lp(two_by_two, row_strategy(1, 0))
     assert isinstance(cert, MinimalityCertificate)
     assert sum(cert.slacks) == pytest.approx(cert.lp_value, abs=1e-9)
-    assert not cert.prefiltered
 
 
 def test_minimality_input_validation(two_by_two):
@@ -202,56 +199,6 @@ def test_classify_grid_worker_independence(two_by_two):
     assert [s.weights for s in serial.minimal_or_maximal] == [
         s.weights for s in parallel.minimal_or_maximal
     ]
-
-
-def test_classify_grid_prefilter_agrees(two_by_two):
-    plain = classify_grid(two_by_two, Player.ROW, Fraction(1, 10))
-    filtered = classify_grid(two_by_two, Player.ROW, Fraction(1, 10), use_prefilter=True)
-    for a, b in zip(plain.certificates, filtered.certificates):
-        assert a.is_minimal == b.is_minimal
-        if b.prefiltered:
-            assert not b.is_minimal
-            assert b.lp_value == float("inf")
-            assert b.improving_strategy is None
-    assert [s.weights for s in plain.minimal_or_maximal] == [
-        s.weights for s in filtered.minimal_or_maximal
-    ]
-
-
-# --- prefilter -------------------------------------------------------------
-
-def test_prefilter_flags_a_clearly_dominated_strategy(two_by_two):
-    image = compute_security_image(two_by_two, Player.ROW)
-    assert poss_prefilter(two_by_two, row_strategy(1, 0), image)
-    assert not poss_prefilter(two_by_two, row_strategy(1 / 3, 2 / 3), image)
-
-
-def test_prefilter_validation(two_by_two):
-    image = compute_security_image(two_by_two, Player.ROW)
-    with pytest.raises(InputError):
-        poss_prefilter(two_by_two, row_strategy(1, 0), image, eps=0.0)
-    with pytest.raises(InputError):
-        poss_prefilter(two_by_two, row_strategy(1, 0, 0), image)
-
-
-def test_prefilter_never_flags_a_minimal_strategy(two_by_two):
-    image = compute_security_image(two_by_two, Player.ROW)
-    for p in enumerate_simplex_grid(2, Fraction(1, 10)):
-        if poss_prefilter(two_by_two, p, image):
-            assert not minimality_lp(two_by_two, p).is_minimal
-
-
-def test_prefilter_soundness_on_random_games():
-    rng = np.random.default_rng(20240818)
-    flagged = 0
-    for _ in range(6):
-        game = random_game(rng, 3, 3, 2)
-        image = compute_security_image(game, Player.ROW)
-        for p in enumerate_simplex_grid(3, Fraction(1, 3)):
-            if poss_prefilter(game, p, image):
-                flagged += 1
-                assert not minimality_lp(game, p).is_minimal
-    assert flagged > 0  # the filter must actually fire somewhere
 
 
 # --- improvement iteration ---------------------------------------------------

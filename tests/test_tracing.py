@@ -1,0 +1,31 @@
+"""The traced benchmark run (`perfbench/run.py --trace 1`) wraps package
+functions by name; every name it lists must still exist."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves_in_the_package(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    targets = [(mod, fn) for mod, fn, _ in tracing.TRACED]
+    targets += [(mod, fn) for caller, mod, fn, _ in tracing.TRACED_IN]
+    callers = [caller for caller, *_ in tracing.TRACED_IN]
+    assert targets and callers
+    for name in callers:
+        importlib.import_module(name)
+    for mod, fn in targets:
+        assert callable(getattr(importlib.import_module(mod), fn, None)), f"{mod}.{fn}"
