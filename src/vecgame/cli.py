@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -68,8 +69,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise InputError("tol must be positive and finite")
 
     def embedded(self) -> dict:
         out = {"command": self.command}

@@ -31,6 +31,7 @@ from .polyhedra import (
     active_halfspace_indices,
     build_lower_set,
     build_upper_set,
+    negated_set,
     pareto_max_points,
     pareto_min_points,
     weak_pareto_points,
@@ -209,19 +210,23 @@ def classify_pairs(
 ) -> list[EquilibriumRecord]:
     """One record per pair of grid-optimal strategies, in grid order.
 
-    Optimality flags are taken from the fronts' certificates, so every
-    record here has p_minimal and q_maximal set.
+    Optimality flags and payoff sets are taken from the fronts'
+    certificates, so every record here has p_minimal and q_maximal set and
+    no set is built again.  A column certificate holds V_II(q) as a lower
+    set of the mirrored game; negating it gives the upper set.
     """
     if front_row.player is not Player.ROW or front_col.player is not Player.COL:
         raise InputError("expected a row front and a column front, in that order")
-    minimal = [c.tested_strategy for c in front_row.certificates if c.is_minimal]
-    maximal = [c.tested_strategy for c in front_col.certificates if c.is_minimal]
-    row_sets = [build_lower_set(row_generator_matrix(game, p)) for p in minimal]
-    col_sets = [build_upper_set(col_generator_matrix(game, q)) for q in maximal]
+    minimal = [(c.tested_strategy, c.payoff_set) for c in front_row.certificates if c.is_minimal]
+    maximal = [
+        (c.tested_strategy, negated_set(c.payoff_set))
+        for c in front_col.certificates
+        if c.is_minimal
+    ]
     return [
         _pair_record(game, p, q, (vi, vii), True, True)
-        for p, vi in zip(minimal, row_sets)
-        for q, vii in zip(maximal, col_sets)
+        for p, vi in minimal
+        for q, vii in maximal
     ]
 
 

@@ -170,43 +170,42 @@ class VectorPayoffGame:
         return cls(np.array(rows, dtype=float))
 
 
-def _require_row(game: VectorPayoffGame, p: MixedStrategy) -> np.ndarray:
-    if len(p.weights) != game.rows:
-        raise InputError(f"row strategy has {len(p.weights)} weights, game has {game.rows} rows")
-    return p.as_array()
-
-
-def _require_col(game: VectorPayoffGame, q: MixedStrategy) -> np.ndarray:
-    if len(q.weights) != game.cols:
-        raise InputError(f"column strategy has {len(q.weights)} weights, game has {game.cols} columns")
-    return q.as_array()
+def _require_count(strategy: MixedStrategy, count: int) -> np.ndarray:
+    """The weights of a strategy whose owner has `count` pure strategies here."""
+    if len(strategy.weights) != count:
+        raise InputError(
+            f"strategy has {len(strategy.weights)} weights, "
+            f"player {strategy.owner.value} has {count} pure strategies"
+        )
+    return strategy.as_array()
 
 
 def row_generator_matrix(game: VectorPayoffGame, p: MixedStrategy) -> np.ndarray:
     """The n points y_j(p) = sum_i p_i g_ij as an (n, K) array."""
-    w = _require_row(game, p)
+    w = _require_count(p, game.rows)
     return np.einsum("i,ijk->jk", w, game.entries)
 
 
 def col_generator_matrix(game: VectorPayoffGame, q: MixedStrategy) -> np.ndarray:
     """The m points r_i(q) = sum_j q_j g_ij as an (m, K) array."""
-    w = _require_col(game, q)
+    w = _require_count(q, game.cols)
     return np.einsum("ijk,j->ik", game.entries, w)
 
 
 def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
     """v(p, q) = sum_ij p_i g_ij q_j, the expected vector loss of player I."""
-    wp = _require_row(game, p)
-    wq = _require_col(game, q)
+    wp = _require_count(p, game.rows)
+    wq = _require_count(q, game.cols)
     return PayoffVector(tuple(np.einsum("i,ijk,j->k", wp, game.entries, wq)))
 
 
 def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:
     """Worst-case payoff per component: w(p) = max_j y_j(p) for the row
-    player, and the componentwise min over rows for the column player."""
-    if strategy.owner is Player.ROW:
-        return PayoffVector(tuple(row_generator_matrix(game, strategy).max(axis=0)))
-    return PayoffVector(tuple(col_generator_matrix(game, strategy).min(axis=0)))
+    player.  Player II's is the negated row answer on the mirrored game,
+    the componentwise min over rows."""
+    sign = 1.0 if strategy.owner is Player.ROW else -1.0
+    worst = row_generator_matrix(game.for_player(strategy.owner), strategy).max(axis=0)
+    return PayoffVector(tuple(sign * worst))
 
 
 def _as_unit_fraction(step) -> Fraction:

@@ -270,20 +270,27 @@ def build_lower_set(points) -> OrientedPayoffPolyhedron:
     )
 
 
+def negated_set(poly: OrientedPayoffPolyhedron) -> OrientedPayoffPolyhedron:
+    """The set {-y : y in poly}: a lower set becomes an upper set and back.
+
+    Normals stay, offsets, vertices and generators change sign; halfspaces
+    and vertices are re-sorted, as `build_lower_set` sorts them.
+    """
+    hs = sorted(
+        (Halfspace(h.normal, -h.offset) for h in poly.halfspaces),
+        key=lambda h: (h.normal, h.offset),
+    )
+    return OrientedPayoffPolyhedron(
+        orientation=UPPER if poly.orientation == LOWER else LOWER,
+        generators=tuple(tuple(float(-x) for x in g) for g in poly.generators),
+        halfspaces=tuple(hs),
+        vertices=tuple(sorted(tuple(float(-x) for x in v) for v in poly.vertices)),
+    )
+
+
 def build_upper_set(points) -> OrientedPayoffPolyhedron:
     """co(points) + R^K_+; computed as the negation of a lower set."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    low = build_lower_set(-pts)
-    hs = [Halfspace(h.normal, -h.offset) for h in low.halfspaces]
-    hs.sort(key=lambda h: (h.normal, h.offset))
-    verts = sorted(tuple(float(-x) for x in v) for v in low.vertices)
-    gens = tuple(tuple(float(-x) for x in g) for g in low.generators)
-    return OrientedPayoffPolyhedron(
-        orientation=UPPER,
-        generators=gens,
-        halfspaces=tuple(hs),
-        vertices=tuple(verts),
-    )
+    return negated_set(build_lower_set(-np.atleast_2d(np.asarray(points, dtype=float))))
 
 
 def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> bool:

@@ -28,7 +28,6 @@ from .polyhedra import (
     LOWER,
     UPPER,
     Halfspace,
-    build_lower_set,
     build_upper_set,
     halfspace_row,
     pareto_min_points,
@@ -327,12 +326,15 @@ def verify_gap(
     eps: float = GAP_EPS,
 ) -> GapReport:
     """For every grid-optimal strategy, confirm its payoff set misses the
-    image shifted by eps along each coordinate."""
+    image shifted by eps along each coordinate.
+
+    The payoff sets are the ones the front's certificates tested.
+    """
     if eps <= 0:
         raise InputError("eps must be strictly positive")
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
-    oriented, img_A, img_b = _row_view(game, image)
+    _, img_A, img_b = _row_view(game, image)
     k = game.dim
     checked = []
     violations = []
@@ -341,7 +343,7 @@ def verify_gap(
             continue
         strategy = cert.tested_strategy
         checked.append(strategy)
-        poly = build_lower_set(row_generator_matrix(oriented, strategy))
+        poly = cert.payoff_set
         lhs = np.vstack([poly.normal_matrix(), img_A])
         relations = ("<=",) * len(poly.halfspaces) + (">=",) * len(img_b)
         for kk in range(k):

@@ -30,6 +30,7 @@ from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
     build_lower_set,
+    contains_point,
     exposing_normal_at_vertex,
     poly_subset,
 )
@@ -68,7 +69,10 @@ class MinimalityCertificate:
     """Outcome of one improvement LP.
 
     `slacks` holds the per-vertex separation achieved by the best
-    improving mixture; their sum is `lp_value`.
+    improving mixture; their sum is `lp_value`.  An optimal certificate
+    carries the lower payoff set it tested, in the owner's view of the
+    game, in `payoff_set`, so that fronts, pairs and the gap check never
+    build it again; other certificates leave it None.
     """
 
     tested_strategy: MixedStrategy
@@ -76,6 +80,11 @@ class MinimalityCertificate:
     improving_strategy: MixedStrategy | None
     is_minimal: bool
     slacks: tuple[float, ...]
+    payoff_set: OrientedPayoffPolyhedron | None = None
+
+    def __post_init__(self) -> None:
+        if self.is_minimal and self.payoff_set is None:
+            raise InputError("an optimal certificate must carry its payoff set")
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,6 @@ def _minimality_core(
     `game` is already the owner's view (`game.for_player(pbar.owner)`);
     the improving strategy keeps pbar's owner.
     """
-    if len(pbar) != game.rows:
-        raise InputError(
-            f"strategy has {len(pbar)} weights, "
-            f"player {pbar.owner.value} has {game.rows} pure strategies"
-        )
     target = build_lower_set(row_generator_matrix(game, pbar))
     if not target.vertices:
         raise NumericalError("payoff set has no identifiable vertex")
@@ -159,16 +163,22 @@ def _minimality_core(
     value = float(out.objective_value)
     slacks = tuple(float(s) for s in out.solution[m:])
     if value <= tol:
-        return MinimalityCertificate(pbar, value, None, True, slacks)
+        return MinimalityCertificate(pbar, value, None, True, slacks, target)
 
+    # Both checks read the improving strategy's generators y_j against the
+    # tested set; no second set is built.  The set is contained when every
+    # y_j satisfies the tested halfspaces, and it differs when some exposing
+    # normal separates every y_j from its vertex, which leaves that vertex out.
     improving = _lp_strategy(out.solution[:m], pbar.owner)
-    improved = build_lower_set(row_generator_matrix(game, improving))
-    if not poly_subset(improved, target, tol=1e-7):
+    points = row_generator_matrix(game, improving)
+    if not all(contains_point(target, y, tol=1e-7) for y in points):
         raise NumericalError(
             "improvement LP produced a strategy whose payoff set is not contained "
             "in the tested one"
         )
-    if poly_subset(target, improved, tol=1e-9):
+    normals = np.array([h.normal for h in exposing])
+    offsets = np.array([h.offset for h in exposing])
+    if not np.any((points @ normals.T).max(axis=0) < offsets - 1e-9):
         raise NumericalError(
             "improvement LP reported positive value but the payoff sets coincide"
         )
@@ -236,14 +246,12 @@ def classify_grid(
     else:
         certificates = list(map(_minimality_core, *args))
 
-    polys: dict[int, OrientedPayoffPolyhedron] = {}
     classes: list[list[int]] = []
     for idx, cert in enumerate(certificates):
         if not cert.is_minimal:
             continue
-        polys[idx] = build_lower_set(row_generator_matrix(oriented, cert.tested_strategy))
         for members in classes:
-            if _poly_equal(polys[members[0]], polys[idx]):
+            if _poly_equal(certificates[members[0]].payoff_set, cert.payoff_set):
                 members.append(idx)
                 break
         else:

@@ -413,6 +413,15 @@ def test_nonpositive_tol(game_files, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command", [["solve"], ["check", "--strategy", "1,0"]], ids=["solve", "check"]
+)
+def test_non_finite_tol_is_an_input_error(game_files, capsys, command, tol):
+    assert main([*command, "-i", game_files["two_by_two"], f"--tol={tol}"]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_invalid_lp_strategy_is_a_numerical_failure(tmp_path, capsys):
     # At payoff scale 1e-4 an improvement LP of this game returns a
     # weight of -0.5; that is the program's fault, not the input's.

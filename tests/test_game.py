@@ -95,6 +95,13 @@ def test_col_security_point(two_by_two):
     assert close(w, (0.0, 0.0))
 
 
+def test_security_point_names_the_owner_of_a_wrong_length_strategy(two_by_two):
+    with pytest.raises(InputError, match="strategy has 3 weights, player II has 2 pure"):
+        componentwise_security_point(two_by_two, col_strategy(0.5, 0.25, 0.25))
+    with pytest.raises(InputError, match="strategy has 1 weights, player I has 2 pure"):
+        componentwise_security_point(two_by_two, row_strategy(1.0))
+
+
 def test_single_column_security_point_is_the_only_generator(single_column):
     for a in (0.0, 0.25, 1.0):
         p = row_strategy(a, 1 - a)

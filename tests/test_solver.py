@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame.errors import InputError
+from vecgame import solver
+from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
     col_generator_matrix,
@@ -17,6 +18,7 @@ from vecgame.game import (
     row_strategy,
 )
 from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset, support_value
+from vecgame.lp import LPOutcome
 from vecgame.solver import (
     DECISION_TOL,
     MinimalityCertificate,
@@ -106,6 +108,43 @@ def test_certificate_slacks_sum_to_the_value(two_by_two):
     cert = minimality_lp(two_by_two, row_strategy(1, 0))
     assert isinstance(cert, MinimalityCertificate)
     assert sum(cert.slacks) == pytest.approx(cert.lp_value, abs=1e-9)
+
+
+def _stub_improvement_lp(monkeypatch, weights):
+    """Make every improvement LP report value 1 with `weights` as its mixture."""
+
+    def fake_solve_lp(lp):
+        m = len(weights)
+        slacks = np.zeros(lp.lhs.shape[1] - m)
+        slacks[0] = 1.0
+        return LPOutcome("optimal", 1.0, np.concatenate([weights, slacks]), 0)
+
+    monkeypatch.setattr(solver, "solve_lp", fake_solve_lp)
+
+
+def test_a_positive_value_without_improvement_is_a_numerical_fault(two_by_two, monkeypatch):
+    # the "improving" mixture is the tested strategy itself
+    _stub_improvement_lp(monkeypatch, [0.5, 0.5])
+    with pytest.raises(NumericalError, match="payoff sets coincide"):
+        minimality_lp(two_by_two, row_strategy(0.5, 0.5))
+
+
+def test_an_improving_set_outside_the_tested_one_is_a_numerical_fault(two_by_two, monkeypatch):
+    # row 1 reaches (4, 4), which lies outside co{(3, 1), (1, 3)} - R^2_+
+    _stub_improvement_lp(monkeypatch, [1.0, 0.0])
+    with pytest.raises(NumericalError, match="not contained in the tested one"):
+        minimality_lp(two_by_two, row_strategy(0.0, 1.0))
+
+
+def test_only_optimal_certificates_carry_their_payoff_set(two_by_two):
+    optimal = minimality_lp(two_by_two, row_strategy(0.25, 0.75))
+    assert optimal.is_minimal
+    assert optimal.payoff_set == build_lower_set(
+        row_generator_matrix(two_by_two, row_strategy(0.25, 0.75))
+    )
+    assert minimality_lp(two_by_two, row_strategy(1, 0)).payoff_set is None
+    with pytest.raises(InputError, match="must carry its payoff set"):
+        MinimalityCertificate(row_strategy(1, 0), 0.0, None, True, (0.0,))
 
 
 def test_minimality_input_validation(two_by_two):
