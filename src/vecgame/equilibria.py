@@ -99,13 +99,14 @@ def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bo
 
 
 def _payoff_sets(
-    game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy
+    game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, row_set=None, col_set=None
 ) -> tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]:
-    """V_I(p), the row player's lower set, and V_II(q), the column player's upper set."""
-    return (
-        build_lower_set(row_generator_matrix(game, p)),
-        build_upper_set(col_generator_matrix(game, q)),
-    )
+    """V_I(p), the row player's lower set, and V_II(q), the column player's upper set;
+    a set a certificate carries is passed in (`col_set` on the mirrored game), not built."""
+    vi = build_lower_set(row_generator_matrix(game, p)) if row_set is None else row_set
+    if col_set is not None:
+        return vi, negated_set(col_set)
+    return vi, build_upper_set(col_generator_matrix(game, q))
 
 
 def _is_shapley(
@@ -200,9 +201,10 @@ def classify_pair(
     game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, *, tol: float = DECISION_TOL
 ) -> EquilibriumRecord:
     """Full classification of one pair, running the optimality LPs."""
-    p_min = minimality_lp(game, p, tol=tol).is_minimal
-    q_max = maximality_lp(game, q, tol=tol).is_minimal
-    return _pair_record(game, p, q, _payoff_sets(game, p, q), p_min, q_max)
+    row = minimality_lp(game, p, tol=tol)
+    col = maximality_lp(game, q, tol=tol)
+    sets = _payoff_sets(game, p, q, row.payoff_set, col.payoff_set)
+    return _pair_record(game, p, q, sets, row.is_minimal, col.is_minimal)
 
 
 def classify_pairs(
@@ -290,9 +292,8 @@ def find_strong_seed(game: VectorPayoffGame) -> SeedResult:
     q_hat = scalarized_game_solve(game, weight, Player.COL)
     imp_p = improve_to_minimal(game, p_hat)
     imp_q = improve_to_maximal(game, q_hat)
-    verified = (
-        imp_p.converged
-        and imp_q.converged
-        and is_strong_shapley(game, imp_p.strategy, imp_q.strategy)
-    )
-    return SeedResult(imp_p.strategy, imp_q.strategy, verified)
+    p, q = imp_p.strategy, imp_q.strategy
+    if not (imp_p.converged and imp_q.converged):
+        return SeedResult(p, q, False)
+    sets = _payoff_sets(game, p, q, imp_p.certificate.payoff_set, imp_q.certificate.payoff_set)
+    return SeedResult(p, q, _pair_record(game, p, q, sets, True, True).strong)

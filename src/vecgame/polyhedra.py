@@ -168,8 +168,7 @@ class ConeDD:
         all of it.  Counting is done with matrix products on the zero-set
         matrix, and the blocking test runs only on pairs that pass the count.
         """
-        R = np.array(self.rays)
-        Z = (np.abs(R @ np.array(self.done).T) <= 1e-8).astype(float)
+        Z = zero_set(self.rays, self.done).astype(float)
         quotient_dim = self.dim - len(self.basis)
         ci, cj = np.nonzero(Z[pos_idx] @ Z[neg_idx].T >= quotient_dim - 2)
         pairs = np.stack([pos_idx[ci], neg_idx[cj]], axis=1)
@@ -195,23 +194,30 @@ def cone_extreme_rays(constraints: np.ndarray, *, tol: float = 1e-9) -> np.ndarr
     return dd.extreme_rays()
 
 
-def _lower_halfspaces(points: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Irredundant facets a·y <= b of co(points) - R^K_+ via the polar cone."""
-    r, k = points.shape
-    rows = [np.concatenate(([1.0], p)) for p in points]
-    for unit in range(k):
-        e = np.zeros(k + 1)
-        e[1 + unit] = -1.0
-        rows.append(e)
-    rays = cone_extreme_rays(np.array(rows))
+def zero_set(rays, rows) -> np.ndarray:
+    """Boolean ray-by-row matrix: True where the unit-norm ray lies on the row's
+    hyperplane, |row·ray| <= 1e-8.  The DD's adjacency test and `facet_rows` share it."""
+    return np.abs(np.asarray(rays) @ np.asarray(rows).T) <= 1e-8
+
+
+def facet_rows(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows that are facets of the pointed cone {x : rows x >= 0}:
+    those whose tight extreme `rays` have rank dim - 1, in one batched rank test."""
+    # slice j holds the rays tight on row j and zeros; tight rays leave the
+    # hyperplane by rounding (about 1e-14), which numpy's default tolerance counts
+    tight = np.where(zero_set(rays, rows).T[:, :, None], rays[None, :, :], 0.0)
+    return np.nonzero(np.linalg.matrix_rank(tight, tol=1e-9) == rows.shape[1] - 1)[0]
+
+
+def unit_sum_halfspaces(pairs) -> list[tuple[np.ndarray, float]]:
+    """Distinct halfspaces (a, b) with unit normal sum, sorted; normal components below
+    1e-12 become zero, and a normal summing to about zero (a cone's t >= 0) drops out."""
     out = []
     seen = set()
-    for d in rays:
-        a = -d[1:]
-        b = float(d[0])
+    for a, b in pairs:
         s = float(a.sum())
         if s <= 1e-9:
-            continue  # the trivial inequality 1 >= 0
+            continue
         a = a / s
         b = b / s
         a[np.abs(a) < 1e-12] = 0.0
@@ -227,27 +233,28 @@ def _lower_halfspaces(points: np.ndarray) -> list[tuple[np.ndarray, float]]:
     return out
 
 
+def _lower_halfspaces(points: np.ndarray) -> tuple[list, list[tuple[float, ...]]]:
+    """Irredundant facets a·y <= b of co(points) - R^K_+ via the polar cone, and the
+    sorted vertices: the points whose rows (1, p) are facets of the polar cone."""
+    r, k = points.shape
+    rows = [np.concatenate(([1.0], p)) for p in points]
+    for unit in range(k):
+        e = np.zeros(k + 1)
+        e[1 + unit] = -1.0
+        rows.append(e)
+    rows = np.array(rows)
+    rays = cone_extreme_rays(rows)
+    halfspaces = unit_sum_halfspaces((-d[1:], float(d[0])) for d in rays)
+    verts = sorted(tuple(float(x) for x in points[i]) for i in facet_rows(rays, rows) if i < r)
+    return halfspaces, verts
+
+
 def _dedupe_points(points: np.ndarray, tol: float = VERTEX_MERGE_TOL) -> np.ndarray:
     kept: list[np.ndarray] = []
     for p in points:
         if all(np.max(np.abs(p - q)) > tol for q in kept):
             kept.append(p)
     return np.array(kept)
-
-
-def _vertices_of(points: np.ndarray, halfspaces) -> list[tuple[float, ...]]:
-    k = points.shape[1]
-    verts = []
-    for p in points:
-        active = []
-        for a, b in halfspaces:
-            v = float(a @ p)
-            if abs(v - b) <= ACTIVE_TOL:
-                active.append(a)
-        if active and np.linalg.matrix_rank(np.array(active), tol=1e-9) == k:
-            verts.append(tuple(float(x) for x in p))
-    verts.sort()
-    return verts
 
 
 def build_lower_set(points) -> OrientedPayoffPolyhedron:
@@ -260,8 +267,7 @@ def build_lower_set(points) -> OrientedPayoffPolyhedron:
     if not np.isfinite(pts).all():
         raise InputError("generator points must be finite")
     gens = _dedupe_points(pts)
-    hs = _lower_halfspaces(gens)
-    verts = _vertices_of(gens, hs)
+    hs, verts = _lower_halfspaces(gens)
     return OrientedPayoffPolyhedron(
         orientation=LOWER,
         generators=tuple(tuple(float(x) for x in p) for p in gens),

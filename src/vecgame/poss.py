@@ -27,10 +27,12 @@ from .lp import LinearProgram, check_feasibility, solve_lp
 from .polyhedra import (
     LOWER,
     UPPER,
+    ConeDD,
     Halfspace,
-    build_upper_set,
+    facet_rows,
     halfspace_row,
     pareto_min_points,
+    unit_sum_halfspaces,
     upper_set_cone,
     upper_set_vertices,
 )
@@ -192,8 +194,12 @@ def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> Halfspace:
     return Halfspace(tuple(float(x) for x in normal), offset)
 
 
-def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Image vertices of the row player's upper set, plus verified witnesses."""
+def _vertex_key(v: np.ndarray) -> tuple:
+    return tuple(np.round(v, 9).tolist())
+
+
+def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
+    """Settled DD of the row player's upper set, and its vertices' witnesses by `_vertex_key`."""
     m, n, k = entries.shape
     halfspaces = []
     for kk in range(k):
@@ -210,7 +216,8 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
         pending = None
-        for v, key in zip(vertices, map(tuple, np.round(vertices, 9).tolist())):
+        for v in vertices:
+            key = _vertex_key(v)
             if key in verified:
                 continue
             lift, witness = _verify_vertex(entries, v)
@@ -220,7 +227,7 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
                 pending = v
                 break
         if pending is None:
-            return vertices, verified
+            return dd, verified
         dd.add(halfspace_row(_cut_for_vertex(entries, pending)))
     raise NumericalError(f"security image not settled after {MAX_ROUNDS} cuts")
 
@@ -228,34 +235,24 @@ def _benson(entries: np.ndarray) -> tuple[np.ndarray, dict]:
 def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityImage:
     """Exact polyhedral image of guaranteeable payoffs for one player.
 
+    Halfspaces and vertices are read off Benson's settled double description.
     Player II's image is player I's image of the mirrored game, negated.
     """
     entries = game.for_player(player).entries
     sign = _payoff_sign(player)
-    raw_vertices, verified = _benson(entries)
-    poly = build_upper_set(raw_vertices)
-
-    attainments = []
-    for vertex in poly.vertices:
-        target = np.array(vertex)
-        weights = None
-        for key, witness in verified.items():
-            if np.max(np.abs(np.array(key) - target)) <= VERIFY_TOL:
-                weights = witness
-                break
-        if weights is None:
-            lift, weights = _verify_vertex(entries, target)
-            if lift > VERIFY_TOL:
-                raise NumericalError(
-                    f"image vertex {tuple(sign * x for x in vertex)} has no attaining strategy"
-                )
-        attainments.append(_lp_strategy(weights, player))
-
-    vertices = [tuple(sign * x for x in v) for v in poly.vertices]
+    dd, verified = _benson(entries)
+    rows = np.array(dd.done)
+    # each row is (-b, a) for a·y >= b; the row t >= 0 has a = 0 and drops out
+    halfspaces = unit_sum_halfspaces(
+        (row[1:], -float(row[0])) for row in rows[facet_rows(dd.extreme_rays(), rows)]
+    )
+    raw_vertices = upper_set_vertices(dd)
+    attainments = [_lp_strategy(verified[_vertex_key(v)], player) for v in raw_vertices]
+    vertices = [tuple(sign * float(x) for x in v) for v in raw_vertices]
     order = sorted(range(len(vertices)), key=vertices.__getitem__)
     return SecurityImage(
         player=player,
-        halfspaces=tuple(Halfspace(h.normal, sign * h.offset) for h in poly.halfspaces),
+        halfspaces=tuple(Halfspace(tuple(a), sign * b) for a, b in halfspaces),
         vertices=tuple(vertices[i] for i in order),
         attainments=tuple(attainments[i] for i in order),
     )

@@ -1,8 +1,9 @@
 """Each payoff set is built once per run.
 
 An optimal certificate carries the lower set it tested; the equivalence
-pass of `classify_grid`, `classify_pairs` and `verify_gap` read it from
-there instead of running the double description again.
+pass of `classify_grid`, `classify_pairs`, `classify_pair`,
+`find_strong_seed` and `verify_gap` read it from there instead of running
+the double description again.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from vecgame import equilibria, poss, solver
-from vecgame.game import MixedStrategy, Player, col_generator_matrix, componentwise_security_point
+from vecgame.game import (
+    MixedStrategy,
+    Player,
+    col_generator_matrix,
+    col_strategy,
+    componentwise_security_point,
+    row_strategy,
+)
 from vecgame.polyhedra import build_upper_set, negated_set
 
 from properties import random_game
@@ -48,6 +56,33 @@ def test_fronts_pairs_and_gap_build_each_set_once(three_by_three, monkeypatch):
     assert calls == []
     assert len(records) == len(row.optimal_indices()) * len(col.optimal_indices())
     assert report.ok and len(report.checked) == len(row.optimal_indices())
+
+
+def test_classify_pair_builds_only_the_sets_no_certificate_carries(two_by_two, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    optimal = equilibria.classify_pair(two_by_two, row_strategy(0, 1), col_strategy(0, 1))
+    assert optimal.p_minimal and optimal.q_maximal
+    assert len(calls) == 2  # the two certificates
+
+    del calls[:]
+    mixed = equilibria.classify_pair(two_by_two, row_strategy(1, 0), col_strategy(0, 1))
+    assert not mixed.p_minimal and mixed.q_maximal
+    assert calls == ["build_lower_set", "build_lower_set", "build_lower_set"]
+
+
+def test_find_strong_seed_builds_no_set_beyond_its_certificates(corley, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    certificates = []
+    original = solver._minimality_core
+
+    def counted(*args):
+        certificates.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_minimality_core", counted)
+    seed = equilibria.find_strong_seed(corley)
+    assert seed.verified
+    assert certificates and len(calls) == len(certificates)
 
 
 def test_a_column_certificate_set_negates_to_the_upper_set(three_by_three):

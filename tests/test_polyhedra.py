@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import row_generator_matrix, row_strategy
@@ -18,14 +22,17 @@ from vecgame.polyhedra import (
     cone_extreme_rays,
     contains_point,
     exposing_normal_at_vertex,
+    facet_rows,
     pareto_max_points,
     pareto_min_points,
     poly_subset,
     support_value,
     upper_set_vertices_from_halfspaces,
     weak_pareto_points,
+    zero_set,
 )
 
+import exact_oracle
 from properties import check_dd_membership
 
 
@@ -356,7 +363,30 @@ def test_vectorised_adjacency_matches_pairwise_references(reference):
             slow.add(row)
         got, want = fast.extreme_rays(), slow.extreme_rays()
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert facet_rows(got, C).tolist() == _facet_rows_per_row(got, C)
         checked += 1
+
+
+def _facet_rows_per_row(rays, rows):
+    """Reference for `facet_rows`: one rank computation per row."""
+    Z = zero_set(rays, rows)
+    dim = rows.shape[1]
+    return [j for j in range(len(rows))
+            if np.linalg.matrix_rank(rays[Z[:, j]], tol=1e-9) == dim - 1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=9))
+def test_lower_set_vertices_are_the_facet_rows_of_the_polar_cone(points):
+    pts = np.array(points, dtype=float)
+    exact = exact_oracle.lower_set_vertices([tuple(map(Fraction, p)) for p in points])
+    assert build_lower_set(pts).vertices == tuple(sorted(tuple(map(float, v)) for v in exact))
+    # the polar cone build_lower_set runs on: rows (1, p) and (0, -e_k)
+    unique = np.unique(pts, axis=0)
+    rows = np.vstack([np.hstack([np.ones((len(unique), 1)), unique]),
+                      -np.eye(3)[1:]])
+    rays = cone_extreme_rays(rows)
+    assert facet_rows(rays, rows).tolist() == _facet_rows_per_row(rays, rows)
 
 
 def test_cone_extreme_rays_of_the_nonnegative_orthant():
@@ -435,6 +465,38 @@ def test_lower_vertices_are_pareto_maximal_extremes():
             for v in poly.vertices:
                 rest = [u for u in poly.vertices if u != v]
                 assert not contains_point(build_lower_set(rest), v)
+
+
+# The polar-cone rays tight on some of these points leave the point's
+# hyperplane by about 1e-14; a rank test that counts such a singular value
+# sees full rank and drops a vertex.
+NOISY_TIGHT_POINTS = [
+    [-0.603, -0.426, -0.117], [-0.265, 1.172, -0.687], [-1.279, -1.07, 1.114],
+    [-0.49, 1.417, -0.274], [1.173, 0.717, -0.527], [0.039, -0.606, -0.017],
+]
+
+
+def test_vertices_are_the_generators_outside_the_lower_set_of_the_others():
+    from scipy.optimize import linprog
+
+    pts = np.array(NOISY_TIGHT_POINTS)
+    expected = []
+    for i, p in enumerate(pts):
+        others = np.delete(pts, i, axis=0)
+        # max s such that some mixture of the others dominates p + s·1
+        res = linprog(
+            np.concatenate([np.zeros(len(others)), [-1.0]]),
+            A_ub=np.hstack([-others.T, np.ones((3, 1))]),
+            b_ub=-p,
+            A_eq=np.concatenate([np.ones(len(others)), [0.0]])[None, :],
+            b_eq=[1.0],
+            bounds=[(0, None)] * len(others) + [(None, None)],
+        )
+        assert res.status == 0
+        if -res.fun < -1e-6:
+            expected.append(tuple(p))
+    assert len(expected) == 3
+    assert build_lower_set(pts).vertices == tuple(sorted(expected))
 
 
 def test_every_generator_is_dominated_by_a_frontier_point():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
-from vecgame.polyhedra import build_lower_set, build_upper_set, contains_point
+from vecgame.polyhedra import UPPER, build_lower_set, build_upper_set, contains_point
 from vecgame.poss import (
     VERIFY_TOL,
     SecurityImage,
@@ -173,11 +177,20 @@ def test_every_vertex_has_an_attainment(two_by_two, three_by_three, two_by_two_r
             assert point == pytest.approx(vertex, abs=1e-7)
 
 
+def _five_by_five_by_four() -> VectorPayoffGame:
+    return random_game(np.random.default_rng(20241017), 5, 5, 4, lo=-10, hi=10)
+
+
+@functools.lru_cache(maxsize=None)
+def _five_by_five_by_four_image(player: Player) -> SecurityImage:
+    return compute_security_image(_five_by_five_by_four(), player)
+
+
 @pytest.mark.parametrize("player", [Player.ROW, Player.COL])
 def test_five_by_five_by_four_image_is_verified_and_valid(player):
     # Benson's loop runs dozens of cuts on one incremental DD here.
-    game = random_game(np.random.default_rng(20241017), 5, 5, 4, lo=-10, hi=10)
-    image = compute_security_image(game, player)
+    game = _five_by_five_by_four()
+    image = _five_by_five_by_four_image(player)
     entries = game.entries if player is Player.ROW else game.mirror().entries
     sign = 1.0 if player is Player.ROW else -1.0
     assert len(image.vertices) > 10
@@ -190,6 +203,104 @@ def test_five_by_five_by_four_image_is_verified_and_valid(player):
     points = np.array([tuple(componentwise_security_point(game, s)) for s in grid.points])
     slack = sign * (points @ image.normal_matrix().T - image.offset_vector())
     assert slack.min() >= -1e-7
+
+
+# ---------------------------------------------------------------------------
+# facets and vertices read off Benson's double description
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# Relabelings of the benchmark's 4x4x4 image games whose column images lost
+# vertices while the image was rebuilt from its vertices by a second double
+# description; each column image has 36 vertices.
+LOST_VERTEX_INPUTS = [(2000, 4), (2000, 7), (2000, 10), (2000, 23), (2002, 8), (2002, 20)]
+# That rebuild listed one facet of this column image twice and missed another.
+DUPLICATE_FACET_INPUT = (2002, 17)
+# A cut of this column image has a normal component of about 3e-17.
+ROUNDING_RESIDUE_INPUT = (2001, 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _relabeled_game(seed: int, variant: int) -> VectorPayoffGame:
+    workloads = _workloads()
+    payoffs = workloads.random_payoffs(seed, 4, 4, 4)
+    relabel = workloads.variant_relabel(variant, workloads.BaseGame(f"r{seed}", payoffs))
+    return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
+
+
+@functools.lru_cache(maxsize=None)
+def _relabeled_image(seed: int, variant: int, player: Player) -> SecurityImage:
+    return compute_security_image(_relabeled_game(seed, variant), player)
+
+
+@pytest.mark.parametrize("seed, variant", LOST_VERTEX_INPUTS)
+def test_column_image_keeps_every_vertex_and_clears_the_gap(seed, variant):
+    game = _relabeled_game(seed, variant)
+    image = _relabeled_image(seed, variant, Player.COL)
+    assert len(image.vertices) == 36
+    front = classify_grid(game, Player.COL, Fraction(1, 4), workers=1)
+    assert verify_gap(game, front, image).ok
+
+
+def test_column_image_lists_no_facet_twice():
+    image = _relabeled_image(*DUPLICATE_FACET_INPUT, Player.COL)
+    rows = np.array([h.normal + (h.offset,) for h in image.halfspaces])
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 1e-6
+
+
+def _check_image_facets(image: SecurityImage) -> None:
+    """Every halfspace is a Pareto-weighted facet that holds at every vertex."""
+    k = image.dim
+    A, b = image.normal_matrix(), image.offset_vector()
+    V = np.array(image.vertices)
+    sign = 1.0 if image.orientation == UPPER else -1.0
+    slack = sign * (V @ A.T - b)  # nonnegative inside the image
+    assert np.all(A >= 0.0)
+    assert not np.any((A > 0.0) & (A < 1e-12))  # rounding residue is cleaned to 0
+    assert np.allclose(A.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert slack.min() >= -1e-10
+    rows = np.column_stack([A, b])
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+    assert np.all(gaps[np.triu_indices(len(b), 1)] > 1e-9)  # no halfspace twice
+    for j in range(len(b)):
+        # the face a·y = b spans K dimensions of the homogenized cone: rows
+        # (1, v) of its vertices and (0, e_k) of its recession directions
+        tight = [np.concatenate(([1.0], v)) for v in V[slack[:, j] <= 1e-7]]
+        tight += [np.eye(k + 1)[1 + kk] for kk in range(k) if A[j, kk] == 0.0]
+        assert np.linalg.matrix_rank(np.array(tight), tol=1e-6) == k
+
+
+@pytest.mark.parametrize("player", [Player.ROW, Player.COL])
+@pytest.mark.parametrize(
+    "name",
+    ["two_by_two", "null_row", "constant_row", "corley", "zero_row", "three_by_three",
+     "single_column", "scalar_game"],
+)
+def test_image_halfspaces_are_facets_on_the_example_games(name, player, request):
+    _check_image_facets(compute_security_image(request.getfixturevalue(name), player))
+
+
+@pytest.mark.parametrize("player", [Player.ROW, Player.COL])
+def test_image_halfspaces_are_facets_on_the_five_by_five_by_four_game(player):
+    _check_image_facets(_five_by_five_by_four_image(player))
+
+
+@pytest.mark.parametrize("player", [Player.ROW, Player.COL])
+@pytest.mark.parametrize(
+    "seed, variant", LOST_VERTEX_INPUTS + [DUPLICATE_FACET_INPUT, ROUNDING_RESIDUE_INPUT]
+)
+def test_image_halfspaces_are_facets_on_relabeled_games(seed, variant, player):
+    _check_image_facets(_relabeled_image(seed, variant, player))
 
 
 def test_image_to_dict_round_trip(two_by_two_row_image):
