@@ -115,12 +115,12 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def _run_simplex(
     T: np.ndarray, basis: list[int], tol_opt: float, budget: int
 ) -> tuple[str, int]:
-    """Iterate to optimality. Dantzig rule, Bland fallback after a stall."""
+    """Iterate to optimality by Dantzig's rule.  A basis seen before means the
+    pivots are cycling, so from then on Bland's rule picks the entering column."""
     ncols = T.shape[1] - 1
     iters = 0
-    stall = 0
     bland = False
-    last_val = T[-1, -1]
+    seen = {tuple(basis)}
     while iters < budget:
         red = T[-1, :ncols]
         if bland:
@@ -148,13 +148,10 @@ def _run_simplex(
         rhs = T[:-1, -1]
         np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
         iters += 1
-        if T[-1, -1] > last_val + 1e-12:
-            last_val = T[-1, -1]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 50:
-                bland = True
+        if not bland:
+            key = tuple(basis)
+            bland = key in seen
+            seen.add(key)
     return "iteration_limit", iters
 
 

@@ -21,6 +21,9 @@ UPPER = "upper"
 VERTEX_MERGE_TOL = 1e-8
 # A halfspace counts as active at a point when |a·y - b| is below this.
 ACTIVE_TOL = 1e-7
+# The double description counts a ray on a row's positive or negative side
+# when |row·ray| exceeds this; rays are unit vectors.
+DD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,68 +90,38 @@ def _dedupe_rays(rays: list[np.ndarray]) -> list[np.ndarray]:
 class ConeDD:
     """Incremental double description of {x : C x >= 0}, one row of C at a time.
 
-    While the lineality space is nontrivial a violated row consumes one basis
-    vector; afterwards the classic positive/negative combination step with
-    the combinatorial adjacency test runs.  Rays are kept orthogonal to the
-    remaining lineality space so that representatives are canonical.  The
-    state after a sequence of `add` calls depends only on the rows and their
+    The start is a square nonsingular block B of rows.  {x : B x >= 0} is the
+    simplicial cone spanned by the columns of B^-1, so those columns,
+    normalized, are its extreme rays (Fukuda & Prodon, "Double description
+    method revisited", 1996).  Each `add` then runs the positive/negative
+    combination step with the combinatorial adjacency test.  The state after
+    a sequence of `add` calls depends only on the block and the rows in their
     order, so a caller that keeps one object across cuts gets exactly what a
     fresh run over all rows would give.
     """
 
-    def __init__(self, dim: int, *, tol: float = 1e-9) -> None:
-        self.dim = dim
-        self.tol = tol
-        self.basis: list[np.ndarray] = [np.eye(dim)[i] for i in range(dim)]
-        self.rays: list[np.ndarray] = []
-        self.done: list[np.ndarray] = []
-
-    def _project_out_basis(self) -> None:
-        if not self.basis:
-            return
-        B = np.array(self.basis)
-        q, _ = np.linalg.qr(B.T)
-        q = q[:, : len(self.basis)]
-        self.basis = [q[:, i] for i in range(q.shape[1])]
-        proj = []
-        for r in self.rays:
-            r2 = r - q @ (q.T @ r)
-            nr = _normalize_ray(r2)
-            if nr is not None:
-                proj.append(nr)
-        self.rays = _dedupe_rays(proj)
+    def __init__(self, block) -> None:
+        B = np.atleast_2d(np.asarray(block, dtype=float))
+        self.dim = B.shape[1]
+        if B.shape[0] != self.dim or np.linalg.matrix_rank(B) < self.dim:
+            raise NumericalError(
+                f"a double description starts from a square nonsingular block, "
+                f"not from this {B.shape[0]}x{self.dim} one"
+            )
+        self.rays: list[np.ndarray] = [c / np.linalg.norm(c) for c in np.linalg.inv(B).T]
+        self.done: list[np.ndarray] = list(B)
 
     def add(self, row) -> None:
         """Intersect the cone with {x : row·x >= 0}."""
         a = np.asarray(row, dtype=float)
-        tol = self.tol
-        basis, rays = self.basis, self.rays
-        if basis:
-            dots = np.array([a @ bvec for bvec in basis])
-            k = int(np.argmax(np.abs(dots)))
-            if abs(dots[k]) > tol:
-                b0 = basis[k] if dots[k] > 0 else -basis[k]
-                ab0 = float(a @ b0)
-                self.basis = [
-                    bvec - (float(a @ bvec) / ab0) * b0
-                    for i, bvec in enumerate(basis)
-                    if i != k
-                ]
-                self.rays = [r - (float(a @ r) / ab0) * b0 for r in rays] + [b0]
-                self.done.append(a)
-                self._project_out_basis()
-                self.rays = _dedupe_rays(
-                    [r for r in map(_normalize_ray, self.rays) if r is not None]
-                )
-                return
-
+        rays = self.rays
         vals = np.array([float(a @ r) for r in rays]) if rays else np.zeros(0)
-        neg_idx = np.nonzero(vals < -tol)[0]
+        neg_idx = np.nonzero(vals < -DD_TOL)[0]
         if neg_idx.size == 0:
             self.done.append(a)
             return
-        pos_idx = np.nonzero(vals > tol)[0]
-        zer_idx = np.nonzero(np.abs(vals) <= tol)[0]
+        pos_idx = np.nonzero(vals > DD_TOL)[0]
+        zer_idx = np.nonzero(np.abs(vals) <= DD_TOL)[0]
         new_rays: list[np.ndarray] = []
         for ip, ineg in self._adjacent_pairs(pos_idx, neg_idx):
             w = vals[ip] * rays[ineg] - vals[ineg] * rays[ip]
@@ -164,13 +137,12 @@ class ConeDD:
         """The adjacent (positive, negative) ray pairs, in row-major order.
 
         Two rays are adjacent when their common zero set among the processed
-        rows has at least quotient_dim - 2 rows and no third ray is zero on
-        all of it.  Counting is done with matrix products on the zero-set
-        matrix, and the blocking test runs only on pairs that pass the count.
+        rows has at least dim - 2 rows and no third ray is zero on all of it.
+        Counting is done with matrix products on the zero-set matrix, and the
+        blocking test runs only on pairs that pass the count.
         """
         Z = zero_set(self.rays, self.done).astype(float)
-        quotient_dim = self.dim - len(self.basis)
-        ci, cj = np.nonzero(Z[pos_idx] @ Z[neg_idx].T >= quotient_dim - 2)
+        ci, cj = np.nonzero(Z[pos_idx] @ Z[neg_idx].T >= self.dim - 2)
         pairs = np.stack([pos_idx[ci], neg_idx[cj]], axis=1)
         common = Z[pairs[:, 0]] * Z[pairs[:, 1]]
         # misses[c, r] counts the common zero rows of pair c on which ray r is
@@ -179,17 +151,16 @@ class ConeDD:
         return pairs[(misses == 0).sum(axis=1) == 2]
 
     def extreme_rays(self) -> np.ndarray:
-        """Current extreme rays; the cone must be pointed by now."""
-        if self.basis:
-            raise NumericalError("cone has nontrivial lineality; extreme rays undefined")
+        """The current extreme rays, one unit vector a row."""
         return np.array(self.rays) if self.rays else np.zeros((0, self.dim))
 
 
-def cone_extreme_rays(constraints: np.ndarray, *, tol: float = 1e-9) -> np.ndarray:
-    """Extreme rays of {x : C x >= 0} for a cone that ends up pointed."""
+def cone_extreme_rays(constraints: np.ndarray) -> np.ndarray:
+    """Extreme rays of {x : C x >= 0}; the first dim rows of C must be nonsingular."""
     C = np.atleast_2d(np.asarray(constraints, dtype=float))
-    dd = ConeDD(C.shape[1], tol=tol)
-    for a in C:
+    d = C.shape[1]
+    dd = ConeDD(C[:d])
+    for a in C[d:]:
         dd.add(a)
     return dd.extreme_rays()
 
@@ -236,16 +207,13 @@ def unit_sum_halfspaces(pairs) -> list[tuple[np.ndarray, float]]:
 def _lower_halfspaces(points: np.ndarray) -> tuple[list, list[tuple[float, ...]]]:
     """Irredundant facets a·y <= b of co(points) - R^K_+ via the polar cone, and the
     sorted vertices: the points whose rows (1, p) are facets of the polar cone."""
-    r, k = points.shape
-    rows = [np.concatenate(([1.0], p)) for p in points]
-    for unit in range(k):
-        e = np.zeros(k + 1)
-        e[1 + unit] = -1.0
-        rows.append(e)
-    rows = np.array(rows)
+    k = points.shape[1]
+    # the rows (0, -e_k) and (1, p_0) lead: their block inverts without rounding
+    rows = np.vstack([np.hstack([np.zeros((k, 1)), -np.eye(k)]),
+                      np.hstack([np.ones((len(points), 1)), points])])
     rays = cone_extreme_rays(rows)
     halfspaces = unit_sum_halfspaces((-d[1:], float(d[0])) for d in rays)
-    verts = sorted(tuple(float(x) for x in points[i]) for i in facet_rows(rays, rows) if i < r)
+    verts = sorted(tuple(float(x) for x in rows[i, 1:]) for i in facet_rows(rays, rows) if i >= k)
     return halfspaces, verts
 
 
@@ -411,19 +379,21 @@ def halfspace_row(h: Halfspace) -> np.ndarray:
     return np.concatenate(([-float(h.offset)], np.asarray(h.normal, dtype=float)))
 
 
-def upper_set_cone(halfspaces, *, tol: float = 1e-9) -> ConeDD:
+def upper_set_cone(halfspaces) -> ConeDD:
     """Double description of the homogenized cone of {y : a·y >= b for all (a, b)}.
 
-    The first row is t >= 0, then one `halfspace_row` per halfspace; further
-    halfspaces go in with `add(halfspace_row(h))`, and `upper_set_vertices`
-    reads the vertices at any point.
+    The rows are t >= 0, then one `halfspace_row` per halfspace.  The first
+    K + 1 rows are the starting block, so the first K normals must be
+    independent, as Benson's K coordinate bounds are.  Further halfspaces go
+    in with `add(halfspace_row(h))`, and `upper_set_vertices` reads the
+    vertices at any point.
     """
     halfspaces = list(halfspaces)
     k = len(halfspaces[0].normal)
-    dd = ConeDD(k + 1, tol=tol)
-    dd.add(np.concatenate(([1.0], np.zeros(k))))
-    for h in halfspaces:
-        dd.add(halfspace_row(h))
+    rows = [np.eye(k + 1)[0]] + [halfspace_row(h) for h in halfspaces]
+    dd = ConeDD(rows[: k + 1])
+    for row in rows[k + 1 :]:
+        dd.add(row)
     return dd
 
 
@@ -435,8 +405,6 @@ def upper_set_vertices(dd: ConeDD) -> np.ndarray:
     return verts[np.lexsort(verts.T[::-1])]
 
 
-def upper_set_vertices_from_halfspaces(
-    halfspaces, *, tol: float = 1e-9
-) -> np.ndarray:
-    """Vertices of {y : a·y >= b for all (a, b)}; normals must span R^K."""
-    return upper_set_vertices(upper_set_cone(halfspaces, tol=tol))
+def upper_set_vertices_from_halfspaces(halfspaces) -> np.ndarray:
+    """Vertices of {y : a·y >= b for all (a, b)}; the first K normals must be independent."""
+    return upper_set_vertices(upper_set_cone(halfspaces))

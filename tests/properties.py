@@ -7,6 +7,11 @@ HiGHS solver so the package's own simplex code is never its own oracle.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -33,6 +38,26 @@ def random_game(rng: np.random.Generator, rows: int, cols: int, dim: int,
                 lo: int = -5, hi: int = 5) -> VectorPayoffGame:
     entries = rng.integers(lo, hi + 1, size=(rows, cols, dim)).astype(float)
     return VectorPayoffGame(entries)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def relabeled_game(seed: int, shape: tuple[int, int, int], variant: int) -> VectorPayoffGame:
+    """The benchmark's random game r{seed} of this shape under one of its relabelings."""
+    workloads = _workloads()
+    payoffs = workloads.random_payoffs(seed, *shape)
+    relabel = workloads.variant_relabel(variant, workloads.BaseGame(f"r{seed}", payoffs))
+    return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
 
 
 def optimal_weight_set(front) -> set[tuple[float, ...]]:

@@ -6,9 +6,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from vecgame import solver
 from vecgame.cli import game_dict, main
+from vecgame.lp import LPOutcome
 
 
 @pytest.fixture(scope="module")
@@ -422,17 +425,16 @@ def test_non_finite_tol_is_an_input_error(game_files, capsys, command, tol):
     assert "tol must be positive and finite" in capsys.readouterr().err
 
 
-def test_invalid_lp_strategy_is_a_numerical_failure(tmp_path, capsys):
-    # At payoff scale 1e-4 an improvement LP of this game returns a
-    # weight of -0.5; that is the program's fault, not the input's.
-    payoffs = [[[2, -2, 1], [2, 0, 1], [1, -2, 2]],
-               [[2, 2, -2], [2, 2, 0], [-2, 1, -2]],
-               [[-1, 1, 2], [2, -1, -2], [2, 2, -1]]]
-    scaled = [[[x * 1e-4 for x in cell] for cell in row] for row in payoffs]
-    path = tmp_path / "tiny_scale.json"
-    path.write_text(json.dumps({"rows": 3, "cols": 3, "dim": 3, "payoffs": scaled}),
-                    encoding="utf-8")
-    assert main(["solve", "-i", str(path), "--step-row", "1/4", "--workers", "1"]) == 3
+def test_invalid_lp_strategy_is_a_numerical_failure(game_files, monkeypatch, capsys):
+    # An improvement LP that returns a weight of -0.5 is the program's
+    # fault, not the input's.
+    def fake_solve_lp(lp):
+        slacks = np.zeros(lp.lhs.shape[1] - 2)
+        slacks[0] = 1.0
+        return LPOutcome("optimal", 1.0, np.concatenate([[-0.5, 1.5], slacks]), 0)
+
+    monkeypatch.setattr(solver, "solve_lp", fake_solve_lp)
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

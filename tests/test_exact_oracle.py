@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import exact_dd
 import exact_oracle as eo
 
 
@@ -21,13 +22,14 @@ def _game(fixture_game):
 
 
 def test_oracle_imports_only_the_standard_library():
-    tree = ast.parse(Path(eo.__file__).read_text(encoding="utf-8"))
     modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            modules.add((node.module or "").split(".")[0])
+    for oracle in (eo, exact_dd):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add((node.module or "").split(".")[0])
     assert modules <= {"__future__", "dataclasses", "fractions", "itertools", "typing"}
 
 
@@ -58,6 +60,9 @@ def test_oracle_lower_set_geometry():
     assert eo.pareto_maximal((F(1), F(1)), facets)
     assert not eo.pareto_maximal((F(-1), F(2)), facets)
     assert not eo.pareto_maximal((F(1, 2), F(1)), facets)
+    # the exact double description finds the same facets, at unit normal sum
+    unit = {(a[0] / sum(a), a[1] / sum(a), b / sum(a)) for a, b in facets}
+    assert exact_dd.lower_set_halfspaces(points) == unit
 
 
 def test_oracle_two_by_two_fronts_at_one_twelfth(two_by_two):

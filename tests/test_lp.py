@@ -15,8 +15,9 @@ from vecgame.lp import (
     solve_lp,
 )
 from vecgame.polyhedra import build_lower_set, exposing_normal_at_vertex
+from vecgame.solver import minimality_lp
 
-from properties import check_lp_duality
+from properties import check_lp_duality, relabeled_game
 
 
 def test_bounded_maximum():
@@ -56,6 +57,21 @@ def test_iteration_budget_is_reported_as_its_own_status():
     out = solve_lp(lp, max_iter=0)
     assert out.status == "iteration_limit"
     assert out.status != "infeasible"
+
+
+# The row strategy (5, 8, 1, 2)/16 of the benchmark's 4x4x3 game r1000, as
+# three relabelings of the game list it.  Under Dantzig's rule phase 1 of its
+# improvement LP cycles with period 8, and rounding raises the objective a
+# little each cycle, so a switch on a stalled objective never fired.
+CYCLING_POINTS = [(4, (1, 5, 2, 8)), (18, (1, 5, 2, 8)), (23, (5, 8, 2, 1))]
+
+
+def test_a_repeated_basis_switches_to_blands_rule():
+    verdicts = set()
+    for variant, counts in CYCLING_POINTS:
+        game = relabeled_game(1000, (4, 4, 3), variant)
+        verdicts.add(minimality_lp(game, row_strategy(*(c / 16 for c in counts))).is_minimal)
+    assert verdicts == {True}
 
 
 def test_scalar_game_value_by_direct_lp(scalar_game):

@@ -32,6 +32,7 @@ from vecgame.polyhedra import (
     zero_set,
 )
 
+import exact_dd
 import exact_oracle
 from properties import check_dd_membership
 
@@ -286,27 +287,27 @@ def _benson_rows(rng, k):
     return np.array(rows)
 
 
-def _rays_or_error(extreme_rays):
-    try:
-        return extreme_rays()
-    except NumericalError:
-        return None
+def _has_leading_block(C):
+    """The first dim rows are nonsingular, so a double description can start there."""
+    d = C.shape[1]
+    return len(C) >= d and np.linalg.matrix_rank(C[:d]) == d
 
 
 def test_cone_dd_incremental_state_equals_a_fresh_run():
     rng = np.random.default_rng(71)
-    sequences = [_random_cone_rows(rng, int(rng.integers(3, 7))) for _ in range(20)]
-    sequences += [_benson_rows(rng, int(rng.integers(2, 6))) for _ in range(20)]
+    sequences = [_benson_rows(rng, int(rng.integers(2, 6))) for _ in range(20)]
+    while len(sequences) < 40:
+        C = _random_cone_rows(rng, int(rng.integers(3, 7)))
+        if _has_leading_block(C):
+            sequences.append(C)
     for C in sequences:
-        dd = ConeDD(C.shape[1])
-        for i, row in enumerate(C):
-            dd.add(row)
-            got = _rays_or_error(dd.extreme_rays)
-            want = _rays_or_error(lambda: cone_extreme_rays(C[: i + 1]))
-            if want is None:
-                assert got is None
-            else:
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        d = C.shape[1]
+        dd = ConeDD(C[:d])
+        for i in range(d, len(C) + 1):
+            got, want = dd.extreme_rays(), cone_extreme_rays(C[:i])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if i < len(C):
+                dd.add(C[i])
 
 
 class _LoopAdjacencyDD(ConeDD):
@@ -315,12 +316,11 @@ class _LoopAdjacencyDD(ConeDD):
     def _adjacent_pairs(self, pos_idx, neg_idx):
         D = np.array(self.done)
         zsets = [np.abs(D @ r) <= 1e-8 for r in self.rays]
-        quotient_dim = self.dim - len(self.basis)
         out = []
         for ip in pos_idx:
             for ineg in neg_idx:
                 common = zsets[ip] & zsets[ineg]
-                if int(common.sum()) < quotient_dim - 2:
+                if int(common.sum()) < self.dim - 2:
                     continue
                 if not any(
                     np.all(zsets[other][common])
@@ -332,18 +332,17 @@ class _LoopAdjacencyDD(ConeDD):
 
 
 class _RankAdjacencyDD(ConeDD):
-    """The algebraic adjacency test: the common zero rows have rank quotient_dim - 2."""
+    """The algebraic adjacency test: the common zero rows have rank dim - 2."""
 
     def _adjacent_pairs(self, pos_idx, neg_idx):
         D = np.array(self.done)
         zero = np.abs(np.array(self.rays) @ D.T) <= 1e-8
-        quotient_dim = self.dim - len(self.basis)
         out = []
         for ip in pos_idx:
             for ineg in neg_idx:
                 common = zero[ip] & zero[ineg]
                 rank = np.linalg.matrix_rank(D[common]) if common.any() else 0
-                if rank == quotient_dim - 2:
+                if rank == self.dim - 2:
                     out.append((ip, ineg))
         return np.array(out, dtype=int).reshape(-1, 2)
 
@@ -355,10 +354,10 @@ def test_vectorised_adjacency_matches_pairwise_references(reference):
     while checked < 40:
         d = int(rng.integers(3, 7))
         C = _random_cone_rows(rng, d) if checked % 2 else _benson_rows(rng, d - 1)
-        if np.linalg.matrix_rank(C) < d:
-            continue  # not pointed
-        fast, slow = ConeDD(d), reference(d)
-        for row in C:
+        if not _has_leading_block(C):
+            continue
+        fast, slow = ConeDD(C[:d]), reference(C[:d])
+        for row in C[d:]:
             fast.add(row)
             slow.add(row)
         got, want = fast.extreme_rays(), slow.extreme_rays()
@@ -381,12 +380,28 @@ def test_lower_set_vertices_are_the_facet_rows_of_the_polar_cone(points):
     pts = np.array(points, dtype=float)
     exact = exact_oracle.lower_set_vertices([tuple(map(Fraction, p)) for p in points])
     assert build_lower_set(pts).vertices == tuple(sorted(tuple(map(float, v)) for v in exact))
-    # the polar cone build_lower_set runs on: rows (1, p) and (0, -e_k)
+    # the polar cone build_lower_set runs on: rows (0, -e_k), then (1, p)
     unique = np.unique(pts, axis=0)
-    rows = np.vstack([np.hstack([np.ones((len(unique), 1)), unique]),
-                      -np.eye(3)[1:]])
+    rows = np.vstack([-np.eye(3)[1:], np.hstack([np.ones((len(unique), 1)), unique])])
     rays = cone_extreme_rays(rows)
     assert facet_rows(rays, rows).tolist() == _facet_rows_per_row(rays, rows)
+
+
+_POINTS_IN_SOME_ORDER = st.integers(2, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-4, 4)] * k), min_size=1, max_size=8)
+).flatmap(lambda pts: st.tuples(st.just(pts), st.permutations(range(len(pts)))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_POINTS_IN_SOME_ORDER)
+def test_lower_set_halfspaces_match_an_exact_double_description(points_and_order):
+    points, order = points_and_order
+    poly = build_lower_set(np.array(points, dtype=float)[list(order)])
+    got = np.array([h.normal + (h.offset,) for h in poly.halfspaces])
+    want = np.array(sorted(exact_dd.lower_set_halfspaces(points)), dtype=float)
+    assert got.shape == want.shape
+    gaps = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    assert gaps.min(axis=1).max() <= 1e-9 and gaps.min(axis=0).max() <= 1e-9
 
 
 def test_cone_extreme_rays_of_the_nonnegative_orthant():
@@ -396,13 +411,10 @@ def test_cone_extreme_rays_of_the_nonnegative_orthant():
 
 
 def test_cone_that_is_not_pointed_raises():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError):  # a short block
         cone_extreme_rays(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    dd = ConeDD(2)
-    dd.add([1.0, -1.0])
-    dd.add([-1.0, 1.0])  # the line x1 = x2 remains
-    with pytest.raises(NumericalError):
-        dd.extreme_rays()
+    with pytest.raises(NumericalError):  # a singular block: the line x1 = x2 remains
+        ConeDD([[1.0, -1.0], [-1.0, 1.0]])
 
 
 # --- vertex recovery from halfspaces ----------------------------------------

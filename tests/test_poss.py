@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import functools
-import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +19,17 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
-from vecgame.polyhedra import UPPER, build_lower_set, build_upper_set, contains_point
+from vecgame.polyhedra import (
+    UPPER,
+    build_lower_set,
+    build_upper_set,
+    contains_point,
+    upper_set_vertices,
+)
 from vecgame.poss import (
     VERIFY_TOL,
     SecurityImage,
+    _benson,
     _verify_vertex,
     compute_security_image,
     poss_strategies,
@@ -33,7 +37,7 @@ from vecgame.poss import (
 )
 from vecgame.solver import MinimalityCertificate, StrategyFront, classify_grid
 
-from properties import random_game, scalar_game_value
+from properties import random_game, relabeled_game, scalar_game_value
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +212,6 @@ def test_five_by_five_by_four_image_is_verified_and_valid(player):
 # ---------------------------------------------------------------------------
 # facets and vertices read off Benson's double description
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
 # Relabelings of the benchmark's 4x4x4 image games whose column images lost
 # vertices while the image was rebuilt from its vertices by a second double
 # description; each column image has 36 vertices.
@@ -221,33 +223,28 @@ ROUNDING_RESIDUE_INPUT = (2001, 5)
 
 
 @functools.lru_cache(maxsize=None)
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def _relabeled_game(seed: int, variant: int) -> VectorPayoffGame:
-    workloads = _workloads()
-    payoffs = workloads.random_payoffs(seed, 4, 4, 4)
-    relabel = workloads.variant_relabel(variant, workloads.BaseGame(f"r{seed}", payoffs))
-    return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
-
-
-@functools.lru_cache(maxsize=None)
 def _relabeled_image(seed: int, variant: int, player: Player) -> SecurityImage:
-    return compute_security_image(_relabeled_game(seed, variant), player)
+    return compute_security_image(relabeled_game(seed, (4, 4, 4), variant), player)
 
 
 @pytest.mark.parametrize("seed, variant", LOST_VERTEX_INPUTS)
 def test_column_image_keeps_every_vertex_and_clears_the_gap(seed, variant):
-    game = _relabeled_game(seed, variant)
+    game = relabeled_game(seed, (4, 4, 4), variant)
     image = _relabeled_image(seed, variant, Player.COL)
     assert len(image.vertices) == 36
     front = classify_grid(game, Player.COL, Fraction(1, 4), workers=1)
     assert verify_gap(game, front, image).ok
+
+
+def test_upper_set_of_benson_vertices_does_not_depend_on_their_order():
+    # the vertices of one column image in the order Benson's loop lists them;
+    # a double description that started from whichever rows came first kept
+    # 21 of them and 25 halfspaces in this order
+    vertices = upper_set_vertices(_benson(relabeled_game(2000, (4, 4, 4), 4).mirror().entries)[0])
+    rng = np.random.default_rng(5)
+    for order in [np.arange(36)] + [rng.permutation(36) for _ in range(3)]:
+        poly = build_upper_set(vertices[order])
+        assert (len(poly.vertices), len(poly.halfspaces)) == (36, 54)
 
 
 def test_column_image_lists_no_facet_twice():

@@ -11,6 +11,7 @@ from vecgame import solver
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
+    VectorPayoffGame,
     col_generator_matrix,
     col_strategy,
     enumerate_simplex_grid,
@@ -134,6 +135,22 @@ def test_an_improving_set_outside_the_tested_one_is_a_numerical_fault(two_by_two
     _stub_improvement_lp(monkeypatch, [1.0, 0.0])
     with pytest.raises(NumericalError, match="not contained in the tested one"):
         minimality_lp(two_by_two, row_strategy(0.0, 1.0))
+
+
+def test_verdicts_do_not_depend_on_the_payoff_unit():
+    # At scale 1e-4 an improvement LP of this game once returned a weight of
+    # -0.5, from rounding in the double description its payoff sets came from.
+    entries = np.array([[[2, -2, 1], [2, 0, 1], [1, -2, 2]],
+                        [[2, 2, -2], [2, 2, 0], [-2, 1, -2]],
+                        [[-1, 1, 2], [2, -1, -2], [2, 2, -1]]], dtype=float)
+    for player in Player:
+        verdicts = [
+            [c.is_minimal for c in classify_grid(
+                VectorPayoffGame(scale * entries), player, Fraction(1, 4), workers=1
+            ).certificates]
+            for scale in (1.0, 1e-4)
+        ]
+        assert verdicts[0] == verdicts[1], player
 
 
 def test_only_optimal_certificates_carry_their_payoff_set(two_by_two):
