@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -36,7 +37,7 @@ from .game import (
 )
 from .polyhedra import build_lower_set, build_upper_set
 from .poss import compute_security_image, poss_strategies, verify_gap
-from .solver import StrategyFront, _certificate, classify_grid
+from .solver import StrategyFront, _certificate, check_workers, classify_grid
 
 from . import __version__ as VERSION
 
@@ -93,6 +94,16 @@ class RunConfig:
         return out
 
 
+@functools.lru_cache(maxsize=4096)
+def _json_string(text: str) -> str:
+    """A JSON string literal; report keys and labels repeat on every record."""
+    return json.dumps(text)
+
+
+class _JSONText(str):
+    """Text that `_emit` has already written; it is copied as it stands."""
+
+
 def _emit(value, pieces: list[str]) -> None:
     """Minimal JSON writer with a fixed float format (17 significant digits)."""
     if value is None or (isinstance(value, float) and value != value):
@@ -106,14 +117,16 @@ def _emit(value, pieces: list[str]) -> None:
             pieces.append(format(value, ".17g"))
     elif isinstance(value, int):
         pieces.append(str(value))
+    elif isinstance(value, _JSONText):
+        pieces.append(value)
     elif isinstance(value, str):
-        pieces.append(json.dumps(value))
+        pieces.append(_json_string(value))
     elif isinstance(value, dict):
         pieces.append("{")
         for idx, (key, item) in enumerate(value.items()):
             if idx:
                 pieces.append(",")
-            pieces.append(json.dumps(str(key)))
+            pieces.append(_json_string(str(key)))
             pieces.append(":")
             _emit(item, pieces)
         pieces.append("}")
@@ -134,17 +147,50 @@ def render_json(value) -> str:
     return "".join(pieces) + "\n"
 
 
-def _rational(x: float) -> str:
-    f = Fraction(x).limit_denominator(1000)
+def _rational(x: float, max_den: int = 1000) -> str:
+    f = Fraction(x).limit_denominator(max_den)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _strategy_dict(s: MixedStrategy) -> dict:
-    return {
-        "player": s.owner.value,
-        "weights": [float(w) for w in s.weights],
-        "rational": [_rational(w) for w in s.weights],
-    }
+class _Strategies:
+    """The text of one report's strategies; each distinct strategy is rendered once.
+
+    A weight prints as the nearest fraction whose denominator is at most
+    the largest grid denominator of the run, and never less than 1000, so
+    every grid weight k/N prints exactly.
+    """
+
+    def __init__(self, *steps: Fraction | None) -> None:
+        self.max_den = max([1000] + [s.denominator for s in steps if s is not None])
+        self._rational: dict[MixedStrategy, list[str]] = {}
+        self._text: dict[MixedStrategy, str] = {}
+        self._json: dict[MixedStrategy, _JSONText] = {}
+
+    def rational(self, s: MixedStrategy) -> list[str]:
+        """Each weight as the text of a fraction."""
+        out = self._rational.get(s)
+        if out is None:
+            out = self._rational[s] = [_rational(w, self.max_den) for w in s.weights]
+        return out
+
+    def text(self, s: MixedStrategy) -> str:
+        """The weights as "(a, b, ...)"."""
+        out = self._text.get(s)
+        if out is None:
+            out = self._text[s] = "(" + ", ".join(self.rational(s)) + ")"
+        return out
+
+    def json_obj(self, s: MixedStrategy) -> _JSONText:
+        """The strategy's JSON object: owner, weights and rational weights."""
+        out = self._json.get(s)
+        if out is None:
+            pieces: list[str] = []
+            _emit(
+                {"player": s.owner.value, "weights": list(s.weights), "rational": self.rational(s)},
+                pieces,
+            )
+            out = self._json[s] = _JSONText("".join(pieces))
+        return out
 
 
 def _parse_weights(text: str, owner: Player) -> MixedStrategy:
@@ -207,14 +253,14 @@ def game_dict(game: VectorPayoffGame) -> dict:
     }
 
 
-def _front_dict(front: StrategyFront) -> dict:
+def _front_dict(front: StrategyFront, names: _Strategies) -> dict:
     certificates = []
     for cert in front.certificates:
         improving = cert.improving_strategy
         certificates.append(
             {
                 "weights": list(cert.tested_strategy.weights),
-                "rational": [_rational(w) for w in cert.tested_strategy.weights],
+                "rational": names.rational(cert.tested_strategy),
                 "lp_value": cert.lp_value,
                 "minimal": cert.is_minimal,
                 "improving": list(improving.weights) if improving is not None else None,
@@ -224,15 +270,15 @@ def _front_dict(front: StrategyFront) -> dict:
         "player": front.player.value,
         "step": str(front.grid.step),
         "certificates": certificates,
-        "optimal": [_strategy_dict(s) for s in front.minimal_or_maximal],
+        "optimal": [names.json_obj(s) for s in front.minimal_or_maximal],
         "equivalence_classes": [list(c) for c in front.equivalence_classes],
     }
 
 
-def _record_dict(record) -> dict:
+def _record_dict(record, names: _Strategies) -> dict:
     return {
-        "p": _strategy_dict(record.p),
-        "q": _strategy_dict(record.q),
+        "p": names.json_obj(record.p),
+        "q": names.json_obj(record.q),
         "payoff": list(record.payoff.value),
         "p_minimal": record.p_minimal,
         "q_maximal": record.q_maximal,
@@ -258,6 +304,7 @@ def _fronts(game: VectorPayoffGame, config: RunConfig):
 def _cmd_solve(config: RunConfig) -> str:
     game = load_game(config.input)
     front_row, front_col = _fronts(game, config)
+    names = _Strategies(config.step_row, config.step_col)
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -268,7 +315,7 @@ def _cmd_solve(config: RunConfig) -> str:
                     [
                         front.player.value,
                         " ".join(format(w, ".17g") for w in cert.tested_strategy.weights),
-                        " ".join(_rational(w) for w in cert.tested_strategy.weights),
+                        " ".join(names.rational(cert.tested_strategy)),
                         str(cert.is_minimal).lower(),
                         format(cert.lp_value, ".17g"),
                     ]
@@ -280,13 +327,16 @@ def _cmd_solve(config: RunConfig) -> str:
             kind = "minimal" if front.player is Player.ROW else "maximal"
             lines.append(f"player {front.player.value}: {kind} strategies (step {front.grid.step})")
             for s in front.minimal_or_maximal:
-                lines.append("  (" + ", ".join(_rational(w) for w in s.weights) + ")")
+                lines.append("  " + names.text(s))
         return "\n".join(lines) + "\n"
     report = _report(
         config,
         {
             "game": game_dict(game),
-            "fronts": {"row": _front_dict(front_row), "col": _front_dict(front_col)},
+            "fronts": {
+                "row": _front_dict(front_row, names),
+                "col": _front_dict(front_col, names),
+            },
         },
     )
     return render_json(report)
@@ -295,7 +345,8 @@ def _cmd_solve(config: RunConfig) -> str:
 def _cmd_equilibria(config: RunConfig) -> str:
     game = load_game(config.input)
     front_row, front_col = _fronts(game, config)
-    records = classify_pairs(game, front_row, front_col)
+    records = classify_pairs(game, front_row, front_col, workers=config.workers)
+    names = _Strategies(config.step_row, config.step_col)
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -307,8 +358,8 @@ def _cmd_equilibria(config: RunConfig) -> str:
             ):
                 writer.writerow(
                     [
-                        "(" + ", ".join(_rational(w) for w in record.p.weights) + ")",
-                        "(" + ", ".join(_rational(w) for w in record.q.weights) + ")",
+                        names.text(record.p),
+                        names.text(record.q),
                         "strong" if record.strong else "not strong",
                     ]
                 )
@@ -317,8 +368,7 @@ def _cmd_equilibria(config: RunConfig) -> str:
         lines = [f"{'p':30} {'q':30} classification"]
         for record in records:
             lines.append(
-                f"{'(' + ', '.join(_rational(w) for w in record.p.weights) + ')':30} "
-                f"{'(' + ', '.join(_rational(w) for w in record.q.weights) + ')':30} "
+                f"{names.text(record.p):30} {names.text(record.q):30} "
                 f"{CLASSIFICATION_PHRASES[record.classification]}"
             )
         return "\n".join(lines) + "\n"
@@ -326,20 +376,23 @@ def _cmd_equilibria(config: RunConfig) -> str:
         config,
         {
             "game": game_dict(game),
-            "fronts": {"row": _front_dict(front_row), "col": _front_dict(front_col)},
-            "pairs": [_record_dict(r) for r in records],
+            "fronts": {
+                "row": _front_dict(front_row, names),
+                "col": _front_dict(front_col, names),
+            },
+            "pairs": [_record_dict(r, names) for r in records],
         },
     )
     return render_json(report)
 
 
-def _gap_dict(report) -> dict:
+def _gap_dict(report, names: _Strategies) -> dict:
     return {
         "player": report.player.value,
         "eps": report.eps,
         "checked": len(report.checked),
         "violations": [
-            {"strategy": _strategy_dict(s), "component": k} for s, k in report.violations
+            {"strategy": names.json_obj(s), "component": k} for s, k in report.violations
         ],
         "ok": report.ok,
     }
@@ -354,16 +407,17 @@ def _cmd_poss(config: RunConfig) -> str:
     poss_col = poss_strategies(game, Player.COL, front_col.grid.step, image=image_col)
     gap_row = verify_gap(game, front_row, image_row)
     gap_col = verify_gap(game, front_col, image_col)
+    names = _Strategies(config.step_row, config.step_col)
     report = _report(
         config,
         {
             "game": game_dict(game),
             "images": {"row": image_row.to_dict(), "col": image_col.to_dict()},
             "poss_strategies": {
-                "row": [_strategy_dict(s) for s in poss_row],
-                "col": [_strategy_dict(s) for s in poss_col],
+                "row": [names.json_obj(s) for s in poss_row],
+                "col": [names.json_obj(s) for s in poss_col],
             },
-            "gap": {"row": _gap_dict(gap_row), "col": _gap_dict(gap_col)},
+            "gap": {"row": _gap_dict(gap_row, names), "col": _gap_dict(gap_col, names)},
         },
     )
     return render_json(report)
@@ -371,20 +425,20 @@ def _cmd_poss(config: RunConfig) -> str:
 
 def _cmd_check(config: RunConfig) -> str:
     game = load_game(config.input)
+    names = _Strategies()
     if config.pair is not None:
         p, q = _parse_pair(config.pair)
         record = classify_pair(game, p, q, tol=config.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]
         if config.fmt == "table":
             return (
-                f"pair p=({', '.join(_rational(w) for w in p.weights)}) "
-                f"q=({', '.join(_rational(w) for w in q.weights)}): {phrase}\n"
+                f"pair p={names.text(p)} q={names.text(q)}: {phrase}\n"
                 f"  payoff: ({', '.join(format(v, '.17g') for v in record.payoff.value)})\n"
                 f"  p minimal: {record.p_minimal}  q maximal: {record.q_maximal}\n"
                 f"  Shapley: {record.shapley}  strong: {record.strong}\n"
             )
         return render_json(
-            _report(config, {"pair": _record_dict(record), "phrase": phrase})
+            _report(config, {"pair": _record_dict(record, names), "phrase": phrase})
         )
     if config.strategy is None:
         raise InputError("check needs --strategy or --pair")
@@ -395,28 +449,24 @@ def _cmd_check(config: RunConfig) -> str:
     if config.fmt == "table":
         verdict = kind if cert.is_minimal else f"not {kind}"
         lines = [
-            f"strategy ({', '.join(_rational(w) for w in strategy.weights)}) "
+            f"strategy {names.text(strategy)} "
             f"for player {owner.value}: {verdict} (lp value {format(cert.lp_value, '.17g')})"
         ]
         if cert.improving_strategy is not None:
-            lines.append(
-                "  improving strategy: ("
-                + ", ".join(_rational(w) for w in cert.improving_strategy.weights)
-                + ")"
-            )
+            lines.append("  improving strategy: " + names.text(cert.improving_strategy))
         return "\n".join(lines) + "\n"
     return render_json(
         _report(
             config,
             {
                 "certificate": {
-                    "strategy": _strategy_dict(strategy),
+                    "strategy": names.json_obj(strategy),
                     "kind": kind,
                     "optimal": cert.is_minimal,
                     "lp_value": cert.lp_value,
                     "improving": None
                     if cert.improving_strategy is None
-                    else _strategy_dict(cert.improving_strategy),
+                    else names.json_obj(cert.improving_strategy),
                 }
             },
         )
@@ -564,8 +614,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.step_col = (
             _parse_step(args.step_col) if args.step_col is not None else config.step_row
         )
-        if args.workers is not None and args.workers < 1:
-            raise InputError("workers must be at least 1")
+        check_workers(args.workers)
         config.workers = args.workers
     for name in ("player", "strategy", "pair", "rows", "cols", "dim", "seed"):
         if hasattr(args, name):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,12 +24,13 @@ from .game import (
     col_generator_matrix,
     enumerate_simplex_grid,
     expected_payoff,
+    expected_payoffs,
     row_generator_matrix,
 )
 from .lp import LinearProgram, solve_lp
 from .polyhedra import (
+    ACTIVE_TOL,
     OrientedPayoffPolyhedron,
-    active_halfspace_indices,
     build_lower_set,
     build_upper_set,
     negated_set,
@@ -45,6 +47,8 @@ from .solver import (
     scalarized_game_solve,
     ScalarizationWeight,
     StrategyFront,
+    check_workers,
+    pool_map,
 )
 
 # The strong test accepts when the separation LP value stays below this.
@@ -88,14 +92,20 @@ def _classification(p_min: bool, q_max: bool, shapley: bool, strong: bool) -> Cl
     return Classification.NONE
 
 
-def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bool:
-    """Whether the facets of `poly` active at `point` sum to a strictly positive normal.
+def _boundary_mask(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.ndarray:
+    """Per row of the (N, K) array `points`: whether the facets of `poly`
+    active there (within ACTIVE_TOL) sum to a strictly positive normal.
 
     Such a point is Pareto-maximal in a lower set and Pareto-minimal in an
-    upper set.
+    upper set.  A point with no active facet sums to the zero normal.
     """
-    active = active_halfspace_indices(poly, point)
-    return bool(active) and bool(np.all(poly.normal_matrix()[active].sum(axis=0) > POSITIVE_TOL))
+    normals = poly.normal_matrix()
+    active = np.abs(points @ normals.T - poly.offset_vector()) <= ACTIVE_TOL
+    return np.all(active @ normals > POSITIVE_TOL, axis=1)
+
+
+def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bool:
+    return bool(_boundary_mask(poly, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def _payoff_sets(
@@ -107,12 +117,6 @@ def _payoff_sets(
     if col_set is not None:
         return vi, negated_set(col_set)
     return vi, build_upper_set(col_generator_matrix(game, q))
-
-
-def _is_shapley(
-    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron], point: np.ndarray
-) -> bool:
-    return _on_pareto_boundary(sets[0], point) and _on_pareto_boundary(sets[1], point)
 
 
 def is_max_point_of_row_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
@@ -128,38 +132,35 @@ def is_min_point_of_col_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedSt
 
 
 def is_shapley_equilibrium(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    return _is_shapley(_payoff_sets(game, p, q), expected_payoff(game, p, q).as_array())
+    vi, vii = _payoff_sets(game, p, q)
+    point = expected_payoff(game, p, q).as_array()
+    return _on_pareto_boundary(vi, point) and _on_pareto_boundary(vii, point)
 
 
-def _strong_lp_value(
-    game: VectorPayoffGame,
-    p: MixedStrategy,
-    q: MixedStrategy,
-    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron] | None = None,
-) -> float:
-    """Largest total downward shift from a point of V_I(p) landing in V_II(q).
+# A payoff set as the arrays (A, b) of its halfspaces, all a strong LP reads.
+_HRep = tuple[np.ndarray, np.ndarray]
+
+
+def _hrep(poly: OrientedPayoffPolyhedron) -> _HRep:
+    return poly.normal_matrix(), poly.offset_vector()
+
+
+def _strong_lp(row_set: _HRep, col_set: _HRep) -> float:
+    """Largest total downward shift t from a point y of V_I(p) with y - t in V_II(q).
 
     Zero means the intersection contains no improvable point.
     """
-    vi, vii = sets if sets is not None else _payoff_sets(game, p, q)
-    k = game.dim
-    rows: list[np.ndarray] = []
-    relations: list[str] = []
-    rhs: list[float] = []
-    for h in vi.halfspaces:  # y stays in the row payoff set
-        rows.append(np.concatenate([h.normal, np.zeros(k)]))
-        relations.append("<=")
-        rhs.append(h.offset)
-    for h in vii.halfspaces:  # y - t stays in the column payoff set
-        a = np.asarray(h.normal)
-        rows.append(np.concatenate([a, -a]))
-        relations.append(">=")
-        rhs.append(h.offset)
+    (a1, b1), (a2, b2) = row_set, col_set
+    f, k = a1.shape
+    lhs = np.zeros((f + len(a2), 2 * k))  # variables (y, t)
+    lhs[:f, :k] = a1
+    lhs[f:, :k] = a2
+    lhs[f:, k:] = -a2
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(k), np.ones(k)]),
-        lhs=np.array(rows),
-        relations=tuple(relations),
-        rhs=np.array(rhs),
+        lhs=lhs,
+        relations=("<=",) * len(a1) + (">=",) * len(a2),
+        rhs=np.concatenate([b1, b2]),
         sense="max",
         bounds=((None, None),) * k + ((0.0, None),) * k,
     )
@@ -169,7 +170,83 @@ def _strong_lp_value(
     return float(out.objective_value)
 
 
-def _pair_record(
+def _strong_lp_value(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> float:
+    vi, vii = _payoff_sets(game, p, q)
+    return _strong_lp(_hrep(vi), _hrep(vii))
+
+
+def _strong_flags(block: Sequence[tuple[_HRep, Sequence[_HRep]]]) -> list[bool]:
+    """One pool task: the strong test on the Shapley pairs of a block of rows.
+
+    `block` holds, per row strategy p, V_I(p) and the V_II(q) of each q
+    that makes a Shapley pair with it; one flag comes back per pair.
+    """
+    return [_strong_lp(vi, vii) <= STRONG_TOL for vi, partners in block for vii in partners]
+
+
+def _row_blocks(counts: np.ndarray, parts: int) -> list[np.ndarray]:
+    """Up to `parts` contiguous blocks of row indices with near-equal sums of
+    `counts`; rows past the last nonzero count and empty blocks are left out."""
+    cum = np.cumsum(counts)
+    if not len(cum) or cum[-1] == 0:
+        return []
+    ends = np.searchsorted(cum, cum[-1] * np.arange(1, parts + 1) / parts) + 1
+    starts = np.concatenate([[0], ends[:-1]])
+    return [np.arange(lo, hi) for lo, hi in zip(starts, ends) if hi > lo]
+
+
+# One side of the pairs: per strategy, its payoff set and its optimality flag.
+_Side = Sequence[tuple[MixedStrategy, OrientedPayoffPolyhedron, bool]]
+
+
+def _classify(
+    game: VectorPayoffGame, rows: _Side, cols: _Side, workers: int | None = None
+) -> list[EquilibriumRecord]:
+    """The record of every pair in rows x cols, in row-major order.
+
+    Each V_I(p) is tested against the payoffs of all its pairs in one
+    call, and so is each V_II(q).  The strong LPs run only on the
+    Shapley pairs, in contiguous blocks of row strategies (four a worker)
+    mapped over the pool; each block returns one flag a pair.
+    """
+    payoffs = expected_payoffs(game, [p for p, _, _ in rows], [q for q, _, _ in cols])
+    shapley = np.zeros(payoffs.shape[:2], dtype=bool)
+    for a, (_, vi, _) in enumerate(rows):
+        shapley[a] = _boundary_mask(vi, payoffs[a])
+    for b, (_, vii, _) in enumerate(cols):
+        shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
+
+    row_sets = [_hrep(vi) for _, vi, _ in rows]
+    col_sets = [_hrep(vii) for _, vii, _ in cols]
+    parts = 4 * workers if workers is not None and workers > 1 else 1
+    tasks = [
+        [(row_sets[a], [col_sets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
+        for block in _row_blocks(shapley.sum(axis=1), parts)
+    ]
+    strong = np.zeros_like(shapley)
+    strong[shapley] = [flag for flags in pool_map(_strong_flags, tasks, workers) for flag in flags]
+
+    records = []
+    for (p, _, p_min), pay_row, sh_row, st_row in zip(
+        rows, payoffs.tolist(), shapley.tolist(), strong.tolist()
+    ):
+        for (q, _, q_max), pay, sh, st in zip(cols, pay_row, sh_row, st_row):
+            records.append(
+                EquilibriumRecord(
+                    p=p,
+                    q=q,
+                    payoff=PayoffVector(tuple(pay)),
+                    p_minimal=p_min,
+                    q_maximal=q_max,
+                    shapley=sh,
+                    strong=st,
+                    classification=_classification(p_min, q_max, sh, st),
+                )
+            )
+    return records
+
+
+def _classify_one(
     game: VectorPayoffGame,
     p: MixedStrategy,
     q: MixedStrategy,
@@ -177,24 +254,11 @@ def _pair_record(
     p_min: bool,
     q_max: bool,
 ) -> EquilibriumRecord:
-    """The record of one pair from its two payoff sets; the payoff is computed once."""
-    payoff = expected_payoff(game, p, q)
-    shapley = _is_shapley(sets, payoff.as_array())
-    strong = shapley and _strong_lp_value(game, p, q, sets) <= STRONG_TOL
-    return EquilibriumRecord(
-        p=p,
-        q=q,
-        payoff=payoff,
-        p_minimal=p_min,
-        q_maximal=q_max,
-        shapley=shapley,
-        strong=strong,
-        classification=_classification(p_min, q_max, shapley, strong),
-    )
+    return _classify(game, [(p, sets[0], p_min)], [(q, sets[1], q_max)])[0]
 
 
 def is_strong_shapley(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    return _pair_record(game, p, q, _payoff_sets(game, p, q), False, False).strong
+    return _classify_one(game, p, q, _payoff_sets(game, p, q), False, False).strong
 
 
 def classify_pair(
@@ -204,32 +268,35 @@ def classify_pair(
     row = minimality_lp(game, p, tol=tol)
     col = maximality_lp(game, q, tol=tol)
     sets = _payoff_sets(game, p, q, row.payoff_set, col.payoff_set)
-    return _pair_record(game, p, q, sets, row.is_minimal, col.is_minimal)
+    return _classify_one(game, p, q, sets, row.is_minimal, col.is_minimal)
 
 
 def classify_pairs(
-    game: VectorPayoffGame, front_row: StrategyFront, front_col: StrategyFront
+    game: VectorPayoffGame,
+    front_row: StrategyFront,
+    front_col: StrategyFront,
+    *,
+    workers: int | None = None,
 ) -> list[EquilibriumRecord]:
     """One record per pair of grid-optimal strategies, in grid order.
 
     Optimality flags and payoff sets are taken from the fronts'
     certificates, so every record here has p_minimal and q_maximal set and
     no set is built again.  A column certificate holds V_II(q) as a lower
-    set of the mirrored game; negating it gives the upper set.
+    set of the mirrored game; negating it gives the upper set.  The
+    strong LPs run in a pool of `workers` processes when there are more
+    than one; the records do not depend on `workers`.
     """
+    check_workers(workers)
     if front_row.player is not Player.ROW or front_col.player is not Player.COL:
         raise InputError("expected a row front and a column front, in that order")
-    minimal = [(c.tested_strategy, c.payoff_set) for c in front_row.certificates if c.is_minimal]
-    maximal = [
-        (c.tested_strategy, negated_set(c.payoff_set))
+    rows = [(c.tested_strategy, c.payoff_set, True) for c in front_row.certificates if c.is_minimal]
+    cols = [
+        (c.tested_strategy, negated_set(c.payoff_set), True)
         for c in front_col.certificates
         if c.is_minimal
     ]
-    return [
-        _pair_record(game, p, q, (vi, vii), True, True)
-        for p, vi in minimal
-        for q, vii in maximal
-    ]
+    return _classify(game, rows, cols, workers)
 
 
 def vector_minimax_diagnostic(
@@ -296,4 +363,4 @@ def find_strong_seed(game: VectorPayoffGame) -> SeedResult:
     if not (imp_p.converged and imp_q.converged):
         return SeedResult(p, q, False)
     sets = _payoff_sets(game, p, q, imp_p.certificate.payoff_set, imp_q.certificate.payoff_set)
-    return SeedResult(p, q, _pair_record(game, p, q, sets, True, True).strong)
+    return SeedResult(p, q, _classify_one(game, p, q, sets, True, True).strong)

@@ -192,11 +192,27 @@ def col_generator_matrix(game: VectorPayoffGame, q: MixedStrategy) -> np.ndarray
     return np.einsum("ijk,j->ik", game.entries, w)
 
 
+def expected_payoffs(
+    game: VectorPayoffGame, ps: Sequence[MixedStrategy], qs: Sequence[MixedStrategy]
+) -> np.ndarray:
+    """v(p, q) for every p in `ps` and q in `qs`, as a (len(ps), len(qs), K) array.
+
+    The pairs are summed one at a time, so an entry does not depend on
+    the rest of the batch: einsum's summation order depends on the
+    operand shapes, and a fused batch differs in the last bit for K = 1.
+    """
+    wps = [_require_count(p, game.rows) for p in ps]
+    wqs = [_require_count(q, game.cols) for q in qs]
+    out = np.empty((len(wps), len(wqs), game.dim))
+    for a, wp in enumerate(wps):
+        for b, wq in enumerate(wqs):
+            out[a, b] = np.einsum("i,ijk,j->k", wp, game.entries, wq)
+    return out
+
+
 def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
     """v(p, q) = sum_ij p_i g_ij q_j, the expected vector loss of player I."""
-    wp = _require_count(p, game.rows)
-    wq = _require_count(q, game.cols)
-    return PayoffVector(tuple(np.einsum("i,ijk,j->k", wp, game.entries, wq)))
+    return PayoffVector(tuple(expected_payoffs(game, (p,), (q,))[0, 0]))
 
 
 def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:

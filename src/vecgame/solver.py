@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,6 +225,22 @@ def _poly_equal(a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron) -> boo
     return poly_subset(a, b, tol=VERTEX_MERGE_TOL) and poly_subset(b, a, tol=VERTEX_MERGE_TOL)
 
 
+def check_workers(workers: int | None) -> None:
+    """A worker count is None (serial) or at least 1."""
+    if workers is not None and workers < 1:
+        raise InputError("workers must be at least 1")
+
+
+def pool_map(fn: Callable, items: Sequence, workers: int | None, chunksize: int = 1) -> list:
+    """[fn(x) for x in items], in order; in a pool of `workers` processes
+    when there are more than one of each."""
+    check_workers(workers)
+    if workers is not None and workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(x) for x in items]
+
+
 def classify_grid(
     game: VectorPayoffGame,
     player: Player,
@@ -239,12 +256,9 @@ def classify_grid(
     oriented = game.for_player(player)
     grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
 
-    args = (repeat(oriented), grid.points, repeat(tol))
-    if workers is not None and workers > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certificates = list(pool.map(_minimality_core, *args, chunksize=8))
-    else:
-        certificates = list(map(_minimality_core, *args))
+    certificates = pool_map(
+        partial(_minimality_core, oriented, tol=tol), grid.points, workers, chunksize=8
+    )
 
     classes: list[list[int]] = []
     for idx, cert in enumerate(certificates):

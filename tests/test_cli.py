@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,26 @@ def test_solve_does_not_depend_on_the_worker_count(game_files, reports_dir):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_rational_text_is_exact_on_a_1024_grid(game_files, capsys, fmt):
+    # A bound of 1000 on the denominator printed 1/1024 as 1/1000.
+    argv = ["solve", "-i", game_files["two_by_two"], "--step-row", "1/1024",
+            "--step-col", "1/2", "--format", fmt, "--workers", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        certificates = json.loads(out)["fronts"]["row"]["certificates"]
+        assert [c["rational"] for c in certificates[:2]] == [["0", "1"], ["1/1024", "1023/1024"]]
+        assert certificates[7]["rational"] == ["7/1024", "1017/1024"]
+        assert certificates[1023]["rational"] == ["1023/1024", "1/1024"]
+        for c in certificates:
+            assert [float(Fraction(r)) for r in c["rational"]] == c["weights"]
+    else:
+        assert "  (1/1024, 1023/1024)\n" in out
+        assert "  (7/1024, 1017/1024)\n" in out
+        assert "1/1000" not in out and "4/585" not in out
+
+
 def test_solve_csv_lists_both_players(game_files, capsys):
     assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1",
                  "--format", "csv"]) == 0
@@ -194,6 +215,17 @@ def test_equilibria_csv_has_one_row_per_set_shapley_pair(game_files, capsys):
     types = [r[2] for r in rows[1:]]
     assert types.count("strong") == 2
     assert types.count("not strong") == 9
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("name, step", [("three_by_three", "1/5"), ("corley", "1/20")])
+def test_equilibria_does_not_depend_on_the_worker_count(game_files, tmp_path, name, step, fmt):
+    one = tmp_path / "workers1"
+    two = tmp_path / "workers2"
+    base = ["equilibria", "-i", game_files[name], "--step-row", step, "--format", fmt]
+    assert main(base + ["--workers", "1", "--output", str(one)]) == 0
+    assert main(base + ["--workers", "2", "--output", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_equilibria_table_uses_the_long_phrases(game_files, capsys):

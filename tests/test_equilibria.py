@@ -6,9 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecgame.equilibria import (
     Classification,
+    _boundary_mask,
+    _on_pareto_boundary,
+    _row_blocks,
     _strong_lp_value,
     classify_pair,
     classify_pairs,
@@ -260,6 +265,90 @@ def test_empty_fronts_give_an_empty_record_list(corley, corley_fronts):
         equivalence_classes=(),
     )
     assert classify_pairs(corley, empty, col) == []
+
+
+# ---------------------------------------------------------------------------
+# the batched pass agrees with the single-pair path
+
+
+def _payoff_bits(record) -> bytes:
+    return np.array(record.payoff.value).tobytes()
+
+
+def _assert_batch_matches_single_pairs(game, records):
+    for record in records:
+        single = classify_pair(game, record.p, record.q)
+        assert (single.p_minimal, single.q_maximal) == (True, True)
+        assert (record.shapley, record.strong) == (single.shapley, single.strong)
+        assert record.classification is single.classification
+        assert _payoff_bits(record) == _payoff_bits(single)
+        expected = expected_payoff(game, record.p, record.q)
+        assert _payoff_bits(record) == np.array(expected.value).tobytes()
+
+
+@pytest.mark.parametrize("name", ["corley", "three_by_three"])
+def test_batched_records_equal_single_pair_records(request, name):
+    game = request.getfixturevalue(name)
+    row, col = request.getfixturevalue(f"{name}_fronts")
+    records = classify_pairs(game, row, col)
+    assert records
+    _assert_batch_matches_single_pairs(game, records)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_records_equal_single_pair_records_on_random_games(shape, seed):
+    rng = np.random.default_rng(seed)
+    game = VectorPayoffGame(rng.integers(-3, 4, size=shape).astype(float))
+    row = classify_grid(game, Player.ROW, Fraction(1, 3))
+    col = classify_grid(game, Player.COL, Fraction(1, 3))
+    _assert_batch_matches_single_pairs(game, classify_pairs(game, row, col))
+
+
+def test_pool_records_equal_serial_records(three_by_three, three_by_three_fronts):
+    row, col = three_by_three_fronts
+    assert classify_pairs(three_by_three, row, col, workers=2) == classify_pairs(
+        three_by_three, row, col
+    )
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_library_rejects_a_worker_count_below_one(corley, corley_fronts, workers):
+    row, col = corley_fronts
+    with pytest.raises(InputError, match="workers must be at least 1"):
+        classify_pairs(corley, row, col, workers=workers)
+    with pytest.raises(InputError, match="workers must be at least 1"):
+        classify_grid(corley, Player.ROW, Fraction(1, 4), workers=workers)
+
+
+def test_boundary_mask_edge_cases():
+    # The lower set of the single point (1, 1) has the facets y1 <= 1 and y2 <= 1.
+    poly = build_lower_set(np.array([[1.0, 1.0]]))
+    points = np.array(
+        [
+            [0.0, 0.0],  # no active facet
+            [1.0, 0.0],  # only y1 <= 1 is active: the summed normal has a zero component
+            [1.0, 1.0],  # both are active
+        ]
+    )
+    mask = _boundary_mask(poly, points)
+    assert mask.tolist() == [False, False, True]
+    assert [_on_pareto_boundary(poly, y) for y in points] == mask.tolist()
+
+
+def test_row_blocks_are_contiguous_and_cover_every_counted_row():
+    counts = np.array([0, 3, 0, 1, 5, 0, 2, 0])
+    for parts in (1, 2, 3, 8, 20):
+        blocks = _row_blocks(counts, parts)
+        assert 1 <= len(blocks) <= parts
+        rows = np.concatenate(blocks)
+        assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+        assert set(np.flatnonzero(counts)) <= set(rows.tolist())
+    assert _row_blocks(np.zeros(4, dtype=int), 4) == []
+    assert _row_blocks(np.zeros(0, dtype=int), 4) == []
 
 
 # ---------------------------------------------------------------------------

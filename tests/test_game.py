@@ -21,6 +21,7 @@ from vecgame.game import (
     componentwise_security_point,
     enumerate_simplex_grid,
     expected_payoff,
+    expected_payoffs,
     row_generator_matrix,
     row_strategy,
 )
@@ -301,6 +302,26 @@ def test_k1_payoff_is_the_scalar_bilinear_form(data):
     )
     direct = float(p.as_array() @ game.entries[:, :, 0] @ q.as_array())
     assert abs(expected_payoff(game, p, q)[0] - direct) <= 1e-12
+
+
+def test_batched_payoffs_equal_single_payoffs_bit_for_bit():
+    # The reference is one einsum per pair, the float every report has
+    # printed.  A fused einsum over the batch sums in an order that depends
+    # on the shapes; for K = 1 it misses the last bit on some of these pairs.
+    rng = np.random.default_rng(20261018)
+    for _ in range(150):
+        m, n, k, num_p, num_q = (int(x) for x in rng.integers(1, 5, size=5))
+        game = VectorPayoffGame(rng.integers(-9, 10, size=(m, n, k)).astype(float))
+        ps = [MixedStrategy.cleaned(rng.dirichlet(np.ones(m)), Player.ROW) for _ in range(num_p)]
+        qs = [MixedStrategy.cleaned(rng.dirichlet(np.ones(n)), Player.COL) for _ in range(num_q)]
+        batch = expected_payoffs(game, ps, qs)
+        assert batch.shape == (num_p, num_q, k)
+        for a, p in enumerate(ps):
+            for b, q in enumerate(qs):
+                single = np.einsum("i,ijk,j->k", p.as_array(), game.entries, q.as_array())
+                assert batch[a, b].tobytes() == single.tobytes()
+                assert np.array(expected_payoff(game, p, q).value).tobytes() == single.tobytes()
+    assert expected_payoffs(game, [], qs).shape == (0, num_q, k)
 
 
 def test_weights_close_helper():
