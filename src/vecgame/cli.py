@@ -156,12 +156,13 @@ class _Strategies:
     """The text of one report's strategies; each distinct strategy is rendered once.
 
     A weight prints as the nearest fraction whose denominator is at most
-    the largest grid denominator of the run, and never less than 1000, so
-    every grid weight k/N prints exactly.
+    the largest denominator among `fractions` (the run's grid steps, or
+    the weights typed for `check`), and never less than 1000, so every
+    grid or typed weight prints exactly.
     """
 
-    def __init__(self, *steps: Fraction | None) -> None:
-        self.max_den = max([1000] + [s.denominator for s in steps if s is not None])
+    def __init__(self, *fractions: Fraction | None) -> None:
+        self.max_den = max([1000] + [f.denominator for f in fractions if f is not None])
         self._rational: dict[MixedStrategy, list[str]] = {}
         self._text: dict[MixedStrategy, str] = {}
         self._json: dict[MixedStrategy, _JSONText] = {}
@@ -199,6 +200,11 @@ def _parse_weights(text: str, owner: Player) -> MixedStrategy:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse strategy {text!r}: {exc}") from exc
     return MixedStrategy(tuple(weights), owner=owner)
+
+
+def _typed_names(text: str) -> _Strategies:
+    """Strategy text for `check` that prints each fraction of `text` (parsed already) exactly."""
+    return _Strategies(*(Fraction(part.strip()) for part in text.replace(";", ",").split(",")))
 
 
 def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy]:
@@ -425,9 +431,9 @@ def _cmd_poss(config: RunConfig) -> str:
 
 def _cmd_check(config: RunConfig) -> str:
     game = load_game(config.input)
-    names = _Strategies()
     if config.pair is not None:
         p, q = _parse_pair(config.pair)
+        names = _typed_names(config.pair)
         record = classify_pair(game, p, q, tol=config.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]
         if config.fmt == "table":
@@ -444,6 +450,7 @@ def _cmd_check(config: RunConfig) -> str:
         raise InputError("check needs --strategy or --pair")
     owner = _owner(config)
     strategy = _parse_weights(config.strategy, owner)
+    names = _typed_names(config.strategy)
     cert = _certificate(game, strategy, config.tol)
     kind = "minimal" if owner is Player.ROW else "maximal"
     if config.fmt == "table":

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 RELATIONS = ("<=", ">=", "=")
+# Phase one calls the LP infeasible when its value exceeds this, relative to the rhs.
+TOL_FEAS = 1e-9
+# A column enters the basis when its reduced cost is below -TOL_OPT.
+TOL_OPT = 1e-8
 
 Bound = tuple[float | None, float | None]
 
@@ -112,9 +116,7 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(
-    T: np.ndarray, basis: list[int], tol_opt: float, budget: int
-) -> tuple[str, int]:
+def _run_simplex(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int]:
     """Iterate to optimality by Dantzig's rule.  A basis seen before means the
     pivots are cycling, so from then on Bland's rule picks the entering column."""
     ncols = T.shape[1] - 1
@@ -126,14 +128,14 @@ def _run_simplex(
         if bland:
             enter = -1
             for c in range(ncols):
-                if red[c] < -tol_opt:
+                if red[c] < -TOL_OPT:
                     enter = c
                     break
             if enter == -1:
                 return "optimal", iters
         else:
             enter = int(np.argmin(red))
-            if red[enter] >= -tol_opt:
+            if red[enter] >= -TOL_OPT:
                 return "optimal", iters
         colvals = T[:-1, enter]
         rows = np.nonzero(colvals > 1e-9)[0]
@@ -155,97 +157,72 @@ def _run_simplex(
     return "iteration_limit", iters
 
 
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    tol_feas: float = 1e-9,
-    tol_opt: float = 1e-8,
-    max_iter: int | None = None,
-) -> LPOutcome:
-    """Solve the LP by two-phase dense simplex."""
-    c0 = lp.objective if lp.sense == "min" else -lp.objective
-    rhs = lp.rhs.copy()
-    rels = list(lp.relations)
+def solve_lp(lp: LinearProgram, *, max_iter: int | None = None) -> LPOutcome:
+    """Solve the LP by two-phase dense simplex.
 
-    # Substitute bounds away: x >= 0 columns only after this block.
-    cols: list[np.ndarray] = []
-    cobj: list[float] = []
-    transforms: list[tuple] = []
-    for j in range(lp.num_vars):
-        lo = lp.bounds[j][0]
-        col = lp.lhs[:, j]
-        if lo is not None:
-            rhs = rhs - col * lo
-            cols.append(col.copy())
-            cobj.append(float(c0[j]))
-            transforms.append(("shift", len(cols) - 1, lo))
-        else:
-            cols.append(col.copy())
-            cobj.append(float(c0[j]))
-            cols.append(-col)
-            cobj.append(float(-c0[j]))
-            transforms.append(("split", len(cols) - 2, len(cols) - 1))
-
-    n_core = len(cols)
+    The tableau's columns are the structural columns, one per variable
+    with a lower bound (shifted to zero) and two (+x, -x) per free
+    variable, then one slack per inequality row, then one artificial per
+    row that no slack can start in the basis.
+    """
     m = lp.num_constraints
-    mat = np.column_stack(cols) if n_core and m else np.zeros((m, n_core))
-
-    slack_sign = {}
-    slack_cols: list[np.ndarray] = []
-    for i, r in enumerate(rels):
-        if r == "=":
-            continue
-        s = np.zeros(m)
-        sign = 1.0 if r == "<=" else -1.0
-        s[i] = sign
-        slack_sign[i] = (n_core + len(slack_cols), sign)
-        slack_cols.append(s)
-    full = np.column_stack([mat] + slack_cols) if slack_cols else mat.copy()
-    nfull = full.shape[1]
-
+    c0 = lp.objective if lp.sense == "min" else -lp.objective
+    # Structural column -> source variable and the sign it carries; a nonzero
+    # lower bound is shifted into the rhs.
+    src: list[int] = []
+    sign: list[float] = []
+    rhs = lp.rhs
+    for j, (lo, _) in enumerate(lp.bounds):
+        src.append(j)
+        sign.append(1.0)
+        if lo is None:
+            src.append(j)
+            sign.append(-1.0)
+        elif lo != 0.0:
+            rhs = rhs - lp.lhs[:, j] * lo
+    n_core = len(src)
     flipped = rhs < 0
-    full[flipped] *= -1.0
     rhs = np.abs(rhs)
 
+    # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
+    # basis unless the row was flipped against it; every other row starts
+    # with an artificial.
+    ineq = [i for i, r in enumerate(lp.relations) if r != "="]
+    slack = [1.0 if lp.relations[i] == "<=" else -1.0 for i in ineq]
+    nfull = n_core + len(ineq)
     basis = [-1] * m
-    for i, (cidx, sign) in slack_sign.items():
-        effective = sign * (-1.0 if flipped[i] else 1.0)
-        if effective > 0:
-            basis[i] = cidx
-
-    art_cols: list[np.ndarray] = []
-    for i in range(m):
-        if basis[i] == -1:
-            a = np.zeros(m)
-            a[i] = 1.0
-            basis[i] = nfull + len(art_cols)
-            art_cols.append(a)
-    nart = len(art_cols)
+    for k, (i, flip) in enumerate(zip(ineq, flipped[ineq].tolist())):
+        if (slack[k] > 0) != flip:
+            basis[i] = n_core + k
+    art = [i for i in range(m) if basis[i] < 0]
+    nart = len(art)
+    for k, i in enumerate(art):
+        basis[i] = nfull + k
 
     if max_iter is None:
         max_iter = 1000 + 50 * (m + nfull + nart)
 
+    sign_arr = np.array(sign)
     T = np.zeros((m + 1, nfull + nart + 1))
-    if m:
-        T[:m, :nfull] = full
-        for k, a in enumerate(art_cols):
-            T[:m, nfull + k] = a
-        T[:m, -1] = rhs
+    T[:m, :n_core] = lp.lhs[:, src] * sign_arr
+    T[ineq, range(n_core, nfull)] = slack
+    T[:m][flipped, :nfull] *= -1.0
+    T[art, range(nfull, nfull + nart)] = 1.0
+    T[:m, -1] = rhs
 
     iters_used = 0
     if nart:
         T[-1, nfull : nfull + nart] = 1.0
-        for i in range(m):
-            if basis[i] >= nfull:
-                T[-1] -= T[i]
-        status, it1 = _run_simplex(T, basis, tol_opt, max_iter)
+        for i in art:
+            T[-1] -= T[i]
+        status, it1 = _run_simplex(T, basis, max_iter)
         iters_used += it1
         if status == "iteration_limit":
             return LPOutcome("iteration_limit", None, None, iters_used)
         if status == "unbounded":
             raise NumericalError("phase-1 simplex reported unbounded")
         phase1_value = -T[-1, -1]
-        if phase1_value > tol_feas * (1.0 + float(np.abs(rhs).max(initial=0.0))):
+        if phase1_value > TOL_FEAS * (1.0 + float(rhs.max(initial=0.0))):
             return LPOutcome("infeasible", None, None, iters_used)
         # Pivot leftover artificials out; rows that cannot pivot are redundant.
         basic_set = set(basis)
@@ -261,42 +238,36 @@ def solve_lp(
 
     keep = [i for i in range(m) if basis[i] < nfull]
     T2 = np.zeros((len(keep) + 1, nfull + 1))
-    for new_i, i in enumerate(keep):
-        T2[new_i, :nfull] = T[i, :nfull]
-        T2[new_i, -1] = T[i, -1]
+    T2[:-1, :nfull] = T[keep, :nfull]
+    T2[:-1, -1] = T[keep, -1]
     basis2 = [basis[i] for i in keep]
-    cvec = np.concatenate([np.array(cobj), np.zeros(nfull - n_core)])
+    cvec = np.zeros(nfull)
+    cvec[:n_core] = c0[src] * sign_arr
     T2[-1, :nfull] = cvec
     for i, col in enumerate(basis2):
         coef = cvec[col]
         if coef != 0.0:
             T2[-1] -= coef * T2[i]
 
-    status, it2 = _run_simplex(T2, basis2, tol_opt, max_iter - iters_used)
+    status, it2 = _run_simplex(T2, basis2, max_iter - iters_used)
     iters_used += it2
     if status != "optimal":
         return LPOutcome(status, None, None, iters_used)
 
     xprime = np.zeros(nfull)
-    for i, col in enumerate(basis2):
-        xprime[col] = T2[i, -1]
-    x = np.zeros(lp.num_vars)
-    for j, tr in enumerate(transforms):
-        kind = tr[0]
-        if kind == "shift":
-            x[j] = xprime[tr[1]] + tr[2]
-        else:
-            x[j] = xprime[tr[1]] - xprime[tr[2]]
+    xprime[basis2] = T2[:-1, -1]
+    x = xprime[:n_core][sign_arr > 0]
+    free = np.array([lo is None for lo, _ in lp.bounds], dtype=bool)
+    x[free] -= xprime[:n_core][sign_arr < 0]
+    x[~free] += np.array([lo for lo, _ in lp.bounds if lo is not None])
     value = float(lp.objective @ x)
     return LPOutcome("optimal", value, x, iters_used)
 
 
-def check_feasibility(
-    lp: LinearProgram, *, tol_feas: float = 1e-9, max_iter: int | None = None
-) -> FeasibilityResult:
+def check_feasibility(lp: LinearProgram, *, max_iter: int | None = None) -> FeasibilityResult:
     """Phase-one feasibility of the constraint system; objective is ignored."""
     probe = dataclasses.replace(lp, objective=np.zeros(lp.num_vars), sense="min")
-    out = solve_lp(probe, tol_feas=tol_feas, max_iter=max_iter)
+    out = solve_lp(probe, max_iter=max_iter)
     if out.status == "optimal":
         return FeasibilityResult(True, out.solution)
     if out.status == "infeasible":

@@ -36,7 +36,7 @@ from .polyhedra import (
     upper_set_cone,
     upper_set_vertices,
 )
-from .solver import StrategyFront, _lp_strategy
+from .solver import StrategyFront, _lp_strategy, _mixed_strategy_lp
 
 # A candidate vertex belongs to the image when its clearance LP stays below this.
 VERIFY_TOL = 1e-7
@@ -95,62 +95,23 @@ class SecurityImage:
         }
 
 
-def _support_lp(entries: np.ndarray, direction: np.ndarray) -> LinearProgram:
+def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:
     """min direction·y over y >= sum_i p_i g_ij (componentwise, all j), p in simplex."""
     m, n, k = entries.shape
-    rows, rhs, relations = [], [], []
-    for j in range(n):
-        for kk in range(k):
-            coeff = np.zeros(m + k)
-            coeff[:m] = entries[:, j, kk]
-            coeff[m + kk] = -1.0
-            rows.append(coeff)
-            rhs.append(0.0)
-            relations.append("<=")
-    rows.append(np.concatenate([np.ones(m), np.zeros(k)]))
-    rhs.append(1.0)
-    relations.append("=")
-    return LinearProgram(
-        objective=np.concatenate([np.zeros(m), direction]),
-        lhs=np.array(rows),
-        relations=tuple(relations),
-        rhs=np.array(rhs),
-        sense="min",
-        bounds=((0.0, None),) * m + ((None, None),) * k,
+    out = _mixed_strategy_lp(
+        entries.reshape(m, n * k), np.tile(np.arange(k), n), np.zeros(n * k), direction,
+        "image support",
     )
-
-
-def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:
-    out = solve_lp(_support_lp(entries, direction))
-    if out.status != "optimal":
-        raise NumericalError(f"image support LP ended with status {out.status}")
     return float(out.objective_value)
 
 
 def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest uniform lift z making v + z·e guaranteeable; witness strategy."""
     m, n, k = entries.shape
-    rows, rhs = [], []
-    for j in range(n):
-        for kk in range(k):
-            coeff = np.zeros(m + 1)
-            coeff[:m] = entries[:, j, kk]
-            coeff[m] = -1.0
-            rows.append(coeff)
-            rhs.append(v[kk])
-    rows.append(np.concatenate([np.ones(m), [0.0]]))
-    rhs.append(1.0)
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(m), [1.0]]),
-        lhs=np.array(rows),
-        relations=("<=",) * (n * k) + ("=",),
-        rhs=np.array(rhs),
-        sense="min",
-        bounds=((0.0, None),) * m + ((None, None),),
+    out = _mixed_strategy_lp(
+        entries.reshape(m, n * k), np.zeros(n * k, dtype=int), np.tile(v, n), np.ones(1),
+        "vertex verification",
     )
-    out = solve_lp(lp)
-    if out.status != "optimal":
-        raise NumericalError(f"vertex verification LP ended with status {out.status}")
     return float(out.objective_value), out.solution[:m]
 
 
@@ -163,23 +124,15 @@ def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> Halfspace:
     """
     m, n, k = entries.shape
     nw = n * k
-    rows, rhs, relations = [], [], []
-    for i in range(m):
-        coeff = np.zeros(nw + 1)
-        coeff[:nw] = -entries[i].reshape(nw)
-        coeff[nw] = 1.0
-        rows.append(coeff)
-        rhs.append(0.0)
-        relations.append("<=")
-    rows.append(np.concatenate([np.ones(nw), [0.0]]))
-    rhs.append(1.0)
-    relations.append("=")
-    objective = np.concatenate([-np.tile(v, n), [1.0]])
+    lhs = np.zeros((m + 1, nw + 1))  # one row mu - sum_jk w_jk g_ijk <= 0 per row i
+    lhs[:m, :nw] = -entries.reshape(m, nw)
+    lhs[:m, nw] = 1.0
+    lhs[m, :nw] = 1.0
     lp = LinearProgram(
-        objective=objective,
-        lhs=np.array(rows),
-        relations=tuple(relations),
-        rhs=np.array(rhs),
+        objective=np.concatenate([-np.tile(v, n), [1.0]]),
+        lhs=lhs,
+        relations=("<=",) * m + ("=",),
+        rhs=np.append(np.zeros(m), 1.0),
         sense="max",
         bounds=((0.0, None),) * nw + ((None, None),),
     )

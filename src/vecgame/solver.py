@@ -26,14 +26,13 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LPOutcome, solve_lp
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
     build_lower_set,
     contains_point,
     exposing_normal_at_vertex,
-    poly_subset,
 )
 
 # A strategy counts as minimal/maximal when the improvement LP value
@@ -117,6 +116,35 @@ def _lp_strategy(weights, owner: Player) -> MixedStrategy:
         raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
 
 
+def _mixed_strategy_lp(
+    M: np.ndarray, z_index: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
+) -> LPOutcome:
+    """Solve  min cost·z  over p in the simplex and free z  subject to
+    sum_i p_i M[i, r] - z[z_index[r]] <= h[r]  for every column r of M.
+
+    The solution is (p, z); any status but optimal is a numerical fault
+    of the LP called `name`.
+    """
+    m, R = M.shape
+    lhs = np.zeros((R + 1, m + cost.size))
+    lhs[:R, :m] = M.T
+    lhs[np.arange(R), m + z_index] = -1.0
+    lhs[R, :m] = 1.0
+    out = solve_lp(
+        LinearProgram(
+            objective=np.concatenate([np.zeros(m), cost]),
+            lhs=lhs,
+            relations=("<=",) * R + ("=",),
+            rhs=np.append(h, 1.0),
+            sense="min",
+            bounds=((0.0, None),) * m + ((None, None),) * cost.size,
+        )
+    )
+    if out.status != "optimal":
+        raise NumericalError(f"{name} LP ended with status {out.status}")
+    return out
+
+
 def _minimality_core(
     game: VectorPayoffGame, pbar: MixedStrategy, tol: float
 ) -> MinimalityCertificate:
@@ -130,32 +158,22 @@ def _minimality_core(
         raise NumericalError("payoff set has no identifiable vertex")
     exposing = [exposing_normal_at_vertex(target, v) for v in target.vertices]
 
+    # One block of n rows a·g_ij <= b (j = 1..n) per halfspace and per exposing
+    # normal; the block of exposing normal ell also carries its slack eps_ell.
     m, n = game.rows, game.cols
     L = len(exposing)
-    entries = game.entries
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for h in target.halfspaces:
-        scal = entries @ np.array(h.normal)  # (m, n): a·g_ij
-        for j in range(n):
-            rows.append(np.concatenate([scal[:, j], np.zeros(L)]))
-            rhs.append(h.offset)
-    for ell, h in enumerate(exposing):
-        scal = entries @ np.array(h.normal)
-        eps_col = np.zeros(L)
-        eps_col[ell] = 1.0
-        for j in range(n):
-            rows.append(np.concatenate([scal[:, j], eps_col]))
-            rhs.append(h.offset)
-    rows.append(np.concatenate([np.ones(m), np.zeros(L)]))
-    rhs.append(1.0)
-    relations = ("<=",) * (len(rows) - 1) + ("=",)
-
+    blocks = (*target.halfspaces, *exposing)
+    R = len(blocks) * n
+    scal = np.array([game.entries @ np.array(h.normal) for h in blocks])  # (blocks, m, n)
+    lhs = np.zeros((R + 1, m + L))
+    lhs[:R, :m] = scal.transpose(0, 2, 1).reshape(R, m)
+    lhs[R - L * n + np.arange(L * n), m + np.repeat(np.arange(L), n)] = 1.0
+    lhs[R, :m] = 1.0
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(m), np.ones(L)]),
-        lhs=np.array(rows),
-        relations=relations,
-        rhs=np.array(rhs),
+        lhs=lhs,
+        relations=("<=",) * R + ("=",),
+        rhs=np.append(np.repeat([h.offset for h in blocks], n), 1.0),
         sense="max",
     )
     out = solve_lp(lp)
@@ -215,14 +233,11 @@ def maximality_lp(
 
 
 def _poly_equal(a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron) -> bool:
-    if a.vertices and b.vertices:
-        if len(a.vertices) != len(b.vertices):
-            return False
-        return all(
-            max(abs(x - y) for x, y in zip(u, v)) <= VERTEX_MERGE_TOL
-            for u, v in zip(a.vertices, b.vertices)
-        )
-    return poly_subset(a, b, tol=VERTEX_MERGE_TOL) and poly_subset(b, a, tol=VERTEX_MERGE_TOL)
+    """Same vertex list within VERTEX_MERGE_TOL; every tested set has vertices."""
+    return len(a.vertices) == len(b.vertices) and all(
+        max(abs(x - y) for x, y in zip(u, v)) <= VERTEX_MERGE_TOL
+        for u, v in zip(a.vertices, b.vertices)
+    )
 
 
 def check_workers(workers: int | None) -> None:
@@ -343,17 +358,5 @@ def scalarized_game_solve(
     scal = game.for_player(player).entries @ weight.as_array()  # (m, n)
     m, n = scal.shape
     # min u  s.t.  sum_i p_i scal_ij <= u for all j, p in simplex
-    rows = [np.concatenate([scal[:, j], [-1.0]]) for j in range(n)]
-    rows.append(np.concatenate([np.ones(m), [0.0]]))
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(m), [1.0]]),
-        lhs=np.array(rows),
-        relations=("<=",) * n + ("=",),
-        rhs=np.concatenate([np.zeros(n), [1.0]]),
-        sense="min",
-        bounds=((0.0, None),) * m + ((None, None),),
-    )
-    out = solve_lp(lp)
-    if out.status != "optimal":
-        raise NumericalError(f"scalar game LP ended with status {out.status}")
+    out = _mixed_strategy_lp(scal, np.zeros(n, dtype=int), np.zeros(n), np.ones(1), "scalar game")
     return _lp_strategy(out.solution[:m], player)

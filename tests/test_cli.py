@@ -149,6 +149,37 @@ def test_rational_text_is_exact_on_a_1024_grid(game_files, capsys, fmt):
         assert "1/1000" not in out and "4/585" not in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_check_strategy_prints_typed_fractions_exactly(game_files, capsys, fmt):
+    # `check` has no grid; a bound of 1000 printed 1/1024 as 1/1000.
+    argv = ["check", "-i", game_files["two_by_two"], "--strategy", "1/1024,1023/1024",
+            "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        strategy = json.loads(out)["certificate"]["strategy"]
+        assert strategy["rational"] == ["1/1024", "1023/1024"]
+    else:
+        assert out.startswith("strategy (1/1024, 1023/1024) for player I: minimal")
+        assert "1/1000" not in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_check_pair_prints_typed_fractions_exactly(game_files, capsys, fmt):
+    # A bound of 1000 printed 7/1024 as 4/585.
+    argv = ["check", "-i", game_files["two_by_two"], "--pair", "7/1024,1017/1024;1/2,1/2",
+            "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        pair = json.loads(out)["pair"]
+        assert pair["p"]["rational"] == ["7/1024", "1017/1024"]
+        assert pair["q"]["rational"] == ["1/2", "1/2"]
+    else:
+        assert out.startswith("pair p=(7/1024, 1017/1024) q=(1/2, 1/2): ")
+        assert "4/585" not in out
+
+
 def test_solve_csv_lists_both_players(game_files, capsys):
     assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1",
                  "--format", "csv"]) == 0

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from vecgame.errors import InputError
-from vecgame.game import row_generator_matrix, row_strategy
+from vecgame.game import Player, VectorPayoffGame, row_generator_matrix, row_strategy
 from vecgame.lp import (
     FeasibilityResult,
     LinearProgram,
@@ -15,7 +18,9 @@ from vecgame.lp import (
     solve_lp,
 )
 from vecgame.polyhedra import build_lower_set, exposing_normal_at_vertex
-from vecgame.solver import minimality_lp
+from vecgame import poss, solver
+from vecgame.poss import _cut_for_vertex, _support_value, _verify_vertex
+from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
 
 from properties import check_lp_duality, relabeled_game
 
@@ -251,3 +256,251 @@ def test_identical_inputs_give_identical_outcomes():
     assert np.array_equal(first.solution, second.solution)
     assert first.iterations == second.iterations
     assert isinstance(first, LPOutcome)
+
+
+def _highs(c, A, relations, b, bounds, sense="min"):
+    """(status, value) of the LP by scipy's HiGHS; relations mix <=, >= and =."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    rel = np.array(relations)
+    ub = rel != "="
+    flip = np.where(rel[ub] == ">=", -1.0, 1.0)
+    problem = dict(
+        A_ub=A[ub] * flip[:, None] if ub.any() else None,
+        b_ub=b[ub] * flip if ub.any() else None,
+        A_eq=A[~ub] if (~ub).any() else None,
+        b_eq=b[~ub] if (~ub).any() else None,
+        bounds=bounds,
+        method="highs",
+    )
+    # A zero objective settles feasibility, so "infeasible or unbounded" never arises.
+    if linprog(np.zeros(len(c)), **problem).status == 2:
+        return "infeasible", None
+    sign = 1.0 if sense == "min" else -1.0
+    res = linprog(sign * np.asarray(c, dtype=float), **problem)
+    assert res.status in (0, 3), res.message
+    return ("optimal", sign * res.fun) if res.status == 0 else ("unbounded", None)
+
+
+_RELATION = st.sampled_from(("<=", ">=", "="))
+_LOWER = st.one_of(st.none(), st.just(0.0), st.integers(-3, 3).filter(bool).map(float))
+
+
+@st.composite
+def _mixed_lps(draw):
+    """A small integer LP whose first row is an equality repeated as the last row."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    coeff = st.integers(-4, 4).map(float)
+    A = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m))
+    relations = ["="] + [draw(_RELATION) for _ in range(m - 1)]
+    return dict(
+        objective=draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)),
+        lhs=A + [A[0]],
+        relations=tuple(relations + ["="]),
+        rhs=b + [b[0]],
+        sense=draw(st.sampled_from(("min", "max"))),
+        bounds=tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n))),
+    )
+
+
+_INFEASIBLE = dict(
+    objective=[1.0, 0.0], lhs=[[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+    relations=("=", ">=", "="), rhs=[-2.0, 1.0, -2.0], sense="min",
+    bounds=((None, None), (0.0, None)),
+)
+_UNBOUNDED = dict(
+    objective=[1.0, 1.0], lhs=[[1.0, -1.0], [0.0, 1.0], [1.0, -1.0]],
+    relations=("=", ">=", "="), rhs=[-1.0, 2.0, -1.0], sense="max",
+    bounds=((-2.0, None), (None, None)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mixed_lps())
+@example(_INFEASIBLE)
+@example(_UNBOUNDED)
+def test_solve_lp_agrees_with_highs(spec):
+    lp = LinearProgram(**spec)
+    out = solve_lp(lp)
+    status, value = _highs(
+        spec["objective"], spec["lhs"], spec["relations"], spec["rhs"], spec["bounds"],
+        spec["sense"],
+    )
+    assert out.status == status
+    if status == "optimal":
+        assert abs(out.objective_value - value) <= 1e-7 * (1.0 + abs(value))
+        x = out.solution
+        lows = np.array([-np.inf if lo is None else lo for lo, _ in spec["bounds"]])
+        assert np.all(x >= lows - 1e-9)
+        assert out.objective_value == pytest.approx(float(lp.objective @ x), abs=1e-12)
+
+
+def test_the_highs_examples_cover_every_status():
+    statuses = {solve_lp(LinearProgram(**spec)).status for spec in (_INFEASIBLE, _UNBOUNDED)}
+    assert statuses == {"infeasible", "unbounded"}
+
+
+_GAMES = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.integers(-5, 5), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+    ).map(lambda v: np.array(v, dtype=float).reshape(shape))
+)
+
+
+def _simplex_lp(m, extra, A_ub, b_ub, c):
+    """HiGHS value of min c·(p, z) over p in the simplex and free z with A_ub (p, z) <= b_ub."""
+    res = linprog(
+        np.concatenate([np.zeros(m), c]),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=np.concatenate([np.ones(m), np.zeros(extra)])[None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)] * extra,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@settings(deadline=None, max_examples=60)
+@given(_GAMES, st.lists(st.integers(1, 5), min_size=3, max_size=3))
+def test_scalar_game_lp_agrees_with_highs(entries, weights):
+    game = VectorPayoffGame(entries)
+    m, n, k = entries.shape
+    weight = ScalarizationWeight(tuple(float(w) for w in weights[:k]))
+    scal = entries @ weight.as_array()
+    # value: min u  s.t.  sum_i p_i scal_ij <= u  for every column j
+    value = _simplex_lp(m, 1, np.hstack([scal.T, -np.ones((n, 1))]), np.zeros(n), [1.0])
+    p = np.array(scalarized_game_solve(game, weight, Player.ROW).weights)
+    assert (p @ scal).max() == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_GAMES, st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
+def test_image_support_lp_agrees_with_highs(entries, direction):
+    m, n, k = entries.shape
+    d = np.array(direction[:k], dtype=float)
+    if not d.any():
+        d[0] = 1.0
+    # min d·y  s.t.  sum_i p_i g_ijk <= y_k  for every column j and component k
+    A_ub = np.array(
+        [np.concatenate([entries[:, j, kk], -np.eye(k)[kk]]) for j in range(n) for kk in range(k)]
+    )
+    value = _simplex_lp(m, k, A_ub, np.zeros(n * k), d)
+    got = _support_value(entries, d)
+    assert got == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_GAMES, st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_vertex_lift_lp_agrees_with_highs(entries, point):
+    m, n, k = entries.shape
+    v = np.array(point[:k], dtype=float)
+    # min z  s.t.  sum_i p_i g_ijk <= v_k + z  for every column j and component k
+    A_ub = np.array(
+        [np.concatenate([entries[:, j, kk], [-1.0]]) for j in range(n) for kk in range(k)]
+    )
+    value = _simplex_lp(m, 1, A_ub, np.array([v[kk] for j in range(n) for kk in range(k)]), [1.0])
+    lift, witness = _verify_vertex(entries, v)
+    assert lift == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
+    # the witness guarantees v + lift in every component
+    assert np.all(np.einsum("i,ijk->jk", witness, entries) <= v + lift + 1e-9)
+
+
+def _row_built(rows, relations, rhs, objective, sense, bounds=None):
+    return LinearProgram(
+        objective=np.array(objective, dtype=float),
+        lhs=np.array(rows),
+        relations=tuple(relations),
+        rhs=np.array(rhs, dtype=float),
+        sense=sense,
+        bounds=bounds,
+    )
+
+
+def _assert_same_lp(got, want):
+    # bytes, so that a -0.0 where the row-built LP has 0.0 fails too
+    for field in ("objective", "lhs", "rhs"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert getattr(got, field).shape == getattr(want, field).shape, field
+    assert (got.relations, got.sense, got.bounds) == (want.relations, want.sense, want.bounds)
+
+
+def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monkeypatch):
+    """Each LP the package builds in blocks, against the same LP written one row at a time."""
+    seen = []
+
+    def recording_solve_lp(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
+    entries = relabeled_game(2000, (4, 4, 4), 0).entries
+    m, n, k = entries.shape
+    free = (None, None)
+
+    # improvement LP: n rows per halfspace, then n rows per exposing normal with its slack
+    game, p = three_by_three, row_strategy(0.2, 0.3, 0.5)
+    minimality_lp(game, p)
+    target = build_lower_set(row_generator_matrix(game, p))
+    exposing = [exposing_normal_at_vertex(target, v) for v in target.vertices]
+    L = len(exposing)
+    rows, rhs = [], []
+    for ell, h in enumerate([*target.halfspaces, *exposing]):
+        eps = np.zeros(L)
+        if ell >= len(target.halfspaces):
+            eps[ell - len(target.halfspaces)] = 1.0
+        scal = game.entries @ np.array(h.normal)
+        for j in range(game.cols):
+            rows.append(np.concatenate([scal[:, j], eps]))
+            rhs.append(h.offset)
+    rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
+    want = _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
+                      np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")
+    _assert_same_lp(seen.pop(), want)
+
+    # scalar game: one row per column
+    weight = ScalarizationWeight((1.0, 2.0, 3.0, 4.0))
+    scalarized_game_solve(VectorPayoffGame(entries), weight, Player.ROW)
+    scal = entries @ weight.as_array()
+    rows = [np.concatenate([scal[:, j], [-1.0]]) for j in range(n)]
+    rows.append(np.concatenate([np.ones(m), [0.0]]))
+    want = _row_built(rows, ("<=",) * n + ("=",), [0.0] * n + [1.0],
+                      np.concatenate([np.zeros(m), [1.0]]), "min",
+                      ((0.0, None),) * m + (free,))
+    _assert_same_lp(seen.pop(), want)
+
+    # image support and vertex lift: one row per column and component
+    direction, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 2.5, 1.0])
+    _support_value(entries, direction)
+    _verify_vertex(entries, v)
+    support_rows, lift_rows = [], []
+    for j in range(n):
+        for kk in range(k):
+            row = np.zeros(m + k)
+            row[:m] = entries[:, j, kk]
+            row[m + kk] = -1.0
+            support_rows.append(row)
+            lift_rows.append(np.concatenate([entries[:, j, kk], [-1.0]]))
+    support_rows.append(np.concatenate([np.ones(m), np.zeros(k)]))
+    lift_rows.append(np.concatenate([np.ones(m), [0.0]]))
+    relations = ("<=",) * (n * k) + ("=",)
+    lift = _row_built(lift_rows, relations, [v[kk] for j in range(n) for kk in range(k)] + [1.0],
+                      np.concatenate([np.zeros(m), [1.0]]), "min", ((0.0, None),) * m + (free,))
+    support = _row_built(support_rows, relations, [0.0] * (n * k) + [1.0],
+                         np.concatenate([np.zeros(m), direction]), "min",
+                         ((0.0, None),) * m + (free,) * k)
+    _assert_same_lp(seen.pop(), lift)
+    _assert_same_lp(seen.pop(), support)
+
+    # Benson's cut: one row per row strategy
+    _cut_for_vertex(entries, np.full(k, -10.0))
+    rows = [np.concatenate([-entries[i].reshape(n * k), [1.0]]) for i in range(m)]
+    rows.append(np.concatenate([np.ones(n * k), [0.0]]))
+    want = _row_built(rows, ("<=",) * m + ("=",), [0.0] * m + [1.0],
+                      np.concatenate([-np.tile(np.full(k, -10.0), n), [1.0]]), "max",
+                      ((0.0, None),) * (n * k) + (free,))
+    _assert_same_lp(seen.pop(), want)
+    assert not seen
