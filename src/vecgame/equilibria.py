@@ -27,7 +27,7 @@ from .game import (
     expected_payoffs,
     row_generator_matrix,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, solve_batch
 from .polyhedra import (
     ACTIVE_TOL,
     OrientedPayoffPolyhedron,
@@ -145,43 +145,61 @@ def _hrep(poly: OrientedPayoffPolyhedron) -> _HRep:
     return poly.normal_matrix(), poly.offset_vector()
 
 
-def _strong_lp(row_set: _HRep, col_set: _HRep) -> float:
-    """Largest total downward shift t from a point y of V_I(p) with y - t in V_II(q).
+def _strong_lps(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[LinearProgram]:
+    """The separation LP of each pair (V_I(p), V_II(q)): the largest total
+    downward shift t >= 0 from a point y of V_I(p) with y - t in V_II(q).
 
-    Zero means the intersection contains no improvable point.
+    Zero means the intersection contains no improvable point.  The pairs
+    whose sets have the same facet counts (f, g) get their (B, f + g, 2k)
+    constraint matrices, over the variables (y, t), from one block build.
     """
-    (a1, b1), (a2, b2) = row_set, col_set
-    f, k = a1.shape
-    lhs = np.zeros((f + len(a2), 2 * k))  # variables (y, t)
-    lhs[:f, :k] = a1
-    lhs[f:, :k] = a2
-    lhs[f:, k:] = -a2
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(k), np.ones(k)]),
-        lhs=lhs,
-        relations=("<=",) * len(a1) + (">=",) * len(a2),
-        rhs=np.concatenate([b1, b2]),
-        sense="max",
-        bounds=((None, None),) * k + ((0.0, None),) * k,
-    )
-    out = solve_lp(lp)
-    if out.status != "optimal":
-        raise NumericalError(f"strong-equilibrium LP ended with status {out.status}")
-    return float(out.objective_value)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ((a1, _), (a2, _)) in enumerate(pairs):
+        groups.setdefault((len(a1), len(a2)), []).append(i)
+    lps: list = [None] * len(pairs)
+    for (f, g), idx in groups.items():
+        a1, b1 = (np.array(x) for x in zip(*(pairs[i][0] for i in idx)))
+        a2, b2 = (np.array(x) for x in zip(*(pairs[i][1] for i in idx)))
+        k = a1.shape[2]
+        objective = np.concatenate([np.zeros(k), np.ones(k)])
+        lhs = np.block([[a1, np.zeros_like(a1)], [a2, -a2]])
+        rhs = np.concatenate([b1, b2], axis=1)
+        for i, rows, b in zip(idx, lhs, rhs):
+            lps[i] = LinearProgram(
+                objective=objective,
+                lhs=rows,
+                relations=("<=",) * f + (">=",) * g,
+                rhs=b,
+                sense="max",
+                bounds=((None, None),) * k + ((0.0, None),) * k,
+            )
+    return lps
+
+
+def _strong_values(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[float]:
+    """The value of each pair's separation LP, solved as one batch."""
+    values = []
+    for out in solve_batch(_strong_lps(pairs)):
+        if out.status != "optimal":
+            raise NumericalError(f"strong-equilibrium LP ended with status {out.status}")
+        values.append(float(out.objective_value))
+    return values
 
 
 def _strong_lp_value(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> float:
     vi, vii = _payoff_sets(game, p, q)
-    return _strong_lp(_hrep(vi), _hrep(vii))
+    return _strong_values([(_hrep(vi), _hrep(vii))])[0]
 
 
 def _strong_flags(block: Sequence[tuple[_HRep, Sequence[_HRep]]]) -> list[bool]:
     """One pool task: the strong test on the Shapley pairs of a block of rows.
 
     `block` holds, per row strategy p, V_I(p) and the V_II(q) of each q
-    that makes a Shapley pair with it; one flag comes back per pair.
+    that makes a Shapley pair with it; one flag comes back per pair.  The
+    block's LPs are solved as one batch.
     """
-    return [_strong_lp(vi, vii) <= STRONG_TOL for vi, partners in block for vii in partners]
+    pairs = [(vi, vii) for vi, partners in block for vii in partners]
+    return [value <= STRONG_TOL for value in _strong_values(pairs)]
 
 
 def _row_blocks(counts: np.ndarray, parts: int) -> list[np.ndarray]:

@@ -6,12 +6,30 @@ full row reduction per pivot is both fast enough and easy to audit.  The
 solver reports four statuses: "optimal", "infeasible", "unbounded" and
 "iteration_limit"; an exhausted pivot budget is never misreported as
 infeasibility.
+
+`solve_lp` solves one LP and `solve_batch` a list of them, with the same
+outcomes bit for bit.  A batch stacks the LPs that share a constraint
+shape, relations, bounds and sense into one (B, rows + 1, cols + 1)
+tableau and pivots them in lockstep by Dantzig's rule, each step doing
+the floating-point operations of the scalar loop (the layout of Gurung &
+Ray, "Simultaneous solving of batched linear programs on a GPU", ICPE
+2019).  Both share the set-up, the change of phase and the read-off;
+only the pivot loop exists twice.  A tableau whose basis repeats leaves
+the batch and finishes under the scalar loop's Bland rule.
+
+`equilibria` solves its strong-equilibrium LPs in batches: thousands of
+LPs with 5 or 6 rows, whose cost in `solve_lp` was mostly per call.
+The grid minimality LPs, the gap LPs of `poss.verify_gap` and Benson's
+LPs stay on `solve_lp`.  Benson's loop needs each answer before it
+builds the next LP, and the other two build their LPs one at a time
+inside their callers (README, "The simplex").
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,18 +128,19 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     factor = T[:, col].copy()
     factor[row] = 0.0
-    T -= np.outer(factor, T[row])
+    T -= factor[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int]:
+def _run_simplex(
+    T: np.ndarray, basis: list[int], budget: int, bland: bool = False
+) -> tuple[str, int]:
     """Iterate to optimality by Dantzig's rule.  A basis seen before means the
     pivots are cycling, so from then on Bland's rule picks the entering column."""
     ncols = T.shape[1] - 1
     iters = 0
-    bland = False
     seen = {tuple(basis)}
     while iters < budget:
         red = T[-1, :ncols]
@@ -134,18 +153,18 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int
             if enter == -1:
                 return "optimal", iters
         else:
-            enter = int(np.argmin(red))
+            enter = int(red.argmin())
             if red[enter] >= -TOL_OPT:
                 return "optimal", iters
         colvals = T[:-1, enter]
-        rows = np.nonzero(colvals > 1e-9)[0]
+        rows = (colvals > 1e-9).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iters
         ratios = T[rows, -1] / colvals[rows]
         rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+        ties = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))].tolist()
         # among ratio ties pick the smallest basis index (anti-cycling bias)
-        leave = int(ties[int(np.argmin([basis[i] for i in ties]))])
+        leave = min(ties, key=basis.__getitem__)
         _pivot(T, basis, leave, enter)
         rhs = T[:-1, -1]
         np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
@@ -157,111 +176,332 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: int) -> tuple[str, int
     return "iteration_limit", iters
 
 
-def solve_lp(lp: LinearProgram, *, max_iter: int | None = None) -> LPOutcome:
-    """Solve the LP by two-phase dense simplex.
+# A pivot loop runs a stack of tableaux in place and returns each one's
+# status and pivot count.
+_PivotLoop = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[list[str], np.ndarray]]
 
-    The tableau's columns are the structural columns, one per variable
-    with a lower bound (shifted to zero) and two (+x, -x) per free
-    variable, then one slack per inequality row, then one artificial per
-    row that no slack can start in the basis.
+
+def _run_each(
+    T: np.ndarray, basis: np.ndarray, budget: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """`_run_simplex` on each tableau of the stack in turn."""
+    status, iters = [], []
+    for tab, bas, bud in zip(T, basis, budget.tolist()):
+        rows = bas.tolist()
+        st, it = _run_simplex(tab, rows, bud)
+        bas[:] = rows
+        status.append(st)
+        iters.append(it)
+    return status, np.array(iters, dtype=int)
+
+
+def _pivot_stack(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """`_pivot` on every tableau of the stack, tableau t at (rows[t], cols[t])."""
+    at = np.arange(len(T))
+    T[at, rows] /= T[at, rows, cols][:, None]
+    factor = T[at, :, cols]
+    factor[at, rows] = 0.0
+    T -= factor[:, :, None] * T[at, rows][:, None, :]
+    T[at, :, cols] = 0.0
+    T[at, rows, cols] = 1.0
+    basis[at, rows] = cols
+
+
+_STATUSES = ("optimal", "unbounded", "iteration_limit")
+
+
+def _run_lockstep(
+    T: np.ndarray, basis: np.ndarray, budget: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Dantzig's rule on every tableau of the stack at once.
+
+    Each step makes, on every tableau still running, the pivot that
+    `_run_simplex` would make next, by the same floating-point operations.
+    A tableau whose basis repeats leaves the stack and finishes under
+    `_run_simplex`'s Bland rule.  The running tableaux are copied out of
+    `T` once one of them finishes, and each is written back when it does.
     """
-    m = lp.num_constraints
-    c0 = lp.objective if lp.sense == "min" else -lp.objective
+    m, ncols = T.shape[1] - 1, T.shape[2] - 1
+    status = [""] * len(T)
+    iters = np.zeros(len(T), dtype=int)
+    live, Tw, bw, seen = np.arange(len(T)), T, basis, basis[:, None, :].copy()
+
+    def finish(done: np.ndarray) -> None:
+        nonlocal live, Tw, bw, seen
+        if Tw is not T:
+            T[live[done]] = Tw[done]
+            basis[live[done]] = bw[done]
+        keep = ~done
+        live, Tw, bw, seen = live[keep], Tw[keep], bw[keep], seen[keep]
+
+    while live.size:
+        red = Tw[:, -1, :ncols]
+        enter = red.argmin(axis=1)
+        at = np.arange(live.size)
+        col = Tw[at, :m, enter]
+        pos = col > 1e-9
+        # An index into _STATUSES, tested in _run_simplex's order, or -1 to pivot.
+        code = np.where(
+            iters[live] >= budget[live],
+            2,
+            np.where(red[at, enter] >= -TOL_OPT, 0, np.where(pos.any(axis=1), -1, 1)),
+        )
+        done = code >= 0
+        if done.any():
+            for b, c in zip(live[done].tolist(), code[done].tolist()):
+                status[b] = _STATUSES[c]
+            enter, col, pos = enter[~done], col[~done], pos[~done]
+            finish(done)
+            if not live.size:
+                break
+        rhs = Tw[:, :m, -1]
+        ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=pos)
+        rmin = ratios.min(axis=1)
+        ties = pos & (ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None])
+        # among ratio ties pick the smallest basis index, as _run_simplex does
+        leave = np.where(ties, bw, ncols).argmin(axis=1)
+        _pivot_stack(Tw, bw, leave, enter)
+        np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
+        iters[live] += 1
+        repeated = (seen == bw[:, None, :]).all(axis=2).any(axis=1)
+        seen = np.concatenate([seen, bw[:, None, :]], axis=1)
+        if repeated.any():
+            for j in np.flatnonzero(repeated).tolist():
+                b = live[j]
+                rows = bw[j].tolist()
+                status[b], it = _run_simplex(Tw[j], rows, int(budget[b] - iters[b]), bland=True)
+                bw[j] = rows
+                iters[b] += it
+            finish(repeated)
+    return status, iters
+
+
+@dataclass
+class _Tableaux:
+    """LPs of one constraint shape, relations, bounds and sense, stacked as
+    phase-1 tableaux.
+
+    The columns are the structural columns, one per variable with a lower
+    bound (shifted to zero) and two (+x, -x) per free variable, then one
+    slack per inequality row, then one artificial per row that no slack
+    can start in the basis.  LP b's artificials fill the first nart[b]
+    slots after column `nfull`; the slots after them stay zero columns.
+    """
+
+    T: np.ndarray  # (B, m + 1, nfull + max nart + 1): the rows, then the phase-1 objective
+    basis: np.ndarray  # (B, m): the basic column of each row
+    budget: np.ndarray  # (B,): each LP's pivot budget
+    cost: np.ndarray  # (B, nfull + 1): each column's phase-2 cost (minimizing), then a zero
+    rhs_max: np.ndarray  # (B,): the largest rhs, which scales the infeasibility test
+    nfull: int  # structural and slack columns
+    # Variable j is x[plus[j]] - x[minus[j]] over the column values x
+    # followed by one slot and then by -lo of each variable (-0.0 if free):
+    # minus[j] names a free variable's second column, or the slot holding -lo.
+    plus: np.ndarray
+    minus: np.ndarray
+    neg_lows: np.ndarray
+
+
+def _price_out(T: np.ndarray, mask: np.ndarray, coef: np.ndarray | None = None) -> None:
+    """For each tableau t and each row i in turn where mask[t, i], subtract
+    T[t, i], or coef[t, i] * T[t, i] when `coef` is given, from the last row.
+
+    `np.subtract.accumulate` subtracts the terms one at a time in row
+    order, as a loop over the rows would, and x - 0.0 is x, so a row left
+    out of one tableau costs it nothing.
+    """
+    rows = np.flatnonzero(mask.any(axis=0))
+    if not rows.size:
+        return
+    terms = T[:, rows] if coef is None else coef[:, rows, None] * T[:, rows]
+    skip = ~mask[:, rows]
+    if skip.any():
+        terms[skip] = 0.0
+    T[:, -1] = np.subtract.accumulate(np.concatenate([T[:, -1:], terms], axis=1), axis=1)[:, -1]
+
+
+def _setup(lps: Sequence[LinearProgram], max_iter: int | None) -> _Tableaux:
+    lp0 = lps[0]
+    m = lp0.num_constraints
+    lhs = np.array([lp.lhs for lp in lps])
+    rhs = np.array([lp.rhs for lp in lps])
+    c0 = np.array([lp.objective for lp in lps])
+    if lp0.sense == "max":
+        c0 = -c0
     # Structural column -> source variable and the sign it carries; a nonzero
     # lower bound is shifted into the rhs.
     src: list[int] = []
     sign: list[float] = []
-    rhs = lp.rhs
-    for j, (lo, _) in enumerate(lp.bounds):
+    plus: list[int] = []
+    minus: list[int] = []
+    for j, (lo, _) in enumerate(lp0.bounds):
+        plus.append(len(src))
         src.append(j)
         sign.append(1.0)
         if lo is None:
+            minus.append(len(src))
             src.append(j)
             sign.append(-1.0)
-        elif lo != 0.0:
-            rhs = rhs - lp.lhs[:, j] * lo
+        else:
+            minus.append(-1)
+            if lo != 0.0:
+                rhs = rhs - lhs[:, :, j] * lo
     n_core = len(src)
+    src_arr, sign_arr = np.array(src, dtype=int), np.array(sign)
     flipped = rhs < 0
     rhs = np.abs(rhs)
 
     # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
     # basis unless the row was flipped against it; every other row starts
     # with an artificial.
-    ineq = [i for i, r in enumerate(lp.relations) if r != "="]
-    slack = [1.0 if lp.relations[i] == "<=" else -1.0 for i in ineq]
-    nfull = n_core + len(ineq)
-    basis = [-1] * m
-    for k, (i, flip) in enumerate(zip(ineq, flipped[ineq].tolist())):
-        if (slack[k] > 0) != flip:
-            basis[i] = n_core + k
-    art = [i for i in range(m) if basis[i] < 0]
-    nart = len(art)
-    for k, i in enumerate(art):
-        basis[i] = nfull + k
-
+    up = np.array([r == "<=" for r in lp0.relations], dtype=bool)
+    eq = np.array([r == "=" for r in lp0.relations], dtype=bool)
+    ineq = np.flatnonzero(~eq)
+    nfull = n_core + ineq.size
+    slack_col = np.full(m, -1)
+    slack_col[ineq] = np.arange(n_core, nfull)
+    art = eq | (up == flipped)
+    nart = art.sum(axis=1)
+    basis = np.where(art, np.cumsum(art, axis=1) + (nfull - 1), slack_col)
     if max_iter is None:
-        max_iter = 1000 + 50 * (m + nfull + nart)
+        budget = 1000 + 50 * (m + nfull + nart)
+    else:
+        budget = np.full(len(lps), max_iter)
 
-    sign_arr = np.array(sign)
-    T = np.zeros((m + 1, nfull + nart + 1))
-    T[:m, :n_core] = lp.lhs[:, src] * sign_arr
-    T[ineq, range(n_core, nfull)] = slack
-    T[:m][flipped, :nfull] *= -1.0
-    T[art, range(nfull, nfull + nart)] = 1.0
-    T[:m, -1] = rhs
+    width = nfull + int(nart.max())
+    T = np.zeros((len(lps), m + 1, width + 1))
+    T[:, :m, :n_core] = lhs[:, :, src_arr] * sign_arr
+    T[:, ineq, slack_col[ineq]] = np.where(up[ineq], 1.0, -1.0)
+    T[:, :m][flipped, :nfull] *= -1.0
+    T[:, :m, nfull:width] = basis[:, :, None] == np.arange(nfull, width)
+    T[:, :m, -1] = rhs
+    T[:, -1, nfull:width] = np.arange(nfull, width) < (nfull + nart)[:, None]
+    _price_out(T, art)
 
-    iters_used = 0
-    if nart:
-        T[-1, nfull : nfull + nart] = 1.0
-        for i in art:
-            T[-1] -= T[i]
-        status, it1 = _run_simplex(T, basis, max_iter)
-        iters_used += it1
-        if status == "iteration_limit":
-            return LPOutcome("iteration_limit", None, None, iters_used)
-        if status == "unbounded":
+    cost = np.zeros((len(lps), nfull + 1))
+    cost[:, :n_core] = c0[:, src_arr] * sign_arr
+    minus_arr = np.array(minus, dtype=int)
+    minus_arr[minus_arr < 0] = nfull + 1 + np.flatnonzero(minus_arr < 0)
+    neg_lows = np.array([-0.0 if lo is None else -lo for lo, _ in lp0.bounds])
+    rhs_max = rhs.max(axis=1, initial=0.0)
+    return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows)
+
+
+def _pivot_out_artificials(T: np.ndarray, basis: np.ndarray, nfull: int) -> None:
+    """Pivot the leftover artificials out of one feasible phase-1 tableau.  A
+    row whose only nonzeros lie in basic columns is redundant and keeps its
+    artificial."""
+    rows = basis.tolist()
+    basic_set = set(rows)
+    for i in range(len(rows)):
+        if rows[i] >= nfull:
+            row = T[i, :nfull]
+            for c in np.nonzero(np.abs(row) > 1e-9)[0]:
+                if int(c) not in basic_set:
+                    basic_set.discard(rows[i])
+                    _pivot(T, rows, i, int(c))
+                    basic_set.add(int(c))
+                    break
+    basis[:] = rows
+
+
+def _phase2(
+    T: np.ndarray, basis: np.ndarray, cost: np.ndarray, nfull: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-2 tableaux and bases that follow feasible phase-1 tableaux.
+
+    The artificial columns are dropped.  A redundant row becomes a zero row
+    whose basic column is `nfull`, a slot past the last column: it never
+    passes a ratio test and every pivot leaves it zero.  The cost row is
+    priced out by the rows with a basic cost, in row order.
+    """
+    T2 = np.concatenate([T[:, :, :nfull], T[:, :, -1:]], axis=2)
+    T2[:, -1] = cost
+    redundant = basis >= nfull
+    if redundant.any():
+        T2[:, :-1][redundant] = 0.0
+        basis = np.where(redundant, nfull, basis)
+    coef = cost[np.arange(len(T))[:, None], basis]
+    _price_out(T2, coef != 0.0, coef)
+    return T2, basis
+
+
+def _read_off(tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray) -> list[np.ndarray]:
+    """The solutions of LPs whose phase-2 tableaux ended optimal."""
+    x = np.zeros((len(T2), tab.nfull + 1 + tab.neg_lows.size))
+    x[:, tab.nfull + 1 :] = tab.neg_lows
+    x[np.arange(len(T2))[:, None], basis2] = T2[:, :-1, -1]
+    # Each solution gets its own buffer: a dot product's rounding can
+    # depend on where its operands start in memory.
+    return [row.copy() for row in x[:, tab.plus] - x[:, tab.minus]]
+
+
+def _solve_group(
+    lps: Sequence[LinearProgram], max_iter: int | None, run: _PivotLoop
+) -> list[LPOutcome]:
+    """The two-phase simplex on LPs of one constraint shape, relations, bounds
+    and sense, with `run` as the pivot loop of both phases."""
+    tab = _setup(lps, max_iter)
+    outcomes: list[LPOutcome | None] = [None] * len(lps)
+    go = list(range(len(lps)))
+    iters = np.zeros(len(lps), dtype=int)
+    T, basis, budget, cost = tab.T, tab.basis, tab.budget, tab.cost
+    if T.shape[2] > tab.nfull + 1:  # some LP starts with an artificial
+        status, iters = run(T, basis, budget)
+        if "unbounded" in status:
             raise NumericalError("phase-1 simplex reported unbounded")
-        phase1_value = -T[-1, -1]
-        if phase1_value > TOL_FEAS * (1.0 + float(rhs.max(initial=0.0))):
-            return LPOutcome("infeasible", None, None, iters_used)
-        # Pivot leftover artificials out; rows that cannot pivot are redundant.
-        basic_set = set(basis)
-        for i in range(m):
-            if basis[i] >= nfull:
-                row = T[i, :nfull]
-                for c in np.nonzero(np.abs(row) > 1e-9)[0]:
-                    if int(c) not in basic_set:
-                        basic_set.discard(basis[i])
-                        _pivot(T, basis, i, int(c))
-                        basic_set.add(int(c))
-                        break
+        limits = (TOL_FEAS * (1.0 + tab.rhs_max)).tolist()
+        for b, (st, value, limit) in enumerate(zip(status, (-T[:, -1, -1]).tolist(), limits)):
+            if st != "optimal" or value > limit:
+                st = "infeasible" if st == "optimal" else st
+                outcomes[b] = LPOutcome(st, None, None, int(iters[b]))
+        go = [b for b, out in enumerate(outcomes) if out is None]
+        if len(go) < len(lps):
+            T, basis, budget, cost, iters = T[go], basis[go], budget[go], cost[go], iters[go]
+        for b in np.flatnonzero((basis >= tab.nfull).any(axis=1)).tolist():
+            _pivot_out_artificials(T[b], basis[b], tab.nfull)
+    if not go:
+        return outcomes
+    T2, basis2 = _phase2(T, basis, cost, tab.nfull)
+    status, it2 = run(T2, basis2, budget - iters)
+    iters = (iters + it2).tolist()
+    ok = [k for k, st in enumerate(status) if st == "optimal"]
+    for b, st, it in zip(go, status, iters):
+        if st != "optimal":
+            outcomes[b] = LPOutcome(st, None, None, it)
+    if len(ok) < len(go):
+        T2, basis2 = T2[ok], basis2[ok]
+    for k, x in zip(ok, _read_off(tab, T2, basis2)):
+        lp = lps[go[k]]
+        outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k])
+    return outcomes
 
-    keep = [i for i in range(m) if basis[i] < nfull]
-    T2 = np.zeros((len(keep) + 1, nfull + 1))
-    T2[:-1, :nfull] = T[keep, :nfull]
-    T2[:-1, -1] = T[keep, -1]
-    basis2 = [basis[i] for i in keep]
-    cvec = np.zeros(nfull)
-    cvec[:n_core] = c0[src] * sign_arr
-    T2[-1, :nfull] = cvec
-    for i, col in enumerate(basis2):
-        coef = cvec[col]
-        if coef != 0.0:
-            T2[-1] -= coef * T2[i]
 
-    status, it2 = _run_simplex(T2, basis2, max_iter - iters_used)
-    iters_used += it2
-    if status != "optimal":
-        return LPOutcome(status, None, None, iters_used)
+def solve_lp(lp: LinearProgram, *, max_iter: int | None = None) -> LPOutcome:
+    """Solve the LP by two-phase dense simplex (see `_Tableaux` for the columns).
 
-    xprime = np.zeros(nfull)
-    xprime[basis2] = T2[:-1, -1]
-    x = xprime[:n_core][sign_arr > 0]
-    free = np.array([lo is None for lo, _ in lp.bounds], dtype=bool)
-    x[free] -= xprime[:n_core][sign_arr < 0]
-    x[~free] += np.array([lo for lo, _ in lp.bounds if lo is not None])
-    value = float(lp.objective @ x)
-    return LPOutcome("optimal", value, x, iters_used)
+    Phase 1 minimizes the sum of the artificials; an artificial still basic
+    after it is pivoted out, or its row dropped as redundant.
+    """
+    return _solve_group([lp], max_iter, _run_each)[0]
+
+
+def solve_batch(lps: Sequence[LinearProgram], *, max_iter: int | None = None) -> list[LPOutcome]:
+    """`[solve_lp(lp, max_iter=max_iter) for lp in lps]`, bit for bit.
+
+    LPs of one constraint shape, relations, bounds and sense share one
+    stacked tableau and pivot in lockstep (`_run_lockstep`).  An error in
+    any LP raises out of the whole batch.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, lp in enumerate(lps):
+        groups.setdefault((lp.lhs.shape, lp.relations, lp.bounds, lp.sense), []).append(i)
+    outcomes: list[LPOutcome | None] = [None] * len(lps)
+    for idx in groups.values():
+        run = _run_lockstep if len(idx) > 1 else _run_each
+        for i, out in zip(idx, _solve_group([lps[i] for i in idx], max_iter, run)):
+            outcomes[i] = out
+    return outcomes
 
 
 def check_feasibility(lp: LinearProgram, *, max_iter: int | None = None) -> FeasibilityResult:

@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecgame import equilibria
+from vecgame import lp as lp_module
 from vecgame.equilibria import (
+    STRONG_TOL,
     Classification,
     _boundary_mask,
+    _hrep,
     _on_pareto_boundary,
     _row_blocks,
     _strong_lp_value,
+    _strong_lps,
     classify_pair,
     classify_pairs,
     find_strong_seed,
@@ -35,7 +40,7 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
-from vecgame.lp import LinearProgram, solve_lp
+from vecgame.lp import LinearProgram, solve_batch, solve_lp
 from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset
 from vecgame.solver import StrategyFront, classify_grid
 
@@ -308,11 +313,103 @@ def test_batched_records_equal_single_pair_records_on_random_games(shape, seed):
     _assert_batch_matches_single_pairs(game, classify_pairs(game, row, col))
 
 
-def test_pool_records_equal_serial_records(three_by_three, three_by_three_fronts):
-    row, col = three_by_three_fronts
-    assert classify_pairs(three_by_three, row, col, workers=2) == classify_pairs(
-        three_by_three, row, col
+@pytest.fixture(scope="module")
+def corley_fine_fronts(corley):
+    return (
+        classify_grid(corley, Player.ROW, Fraction(1, 20)),
+        classify_grid(corley, Player.COL, Fraction(1, 20)),
     )
+
+
+@pytest.fixture(scope="module")
+def corley_fine_records(corley, corley_fine_fronts):
+    return classify_pairs(corley, *corley_fine_fronts)
+
+
+# A game, its fronts and their records (classified serially), as fixture names.
+_GAMES_WITH_RECORDS = [
+    pytest.param("corley", "corley_fine_fronts", "corley_fine_records", id="corley-1/20"),
+    pytest.param(
+        "three_by_three", "three_by_three_fronts", "three_by_three_records", id="three_by_three"
+    ),
+]
+
+
+@pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
+def test_batched_strong_flags_equal_the_single_pair_lp(request, name, fronts, records):
+    game = request.getfixturevalue(name)
+    records = request.getfixturevalue(records)
+    shapley = [r for r in records if r.shapley]
+    assert any(r.strong for r in shapley) and not all(r.strong for r in shapley)
+    for r in shapley:
+        assert r.strong == (_strong_lp_value(game, r.p, r.q) <= STRONG_TOL)
+    assert not any(r.strong for r in records if not r.shapley)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2])
+@pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
+def test_records_do_not_depend_on_workers(request, name, fronts, records, workers):
+    game = request.getfixturevalue(name)
+    row, col = request.getfixturevalue(fronts)
+    assert classify_pairs(game, row, col, workers=workers) == request.getfixturevalue(records)
+
+
+def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, monkeypatch):
+    batches = []
+
+    def recording_solve_batch(lps):
+        batches.append(lps)
+        return solve_batch(lps)
+
+    monkeypatch.setattr(equilibria, "solve_batch", recording_solve_batch)
+    classify_pairs(corley, *corley_fine_fronts)
+    (lps,) = batches
+    want = [solve_lp(lp) for lp in lps]
+    blands = []
+    scalar_loop = lp_module._run_simplex
+
+    def spy(T, basis, budget, bland=False):
+        blands.append(bland)
+        return scalar_loop(T, basis, budget, bland)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", spy)
+    got = solve_batch(lps)
+    assert not any(blands)  # no LP leaves the lockstep loop for Bland's rule
+    for g, w in zip(got, want, strict=True):
+        assert g.status == w.status == "optimal" and g.iterations == w.iterations
+        assert np.float64(g.objective_value).tobytes() == np.float64(w.objective_value).tobytes()
+        assert g.solution.tobytes() == w.solution.tobytes()
+
+
+def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_three):
+    sets = [
+        build_lower_set(row_generator_matrix(three_by_three, row_strategy(*p)))
+        for p in ((1, 0, 0), (0.2, 0.3, 0.5), (0.5, 0.5, 0))
+    ]
+    sets += [
+        build_upper_set(col_generator_matrix(three_by_three, col_strategy(*q)))
+        for q in ((0, 1, 0), (0.25, 0.25, 0.5), (0.6, 0, 0.4))
+    ]
+    pairs = [(_hrep(vi), _hrep(vii)) for vi in sets[:3] for vii in sets[3:]]
+    assert len({(len(a1), len(a2)) for (a1, _), (a2, _) in pairs}) > 1
+    for ((a1, b1), (a2, b2)), got in zip(pairs, _strong_lps(pairs), strict=True):
+        f, k = a1.shape
+        lhs = np.zeros((f + len(a2), 2 * k))
+        lhs[:f, :k] = a1
+        lhs[f:, :k] = a2
+        lhs[f:, k:] = -a2
+        want = LinearProgram(
+            objective=np.concatenate([np.zeros(k), np.ones(k)]),
+            lhs=lhs,
+            relations=("<=",) * f + (">=",) * len(a2),
+            rhs=np.concatenate([b1, b2]),
+            sense="max",
+            bounds=((None, None),) * k + ((0.0, None),) * k,
+        )
+        for field in ("objective", "lhs", "rhs"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert getattr(got, field).shape == getattr(want, field).shape, field
+        assert (got.relations, got.sense, got.bounds) == (want.relations, want.sense, want.bounds)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

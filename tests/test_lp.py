@@ -10,11 +10,13 @@ from scipy.optimize import linprog
 
 from vecgame.errors import InputError
 from vecgame.game import Player, VectorPayoffGame, row_generator_matrix, row_strategy
+from vecgame import lp as lp_module
 from vecgame.lp import (
     FeasibilityResult,
     LinearProgram,
     LPOutcome,
     check_feasibility,
+    solve_batch,
     solve_lp,
 )
 from vecgame.polyhedra import build_lower_set, exposing_normal_at_vertex
@@ -276,7 +278,9 @@ def _highs(c, A, relations, b, bounds, sense="min"):
     if linprog(np.zeros(len(c)), **problem).status == 2:
         return "infeasible", None
     sign = 1.0 if sense == "min" else -1.0
-    res = linprog(sign * np.asarray(c, dtype=float), **problem)
+    # HiGHS's presolve can call an unbounded LP infeasible (it only knows the LP
+    # is "infeasible or unbounded"), so the objective is solved without it.
+    res = linprog(sign * np.asarray(c, dtype=float), options={"presolve": False}, **problem)
     assert res.status in (0, 3), res.message
     return ("optimal", sign * res.fun) if res.status == 0 else ("unbounded", None)
 
@@ -315,11 +319,20 @@ _UNBOUNDED = dict(
     bounds=((-2.0, None), (None, None)),
 )
 
+# Unbounded (x2 falls without bound), but HiGHS's presolve reports it infeasible.
+_PRESOLVE_UNBOUNDED = dict(
+    objective=[0.0, 1.0, 0.0, 0.0],
+    lhs=[[0.0] * 4, [1.0, 1.0, 0.0, 0.0], [-1.0, -1.0, -1.0, 0.0], [0.0, -1.0, -1.0, 0.0], [0.0] * 4],
+    relations=("=", "<=", "<=", ">=", "="), rhs=[0.0, 0.0, 1.0, 0.0, 0.0], sense="min",
+    bounds=((None, None), (None, None), (0.0, None), (None, None)),
+)
+
 
 @settings(deadline=None, max_examples=300)
 @given(_mixed_lps())
 @example(_INFEASIBLE)
 @example(_UNBOUNDED)
+@example(_PRESOLVE_UNBOUNDED)
 def test_solve_lp_agrees_with_highs(spec):
     lp = LinearProgram(**spec)
     out = solve_lp(lp)
@@ -334,11 +347,147 @@ def test_solve_lp_agrees_with_highs(spec):
         lows = np.array([-np.inf if lo is None else lo for lo, _ in spec["bounds"]])
         assert np.all(x >= lows - 1e-9)
         assert out.objective_value == pytest.approx(float(lp.objective @ x), abs=1e-12)
+    for got in solve_batch([lp, lp, lp]):
+        _assert_same_outcome(got, out)
 
 
 def test_the_highs_examples_cover_every_status():
     statuses = {solve_lp(LinearProgram(**spec)).status for spec in (_INFEASIBLE, _UNBOUNDED)}
     assert statuses == {"infeasible", "unbounded"}
+
+
+def _assert_same_outcome(got, want):
+    """Equal status and pivot count, and the same bytes of value and solution."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if want.status != "optimal":
+        assert got.objective_value is None and got.solution is None
+        return
+    assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    assert got.solution.shape == want.solution.shape
+    assert got.solution.tobytes() == want.solution.tobytes()
+
+
+@st.composite
+def _lp_stacks(draw):
+    """A shuffled stack of small integer LPs, drawn a few at a time from one
+    constraint shape, relations, bounds and sense, so that they share a
+    tableau in `solve_batch`; a template may repeat its first row last."""
+    lps = []
+    coeff = st.integers(-4, 4).map(float)
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 4))
+        relations = tuple(draw(st.lists(_RELATION, min_size=m, max_size=m)))
+        bounds = tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n)))
+        sense = draw(st.sampled_from(("min", "max")))
+        repeat = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 5))):
+            A = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)]
+            b = draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m))
+            lps.append(
+                LinearProgram(
+                    objective=draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)),
+                    lhs=A + A[:1] if repeat else A,
+                    relations=relations + relations[:1] if repeat else relations,
+                    rhs=b + b[:1] if repeat else b,
+                    sense=sense,
+                    bounds=bounds,
+                )
+            )
+    return draw(st.permutations(lps))
+
+
+# Two LPs of each status, the two of a status sharing one tableau.
+_STATUS_STACK = [
+    LinearProgram(**_INFEASIBLE),
+    LinearProgram(**dict(_INFEASIBLE, rhs=[-3.0, 2.0, -3.0])),
+    LinearProgram(**_UNBOUNDED),
+    LinearProgram(**dict(_UNBOUNDED, rhs=[1.0, 0.0, 1.0])),
+    LinearProgram(**dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])),
+    LinearProgram(**dict(_INFEASIBLE, rhs=[3.0, -1.0, 3.0])),
+]
+
+
+def test_the_status_stack_covers_every_status():
+    statuses = [out.status for out in solve_batch(_STATUS_STACK)]
+    assert statuses == ["infeasible"] * 2 + ["unbounded"] * 2 + ["optimal"] * 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lp_stacks())
+@example(_STATUS_STACK)
+def test_solve_batch_equals_solve_lp_bit_for_bit(lps):
+    for got, want in zip(solve_batch(lps), [solve_lp(lp) for lp in lps], strict=True):
+        _assert_same_outcome(got, want)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to the lp module's function `name`."""
+    calls = []
+    original = getattr(lp_module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, name, spy)
+    return calls
+
+
+def test_a_cycling_lp_finishes_under_blands_rule_inside_a_batch(monkeypatch):
+    lps = []
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
+    for variant, counts in CYCLING_POINTS:
+        game = relabeled_game(1000, (4, 4, 3), variant)
+        minimality_lp(game, row_strategy(*(c / 16 for c in counts)))
+    want = [solve_lp(lp) for lp in lps]
+    runs = _spy(monkeypatch, "_run_simplex")
+    got = solve_batch(lps)
+    # each LP of the one shared tableau leaves the lockstep loop for Bland's rule
+    assert [kwargs.get("bland") for _, kwargs in runs] == [True] * 3
+    for g, w in zip(got, want, strict=True):
+        _assert_same_outcome(g, w)
+
+
+def test_a_leftover_artificial_is_handled_inside_a_batch(monkeypatch):
+    # The equality x + y + z = b appears twice, so phase 1 ends with one of
+    # its two artificials still basic, on a row that has become redundant.
+    lps = [
+        LinearProgram(
+            objective=[1.0, -2.0, 0.5],
+            lhs=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
+            relations=("=", "<=", "="),
+            rhs=[b, c, b],
+            sense=sense,
+        )
+        for sense in ("min", "max")
+        for b, c in ((1.0, 0.5), (2.0, -1.0), (3.0, 1.0))
+    ]
+    want = [solve_lp(lp) for lp in lps]
+    pivot_outs = _spy(monkeypatch, "_pivot_out_artificials")
+    runs = _spy(monkeypatch, "_run_simplex")
+    got = solve_batch(lps)
+    assert len(pivot_outs) == len(lps) and not runs
+    for g, w in zip(got, want, strict=True):
+        _assert_same_outcome(g, w)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_an_iteration_limit_inside_a_batch(max_iter):
+    lps = [
+        LinearProgram(
+            objective=[1.0, 1.0, 1.0],
+            lhs=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]],
+            relations=(">=", "<=", ">="),
+            rhs=rhs,
+            sense="max",
+        )
+        for rhs in ([1.0, 3.0, 1.0], [0.0, 2.0, 4.0], [2.0, 5.0, 2.0], [-1.0, 1.0, 3.0])
+    ]
+    want = [solve_lp(lp, max_iter=max_iter) for lp in lps]
+    assert "iteration_limit" in {out.status for out in want}
+    for g, w in zip(solve_batch(lps, max_iter=max_iter), want, strict=True):
+        _assert_same_outcome(g, w)
 
 
 _GAMES = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
