@@ -31,7 +31,6 @@ from .game import (
 )
 from .lp import FeasibilityResult, LinearProgram, LPOutcome, check_feasibility, solve_lp
 from .polyhedra import (
-    Halfspace,
     OrientedPayoffPolyhedron,
     build_lower_set,
     build_upper_set,
@@ -67,7 +66,6 @@ __all__ = [
     "EquilibriumRecord",
     "FeasibilityResult",
     "GapReport",
-    "Halfspace",
     "ImprovementResult",
     "InputError",
     "LPOutcome",

@@ -496,31 +496,14 @@ def _cmd_plot(config: RunConfig) -> str:
         shapes.append(("V_I(p)", build_lower_set(row_generator_matrix(game, p))))
     if q is not None:
         shapes.append(("V_II(q)", build_upper_set(col_generator_matrix(game, q))))
-    image_row = compute_security_image(game, Player.ROW)
-    image_col = compute_security_image(game, Player.COL)
-    geometry = [
-        {
-            "label": label,
-            "orientation": poly.orientation,
-            "vertices": [list(v) for v in poly.vertices],
-        }
-        for label, poly in shapes
-    ]
-    geometry.append(
-        {
-            "label": "W_I",
-            "orientation": image_row.orientation,
-            "vertices": [list(v) for v in image_row.vertices],
-        }
+    shapes.append(("W_I", compute_security_image(game, Player.ROW).polyhedron))
+    shapes.append(("W_II", compute_security_image(game, Player.COL).polyhedron))
+    return render_json(
+        [
+            {"label": label, "orientation": poly.orientation, "vertices": poly.vertices.tolist()}
+            for label, poly in shapes
+        ]
     )
-    geometry.append(
-        {
-            "label": "W_II",
-            "orientation": image_col.orientation,
-            "vertices": [list(v) for v in image_col.vertices],
-        }
-    )
-    return render_json(geometry)
 
 
 def _cmd_random(config: RunConfig) -> str:
@@ -578,34 +561,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, game_input=True):
+    def common(p, formats=(), tol=True, game_input=True):
         if game_input:
             p.add_argument("--input", "-i", required=True, help="game JSON file")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "table"), default="json")
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=formats, default="json")
         p.add_argument("--output", "-o", default=None, help="write report here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-7)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-7)
 
     for name in ("solve", "equilibria", "poss"):
         p = sub.add_parser(name)
-        common(p)
+        common(p, formats=("json", "csv", "table") if name != "poss" else ())
         p.add_argument("--step-row", default="1/10", help="grid step for player I, a fraction 1/N")
         p.add_argument("--step-col", default=None, help="grid step for player II (default: step-row)")
         p.add_argument("--workers", type=int, default=os.cpu_count(), help="parallel processes")
 
     p = sub.add_parser("check")
-    common(p)
+    common(p, formats=("json", "table"))
     p.add_argument("--player", choices=("row", "col"), default="row")
     p.add_argument("--strategy", default=None, help="comma-separated weights, fractions allowed")
     p.add_argument("--pair", default=None, help="'p1,p2,...;q1,q2,...'")
 
     p = sub.add_parser("plot")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--player", choices=("row", "col"), default="row")
     p.add_argument("--strategy", default=None)
     p.add_argument("--pair", default=None)
 
     p = sub.add_parser("random")
-    common(p, game_input=False)
+    common(p, tol=False, game_input=False)
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=3)
     p.add_argument("--dim", type=int, default=2)
@@ -614,7 +599,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, fmt=args.fmt, tol=args.tol, output=args.output)
+    # a subcommand without --format or --tol keeps RunConfig's default
+    offered = {name: getattr(args, name) for name in ("fmt", "tol") if hasattr(args, name)}
+    config = RunConfig(command=args.command, output=args.output, **offered)
     config.input = getattr(args, "input", None)
     if hasattr(args, "step_row"):
         config.step_row = _parse_step(args.step_row)

@@ -29,8 +29,8 @@ from .game import (
 )
 from .lp import LinearProgram, solve_batch
 from .polyhedra import (
-    ACTIVE_TOL,
     OrientedPayoffPolyhedron,
+    active_normal_sums,
     build_lower_set,
     build_upper_set,
     negated_set,
@@ -94,14 +94,12 @@ def _classification(p_min: bool, q_max: bool, shapley: bool, strong: bool) -> Cl
 
 def _boundary_mask(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.ndarray:
     """Per row of the (N, K) array `points`: whether the facets of `poly`
-    active there (within ACTIVE_TOL) sum to a strictly positive normal.
+    active there sum to a strictly positive normal (`active_normal_sums`).
 
     Such a point is Pareto-maximal in a lower set and Pareto-minimal in an
     upper set.  A point with no active facet sums to the zero normal.
     """
-    normals = poly.normal_matrix()
-    active = np.abs(points @ normals.T - poly.offset_vector()) <= ACTIVE_TOL
-    return np.all(active @ normals > POSITIVE_TOL, axis=1)
+    return np.all(active_normal_sums(poly, points) > POSITIVE_TOL, axis=1)
 
 
 def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bool:
@@ -137,15 +135,11 @@ def is_shapley_equilibrium(game: VectorPayoffGame, p: MixedStrategy, q: MixedStr
     return _on_pareto_boundary(vi, point) and _on_pareto_boundary(vii, point)
 
 
-# A payoff set as the arrays (A, b) of its halfspaces, all a strong LP reads.
-_HRep = tuple[np.ndarray, np.ndarray]
+# A pair of payoff sets (V_I(p), V_II(q)).
+_Pair = tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]
 
 
-def _hrep(poly: OrientedPayoffPolyhedron) -> _HRep:
-    return poly.normal_matrix(), poly.offset_vector()
-
-
-def _strong_lps(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[LinearProgram]:
+def _strong_lps(pairs: Sequence[_Pair]) -> list[LinearProgram]:
     """The separation LP of each pair (V_I(p), V_II(q)): the largest total
     downward shift t >= 0 from a point y of V_I(p) with y - t in V_II(q).
 
@@ -154,12 +148,13 @@ def _strong_lps(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[LinearProgram]:
     constraint matrices, over the variables (y, t), from one block build.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, ((a1, _), (a2, _)) in enumerate(pairs):
-        groups.setdefault((len(a1), len(a2)), []).append(i)
+    for i, (vi, vii) in enumerate(pairs):
+        groups.setdefault((len(vi.offsets), len(vii.offsets)), []).append(i)
     lps: list = [None] * len(pairs)
     for (f, g), idx in groups.items():
-        a1, b1 = (np.array(x) for x in zip(*(pairs[i][0] for i in idx)))
-        a2, b2 = (np.array(x) for x in zip(*(pairs[i][1] for i in idx)))
+        vis, viis = [pairs[i][0] for i in idx], [pairs[i][1] for i in idx]
+        a1, b1 = np.array([v.normals for v in vis]), np.array([v.offsets for v in vis])
+        a2, b2 = np.array([v.normals for v in viis]), np.array([v.offsets for v in viis])
         k = a1.shape[2]
         objective = np.concatenate([np.zeros(k), np.ones(k)])
         lhs = np.block([[a1, np.zeros_like(a1)], [a2, -a2]])
@@ -176,7 +171,7 @@ def _strong_lps(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[LinearProgram]:
     return lps
 
 
-def _strong_values(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[float]:
+def _strong_values(pairs: Sequence[_Pair]) -> list[float]:
     """The value of each pair's separation LP, solved as one batch."""
     values = []
     for out in solve_batch(_strong_lps(pairs)):
@@ -187,11 +182,12 @@ def _strong_values(pairs: Sequence[tuple[_HRep, _HRep]]) -> list[float]:
 
 
 def _strong_lp_value(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> float:
-    vi, vii = _payoff_sets(game, p, q)
-    return _strong_values([(_hrep(vi), _hrep(vii))])[0]
+    return _strong_values([_payoff_sets(game, p, q)])[0]
 
 
-def _strong_flags(block: Sequence[tuple[_HRep, Sequence[_HRep]]]) -> list[bool]:
+def _strong_flags(
+    block: Sequence[tuple[OrientedPayoffPolyhedron, Sequence[OrientedPayoffPolyhedron]]]
+) -> list[bool]:
     """One pool task: the strong test on the Shapley pairs of a block of rows.
 
     `block` holds, per row strategy p, V_I(p) and the V_II(q) of each q
@@ -234,11 +230,9 @@ def _classify(
     for b, (_, vii, _) in enumerate(cols):
         shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
 
-    row_sets = [_hrep(vi) for _, vi, _ in rows]
-    col_sets = [_hrep(vii) for _, vii, _ in cols]
     parts = 4 * workers if workers is not None and workers > 1 else 1
     tasks = [
-        [(row_sets[a], [col_sets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
+        [(rows[a][1], [cols[b][1] for b in np.flatnonzero(shapley[a])]) for a in block]
         for block in _row_blocks(shapley.sum(axis=1), parts)
     ]
     strong = np.zeros_like(shapley)

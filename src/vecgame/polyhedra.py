@@ -26,46 +26,44 @@ ACTIVE_TOL = 1e-7
 DD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """normal·y <= offset on lower sets, normal·y >= offset on upper sets."""
+@dataclass(frozen=True, eq=False)
+class OrientedPayoffPolyhedron:
+    """A lower set {y : normals y <= offsets} or an upper set {y : normals y >= offsets}.
 
-    normal: tuple[float, ...]
-    offset: float
+    Every field is a read-only float array: `generators` (n, K), `normals`
+    (F, K), `offsets` (F,) and `vertices` (V, K).  Builders sort the
+    halfspaces by (normal, offset) and the vertices lexicographically.
+    """
+
+    orientation: str  # LOWER or UPPER
+    generators: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        n = tuple(float(v) for v in self.normal)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        for name in ("generators", "normals", "offsets", "vertices"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-    def as_arrays(self) -> tuple[np.ndarray, float]:
-        return np.array(self.normal), self.offset
-
-
-@dataclass(frozen=True)
-class OrientedPayoffPolyhedron:
-    orientation: str  # LOWER or UPPER
-    generators: tuple[tuple[float, ...], ...]
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[tuple[float, ...], ...]
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled copy is read-only too
+        return type(self), (self.orientation, self.generators, self.normals, self.offsets,
+                            self.vertices)
 
     @property
     def dim(self) -> int:
-        return len(self.generators[0])
-
-    def normal_matrix(self) -> np.ndarray:
-        return np.array([h.normal for h in self.halfspaces])
-
-    def offset_vector(self) -> np.ndarray:
-        return np.array([h.offset for h in self.halfspaces])
+        return self.generators.shape[1]
 
     def to_dict(self) -> dict:
         return {
             "orientation": self.orientation,
-            "vertices": [list(v) for v in self.vertices],
             "halfspaces": [
-                {"normal": list(h.normal), "offset": h.offset} for h in self.halfspaces
+                {"normal": a, "offset": b}
+                for a, b in zip(self.normals.tolist(), self.offsets.tolist())
             ],
+            "vertices": self.vertices.tolist(),
         }
 
 
@@ -180,31 +178,34 @@ def facet_rows(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.nonzero(np.linalg.matrix_rank(tight, tol=1e-9) == rows.shape[1] - 1)[0]
 
 
-def unit_sum_halfspaces(pairs) -> list[tuple[np.ndarray, float]]:
-    """Distinct halfspaces (a, b) with unit normal sum, sorted; normal components below
-    1e-12 become zero, and a normal summing to about zero (a cone's t >= 0) drops out."""
-    out = []
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation sorting the rows of a 2-D array lexicographically."""
+    return np.lexsort(rows.T[::-1])
+
+
+def unit_sum_halfspaces(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct halfspaces (a, b) with unit normal sum, sorted; normal components
+    below 1e-12 become zero, and a normal summing to about zero (a cone's t >= 0)
+    drops out.  Of halfspaces equal to 9 decimals the first one is kept."""
+    s = normals.sum(axis=1)
+    keep = s > 1e-9
+    a = normals[keep] / s[keep, None]
+    b = offsets[keep] / s[keep]
+    a[np.abs(a) < 1e-12] = 0.0
+    s = a.sum(axis=1)
+    rows = np.column_stack([a / s[:, None], b / s])
     seen = set()
-    for a, b in pairs:
-        s = float(a.sum())
-        if s <= 1e-9:
-            continue
-        a = a / s
-        b = b / s
-        a[np.abs(a) < 1e-12] = 0.0
-        s2 = float(a.sum())
-        a = a / s2
-        b = b / s2
-        key = tuple(np.round(np.concatenate([a, [b]]), 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((a, b))
-    out.sort(key=lambda ab: (tuple(ab[0]), ab[1]))
-    return out
+    first = []
+    for i, key in enumerate(map(tuple, np.round(rows, 9).tolist())):
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    rows = rows[first]
+    rows = rows[_lex_order(rows)]
+    return rows[:, :-1], rows[:, -1]
 
 
-def _lower_halfspaces(points: np.ndarray) -> tuple[list, list[tuple[float, ...]]]:
+def _lower_halfspaces(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Irredundant facets a·y <= b of co(points) - R^K_+ via the polar cone, and the
     sorted vertices: the points whose rows (1, p) are facets of the polar cone."""
     k = points.shape[1]
@@ -212,9 +213,10 @@ def _lower_halfspaces(points: np.ndarray) -> tuple[list, list[tuple[float, ...]]
     rows = np.vstack([np.hstack([np.zeros((k, 1)), -np.eye(k)]),
                       np.hstack([np.ones((len(points), 1)), points])])
     rays = cone_extreme_rays(rows)
-    halfspaces = unit_sum_halfspaces((-d[1:], float(d[0])) for d in rays)
-    verts = sorted(tuple(float(x) for x in rows[i, 1:]) for i in facet_rows(rays, rows) if i >= k)
-    return halfspaces, verts
+    normals, offsets = unit_sum_halfspaces(-rays[:, 1:], rays[:, 0])
+    facets = facet_rows(rays, rows)
+    verts = rows[facets[facets >= k], 1:]
+    return normals, offsets, verts[_lex_order(verts)]
 
 
 def _dedupe_points(points: np.ndarray, tol: float = VERTEX_MERGE_TOL) -> np.ndarray:
@@ -235,30 +237,24 @@ def build_lower_set(points) -> OrientedPayoffPolyhedron:
     if not np.isfinite(pts).all():
         raise InputError("generator points must be finite")
     gens = _dedupe_points(pts)
-    hs, verts = _lower_halfspaces(gens)
-    return OrientedPayoffPolyhedron(
-        orientation=LOWER,
-        generators=tuple(tuple(float(x) for x in p) for p in gens),
-        halfspaces=tuple(Halfspace(tuple(a), b) for a, b in hs),
-        vertices=tuple(verts),
-    )
+    return OrientedPayoffPolyhedron(LOWER, gens, *_lower_halfspaces(gens))
 
 
 def negated_set(poly: OrientedPayoffPolyhedron) -> OrientedPayoffPolyhedron:
     """The set {-y : y in poly}: a lower set becomes an upper set and back.
 
-    Normals stay, offsets, vertices and generators change sign; halfspaces
-    and vertices are re-sorted, as `build_lower_set` sorts them.
+    Normals stay; offsets, vertices and generators change sign.  The
+    halfspaces are re-sorted by (normal, offset), as `build_lower_set`
+    sorts them.  Negation reverses lexicographic order, so the vertices
+    come out in reverse order and a sorted list stays sorted.
     """
-    hs = sorted(
-        (Halfspace(h.normal, -h.offset) for h in poly.halfspaces),
-        key=lambda h: (h.normal, h.offset),
-    )
+    order = _lex_order(np.column_stack([poly.normals, -poly.offsets]))
     return OrientedPayoffPolyhedron(
         orientation=UPPER if poly.orientation == LOWER else LOWER,
-        generators=tuple(tuple(float(-x) for x in g) for g in poly.generators),
-        halfspaces=tuple(hs),
-        vertices=tuple(sorted(tuple(float(-x) for x in v) for v in poly.vertices)),
+        generators=-poly.generators,
+        normals=poly.normals[order],
+        offsets=-poly.offsets[order],
+        vertices=-poly.vertices[::-1],
     )
 
 
@@ -268,14 +264,14 @@ def build_upper_set(points) -> OrientedPayoffPolyhedron:
 
 
 def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> bool:
+    """Whether the point y, or every row of an (N, K) array y, lies in poly."""
     yv = np.asarray(y, dtype=float)
-    if yv.shape != (poly.dim,):
+    if yv.ndim not in (1, 2) or yv.shape[-1] != poly.dim:
         raise InputError(f"point has dimension {yv.shape}, polyhedron has {poly.dim}")
-    A = poly.normal_matrix()
-    b = poly.offset_vector()
+    values = yv @ poly.normals.T
     if poly.orientation == LOWER:
-        return bool(np.all(A @ yv <= b + tol))
-    return bool(np.all(A @ yv >= b - tol))
+        return bool(np.all(values <= poly.offsets + tol))
+    return bool(np.all(values >= poly.offsets - tol))
 
 
 def poly_subset(
@@ -284,7 +280,7 @@ def poly_subset(
     """A ⊆ B; valid because both share the same orthant recession cone."""
     if a.orientation != b.orientation:
         raise InputError("cannot compare polyhedra of different orientations")
-    return all(contains_point(b, g, tol=tol) for g in a.generators)
+    return contains_point(b, a.generators, tol=tol)
 
 
 def support_value(poly: OrientedPayoffPolyhedron, direction) -> float:
@@ -294,7 +290,7 @@ def support_value(poly: OrientedPayoffPolyhedron, direction) -> float:
         raise InputError("direction dimension mismatch")
     if np.any(w < -1e-12):
         raise InputError("support value is unbounded for directions outside R^K_+")
-    vals = np.array(poly.generators) @ w
+    vals = poly.generators @ w
     return float(vals.max() if poly.orientation == LOWER else vals.min())
 
 
@@ -331,66 +327,72 @@ def weak_pareto_points(points, sense: str, *, tol: float = 1e-9) -> np.ndarray:
     return pts[keep]
 
 
-def active_halfspace_indices(
-    poly: OrientedPayoffPolyhedron, y, *, tol: float = ACTIVE_TOL
-) -> list[int]:
-    yv = np.asarray(y, dtype=float)
-    A = poly.normal_matrix()
-    b = poly.offset_vector()
-    return [i for i, v in enumerate(A @ yv) if abs(v - b[i]) <= tol]
+def active_normal_sums(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.ndarray:
+    """Per row of the (N, K) array `points`: the sum of the normals of the
+    halfspaces active there, |a·y - b| <= ACTIVE_TOL; zero where none is.
+
+    A point of a lower set is Pareto-maximal, and one of an upper set
+    Pareto-minimal, exactly when this sum is strictly positive.  Each sum
+    adds the active normals one at a time, in halfspace order.
+    """
+    active = np.abs(points @ poly.normals.T - poly.offsets) <= ACTIVE_TOL
+    return np.where(active[:, :, None], poly.normals, 0.0).sum(axis=1)
 
 
-def exposing_normal_at_vertex(
-    poly: OrientedPayoffPolyhedron, vertex, *, tol: float = ACTIVE_TOL
-) -> Halfspace:
-    """A strictly positive normal whose halfspace touches the set only at
-    `vertex`: the renormalized sum of all facet normals active there."""
-    v = np.asarray(vertex, dtype=float)
-    if not any(np.max(np.abs(v - np.array(u))) <= VERTEX_MERGE_TOL for u in poly.vertices):
-        raise InputError(f"{tuple(v)} is not a vertex of the polyhedron")
-    idx = active_halfspace_indices(poly, v, tol=tol)
-    if not idx:
-        raise NumericalError("no active facet at the claimed vertex")
-    A = poly.normal_matrix()
-    c = A[idx].sum(axis=0)
-    c = c / c.sum()
-    gamma = float(c @ v)
-    if np.any(c <= 1e-12):
+def exposing_normals(poly: OrientedPayoffPolyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex v: a strictly positive normal c with unit sum whose halfspace
+    touches the set only at v, and its offset c·v.  The normal is the
+    renormalized sum of the facet normals active at v."""
+    sums = active_normal_sums(poly, poly.vertices)
+    totals = sums.sum(axis=1, keepdims=True)
+    if np.any(totals == 0.0):
+        v = poly.vertices[np.flatnonzero(totals[:, 0] == 0.0)[0]]
+        raise NumericalError(f"no active facet at the claimed vertex {tuple(v)}")
+    normals = sums / totals
+    offsets = np.array([float(c @ v) for c, v in zip(normals, poly.vertices)])
+    bad = np.flatnonzero(np.any(normals <= 1e-12, axis=1))
+    if bad.size:
+        v, c = poly.vertices[bad[0]], normals[bad[0]]
         raise NumericalError(
             f"exposing normal has a zero component at vertex {tuple(v)}: {tuple(c)}"
         )
-    margin = 1e-12 * (1.0 + abs(gamma))
-    for g in poly.generators:
-        garr = np.array(g)
-        if np.max(np.abs(garr - v)) <= VERTEX_MERGE_TOL:
-            continue
-        val = float(c @ garr)
-        exposed = val < gamma - margin if poly.orientation == LOWER else val > gamma + margin
-        if not exposed:
-            raise NumericalError(
-                f"exposure failed at vertex {tuple(v)}: generator {g} sits on the "
-                f"supporting hyperplane (value {val}, offset {gamma})"
-            )
-    return Halfspace(tuple(c), gamma)
+    # values[g, v]: generator g against the normal of vertex v; a generator
+    # within VERTEX_MERGE_TOL of v is v itself and is not tested
+    values = poly.generators @ normals.T
+    margin = 1e-12 * (1.0 + np.abs(offsets))
+    if poly.orientation == LOWER:
+        exposed = values < offsets - margin
+    else:
+        exposed = values > offsets + margin
+    same = np.abs(poly.generators[:, None, :] - poly.vertices[None, :, :]).max(axis=2)
+    failed = np.argwhere(~exposed & (same > VERTEX_MERGE_TOL))
+    if failed.size:
+        g, i = failed[0]
+        raise NumericalError(
+            f"exposure failed at vertex {tuple(poly.vertices[i])}: generator "
+            f"{tuple(poly.generators[g])} sits on the supporting hyperplane "
+            f"(value {values[g, i]}, offset {offsets[i]})"
+        )
+    return normals, offsets
 
 
-def halfspace_row(h: Halfspace) -> np.ndarray:
-    """The row (-b, a) of a·y >= b on the homogenized cone {(t, y) : a·y >= b t}."""
-    return np.concatenate(([-float(h.offset)], np.asarray(h.normal, dtype=float)))
+def halfspace_row(normals: np.ndarray, offsets) -> np.ndarray:
+    """The row (-b, a) of a·y >= b on the homogenized cone {(t, y) : a·y >= b t};
+    for (F, K) normals and (F,) offsets, one row each."""
+    return np.hstack([-np.asarray(offsets, dtype=float)[..., None], normals])
 
 
-def upper_set_cone(halfspaces) -> ConeDD:
-    """Double description of the homogenized cone of {y : a·y >= b for all (a, b)}.
+def upper_set_cone(normals: np.ndarray, offsets: np.ndarray) -> ConeDD:
+    """Double description of the homogenized cone of {y : normals y >= offsets}.
 
     The rows are t >= 0, then one `halfspace_row` per halfspace.  The first
     K + 1 rows are the starting block, so the first K normals must be
     independent, as Benson's K coordinate bounds are.  Further halfspaces go
-    in with `add(halfspace_row(h))`, and `upper_set_vertices` reads the
+    in with `add(halfspace_row(a, b))`, and `upper_set_vertices` reads the
     vertices at any point.
     """
-    halfspaces = list(halfspaces)
-    k = len(halfspaces[0].normal)
-    rows = [np.eye(k + 1)[0]] + [halfspace_row(h) for h in halfspaces]
+    k = normals.shape[1]
+    rows = np.vstack([np.eye(k + 1)[0], halfspace_row(normals, offsets)])
     dd = ConeDD(rows[: k + 1])
     for row in rows[k + 1 :]:
         dd.add(row)
@@ -402,9 +404,9 @@ def upper_set_vertices(dd: ConeDD) -> np.ndarray:
     rays = dd.extreme_rays()
     rays = rays[rays[:, 0] > 1e-9]
     verts = rays[:, 1:] / rays[:, :1]
-    return verts[np.lexsort(verts.T[::-1])]
+    return verts[_lex_order(verts)]
 
 
-def upper_set_vertices_from_halfspaces(halfspaces) -> np.ndarray:
-    """Vertices of {y : a·y >= b for all (a, b)}; the first K normals must be independent."""
-    return upper_set_vertices(upper_set_cone(halfspaces))
+def upper_set_vertices_from_halfspaces(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Vertices of {y : normals y >= offsets}; the first K normals must be independent."""
+    return upper_set_vertices(upper_set_cone(normals, offsets))

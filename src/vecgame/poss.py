@@ -25,12 +25,12 @@ from .game import (
 )
 from .lp import LinearProgram, check_feasibility, solve_lp
 from .polyhedra import (
-    LOWER,
     UPPER,
     ConeDD,
-    Halfspace,
+    OrientedPayoffPolyhedron,
     facet_rows,
     halfspace_row,
+    negated_set,
     pareto_min_points,
     unit_sum_halfspaces,
     upper_set_cone,
@@ -47,50 +47,35 @@ GAP_EPS = 1e-6
 MAX_ROUNDS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecurityImage:
     """Polyhedral set of componentwise-guaranteeable payoffs for one player.
 
-    Halfspaces are stored in the player's natural orientation: a·y >= b
-    for the row player's upper set, a·y <= b for the column player's
-    lower set.  `attainments` is aligned with `vertices`; entry i is a
-    strategy whose security point reproduces vertex i.
+    `polyhedron` is the image itself, with its vertices as generators: an
+    upper set a·y >= b for the row player, a lower set a·y <= b for the
+    column player.  `attainments` is aligned with its vertices; entry i is
+    a strategy whose security point reproduces vertex i.
     """
 
     player: Player
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[tuple[float, ...], ...]
+    polyhedron: OrientedPayoffPolyhedron
     attainments: tuple[MixedStrategy, ...]
 
     @property
-    def orientation(self) -> str:
-        return UPPER if self.player is Player.ROW else LOWER
-
-    @property
-    def dim(self) -> int:
-        return len(self.halfspaces[0].normal)
+    def vertices(self) -> np.ndarray:
+        return self.polyhedron.vertices
 
     def witness_for(self, vertex, *, tol: float = 1e-7) -> MixedStrategy:
         v = np.asarray(vertex, dtype=float)
         for known, strategy in zip(self.vertices, self.attainments):
-            if np.max(np.abs(np.array(known) - v)) <= tol:
+            if np.max(np.abs(known - v)) <= tol:
                 return strategy
         raise InputError(f"no image vertex within {tol} of {tuple(v)}")
-
-    def normal_matrix(self) -> np.ndarray:
-        return np.array([h.normal for h in self.halfspaces])
-
-    def offset_vector(self) -> np.ndarray:
-        return np.array([h.offset for h in self.halfspaces])
 
     def to_dict(self) -> dict:
         return {
             "player": self.player.value,
-            "orientation": self.orientation,
-            "halfspaces": [
-                {"normal": list(h.normal), "offset": h.offset} for h in self.halfspaces
-            ],
-            "vertices": [list(v) for v in self.vertices],
+            **self.polyhedron.to_dict(),
             "attainments": [list(s.weights) for s in self.attainments],
         }
 
@@ -115,8 +100,8 @@ def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarra
     return float(out.objective_value), out.solution[:m]
 
 
-def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> Halfspace:
-    """Halfspace a·y >= b valid for the image and violated at v.
+def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """The halfspace (a, b), a·y >= b, valid for the image and violated at v.
 
     Dual of the verification LP: weights w_jk >= 0 with unit sum and a level
     mu <= sum_jk w_jk g_ijk for every row i give the cut a_k = sum_j w_jk,
@@ -144,7 +129,7 @@ def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> Halfspace:
     offset = float(out.solution[nw])
     if float(normal @ v) >= offset - 1e-10:
         raise NumericalError(f"cut through {tuple(v)} fails to separate it from the image")
-    return Halfspace(tuple(float(x) for x in normal), offset)
+    return normal, offset
 
 
 def _vertex_key(v: np.ndarray) -> tuple:
@@ -153,17 +138,13 @@ def _vertex_key(v: np.ndarray) -> tuple:
 
 def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
     """Settled DD of the row player's upper set, and its vertices' witnesses by `_vertex_key`."""
-    m, n, k = entries.shape
-    halfspaces = []
-    for kk in range(k):
-        direction = np.zeros(k)
-        direction[kk] = 1.0
-        halfspaces.append(Halfspace(tuple(direction), _support_value(entries, direction)))
-    ones = np.full(k, 1.0 / k)
-    halfspaces.append(Halfspace(tuple(ones), _support_value(entries, ones)))
+    k = entries.shape[2]
+    # the K coordinate bounds, then the bound along (1, ..., 1) / K
+    normals = np.vstack([np.eye(k), np.full(k, 1.0 / k)])
+    offsets = np.array([_support_value(entries, a) for a in normals])
 
     verified: dict[tuple, np.ndarray] = {}
-    dd = upper_set_cone(halfspaces)
+    dd = upper_set_cone(normals, offsets)
     for _ in range(MAX_ROUNDS):
         vertices = upper_set_vertices(dd)
         if vertices.size == 0:
@@ -181,7 +162,7 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
                 break
         if pending is None:
             return dd, verified
-        dd.add(halfspace_row(_cut_for_vertex(entries, pending)))
+        dd.add(halfspace_row(*_cut_for_vertex(entries, pending)))
     raise NumericalError(f"security image not settled after {MAX_ROUNDS} cuts")
 
 
@@ -191,37 +172,23 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
     Halfspaces and vertices are read off Benson's settled double description.
     Player II's image is player I's image of the mirrored game, negated.
     """
-    entries = game.for_player(player).entries
-    sign = _payoff_sign(player)
-    dd, verified = _benson(entries)
+    dd, verified = _benson(game.for_player(player).entries)
     rows = np.array(dd.done)
+    facets = rows[facet_rows(dd.extreme_rays(), rows)]
     # each row is (-b, a) for a·y >= b; the row t >= 0 has a = 0 and drops out
-    halfspaces = unit_sum_halfspaces(
-        (row[1:], -float(row[0])) for row in rows[facet_rows(dd.extreme_rays(), rows)]
-    )
-    raw_vertices = upper_set_vertices(dd)
-    attainments = [_lp_strategy(verified[_vertex_key(v)], player) for v in raw_vertices]
-    vertices = [tuple(sign * float(x) for x in v) for v in raw_vertices]
-    order = sorted(range(len(vertices)), key=vertices.__getitem__)
-    return SecurityImage(
-        player=player,
-        halfspaces=tuple(Halfspace(tuple(a), sign * b) for a, b in halfspaces),
-        vertices=tuple(vertices[i] for i in order),
-        attainments=tuple(attainments[i] for i in order),
-    )
+    normals, offsets = unit_sum_halfspaces(facets[:, 1:], -facets[:, 0])
+    vertices = upper_set_vertices(dd)
+    attainments = tuple(_lp_strategy(verified[_vertex_key(v)], player) for v in vertices)
+    image = OrientedPayoffPolyhedron(UPPER, vertices, normals, offsets, vertices)
+    if player is Player.ROW:
+        return SecurityImage(player, image, attainments)
+    # negation reverses the vertex order (`negated_set`)
+    return SecurityImage(player, negated_set(image), attainments[::-1])
 
 
-def _payoff_sign(player: Player) -> float:
-    """Factor taking payoffs between the game and the game seen by `player`."""
-    return 1.0 if player is Player.ROW else -1.0
-
-
-def _row_view(
-    game: VectorPayoffGame, image: SecurityImage
-) -> tuple[VectorPayoffGame, np.ndarray, np.ndarray]:
-    """The game seen by the image's player, and the image there as rows a·y >= b."""
-    sign = _payoff_sign(image.player)
-    return game.for_player(image.player), image.normal_matrix(), sign * image.offset_vector()
+def _row_view(image: SecurityImage) -> OrientedPayoffPolyhedron:
+    """The image in the game seen by its player, where it is an upper set."""
+    return image.polyhedron if image.player is Player.ROW else negated_set(image.polyhedron)
 
 
 def poss_strategies(
@@ -240,7 +207,8 @@ def poss_strategies(
         raise InputError("image belongs to the other player")
     if image is None:
         image = compute_security_image(game, player)
-    oriented, img_A, img_b = _row_view(game, image)
+    oriented = game.for_player(player)
+    img = _row_view(image)
     grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
     # security points as losses: the worst column for each component
     points = np.array([row_generator_matrix(oriented, s).max(axis=0) for s in grid.points])
@@ -250,7 +218,7 @@ def poss_strategies(
         undominated = bool(
             (np.max(np.abs(frontier - w), axis=1) <= 1e-9).any()
         )
-        if undominated and float((img_A @ w - img_b).min()) <= BOUNDARY_TOL:
+        if undominated and float((img.normals @ w - img.offsets).min()) <= BOUNDARY_TOL:
             chosen.append(s)
     return chosen
 
@@ -284,7 +252,7 @@ def verify_gap(
         raise InputError("eps must be strictly positive")
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
-    _, img_A, img_b = _row_view(game, image)
+    img = _row_view(image)
     k = game.dim
     checked = []
     violations = []
@@ -294,14 +262,14 @@ def verify_gap(
         strategy = cert.tested_strategy
         checked.append(strategy)
         poly = cert.payoff_set
-        lhs = np.vstack([poly.normal_matrix(), img_A])
-        relations = ("<=",) * len(poly.halfspaces) + (">=",) * len(img_b)
+        lhs = np.vstack([poly.normals, img.normals])
+        relations = ("<=",) * len(poly.offsets) + (">=",) * len(img.offsets)
         for kk in range(k):
             lp = LinearProgram(
                 objective=np.zeros(k),
                 lhs=lhs,
                 relations=relations,
-                rhs=np.concatenate([poly.offset_vector(), img_b + eps * img_A[:, kk]]),
+                rhs=np.concatenate([poly.offsets, img.offsets + eps * img.normals[:, kk]]),
                 sense="min",
                 bounds=((None, None),) * k,
             )

@@ -32,7 +32,7 @@ from .polyhedra import (
     VERTEX_MERGE_TOL,
     build_lower_set,
     contains_point,
-    exposing_normal_at_vertex,
+    exposing_normals,
 )
 
 # A strategy counts as minimal/maximal when the improvement LP value
@@ -154,17 +154,17 @@ def _minimality_core(
     the improving strategy keeps pbar's owner.
     """
     target = build_lower_set(row_generator_matrix(game, pbar))
-    if not target.vertices:
+    if not len(target.vertices):
         raise NumericalError("payoff set has no identifiable vertex")
-    exposing = [exposing_normal_at_vertex(target, v) for v in target.vertices]
+    exp_normals, exp_offsets = exposing_normals(target)
 
     # One block of n rows a·g_ij <= b (j = 1..n) per halfspace and per exposing
     # normal; the block of exposing normal ell also carries its slack eps_ell.
     m, n = game.rows, game.cols
-    L = len(exposing)
-    blocks = (*target.halfspaces, *exposing)
-    R = len(blocks) * n
-    scal = np.array([game.entries @ np.array(h.normal) for h in blocks])  # (blocks, m, n)
+    L = len(exp_offsets)
+    normals = np.vstack([target.normals, exp_normals])
+    R = len(normals) * n
+    scal = np.array([game.entries @ a for a in normals])  # (blocks, m, n)
     lhs = np.zeros((R + 1, m + L))
     lhs[:R, :m] = scal.transpose(0, 2, 1).reshape(R, m)
     lhs[R - L * n + np.arange(L * n), m + np.repeat(np.arange(L), n)] = 1.0
@@ -173,7 +173,7 @@ def _minimality_core(
         objective=np.concatenate([np.zeros(m), np.ones(L)]),
         lhs=lhs,
         relations=("<=",) * R + ("=",),
-        rhs=np.append(np.repeat([h.offset for h in blocks], n), 1.0),
+        rhs=np.append(np.repeat(np.concatenate([target.offsets, exp_offsets]), n), 1.0),
         sense="max",
     )
     out = solve_lp(lp)
@@ -190,14 +190,12 @@ def _minimality_core(
     # normal separates every y_j from its vertex, which leaves that vertex out.
     improving = _lp_strategy(out.solution[:m], pbar.owner)
     points = row_generator_matrix(game, improving)
-    if not all(contains_point(target, y, tol=1e-7) for y in points):
+    if not contains_point(target, points, tol=1e-7):
         raise NumericalError(
             "improvement LP produced a strategy whose payoff set is not contained "
             "in the tested one"
         )
-    normals = np.array([h.normal for h in exposing])
-    offsets = np.array([h.offset for h in exposing])
-    if not np.any((points @ normals.T).max(axis=0) < offsets - 1e-9):
+    if not np.any((points @ exp_normals.T).max(axis=0) < exp_offsets - 1e-9):
         raise NumericalError(
             "improvement LP reported positive value but the payoff sets coincide"
         )
@@ -230,14 +228,6 @@ def maximality_lp(
     """Test a column strategy for maximality of its upper payoff set."""
     _require_owner(qbar, Player.COL)
     return _certificate(game, qbar, tol)
-
-
-def _poly_equal(a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron) -> bool:
-    """Same vertex list within VERTEX_MERGE_TOL; every tested set has vertices."""
-    return len(a.vertices) == len(b.vertices) and all(
-        max(abs(x - y) for x, y in zip(u, v)) <= VERTEX_MERGE_TOL
-        for u, v in zip(a.vertices, b.vertices)
-    )
 
 
 def check_workers(workers: int | None) -> None:
@@ -275,15 +265,22 @@ def classify_grid(
         partial(_minimality_core, oriented, tol=tol), grid.points, workers, chunksize=8
     )
 
+    # Two optimal sets are one class when their vertex lists agree within
+    # VERTEX_MERGE_TOL; each set joins the first such class, and is compared
+    # in one call with the representatives of its vertex count.
     classes: list[list[int]] = []
+    by_count: dict[int, tuple[list[int], np.ndarray]] = {}
     for idx, cert in enumerate(certificates):
         if not cert.is_minimal:
             continue
-        for members in classes:
-            if _poly_equal(certificates[members[0]].payoff_set, cert.payoff_set):
-                members.append(idx)
-                break
+        verts = cert.payoff_set.vertices
+        ids, stacked = by_count.get(len(verts), ([], np.zeros((0, *verts.shape))))
+        match = np.flatnonzero(np.abs(stacked - verts).max(axis=(1, 2)) <= VERTEX_MERGE_TOL)
+        if match.size:
+            classes[ids[match[0]]].append(idx)
         else:
+            ids.append(len(classes))
+            by_count[len(verts)] = (ids, np.concatenate([stacked, verts[None]]))
             classes.append([idx])
 
     representatives = tuple(certificates[c[0]].tested_strategy for c in classes)

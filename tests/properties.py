@@ -60,6 +60,14 @@ def relabeled_game(seed: int, shape: tuple[int, int, int], variant: int) -> Vect
     return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
 
 
+def same_polyhedron(a, b) -> bool:
+    """Exact equality of two payoff polyhedra, field by field."""
+    return a.orientation == b.orientation and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("generators", "normals", "offsets", "vertices")
+    )
+
+
 def optimal_weight_set(front) -> set[tuple[float, ...]]:
     """Weights of every grid strategy the front certifies optimal."""
     return {c.tested_strategy.weights for c in front.certificates if c.is_minimal}

@@ -268,7 +268,7 @@ def test_criterion_07_security_image_and_gap(two_by_two, three_by_three,
                                              three_by_three_fronts):
     with criterion(7):
         image = compute_security_image(two_by_two, Player.ROW)
-        got = np.array(sorted(image.vertices))
+        got = np.array(sorted(image.vertices.tolist()))
         expected = np.array([(2.0, 10 / 3), (3.0, 3.0)])
         assert got.shape == expected.shape
         assert np.allclose(got, expected, atol=1e-6)

@@ -505,3 +505,20 @@ def test_missing_required_input_flag():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poss", "-i", "game.json", "--format", "json"],
+        ["plot", "-i", "game.json", "--format", "json"],
+        ["random", "--format", "json"],
+        ["check", "-i", "game.json", "--strategy", "1,0", "--format", "csv"],
+        ["plot", "-i", "game.json", "--tol", "1e-7"],
+        ["random", "--tol", "1e-7"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

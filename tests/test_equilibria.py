@@ -15,7 +15,6 @@ from vecgame.equilibria import (
     STRONG_TOL,
     Classification,
     _boundary_mask,
-    _hrep,
     _on_pareto_boundary,
     _row_blocks,
     _strong_lp_value,
@@ -390,9 +389,10 @@ def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_thr
         build_upper_set(col_generator_matrix(three_by_three, col_strategy(*q)))
         for q in ((0, 1, 0), (0.25, 0.25, 0.5), (0.6, 0, 0.4))
     ]
-    pairs = [(_hrep(vi), _hrep(vii)) for vi in sets[:3] for vii in sets[3:]]
-    assert len({(len(a1), len(a2)) for (a1, _), (a2, _) in pairs}) > 1
-    for ((a1, b1), (a2, b2)), got in zip(pairs, _strong_lps(pairs), strict=True):
+    pairs = [(vi, vii) for vi in sets[:3] for vii in sets[3:]]
+    assert len({(len(vi.offsets), len(vii.offsets)) for vi, vii in pairs}) > 1
+    for (vi, vii), got in zip(pairs, _strong_lps(pairs), strict=True):
+        a1, b1, a2, b2 = vi.normals, vi.offsets, vii.normals, vii.offsets
         f, k = a1.shape
         lhs = np.zeros((f + len(a2), 2 * k))
         lhs[:f, :k] = a1
@@ -456,14 +456,14 @@ def _intersection_samples(game, p, q, directions):
     vi = build_lower_set(row_generator_matrix(game, p))
     vii = build_upper_set(col_generator_matrix(game, q))
     rows, relations, rhs = [], [], []
-    for h in vi.halfspaces:
-        rows.append(np.asarray(h.normal))
+    for normal, offset in zip(vi.normals, vi.offsets):
+        rows.append(np.asarray(normal))
         relations.append("<=")
-        rhs.append(h.offset)
-    for h in vii.halfspaces:
-        rows.append(np.asarray(h.normal))
+        rhs.append(offset)
+    for normal, offset in zip(vii.normals, vii.offsets):
+        rows.append(np.asarray(normal))
         relations.append(">=")
-        rhs.append(h.offset)
+        rhs.append(offset)
     lhs = np.array(rows)
     points = []
     for d in directions:

@@ -19,7 +19,7 @@ from vecgame.lp import (
     solve_batch,
     solve_lp,
 )
-from vecgame.polyhedra import build_lower_set, exposing_normal_at_vertex
+from vecgame.polyhedra import build_lower_set, exposing_normals
 from vecgame import poss, solver
 from vecgame.poss import _cut_for_vertex, _support_value, _verify_vertex
 from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
@@ -199,20 +199,20 @@ def _improvement_system(game, p, margin):
     """
     poly = build_lower_set(row_generator_matrix(game, p))
     assert len(poly.vertices) == 1  # both tested strategies have one vertex
-    cut = exposing_normal_at_vertex(poly, poly.vertices[0])
+    (cut_normal,), (cut_offset,) = exposing_normals(poly)
     m = game.rows
     rows, relations, rhs = [], [], []
-    for h in poly.halfspaces:
-        scal = game.entries @ np.array(h.normal)  # (m, n)
+    for normal, offset in zip(poly.normals, poly.offsets):
+        scal = game.entries @ np.array(normal)  # (m, n)
         for j in range(game.cols):
             rows.append(scal[:, j])
             relations.append("<=")
-            rhs.append(h.offset)
-    scal = game.entries @ np.array(cut.normal)
+            rhs.append(offset)
+    scal = game.entries @ np.array(cut_normal)
     for j in range(game.cols):
         rows.append(scal[:, j])
         relations.append("<=")
-        rhs.append(cut.offset - margin)
+        rhs.append(cut_offset - margin)
     rows.append(np.ones(m))
     relations.append("=")
     rhs.append(1.0)
@@ -594,17 +594,20 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
     game, p = three_by_three, row_strategy(0.2, 0.3, 0.5)
     minimality_lp(game, p)
     target = build_lower_set(row_generator_matrix(game, p))
-    exposing = [exposing_normal_at_vertex(target, v) for v in target.vertices]
-    L = len(exposing)
+    exp_normals, exp_offsets = exposing_normals(target)
+    L = len(exp_offsets)
     rows, rhs = [], []
-    for ell, h in enumerate([*target.halfspaces, *exposing]):
+    F = len(target.offsets)
+    for ell, (normal, offset) in enumerate(
+        zip([*target.normals, *exp_normals], [*target.offsets, *exp_offsets])
+    ):
         eps = np.zeros(L)
-        if ell >= len(target.halfspaces):
-            eps[ell - len(target.halfspaces)] = 1.0
-        scal = game.entries @ np.array(h.normal)
+        if ell >= F:
+            eps[ell - F] = 1.0
+        scal = game.entries @ np.array(normal)
         for j in range(game.cols):
             rows.append(np.concatenate([scal[:, j], eps]))
-            rhs.append(h.offset)
+            rhs.append(offset)
     rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
     want = _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
                       np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")

@@ -93,12 +93,15 @@ def test_column_results_equal_row_results_on_the_mirror(request):
         image_col = compute_security_image(game, Player.COL)
         image_mirror = compute_security_image(mirror, Player.ROW)
         assert sorted(
-            (_negated(v), s.weights) for v, s in zip(image_col.vertices, image_col.attainments)
+            (_negated(v), s.weights)
+            for v, s in zip(image_col.vertices.tolist(), image_col.attainments)
         ) == sorted(
-            (v, s.weights) for v, s in zip(image_mirror.vertices, image_mirror.attainments)
+            (tuple(v), s.weights)
+            for v, s in zip(image_mirror.vertices.tolist(), image_mirror.attainments)
         )
-        assert sorted((h.normal, -h.offset) for h in image_col.halfspaces) == sorted(
-            (h.normal, h.offset) for h in image_mirror.halfspaces
+        col, mirrored = image_col.polyhedron, image_mirror.polyhedron
+        assert sorted(zip(map(tuple, col.normals.tolist()), (-col.offsets).tolist())) == sorted(
+            zip(map(tuple, mirrored.normals.tolist()), mirrored.offsets.tolist())
         )
 
         assert _weights(poss_strategies(game, Player.COL, STEP, image=image_col)) == _weights(

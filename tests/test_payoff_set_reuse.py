@@ -23,7 +23,7 @@ from vecgame.game import (
 )
 from vecgame.polyhedra import build_upper_set, negated_set
 
-from properties import random_game
+from properties import random_game, same_polyhedron
 
 
 def _count_builds(monkeypatch) -> list[str]:
@@ -90,8 +90,8 @@ def test_a_column_certificate_set_negates_to_the_upper_set(three_by_three):
     for cert in col.certificates:
         if cert.is_minimal:
             upper = build_upper_set(col_generator_matrix(three_by_three, cert.tested_strategy))
-            assert negated_set(cert.payoff_set) == upper
-            assert negated_set(upper) == cert.payoff_set
+            assert same_polyhedron(negated_set(cert.payoff_set), upper)
+            assert same_polyhedron(negated_set(upper), cert.payoff_set)
         else:
             assert cert.payoff_set is None
 

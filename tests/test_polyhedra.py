@@ -15,13 +15,12 @@ from vecgame.polyhedra import (
     LOWER,
     UPPER,
     ConeDD,
-    Halfspace,
     OrientedPayoffPolyhedron,
     build_lower_set,
     build_upper_set,
     cone_extreme_rays,
     contains_point,
-    exposing_normal_at_vertex,
+    exposing_normals,
     facet_rows,
     pareto_max_points,
     pareto_min_points,
@@ -38,14 +37,14 @@ from properties import check_dd_membership
 
 
 def normals_of(poly):
-    return {tuple(np.round(h.normal, 9)) for h in poly.halfspaces}
+    return {tuple(np.round(a, 9)) for a in poly.normals}
 
 
 def has_halfspace(poly, normal, offset, tol=1e-9):
     return any(
-        max(abs(a - b) for a, b in zip(h.normal, normal)) <= tol
-        and abs(h.offset - offset) <= tol
-        for h in poly.halfspaces
+        max(abs(a - b) for a, b in zip(h_normal, normal)) <= tol
+        and abs(h_offset - offset) <= tol
+        for h_normal, h_offset in zip(poly.normals, poly.offsets)
     )
 
 
@@ -54,25 +53,25 @@ def has_halfspace(poly, normal, offset, tol=1e-9):
 def test_lower_set_dominated_generator():
     poly = build_lower_set([(0, 0), (4, 4)])
     assert poly.orientation == LOWER
-    assert len(poly.halfspaces) == 2
+    assert len(poly.offsets) == 2
     assert has_halfspace(poly, (1, 0), 4) and has_halfspace(poly, (0, 1), 4)
-    assert poly.vertices == ((4.0, 4.0),)
+    assert np.array_equal(poly.vertices, [(4.0, 4.0)])
 
 
 def test_lower_set_single_point_k3():
     z = (2.0, -1.0, 3.0)
     poly = build_lower_set([z])
-    assert len(poly.halfspaces) == 3
+    assert len(poly.offsets) == 3
     for k in range(3):
         unit = tuple(1.0 if i == k else 0.0 for i in range(3))
         assert has_halfspace(poly, unit, z[k])
-    assert poly.vertices == (z,)
+    assert np.array_equal(poly.vertices, [z])
 
 
 def test_lower_set_two_incomparable_points():
     poly = build_lower_set([(3, 1), (1, 3)])
-    assert set(poly.vertices) == {(3.0, 1.0), (1.0, 3.0)}
-    assert len(poly.halfspaces) == 3
+    assert set(map(tuple, poly.vertices.tolist())) == {(3.0, 1.0), (1.0, 3.0)}
+    assert len(poly.offsets) == 3
     assert has_halfspace(poly, (0.5, 0.5), 2.0)
     assert has_halfspace(poly, (1, 0), 3) and has_halfspace(poly, (0, 1), 3)
 
@@ -81,12 +80,12 @@ def test_upper_set_single_point():
     poly = build_upper_set([(1.0, -2.0)])
     assert poly.orientation == UPPER
     assert has_halfspace(poly, (1, 0), 1) and has_halfspace(poly, (0, 1), -2)
-    assert poly.vertices == ((1.0, -2.0),)
+    assert np.array_equal(poly.vertices, [(1.0, -2.0)])
 
 
 def test_upper_set_two_points():
     poly = build_upper_set([(0, 0), (1, -1)])
-    assert set(poly.vertices) == {(0.0, 0.0), (1.0, -1.0)}
+    assert set(map(tuple, poly.vertices.tolist())) == {(0.0, 0.0), (1.0, -1.0)}
     assert has_halfspace(poly, (0.5, 0.5), 0.0)
     assert has_halfspace(poly, (1, 0), 0) and has_halfspace(poly, (0, 1), -1)
 
@@ -188,10 +187,10 @@ def test_dominated_extra_generator_does_not_change_the_set():
     a = build_lower_set(base)
     b = build_lower_set(base + [(0.5, 0.5)])
     assert poly_subset(a, b) and poly_subset(b, a)
-    assert len(a.halfspaces) == len(b.halfspaces)
-    for ha, hb in zip(a.halfspaces, b.halfspaces):
-        assert np.allclose(ha.normal, hb.normal, atol=1e-9)
-        assert abs(ha.offset - hb.offset) <= 1e-9
+    assert len(a.offsets) == len(b.offsets)
+    for na, oa, nb, ob in zip(a.normals, a.offsets, b.normals, b.offsets):
+        assert np.allclose(na, nb, atol=1e-9)
+        assert abs(oa - ob) <= 1e-9
 
 
 # --- support values ---------------------------------------------------------
@@ -229,23 +228,18 @@ def test_support_value_is_monotone_under_inclusion():
 
 def test_exposing_normal_single_vertex():
     poly = build_lower_set([(4, 4)])
-    cut = exposing_normal_at_vertex(poly, (4, 4))
-    assert np.allclose(cut.normal, (0.5, 0.5))
-    assert cut.offset == pytest.approx(4.0)
+    normals, offsets = exposing_normals(poly)
+    assert np.array_equal(poly.vertices, [(4.0, 4.0)])
+    assert np.allclose(normals[0], (0.5, 0.5))
+    assert offsets[0] == pytest.approx(4.0)
 
 
 def test_exposing_normal_separates_the_other_vertex():
     poly = build_lower_set([(3, 1), (1, 3)])
-    cut = exposing_normal_at_vertex(poly, (3, 1))
-    c = np.array(cut.normal)
+    normals, _ = exposing_normals(poly)
+    c = normals[poly.vertices.tolist().index([3.0, 1.0])]
     assert np.all(c > 0) and abs(c.sum() - 1.0) <= 1e-12
     assert c @ (3, 1) > c @ (1, 3)
-
-
-def test_exposing_normal_unknown_vertex():
-    poly = build_lower_set([(4, 4)])
-    with pytest.raises(InputError):
-        exposing_normal_at_vertex(poly, (1, 1))
 
 
 def test_exposing_normals_random_k3():
@@ -253,15 +247,13 @@ def test_exposing_normals_random_k3():
     for _ in range(15):
         pts = rng.integers(-6, 7, size=(5, 3)).astype(float)
         poly = build_lower_set(pts)
-        for v in poly.vertices:
-            cut = exposing_normal_at_vertex(poly, v)
-            c = np.array(cut.normal)
+        for v, c, offset in zip(poly.vertices, *exposing_normals(poly), strict=True):
             assert np.all(c > 0)
-            assert abs(float(c @ np.array(v)) - cut.offset) <= 1e-9
+            assert abs(float(c @ np.array(v)) - offset) <= 1e-9
             for g in poly.generators:
                 if max(abs(a - b) for a, b in zip(g, v)) <= 1e-8:
                     continue
-                assert float(c @ np.array(g)) < cut.offset - 1e-12
+                assert float(c @ np.array(g)) < offset - 1e-12
 
 
 # --- double description kernel ---------------------------------------------
@@ -379,7 +371,8 @@ def _facet_rows_per_row(rays, rows):
 def test_lower_set_vertices_are_the_facet_rows_of_the_polar_cone(points):
     pts = np.array(points, dtype=float)
     exact = exact_oracle.lower_set_vertices([tuple(map(Fraction, p)) for p in points])
-    assert build_lower_set(pts).vertices == tuple(sorted(tuple(map(float, v)) for v in exact))
+    want = sorted(tuple(map(float, v)) for v in exact)
+    assert np.array_equal(build_lower_set(pts).vertices, want)
     # the polar cone build_lower_set runs on: rows (0, -e_k), then (1, p)
     unique = np.unique(pts, axis=0)
     rows = np.vstack([-np.eye(3)[1:], np.hstack([np.ones((len(unique), 1)), unique])])
@@ -397,7 +390,7 @@ _POINTS_IN_SOME_ORDER = st.integers(2, 4).flatmap(
 def test_lower_set_halfspaces_match_an_exact_double_description(points_and_order):
     points, order = points_and_order
     poly = build_lower_set(np.array(points, dtype=float)[list(order)])
-    got = np.array([h.normal + (h.offset,) for h in poly.halfspaces])
+    got = np.column_stack([poly.normals, poly.offsets])
     want = np.array(sorted(exact_dd.lower_set_halfspaces(points)), dtype=float)
     assert got.shape == want.shape
     gaps = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
@@ -421,8 +414,8 @@ def test_cone_that_is_not_pointed_raises():
 
 def test_upper_vertices_from_halfspaces_roundtrip():
     poly = build_upper_set([(1, 0), (0, 1), (2, 2)])
-    got = upper_set_vertices_from_halfspaces(poly.halfspaces)
-    assert np.allclose(got, np.array(sorted(poly.vertices)), atol=1e-9)
+    got = upper_set_vertices_from_halfspaces(poly.normals, poly.offsets)
+    assert np.allclose(got, np.array(sorted(poly.vertices.tolist())), atol=1e-9)
 
 
 # --- type invariants on random instances ------------------------------------
@@ -434,8 +427,8 @@ def test_halfspace_representation_invariants():
         pts = rng.integers(-8, 9, size=(int(rng.integers(1, 7)), k)).astype(float)
         for build, orientation in ((build_lower_set, LOWER), (build_upper_set, UPPER)):
             poly = build(pts)
-            A = poly.normal_matrix()
-            b = poly.offset_vector()
+            A = poly.normals
+            b = poly.offsets
             # normals nonnegative, unit coordinate sum
             assert np.all(A >= -1e-12)
             assert np.allclose(A.sum(axis=1), 1.0, atol=1e-9)
@@ -459,11 +452,11 @@ def test_roundtrip_rebuild_from_vertices():
         pts = rng.integers(-8, 9, size=(int(rng.integers(2, 7)), k)).astype(float)
         poly = build_lower_set(pts)
         rebuilt = build_lower_set(poly.vertices)
-        assert rebuilt.vertices == poly.vertices
-        assert len(rebuilt.halfspaces) == len(poly.halfspaces)
-        for ha, hb in zip(rebuilt.halfspaces, poly.halfspaces):
-            assert np.allclose(ha.normal, hb.normal, atol=1e-9)
-            assert abs(ha.offset - hb.offset) <= 1e-9
+        assert np.array_equal(rebuilt.vertices, poly.vertices)
+        assert len(rebuilt.offsets) == len(poly.offsets)
+        for na, oa, nb, ob in zip(rebuilt.normals, rebuilt.offsets, poly.normals, poly.offsets):
+            assert np.allclose(na, nb, atol=1e-9)
+            assert abs(oa - ob) <= 1e-9
 
 
 def test_lower_vertices_are_pareto_maximal_extremes():
@@ -472,10 +465,11 @@ def test_lower_vertices_are_pareto_maximal_extremes():
         pts = rng.integers(-8, 9, size=(6, 2)).astype(float)
         poly = build_lower_set(pts)
         frontier = {tuple(p) for p in pareto_max_points(poly.generators)}
-        assert set(poly.vertices) <= frontier
-        if len(poly.vertices) > 1:
-            for v in poly.vertices:
-                rest = [u for u in poly.vertices if u != v]
+        vertices = list(map(tuple, poly.vertices.tolist()))
+        assert set(vertices) <= frontier
+        if len(vertices) > 1:
+            for v in vertices:
+                rest = [u for u in vertices if u != v]
                 assert not contains_point(build_lower_set(rest), v)
 
 
@@ -508,7 +502,7 @@ def test_vertices_are_the_generators_outside_the_lower_set_of_the_others():
         if -res.fun < -1e-6:
             expected.append(tuple(p))
     assert len(expected) == 3
-    assert build_lower_set(pts).vertices == tuple(sorted(expected))
+    assert np.array_equal(build_lower_set(pts).vertices, sorted(expected))
 
 
 def test_every_generator_is_dominated_by_a_frontier_point():
@@ -524,8 +518,8 @@ def test_every_generator_is_dominated_by_a_frontier_point():
         pts = rng.integers(-8, 9, size=(6, k)).astype(float)
         for build, sense in ((build_lower_set, "max"), (build_upper_set, "min")):
             poly = build(pts)
-            A = poly.normal_matrix()
-            b = poly.offset_vector()
+            A = poly.normals
+            b = poly.offsets
             rel = "<=" if sense == "max" else ">="
             # y >= g (lower sets) or y <= g (upper sets), as constraint rows
             own = ">=" if sense == "max" else "<="
@@ -556,15 +550,16 @@ def test_membership_agrees_with_lp_oracle():
 
 
 def test_halfspace_type_is_plain_data():
-    h = Halfspace((0.5, 0.5), 2)
-    assert h.normal == (0.5, 0.5) and h.offset == 2.0
-    a, b = h.as_arrays()
-    assert np.array_equal(a, [0.5, 0.5]) and b == 2.0
     poly = OrientedPayoffPolyhedron(
         orientation=LOWER,
         generators=((1.0, 1.0),),
-        halfspaces=(Halfspace((1.0, 0.0), 1.0), Halfspace((0.0, 1.0), 1.0)),
+        normals=((1.0, 0.0), (0.0, 1.0)),
+        offsets=(1.0, 1.0),
         vertices=((1.0, 1.0),),
     )
+    assert np.array_equal(poly.normals, [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(poly.offsets, [1.0, 1.0])
+    for field in (poly.generators, poly.normals, poly.offsets, poly.vertices):
+        assert field.dtype == float and not field.flags.writeable
     assert poly.dim == 2
     assert poly.to_dict()["orientation"] == LOWER

@@ -56,11 +56,12 @@ def three_by_three_row_image(three_by_three) -> SecurityImage:
 
 
 def _sorted_vertices(image: SecurityImage) -> list[tuple[float, ...]]:
-    return sorted(image.vertices)
+    return sorted(map(tuple, image.vertices.tolist()))
 
 
 def _halfspace_table(image: SecurityImage) -> list[tuple[tuple[float, ...], float]]:
-    return [(tuple(h.normal), h.offset) for h in image.halfspaces]
+    poly = image.polyhedron
+    return [(tuple(a), b) for a, b in zip(poly.normals.tolist(), poly.offsets.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +85,8 @@ def test_row_image_halfspaces(two_by_two_row_image):
 
 
 def test_row_image_orientation_and_dim(two_by_two_row_image):
-    assert two_by_two_row_image.orientation == "upper"
-    assert two_by_two_row_image.dim == 2
+    assert two_by_two_row_image.polyhedron.orientation == "upper"
+    assert two_by_two_row_image.polyhedron.dim == 2
     assert two_by_two_row_image.player is Player.ROW
 
 
@@ -106,7 +107,7 @@ def test_col_image_halfspaces(two_by_two_col_image):
 
 
 def test_col_image_orientation(two_by_two_col_image):
-    assert two_by_two_col_image.orientation == "lower"
+    assert two_by_two_col_image.polyhedron.orientation == "lower"
 
 
 def test_row_witnesses_reproduce_the_vertices(two_by_two, two_by_two_row_image):
@@ -134,8 +135,8 @@ def test_witness_lookup_rejects_unknown_vertices(two_by_two_row_image):
 def test_single_column_image_is_the_upper_set_of_the_rows(single_column):
     image = compute_security_image(single_column, Player.ROW)
     reference = build_upper_set(np.array([[0.0, 2.0], [3.0, 1.0]]))
-    got = np.array(sorted(image.vertices))
-    expected = np.array(sorted(reference.vertices))
+    got = np.array(sorted(image.vertices.tolist()))
+    expected = np.array(sorted(reference.vertices.tolist()))
     assert got.shape == expected.shape
     assert np.allclose(got, expected, atol=1e-9)
 
@@ -163,9 +164,9 @@ def test_scalar_image_vertex_is_the_game_value(scalar_game):
 def test_each_vertex_sits_on_enough_facets(two_by_two_row_image, two_by_two_col_image,
                                             three_by_three_row_image):
     for image in (two_by_two_row_image, two_by_two_col_image, three_by_three_row_image):
-        A = image.normal_matrix()
-        b = image.offset_vector()
-        k = image.dim
+        A = image.polyhedron.normals
+        b = image.polyhedron.offsets
+        k = image.polyhedron.dim
         for vertex in image.vertices:
             tight = np.abs(A @ np.array(vertex) - b) <= 1e-7
             assert tight.sum() >= k
@@ -205,7 +206,7 @@ def test_five_by_five_by_four_image_is_verified_and_valid(player):
         assert point == pytest.approx(vertex, abs=1e-7)
     grid = enumerate_simplex_grid(5, Fraction(1, 4), owner=player)
     points = np.array([tuple(componentwise_security_point(game, s)) for s in grid.points])
-    slack = sign * (points @ image.normal_matrix().T - image.offset_vector())
+    slack = sign * (points @ image.polyhedron.normals.T - image.polyhedron.offsets)
     assert slack.min() >= -1e-7
 
 
@@ -244,12 +245,12 @@ def test_upper_set_of_benson_vertices_does_not_depend_on_their_order():
     rng = np.random.default_rng(5)
     for order in [np.arange(36)] + [rng.permutation(36) for _ in range(3)]:
         poly = build_upper_set(vertices[order])
-        assert (len(poly.vertices), len(poly.halfspaces)) == (36, 54)
+        assert (len(poly.vertices), len(poly.offsets)) == (36, 54)
 
 
 def test_column_image_lists_no_facet_twice():
     image = _relabeled_image(*DUPLICATE_FACET_INPUT, Player.COL)
-    rows = np.array([h.normal + (h.offset,) for h in image.halfspaces])
+    rows = np.column_stack([image.polyhedron.normals, image.polyhedron.offsets])
     gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
     np.fill_diagonal(gaps, np.inf)
     assert gaps.min() > 1e-6
@@ -257,10 +258,10 @@ def test_column_image_lists_no_facet_twice():
 
 def _check_image_facets(image: SecurityImage) -> None:
     """Every halfspace is a Pareto-weighted facet that holds at every vertex."""
-    k = image.dim
-    A, b = image.normal_matrix(), image.offset_vector()
+    k = image.polyhedron.dim
+    A, b = image.polyhedron.normals, image.polyhedron.offsets
     V = np.array(image.vertices)
-    sign = 1.0 if image.orientation == UPPER else -1.0
+    sign = 1.0 if image.polyhedron.orientation == UPPER else -1.0
     slack = sign * (V @ A.T - b)  # nonnegative inside the image
     assert np.all(A >= 0.0)
     assert not np.any((A > 0.0) & (A < 1e-12))  # rounding residue is cleaned to 0
@@ -304,7 +305,7 @@ def test_image_to_dict_round_trip(two_by_two_row_image):
     data = two_by_two_row_image.to_dict()
     assert data["player"] == Player.ROW.value
     assert data["orientation"] == "upper"
-    assert len(data["halfspaces"]) == len(two_by_two_row_image.halfspaces)
+    assert len(data["halfspaces"]) == len(two_by_two_row_image.polyhedron.offsets)
     assert len(data["vertices"]) == len(two_by_two_row_image.vertices)
     assert len(data["attainments"]) == len(two_by_two_row_image.vertices)
     first = data["halfspaces"][0]
@@ -350,8 +351,8 @@ def test_poss_strategies_of_the_three_by_three_game(three_by_three, three_by_thr
 
 
 def test_poss_points_lie_on_the_image_boundary(three_by_three, three_by_three_row_image):
-    A = three_by_three_row_image.normal_matrix()
-    b = three_by_three_row_image.offset_vector()
+    A = three_by_three_row_image.polyhedron.normals
+    b = three_by_three_row_image.polyhedron.offsets
     for s in poss_strategies(three_by_three, Player.ROW, Fraction(1, 10),
                              image=three_by_three_row_image):
         w = np.array(tuple(componentwise_security_point(three_by_three, s)))
@@ -450,13 +451,13 @@ def test_security_points_respect_weak_duality(two_by_two, three_by_three):
 
 
 def _image_support(image: SecurityImage, direction: np.ndarray) -> float:
-    A = image.normal_matrix()
-    b = image.offset_vector()
+    A = image.polyhedron.normals
+    b = image.polyhedron.offsets
     if image.player is Player.ROW:
-        res = linprog(direction, A_ub=-A, b_ub=-b, bounds=[(None, None)] * image.dim)
+        res = linprog(direction, A_ub=-A, b_ub=-b, bounds=[(None, None)] * image.polyhedron.dim)
         assert res.status == 0
         return float(res.fun)
-    res = linprog(-direction, A_ub=A, b_ub=b, bounds=[(None, None)] * image.dim)
+    res = linprog(-direction, A_ub=A, b_ub=b, bounds=[(None, None)] * image.polyhedron.dim)
     assert res.status == 0
     return -float(res.fun)
 

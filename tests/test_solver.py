@@ -37,6 +37,7 @@ from properties import (
     check_set_relation_monotonicity,
     optimal_weight_set,
     random_game,
+    same_polyhedron,
     scalar_game_value,
 )
 
@@ -156,8 +157,9 @@ def test_verdicts_do_not_depend_on_the_payoff_unit():
 def test_only_optimal_certificates_carry_their_payoff_set(two_by_two):
     optimal = minimality_lp(two_by_two, row_strategy(0.25, 0.75))
     assert optimal.is_minimal
-    assert optimal.payoff_set == build_lower_set(
-        row_generator_matrix(two_by_two, row_strategy(0.25, 0.75))
+    assert same_polyhedron(
+        optimal.payoff_set,
+        build_lower_set(row_generator_matrix(two_by_two, row_strategy(0.25, 0.75))),
     )
     assert minimality_lp(two_by_two, row_strategy(1, 0)).payoff_set is None
     with pytest.raises(InputError, match="must carry its payoff set"):
