@@ -47,10 +47,11 @@ class OrientedPayoffPolyhedron:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        # rebuilt through __init__, so an unpickled copy is read-only too
-        return type(self), (self.orientation, self.generators, self.normals, self.offsets,
-                            self.vertices)
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays own their data, so they turn read-only without a copy
+        for name in ("generators", "normals", "offsets", "vertices"):
+            state[name].setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def dim(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -563,3 +564,13 @@ def test_halfspace_type_is_plain_data():
         assert field.dtype == float and not field.flags.writeable
     assert poly.dim == 2
     assert poly.to_dict()["orientation"] == LOWER
+
+
+def test_a_pickled_polyhedron_keeps_its_fields_read_only():
+    # pool workers send payoff sets back to the parent through pickle
+    poly = build_upper_set([(0, 1), (1, 0), (2, 2)])
+    copy = pickle.loads(pickle.dumps(poly))
+    assert copy.orientation == poly.orientation
+    for field in ("generators", "normals", "offsets", "vertices"):
+        assert np.array_equal(getattr(copy, field), getattr(poly, field))
+        assert not getattr(copy, field).flags.writeable
