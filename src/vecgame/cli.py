@@ -83,8 +83,6 @@ class RunConfig:
             out["step_col"] = str(self.step_col)
         out["tol"] = self.tol
         out["format"] = self.fmt
-        if self.command == "random":
-            out.update(rows=self.rows, cols=self.cols, dim=self.dim, seed=self.seed)
         if self.player is not None:
             out["player"] = self.player
         if self.strategy is not None:

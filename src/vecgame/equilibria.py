@@ -135,64 +135,60 @@ def is_shapley_equilibrium(game: VectorPayoffGame, p: MixedStrategy, q: MixedStr
     return _on_pareto_boundary(vi, point) and _on_pareto_boundary(vii, point)
 
 
-# A pair of payoff sets (V_I(p), V_II(q)).
-_Pair = tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]
+# A payoff set's facets, (normals (F, K), offsets (F,)), and a pair of
+# them: V_I(p)'s and V_II(q)'s.
+_Facets = tuple[np.ndarray, np.ndarray]
+_Pair = tuple[_Facets, _Facets]
 
 
-def _strong_lps(pairs: Sequence[_Pair]) -> list[LinearProgram]:
-    """The separation LP of each pair (V_I(p), V_II(q)): the largest total
-    downward shift t >= 0 from a point y of V_I(p) with y - t in V_II(q).
+def _strong_lps(pairs: Sequence[_Pair]) -> list[tuple[list[int], LinearProgram]]:
+    """The separation LPs of the pairs (V_I(p), V_II(q)), one stack per pair
+    of facet counts (f, g), each with the indices of its pairs.
 
-    Zero means the intersection contains no improvable point.  The pairs
-    whose sets have the same facet counts (f, g) get their (B, f + g, 2k)
-    constraint matrices, over the variables (y, t), from one block build.
+    A pair's LP finds the largest total downward shift t >= 0 from a point
+    y of V_I(p) with y - t in V_II(q); zero means the intersection contains
+    no improvable point.  A stack's (B, f + g, 2k) constraint matrices, over
+    the variables (y, t), come from one block build.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (vi, vii) in enumerate(pairs):
-        groups.setdefault((len(vi.offsets), len(vii.offsets)), []).append(i)
-    lps: list = [None] * len(pairs)
+    for i, ((_, b1), (_, b2)) in enumerate(pairs):
+        groups.setdefault((len(b1), len(b2)), []).append(i)
+    stacks = []
     for (f, g), idx in groups.items():
-        vis, viis = [pairs[i][0] for i in idx], [pairs[i][1] for i in idx]
-        a1, b1 = np.array([v.normals for v in vis]), np.array([v.offsets for v in vis])
-        a2, b2 = np.array([v.normals for v in viis]), np.array([v.offsets for v in viis])
+        a1 = np.array([pairs[i][0][0] for i in idx])
+        b1 = np.array([pairs[i][0][1] for i in idx])
+        a2 = np.array([pairs[i][1][0] for i in idx])
+        b2 = np.array([pairs[i][1][1] for i in idx])
         k = a1.shape[2]
-        objective = np.concatenate([np.zeros(k), np.ones(k)])
-        lhs = np.block([[a1, np.zeros_like(a1)], [a2, -a2]])
-        rhs = np.concatenate([b1, b2], axis=1)
-        for i, rows, b in zip(idx, lhs, rhs):
-            lps[i] = LinearProgram(
-                objective=objective,
-                lhs=rows,
-                relations=("<=",) * f + (">=",) * g,
-                rhs=b,
-                sense="max",
-                bounds=((None, None),) * k + ((0.0, None),) * k,
-            )
-    return lps
+        lp = LinearProgram(
+            objective=np.concatenate([np.zeros(k), np.ones(k)]),
+            lhs=np.block([[a1, np.zeros_like(a1)], [a2, -a2]]),
+            relations=("<=",) * f + (">=",) * g,
+            rhs=np.concatenate([b1, b2], axis=1),
+            sense="max",
+            bounds=((None, None),) * k + ((0.0, None),) * k,
+        )
+        stacks.append((idx, lp))
+    return stacks
 
 
 def _strong_values(pairs: Sequence[_Pair]) -> list[float]:
-    """The value of each pair's separation LP, solved as one batch."""
-    values = []
-    for out in solve_batch(_strong_lps(pairs)):
-        if out.status != "optimal":
-            raise NumericalError(f"strong-equilibrium LP ended with status {out.status}")
-        values.append(float(out.objective_value))
+    """The value of each pair's separation LP, solved one stack at a time."""
+    values = [0.0] * len(pairs)
+    for idx, lp in _strong_lps(pairs):
+        for i, out in zip(idx, solve_batch(lp)):
+            if out.status != "optimal":
+                raise NumericalError(f"strong-equilibrium LP ended with status {out.status}")
+            values[i] = float(out.objective_value)
     return values
 
 
-def _strong_lp_value(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> float:
-    return _strong_values([_payoff_sets(game, p, q)])[0]
-
-
-def _strong_flags(
-    block: Sequence[tuple[OrientedPayoffPolyhedron, Sequence[OrientedPayoffPolyhedron]]]
-) -> list[bool]:
+def _strong_flags(block: Sequence[tuple[_Facets, Sequence[_Facets]]]) -> list[bool]:
     """One pool task: the strong test on the Shapley pairs of a block of rows.
 
-    `block` holds, per row strategy p, V_I(p) and the V_II(q) of each q
-    that makes a Shapley pair with it; one flag comes back per pair.  The
-    block's LPs are solved as one batch.
+    `block` holds, per row strategy p, the facets of V_I(p) and those of
+    the V_II(q) of each q that makes a Shapley pair with it; one flag comes
+    back per pair.
     """
     pairs = [(vi, vii) for vi, partners in block for vii in partners]
     return [value <= STRONG_TOL for value in _strong_values(pairs)]
@@ -231,8 +227,11 @@ def _classify(
         shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
 
     parts = 4 * workers if workers is not None and workers > 1 else 1
+    # The tasks carry only the facet arrays the strong LPs read.
+    row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
+    col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
     tasks = [
-        [(rows[a][1], [cols[b][1] for b in np.flatnonzero(shapley[a])]) for a in block]
+        [(row_facets[a], [col_facets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
         for block in _row_blocks(shapley.sum(axis=1), parts)
     ]
     strong = np.zeros_like(shapley)

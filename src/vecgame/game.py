@@ -123,7 +123,10 @@ class VectorPayoffGame:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
+        try:
+            arr = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"payoff entries must be an array of numbers: {exc}") from exc
         if arr.ndim != 3:
             raise InputError("entries must be an m x n x K array")
         if min(arr.shape) < 1:
@@ -167,7 +170,7 @@ class VectorPayoffGame:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Sequence[float]]]) -> "VectorPayoffGame":
-        return cls(np.array(rows, dtype=float))
+        return cls(rows)
 
 
 def _require_count(strategy: MixedStrategy, count: int) -> np.ndarray:

@@ -7,29 +7,32 @@ solver reports four statuses: "optimal", "infeasible", "unbounded" and
 "iteration_limit"; an exhausted pivot budget is never misreported as
 infeasibility.
 
-`solve_lp` solves one LP and `solve_batch` a list of them, with the same
-outcomes bit for bit.  A batch stacks the LPs that share a constraint
-shape, relations, bounds and sense into one (B, rows + 1, cols + 1)
-tableau and pivots them in lockstep by Dantzig's rule, each step doing
-the floating-point operations of the scalar loop (the layout of Gurung &
-Ray, "Simultaneous solving of batched linear programs on a GPU", ICPE
-2019).  Both share the set-up, the change of phase and the read-off;
-only the pivot loop exists twice.  A tableau whose basis repeats leaves
-the batch and finishes under the scalar loop's Bland rule.
+A `LinearProgram` is one LP, or a stack of B LPs that share their
+objective, relations, bounds and sense and differ in `lhs` (B, m, n) and
+`rhs` (B, m).  `solve_lp` solves one LP and `solve_batch` a stack, with
+one outcome per LP that is bit for bit what `solve_lp` gives it alone.
+Both run one solve on a (B, rows + 1, cols + 1) stack of tableaux, which
+shares the set-up, the change of phase and the read-off.  Only the pivot
+loop exists twice: a stack of one runs the scalar loop, and a larger
+stack pivots in lockstep by Dantzig's rule, each step doing the
+floating-point operations of the scalar loop (the layout of Gurung & Ray,
+"Simultaneous solving of batched linear programs on a GPU", ICPE 2019).
+A tableau whose basis repeats leaves the lockstep and finishes under the
+scalar loop's Bland rule.  The scalar loop stays because lockstep costs
+about 2.2x as much on a stack of one.
 
-`equilibria` solves its strong-equilibrium LPs in batches: thousands of
-LPs with 5 or 6 rows, whose cost in `solve_lp` was mostly per call.
-The grid minimality LPs, the gap LPs of `poss.verify_gap` and Benson's
-LPs stay on `solve_lp`.  Benson's loop needs each answer before it
-builds the next LP, and the other two build their LPs one at a time
-inside their callers (README, "The simplex").
+`equilibria` solves its strong-equilibrium LPs as stacks, one per pair
+of facet counts: thousands of LPs with 5 or 6 rows, whose cost in
+`solve_lp` was mostly per call.  The grid minimality LPs, the gap LPs of
+`poss.verify_gap` and Benson's LPs stay on `solve_lp`.  Benson's loop
+needs each answer before it builds the next LP, and the other two build
+their LPs one at a time inside their callers (README, "The simplex").
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,9 +51,11 @@ Bound = tuple[float | None, float | None]
 class LinearProgram:
     """min/max objective @ x  subject to  lhs @ x (relations) rhs, bounds.
 
-    `bounds` gives per-variable (lower, upper) with None for unbounded;
-    omitted bounds default to x >= 0 for every variable.  Upper bounds
-    are not supported: write them as constraint rows.
+    `lhs` (m, n) and `rhs` (m,) give one LP; `lhs` (B, m, n) and `rhs`
+    (B, m) give a stack of B >= 1 LPs that share the other fields, for
+    `solve_batch`.  `bounds` gives per-variable (lower, upper) with None
+    for unbounded; omitted bounds default to x >= 0 for every variable.
+    Upper bounds are not supported: write them as constraint rows.
     """
 
     objective: np.ndarray
@@ -61,25 +66,30 @@ class LinearProgram:
     bounds: tuple[Bound, ...] | None = None
 
     def __post_init__(self) -> None:
-        obj = np.atleast_1d(np.array(self.objective, dtype=float))
         rel = tuple(self.relations)
-        lhs = np.array(self.lhs, dtype=float)
-        if lhs.size == 0:
+        try:
+            obj = np.atleast_1d(np.array(self.objective, dtype=float))
+            lhs = np.array(self.lhs, dtype=float)
+            rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"LP coefficients must be numeric arrays: {exc}") from exc
+        if lhs.size == 0 and lhs.ndim < 3:
             lhs = np.zeros((len(rel), obj.size))
         lhs = np.atleast_2d(lhs)
-        rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
         if self.sense not in ("min", "max"):
             raise InputError(f"unknown sense {self.sense!r}")
         for r in rel:
             if r not in RELATIONS:
                 raise InputError(f"unknown relation {r!r}")
-        if lhs.shape != (len(rel), obj.size):
+        if lhs.ndim > 3 or lhs.shape[-2:] != (len(rel), obj.size):
             raise InputError(
-                f"lhs shape {lhs.shape} does not match "
-                f"{len(rel)} constraints x {obj.size} variables"
+                f"lhs shape {lhs.shape} is not {len(rel)} constraints x {obj.size} "
+                "variables, alone or stacked"
             )
-        if rhs.shape != (len(rel),):
-            raise InputError("rhs length does not match constraint count")
+        if rhs.shape != lhs.shape[:-1]:
+            raise InputError(f"rhs shape {rhs.shape} does not match lhs shape {lhs.shape}")
+        if lhs.ndim == 3 and not len(lhs):
+            raise InputError("a stack of LPs needs at least one LP")
         if not (np.isfinite(obj).all() and np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise InputError("LP coefficients must be finite")
         if self.bounds is None:
@@ -107,7 +117,7 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return self.rhs.size
+        return len(self.relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +184,6 @@ def _run_simplex(
             bland = key in seen
             seen.add(key)
     return "iteration_limit", iters
-
-
-# A pivot loop runs a stack of tableaux in place and returns each one's
-# status and pivot count.
-_PivotLoop = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[list[str], np.ndarray]]
-
-
-def _run_each(
-    T: np.ndarray, basis: np.ndarray, budget: np.ndarray
-) -> tuple[list[str], np.ndarray]:
-    """`_run_simplex` on each tableau of the stack in turn."""
-    status, iters = [], []
-    for tab, bas, bud in zip(T, basis, budget.tolist()):
-        rows = bas.tolist()
-        st, it = _run_simplex(tab, rows, bud)
-        bas[:] = rows
-        status.append(st)
-        iters.append(it)
-    return status, np.array(iters, dtype=int)
 
 
 def _pivot_stack(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -276,10 +267,21 @@ def _run_lockstep(
     return status, iters
 
 
+def _run(T: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Run a stack of tableaux in place; returns each one's status and pivot
+    count.  A stack of one runs `_run_simplex`, on which lockstep would
+    spend about 2.2x the time."""
+    if len(T) > 1:
+        return _run_lockstep(T, basis, budget)
+    rows = basis[0].tolist()
+    status, iters = _run_simplex(T[0], rows, int(budget[0]))
+    basis[0] = rows
+    return [status], np.array([iters])
+
+
 @dataclass
 class _Tableaux:
-    """LPs of one constraint shape, relations, bounds and sense, stacked as
-    phase-1 tableaux.
+    """The LPs of a stack as phase-1 tableaux.
 
     The columns are the structural columns, one per variable with a lower
     bound (shifted to zero) and two (+x, -x) per free variable, then one
@@ -291,7 +293,7 @@ class _Tableaux:
     T: np.ndarray  # (B, m + 1, nfull + max nart + 1): the rows, then the phase-1 objective
     basis: np.ndarray  # (B, m): the basic column of each row
     budget: np.ndarray  # (B,): each LP's pivot budget
-    cost: np.ndarray  # (B, nfull + 1): each column's phase-2 cost (minimizing), then a zero
+    cost: np.ndarray  # (nfull + 1,): each column's phase-2 cost (minimizing), then a zero
     rhs_max: np.ndarray  # (B,): the largest rhs, which scales the infeasibility test
     nfull: int  # structural and slack columns
     # Variable j is x[plus[j]] - x[minus[j]] over the column values x
@@ -320,21 +322,17 @@ def _price_out(T: np.ndarray, mask: np.ndarray, coef: np.ndarray | None = None) 
     T[:, -1] = np.subtract.accumulate(np.concatenate([T[:, -1:], terms], axis=1), axis=1)[:, -1]
 
 
-def _setup(lps: Sequence[LinearProgram], max_iter: int | None) -> _Tableaux:
-    lp0 = lps[0]
-    m = lp0.num_constraints
-    lhs = np.array([lp.lhs for lp in lps])
-    rhs = np.array([lp.rhs for lp in lps])
-    c0 = np.array([lp.objective for lp in lps])
-    if lp0.sense == "max":
-        c0 = -c0
+def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
+    m = lp.num_constraints
+    lhs, rhs = (lp.lhs, lp.rhs) if lp.lhs.ndim == 3 else (lp.lhs[None], lp.rhs[None])
+    c0 = -lp.objective if lp.sense == "max" else lp.objective
     # Structural column -> source variable and the sign it carries; a nonzero
     # lower bound is shifted into the rhs.
     src: list[int] = []
     sign: list[float] = []
     plus: list[int] = []
     minus: list[int] = []
-    for j, (lo, _) in enumerate(lp0.bounds):
+    for j, (lo, _) in enumerate(lp.bounds):
         plus.append(len(src))
         src.append(j)
         sign.append(1.0)
@@ -354,8 +352,8 @@ def _setup(lps: Sequence[LinearProgram], max_iter: int | None) -> _Tableaux:
     # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
     # basis unless the row was flipped against it; every other row starts
     # with an artificial.
-    up = np.array([r == "<=" for r in lp0.relations], dtype=bool)
-    eq = np.array([r == "=" for r in lp0.relations], dtype=bool)
+    up = np.array([r == "<=" for r in lp.relations], dtype=bool)
+    eq = np.array([r == "=" for r in lp.relations], dtype=bool)
     ineq = np.flatnonzero(~eq)
     nfull = n_core + ineq.size
     slack_col = np.full(m, -1)
@@ -366,10 +364,10 @@ def _setup(lps: Sequence[LinearProgram], max_iter: int | None) -> _Tableaux:
     if max_iter is None:
         budget = 1000 + 50 * (m + nfull + nart)
     else:
-        budget = np.full(len(lps), max_iter)
+        budget = np.full(len(lhs), max_iter)
 
     width = nfull + int(nart.max())
-    T = np.zeros((len(lps), m + 1, width + 1))
+    T = np.zeros((len(lhs), m + 1, width + 1))
     T[:, :m, :n_core] = lhs[:, :, src_arr] * sign_arr
     T[:, ineq, slack_col[ineq]] = np.where(up[ineq], 1.0, -1.0)
     T[:, :m][flipped, :nfull] *= -1.0
@@ -378,11 +376,11 @@ def _setup(lps: Sequence[LinearProgram], max_iter: int | None) -> _Tableaux:
     T[:, -1, nfull:width] = np.arange(nfull, width) < (nfull + nart)[:, None]
     _price_out(T, art)
 
-    cost = np.zeros((len(lps), nfull + 1))
-    cost[:, :n_core] = c0[:, src_arr] * sign_arr
+    cost = np.zeros(nfull + 1)
+    cost[:n_core] = c0[src_arr] * sign_arr
     minus_arr = np.array(minus, dtype=int)
     minus_arr[minus_arr < 0] = nfull + 1 + np.flatnonzero(minus_arr < 0)
-    neg_lows = np.array([-0.0 if lo is None else -lo for lo, _ in lp0.bounds])
+    neg_lows = np.array([-0.0 if lo is None else -lo for lo, _ in lp.bounds])
     rhs_max = rhs.max(axis=1, initial=0.0)
     return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows)
 
@@ -421,7 +419,7 @@ def _phase2(
     if redundant.any():
         T2[:, :-1][redundant] = 0.0
         basis = np.where(redundant, nfull, basis)
-    coef = cost[np.arange(len(T))[:, None], basis]
+    coef = cost[basis]
     _price_out(T2, coef != 0.0, coef)
     return T2, basis
 
@@ -436,18 +434,16 @@ def _read_off(tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray) -> list[np.nda
     return [row.copy() for row in x[:, tab.plus] - x[:, tab.minus]]
 
 
-def _solve_group(
-    lps: Sequence[LinearProgram], max_iter: int | None, run: _PivotLoop
-) -> list[LPOutcome]:
-    """The two-phase simplex on LPs of one constraint shape, relations, bounds
-    and sense, with `run` as the pivot loop of both phases."""
-    tab = _setup(lps, max_iter)
-    outcomes: list[LPOutcome | None] = [None] * len(lps)
-    go = list(range(len(lps)))
-    iters = np.zeros(len(lps), dtype=int)
-    T, basis, budget, cost = tab.T, tab.basis, tab.budget, tab.cost
+def _solve(lp: LinearProgram, max_iter: int | None) -> list[LPOutcome]:
+    """The two-phase simplex on each LP of the stack `lp`, one LP being a
+    stack of one; both phases pivot in `_run`."""
+    tab = _setup(lp, max_iter)
+    T, basis, budget = tab.T, tab.basis, tab.budget
+    outcomes: list[LPOutcome | None] = [None] * len(T)
+    go = list(range(len(T)))
+    iters = np.zeros(len(T), dtype=int)
     if T.shape[2] > tab.nfull + 1:  # some LP starts with an artificial
-        status, iters = run(T, basis, budget)
+        status, iters = _run(T, basis, budget)
         if "unbounded" in status:
             raise NumericalError("phase-1 simplex reported unbounded")
         limits = (TOL_FEAS * (1.0 + tab.rhs_max)).tolist()
@@ -456,14 +452,14 @@ def _solve_group(
                 st = "infeasible" if st == "optimal" else st
                 outcomes[b] = LPOutcome(st, None, None, int(iters[b]))
         go = [b for b, out in enumerate(outcomes) if out is None]
-        if len(go) < len(lps):
-            T, basis, budget, cost, iters = T[go], basis[go], budget[go], cost[go], iters[go]
+        if len(go) < len(T):
+            T, basis, budget, iters = T[go], basis[go], budget[go], iters[go]
         for b in np.flatnonzero((basis >= tab.nfull).any(axis=1)).tolist():
             _pivot_out_artificials(T[b], basis[b], tab.nfull)
     if not go:
         return outcomes
-    T2, basis2 = _phase2(T, basis, cost, tab.nfull)
-    status, it2 = run(T2, basis2, budget - iters)
+    T2, basis2 = _phase2(T, basis, tab.cost, tab.nfull)
+    status, it2 = _run(T2, basis2, budget - iters)
     iters = (iters + it2).tolist()
     ok = [k for k, st in enumerate(status) if st == "optimal"]
     for b, st, it in zip(go, status, iters):
@@ -472,7 +468,6 @@ def _solve_group(
     if len(ok) < len(go):
         T2, basis2 = T2[ok], basis2[ok]
     for k, x in zip(ok, _read_off(tab, T2, basis2)):
-        lp = lps[go[k]]
         outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k])
     return outcomes
 
@@ -481,27 +476,22 @@ def solve_lp(lp: LinearProgram, *, max_iter: int | None = None) -> LPOutcome:
     """Solve the LP by two-phase dense simplex (see `_Tableaux` for the columns).
 
     Phase 1 minimizes the sum of the artificials; an artificial still basic
-    after it is pivoted out, or its row dropped as redundant.
+    after it is pivoted out, or its row dropped as redundant.  A stack of
+    LPs is an input error: it goes to `solve_batch`.
     """
-    return _solve_group([lp], max_iter, _run_each)[0]
+    if lp.lhs.ndim == 3:
+        raise InputError("solve_lp takes one LP; solve a stack with solve_batch")
+    return _solve(lp, max_iter)[0]
 
 
-def solve_batch(lps: Sequence[LinearProgram], *, max_iter: int | None = None) -> list[LPOutcome]:
-    """`[solve_lp(lp, max_iter=max_iter) for lp in lps]`, bit for bit.
+def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOutcome]:
+    """One outcome per LP of the stack `lp`, in stack order, each bit for
+    bit what `solve_lp` gives that LP alone.
 
-    LPs of one constraint shape, relations, bounds and sense share one
-    stacked tableau and pivot in lockstep (`_run_lockstep`).  An error in
-    any LP raises out of the whole batch.
+    A stack of more than one LP pivots in lockstep (`_run_lockstep`).  An
+    error in any LP raises out of the whole stack.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, lp in enumerate(lps):
-        groups.setdefault((lp.lhs.shape, lp.relations, lp.bounds, lp.sense), []).append(i)
-    outcomes: list[LPOutcome | None] = [None] * len(lps)
-    for idx in groups.values():
-        run = _run_lockstep if len(idx) > 1 else _run_each
-        for i, out in zip(idx, _solve_group([lps[i] for i in idx], max_iter, run)):
-            outcomes[i] = out
-    return outcomes
+    return _solve(lp, max_iter)
 
 
 def check_feasibility(lp: LinearProgram, *, max_iter: int | None = None) -> FeasibilityResult:

@@ -7,6 +7,7 @@ HiGHS solver so the package's own simplex code is never its own oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import sys
@@ -32,6 +33,20 @@ from vecgame.polyhedra import (
     poly_subset,
 )
 from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
+
+
+def stack_lps(lps) -> LinearProgram:
+    """One stack of the LPs `lps`, which must differ only in lhs and rhs."""
+    first = lps[0]
+    for lp in lps:
+        assert np.array_equal(lp.objective, first.objective)
+        assert (lp.relations, lp.bounds, lp.sense) == (first.relations, first.bounds, first.sense)
+    return dataclasses.replace(first, lhs=[lp.lhs for lp in lps], rhs=[lp.rhs for lp in lps])
+
+
+def unstack_lp(stack: LinearProgram) -> list[LinearProgram]:
+    """The LPs of a stack, each on its own."""
+    return [dataclasses.replace(stack, lhs=a, rhs=b) for a, b in zip(stack.lhs, stack.rhs)]
 
 
 def random_game(rng: np.random.Generator, rows: int, cols: int, dim: int,

@@ -456,6 +456,16 @@ def test_header_mismatch(tmp_path, two_by_two, capsys):
     assert "header says" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payoffs", [[[[1, 0], [0, 0]], [[0, 1]]], [[["a", 0], [0, 0]], [[0, 1], [1, 0]]]]
+)
+def test_ragged_or_non_numeric_payoffs_are_an_input_error(tmp_path, capsys, payoffs):
+    path = tmp_path / "bad_payoffs.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "dim": 2, "payoffs": payoffs}))
+    assert main(["solve", "-i", str(path), "--workers", "1"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_bad_step(game_files, capsys):
     assert main(["solve", "-i", game_files["two_by_two"], "--step-row", "0"]) == 2
     capsys.readouterr()

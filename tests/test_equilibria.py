@@ -16,9 +16,10 @@ from vecgame.equilibria import (
     Classification,
     _boundary_mask,
     _on_pareto_boundary,
+    _payoff_sets,
     _row_blocks,
-    _strong_lp_value,
     _strong_lps,
+    _strong_values,
     classify_pair,
     classify_pairs,
     find_strong_seed,
@@ -43,7 +44,13 @@ from vecgame.lp import LinearProgram, solve_batch, solve_lp
 from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset
 from vecgame.solver import StrategyFront, classify_grid
 
-from properties import assert_hierarchy, random_game, random_mixed
+from properties import assert_hierarchy, random_game, random_mixed, unstack_lp
+
+
+def _strong_lp_value(game, p, q):
+    """The value of the pair's separation LP, solved alone."""
+    vi, vii = _payoff_sets(game, p, q)
+    return _strong_values([((vi.normals, vi.offsets), (vii.normals, vii.offsets))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +361,16 @@ def test_records_do_not_depend_on_workers(request, name, fronts, records, worker
 
 
 def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, monkeypatch):
-    batches = []
+    stacks = []
 
-    def recording_solve_batch(lps):
-        batches.append(lps)
-        return solve_batch(lps)
+    def recording_solve_batch(lp):
+        stacks.append(lp)
+        return solve_batch(lp)
 
     monkeypatch.setattr(equilibria, "solve_batch", recording_solve_batch)
     classify_pairs(corley, *corley_fine_fronts)
-    (lps,) = batches
-    want = [solve_lp(lp) for lp in lps]
+    assert any(len(lp.lhs) > 1 for lp in stacks)
+    want = [solve_lp(member) for lp in stacks for member in unstack_lp(lp)]
     blands = []
     scalar_loop = lp_module._run_simplex
 
@@ -372,7 +379,7 @@ def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, mo
         return scalar_loop(T, basis, budget, bland)
 
     monkeypatch.setattr(lp_module, "_run_simplex", spy)
-    got = solve_batch(lps)
+    got = [out for lp in stacks for out in solve_batch(lp)]
     assert not any(blands)  # no LP leaves the lockstep loop for Bland's rule
     for g, w in zip(got, want, strict=True):
         assert g.status == w.status == "optimal" and g.iterations == w.iterations
@@ -389,10 +396,15 @@ def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_thr
         build_upper_set(col_generator_matrix(three_by_three, col_strategy(*q)))
         for q in ((0, 1, 0), (0.25, 0.25, 0.5), (0.6, 0, 0.4))
     ]
-    pairs = [(vi, vii) for vi in sets[:3] for vii in sets[3:]]
-    assert len({(len(vi.offsets), len(vii.offsets)) for vi, vii in pairs}) > 1
-    for (vi, vii), got in zip(pairs, _strong_lps(pairs), strict=True):
-        a1, b1, a2, b2 = vi.normals, vi.offsets, vii.normals, vii.offsets
+    facets = [(s.normals, s.offsets) for s in sets]
+    pairs = [(vi, vii) for vi in facets[:3] for vii in facets[3:]]
+    counts = {(len(b1), len(b2)) for (_, b1), (_, b2) in pairs}
+    stacks = _strong_lps(pairs)
+    assert len(counts) > 1 and len(stacks) == len(counts)
+    built = {i: lp for idx, stack in stacks for i, lp in zip(idx, unstack_lp(stack), strict=True)}
+    assert sorted(built) == list(range(len(pairs)))
+    for i, ((a1, b1), (a2, b2)) in enumerate(pairs):
+        got = built[i]
         f, k = a1.shape
         lhs = np.zeros((f + len(a2), 2 * k))
         lhs[:f, :k] = a1

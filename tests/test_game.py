@@ -61,6 +61,14 @@ def test_expected_payoff_rejects_wrong_lengths(two_by_two):
         expected_payoff(two_by_two, row_strategy(1, 0), col_strategy(1, 0, 0))
 
 
+@pytest.mark.parametrize("rows", [[[[1, 0], [0, 0]], [[0, 1]]], [[["a", 0]]], [[[1, None]]]])
+def test_ragged_or_non_numeric_entries_are_an_input_error(rows):
+    with pytest.raises(InputError):
+        VectorPayoffGame.from_rows(rows)
+    with pytest.raises(InputError):
+        VectorPayoffGame(rows)
+
+
 # --- generator matrices ----------------------------------------------------
 
 def test_row_generators_pure_strategy(two_by_two):

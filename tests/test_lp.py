@@ -24,7 +24,7 @@ from vecgame import poss, solver
 from vecgame.poss import _cut_for_vertex, _support_value, _verify_vertex
 from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
 
-from properties import check_lp_duality, relabeled_game
+from properties import check_lp_duality, relabeled_game, stack_lps, unstack_lp
 
 
 def test_bounded_maximum():
@@ -347,7 +347,7 @@ def test_solve_lp_agrees_with_highs(spec):
         lows = np.array([-np.inf if lo is None else lo for lo, _ in spec["bounds"]])
         assert np.all(x >= lows - 1e-9)
         assert out.objective_value == pytest.approx(float(lp.objective @ x), abs=1e-12)
-    for got in solve_batch([lp, lp, lp]):
+    for got in solve_batch(stack_lps([lp, lp, lp])):
         _assert_same_outcome(got, out)
 
 
@@ -369,24 +369,26 @@ def _assert_same_outcome(got, want):
 
 @st.composite
 def _lp_stacks(draw):
-    """A shuffled stack of small integer LPs, drawn a few at a time from one
-    constraint shape, relations, bounds and sense, so that they share a
-    tableau in `solve_batch`; a template may repeat its first row last."""
-    lps = []
+    """A few stacks of small integer LPs, each LP of a stack drawn from the
+    stack's objective, constraint shape, relations, bounds and sense; a
+    template may repeat its first row last."""
+    stacks = []
     coeff = st.integers(-4, 4).map(float)
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 4))
         m = draw(st.integers(1, 4))
+        objective = draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n))
         relations = tuple(draw(st.lists(_RELATION, min_size=m, max_size=m)))
         bounds = tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n)))
         sense = draw(st.sampled_from(("min", "max")))
         repeat = draw(st.booleans())
+        lps = []
         for _ in range(draw(st.integers(1, 5))):
             A = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)]
             b = draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m))
             lps.append(
                 LinearProgram(
-                    objective=draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)),
+                    objective=objective,
                     lhs=A + A[:1] if repeat else A,
                     relations=relations + relations[:1] if repeat else relations,
                     rhs=b + b[:1] if repeat else b,
@@ -394,31 +396,66 @@ def _lp_stacks(draw):
                     bounds=bounds,
                 )
             )
-    return draw(st.permutations(lps))
+        stacks.append(stack_lps(lps))
+    return stacks
 
 
-# Two LPs of each status, the two of a status sharing one tableau.
-_STATUS_STACK = [
-    LinearProgram(**_INFEASIBLE),
-    LinearProgram(**dict(_INFEASIBLE, rhs=[-3.0, 2.0, -3.0])),
-    LinearProgram(**_UNBOUNDED),
-    LinearProgram(**dict(_UNBOUNDED, rhs=[1.0, 0.0, 1.0])),
-    LinearProgram(**dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])),
-    LinearProgram(**dict(_INFEASIBLE, rhs=[3.0, -1.0, 3.0])),
+# Two stacks: two infeasible LPs with two optimal ones, and two unbounded LPs.
+_STATUS_STACKS = [
+    stack_lps(
+        [
+            LinearProgram(**_INFEASIBLE),
+            LinearProgram(**dict(_INFEASIBLE, rhs=[-3.0, 2.0, -3.0])),
+            LinearProgram(**dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])),
+            LinearProgram(**dict(_INFEASIBLE, rhs=[3.0, -1.0, 3.0])),
+        ]
+    ),
+    stack_lps(
+        [LinearProgram(**_UNBOUNDED), LinearProgram(**dict(_UNBOUNDED, rhs=[1.0, 0.0, 1.0]))]
+    ),
 ]
 
 
 def test_the_status_stack_covers_every_status():
-    statuses = [out.status for out in solve_batch(_STATUS_STACK)]
-    assert statuses == ["infeasible"] * 2 + ["unbounded"] * 2 + ["optimal"] * 2
+    statuses = [[out.status for out in solve_batch(stack)] for stack in _STATUS_STACKS]
+    assert statuses == [["infeasible"] * 2 + ["optimal"] * 2, ["unbounded"] * 2]
 
 
 @settings(deadline=None, max_examples=200)
 @given(_lp_stacks())
-@example(_STATUS_STACK)
-def test_solve_batch_equals_solve_lp_bit_for_bit(lps):
-    for got, want in zip(solve_batch(lps), [solve_lp(lp) for lp in lps], strict=True):
-        _assert_same_outcome(got, want)
+@example(_STATUS_STACKS)
+def test_solve_batch_equals_solve_lp_bit_for_bit(stacks):
+    for stack in stacks:
+        want = [solve_lp(lp) for lp in unstack_lp(stack)]
+        for got, w in zip(solve_batch(stack), want, strict=True):
+            _assert_same_outcome(got, w)
+
+
+def test_a_stack_of_one_equals_solve_lp():
+    optimal = dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])
+    for spec in (_INFEASIBLE, _UNBOUNDED, _PRESOLVE_UNBOUNDED, optimal):
+        lp = LinearProgram(**spec)
+        (got,) = solve_batch(stack_lps([lp]))
+        _assert_same_outcome(got, solve_lp(lp))
+
+
+def test_malformed_stacks_are_rejected():
+    spec = dict(objective=[1.0, 1.0], relations=("<=", ">="), sense="max")
+    lhs = np.ones((3, 2, 2))
+    with pytest.raises(InputError):  # lhs and rhs batch sizes disagree
+        LinearProgram(lhs=lhs, rhs=np.ones((2, 2)), **spec)
+    with pytest.raises(InputError):  # a 4-D lhs
+        LinearProgram(lhs=lhs[None], rhs=np.ones((1, 3, 2)), **spec)
+    with pytest.raises(InputError):  # an empty stack
+        LinearProgram(lhs=np.ones((0, 2, 2)), rhs=np.ones((0, 2)), **spec)
+    with pytest.raises(InputError):  # one LP's worth of work for solve_lp only
+        solve_lp(LinearProgram(lhs=lhs, rhs=np.ones((3, 2)), **spec))
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 0.0], [1.0]], [[1.0, "a"], [0.0, 1.0]]])
+def test_ragged_or_non_numeric_coefficients_are_rejected(bad):
+    with pytest.raises(InputError):
+        LinearProgram(objective=[1.0, 1.0], lhs=bad, relations=("<=", "<="), rhs=[1.0, 1.0])
 
 
 def _spy(monkeypatch, name):
@@ -442,8 +479,8 @@ def test_a_cycling_lp_finishes_under_blands_rule_inside_a_batch(monkeypatch):
         minimality_lp(game, row_strategy(*(c / 16 for c in counts)))
     want = [solve_lp(lp) for lp in lps]
     runs = _spy(monkeypatch, "_run_simplex")
-    got = solve_batch(lps)
-    # each LP of the one shared tableau leaves the lockstep loop for Bland's rule
+    got = solve_batch(stack_lps(lps))
+    # each LP of the one stack leaves the lockstep loop for Bland's rule
     assert [kwargs.get("bland") for _, kwargs in runs] == [True] * 3
     for g, w in zip(got, want, strict=True):
         _assert_same_outcome(g, w)
@@ -466,7 +503,7 @@ def test_a_leftover_artificial_is_handled_inside_a_batch(monkeypatch):
     want = [solve_lp(lp) for lp in lps]
     pivot_outs = _spy(monkeypatch, "_pivot_out_artificials")
     runs = _spy(monkeypatch, "_run_simplex")
-    got = solve_batch(lps)
+    got = solve_batch(stack_lps(lps[:3])) + solve_batch(stack_lps(lps[3:]))
     assert len(pivot_outs) == len(lps) and not runs
     for g, w in zip(got, want, strict=True):
         _assert_same_outcome(g, w)
@@ -486,7 +523,7 @@ def test_an_iteration_limit_inside_a_batch(max_iter):
     ]
     want = [solve_lp(lp, max_iter=max_iter) for lp in lps]
     assert "iteration_limit" in {out.status for out in want}
-    for g, w in zip(solve_batch(lps, max_iter=max_iter), want, strict=True):
+    for g, w in zip(solve_batch(stack_lps(lps), max_iter=max_iter), want, strict=True):
         _assert_same_outcome(g, w)
 
 
