@@ -71,8 +71,12 @@ class LinearProgram:
             obj = np.atleast_1d(np.array(self.objective, dtype=float))
             lhs = np.array(self.lhs, dtype=float)
             rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
+            bounds = None if self.bounds is None else tuple(
+                (None if lo is None else float(lo), None if hi is None else float(hi))
+                for lo, hi in self.bounds
+            )
         except (TypeError, ValueError) as exc:
-            raise InputError(f"LP coefficients must be numeric arrays: {exc}") from exc
+            raise InputError(f"LP coefficients and bounds must be numbers: {exc}") from exc
         if lhs.size == 0 and lhs.ndim < 3:
             lhs = np.zeros((len(rel), obj.size))
         lhs = np.atleast_2d(lhs)
@@ -92,17 +96,12 @@ class LinearProgram:
             raise InputError("a stack of LPs needs at least one LP")
         if not (np.isfinite(obj).all() and np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise InputError("LP coefficients must be finite")
-        if self.bounds is None:
-            bounds: tuple[Bound, ...] = (((0.0, None),) * obj.size)
-        else:
-            bounds = tuple(
-                (None if lo is None else float(lo), None if hi is None else float(hi))
-                for lo, hi in self.bounds
-            )
-            if len(bounds) != obj.size:
-                raise InputError("bounds length does not match variable count")
-            if any(hi is not None for _, hi in bounds):
-                raise InputError("upper bounds are not supported; write them as constraints")
+        if bounds is None:
+            bounds = ((0.0, None),) * obj.size
+        elif len(bounds) != obj.size:
+            raise InputError("bounds length does not match variable count")
+        elif any(hi is not None for _, hi in bounds):
+            raise InputError("upper bounds are not supported; write them as constraints")
         for arr in (obj, lhs, rhs):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", obj)

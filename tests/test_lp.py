@@ -448,7 +448,7 @@ def test_malformed_stacks_are_rejected():
         LinearProgram(lhs=lhs[None], rhs=np.ones((1, 3, 2)), **spec)
     with pytest.raises(InputError):  # an empty stack
         LinearProgram(lhs=np.ones((0, 2, 2)), rhs=np.ones((0, 2)), **spec)
-    with pytest.raises(InputError):  # one LP's worth of work for solve_lp only
+    with pytest.raises(InputError):  # solve_lp given a stack
         solve_lp(LinearProgram(lhs=lhs, rhs=np.ones((3, 2)), **spec))
 
 
@@ -456,6 +456,17 @@ def test_malformed_stacks_are_rejected():
 def test_ragged_or_non_numeric_coefficients_are_rejected(bad):
     with pytest.raises(InputError):
         LinearProgram(objective=[1.0, 1.0], lhs=bad, relations=("<=", "<="), rhs=[1.0, 1.0])
+    with pytest.raises(InputError):
+        LinearProgram(objective=[1.0, 1.0], lhs=np.eye(2), relations=("<=", "<="), rhs=bad)
+
+
+@pytest.mark.parametrize("bounds", [((0.0,), (0.0, None)), (("a", None), (0.0, None)), (None, None)])
+def test_malformed_bounds_are_rejected(bounds):
+    with pytest.raises(InputError):
+        LinearProgram(
+            objective=[1.0, 1.0], lhs=np.eye(2), relations=("<=", "<="), rhs=[1.0, 1.0],
+            bounds=bounds,
+        )
 
 
 def _spy(monkeypatch, name):
