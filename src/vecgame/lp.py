@@ -11,12 +11,13 @@ A `LinearProgram` is one LP, or a stack of B LPs that share their
 objective, relations, bounds and sense and differ in `lhs` (B, m, n) and
 `rhs` (B, m).  `solve_lp` solves one LP and `solve_batch` a stack, with
 one outcome per LP that is bit for bit what `solve_lp` gives it alone.
-Both run one solve on a (B, rows + 1, cols + 1) stack of tableaux, which
-shares the set-up, the change of phase and the read-off.  Only the pivot
-loop exists twice: a stack of one runs the scalar loop, and a larger
-stack pivots in lockstep by Dantzig's rule, each step doing the
-floating-point operations of the scalar loop (the layout of Gurung & Ray,
-"Simultaneous solving of batched linear programs on a GPU", ICPE 2019).
+`solve_batch` runs the two phases on a (B, rows + 1, cols + 1) stack of
+tableaux, and `solve_lp` calls it on a stack of one, so both share the
+set-up, the change of phase and the read-off.  Only the pivot loop
+exists twice: a stack of one runs the scalar loop, and a larger stack
+pivots in lockstep by Dantzig's rule, each step doing the floating-point
+operations of the scalar loop (the layout of Gurung & Ray, "Simultaneous
+solving of batched linear programs on a GPU", ICPE 2019).
 A tableau whose basis repeats leaves the lockstep and finishes under the
 scalar loop's Bland rule.  The scalar loop stays because lockstep costs
 about 2.2x as much on a stack of one.
@@ -433,9 +434,13 @@ def _read_off(tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray) -> list[np.nda
     return [row.copy() for row in x[:, tab.plus] - x[:, tab.minus]]
 
 
-def _solve(lp: LinearProgram, max_iter: int | None) -> list[LPOutcome]:
-    """The two-phase simplex on each LP of the stack `lp`, one LP being a
-    stack of one; both phases pivot in `_run`."""
+def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOutcome]:
+    """One outcome per LP of the stack `lp`, in stack order, each bit for
+    bit what `solve_lp` gives that LP alone; a single LP is a stack of one.
+
+    Both phases pivot in `_run`: a stack of more than one LP in lockstep
+    (`_run_lockstep`).  An error in any LP raises out of the whole stack.
+    """
     tab = _setup(lp, max_iter)
     T, basis, budget = tab.T, tab.basis, tab.budget
     outcomes: list[LPOutcome | None] = [None] * len(T)
@@ -480,17 +485,7 @@ def solve_lp(lp: LinearProgram, *, max_iter: int | None = None) -> LPOutcome:
     """
     if lp.lhs.ndim == 3:
         raise InputError("solve_lp takes one LP; solve a stack with solve_batch")
-    return _solve(lp, max_iter)[0]
-
-
-def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOutcome]:
-    """One outcome per LP of the stack `lp`, in stack order, each bit for
-    bit what `solve_lp` gives that LP alone.
-
-    A stack of more than one LP pivots in lockstep (`_run_lockstep`).  An
-    error in any LP raises out of the whole stack.
-    """
-    return _solve(lp, max_iter)
+    return solve_batch(lp, max_iter=max_iter)[0]
 
 
 def check_feasibility(lp: LinearProgram, *, max_iter: int | None = None) -> FeasibilityResult:
