@@ -26,7 +26,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, LPOutcome, solve_lp
+from .lp import LinearProgram, LPOutcome, solve_batch, solve_lp
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
@@ -38,6 +38,12 @@ from .polyhedra import (
 # A strategy counts as minimal/maximal when the improvement LP value
 # stays at or below this.
 DECISION_TOL = 1e-7
+# The most grid points one `classify_grid` task certifies.  On a 4x4x3
+# game at 1/16 (969 points a player), blocks of 64 took 3.05-3.25 s CPU
+# at 39 MB peak RSS for both players in one process, blocks of 1 took
+# 4.1-4.4 s at 34 MB and one block of 485 up to 3.4 s at 58 MB; the cap
+# keeps a task's memory from growing with the grid.
+GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -145,21 +151,23 @@ def _mixed_strategy_lp(
     return out
 
 
-def _minimality_core(
-    game: VectorPayoffGame, pbar: MixedStrategy, tol: float
-) -> MinimalityCertificate:
-    """Improvement LP for `pbar` as a row strategy of `game`.
+# A tested strategy's lower payoff set, its exposing normals (L, K) and
+# offsets (L,), and its improvement LP's constraint matrix and rhs.
+_Built = tuple[OrientedPayoffPolyhedron, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    `game` is already the owner's view (`game.for_player(pbar.owner)`);
-    the improving strategy keeps pbar's owner.
+
+def _improvement_lp(game: VectorPayoffGame, pbar: MixedStrategy) -> _Built:
+    """Build stage of the improvement LP for `pbar` as a row strategy of `game`.
+
+    The LP maximizes the exposing slacks eps over the variables (p, eps):
+    one block of n rows a·g_ij <= b (j = 1..n) per halfspace and per
+    exposing normal, where the block of exposing normal ell also carries
+    eps_ell, then the row sum(p) = 1.
     """
     target = build_lower_set(row_generator_matrix(game, pbar))
     if not len(target.vertices):
         raise NumericalError("payoff set has no identifiable vertex")
     exp_normals, exp_offsets = exposing_normals(target)
-
-    # One block of n rows a·g_ij <= b (j = 1..n) per halfspace and per exposing
-    # normal; the block of exposing normal ell also carries its slack eps_ell.
     m, n = game.rows, game.cols
     L = len(exp_offsets)
     normals = np.vstack([target.normals, exp_normals])
@@ -169,16 +177,42 @@ def _minimality_core(
     lhs[:R, :m] = scal.transpose(0, 2, 1).reshape(R, m)
     lhs[R - L * n + np.arange(L * n), m + np.repeat(np.arange(L), n)] = 1.0
     lhs[R, :m] = 1.0
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(m), np.ones(L)]),
-        lhs=lhs,
-        relations=("<=",) * R + ("=",),
-        rhs=np.append(np.repeat(np.concatenate([target.offsets, exp_offsets]), n), 1.0),
-        sense="max",
-    )
-    out = solve_lp(lp)
+    rhs = np.append(np.repeat(np.concatenate([target.offsets, exp_offsets]), n), 1.0)
+    return target, exp_normals, exp_offsets, lhs, rhs
+
+
+def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
+    """Solve stage: the outcome of each built LP, in order.
+
+    The LPs are stacked by `lhs` shape, which fixes the facet and exposing
+    normal counts and so the objective (0_m, 1_L) and the relations; each
+    stack is one `solve_batch` call.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, b in enumerate(built):
+        groups.setdefault(b[3].shape, []).append(i)
+    outcomes: list[LPOutcome] = [None] * len(built)
+    for (rows, cols), idx in groups.items():
+        lp = LinearProgram(
+            objective=np.concatenate([np.zeros(m), np.ones(cols - m)]),
+            lhs=np.stack([built[i][3] for i in idx]),
+            relations=("<=",) * (rows - 1) + ("=",),
+            rhs=np.stack([built[i][4] for i in idx]),
+            sense="max",
+        )
+        for i, out in zip(idx, solve_batch(lp)):
+            outcomes[i] = out
+    return outcomes
+
+
+def _check_improvement(
+    game: VectorPayoffGame, pbar: MixedStrategy, built: _Built, out: LPOutcome, tol: float
+) -> MinimalityCertificate:
+    """Check stage: the certificate of `pbar` from its improvement LP's outcome."""
     if out.status != "optimal":
         raise NumericalError(f"improvement LP ended with status {out.status}")
+    target, exp_normals, exp_offsets = built[:3]
+    m = game.rows
     value = float(out.objective_value)
     slacks = tuple(float(s) for s in out.solution[m:])
     if value <= tol:
@@ -200,6 +234,28 @@ def _minimality_core(
             "improvement LP reported positive value but the payoff sets coincide"
         )
     return MinimalityCertificate(pbar, value, improving, False, slacks)
+
+
+def _certificates(
+    game: VectorPayoffGame, points: Sequence[MixedStrategy], tol: float
+) -> list[MinimalityCertificate]:
+    """The certificates of a block of row strategies of `game`, in order.
+
+    `game` is already the owner's view (`game.for_player(owner)`); each
+    improving strategy keeps its tested strategy's owner.  Every LP of the
+    block is built, then solved in stacks, then checked.
+    """
+    built = [_improvement_lp(game, p) for p in points]
+    outcomes = _solve_improvement_lps(game.rows, built)
+    return [_check_improvement(game, *args, tol) for args in zip(points, built, outcomes)]
+
+
+def _minimality_core(
+    game: VectorPayoffGame, pbar: MixedStrategy, tol: float
+) -> MinimalityCertificate:
+    """The certificate of one strategy: a block of one, whose stack of one
+    runs the scalar pivot loop."""
+    return _certificates(game, [pbar], tol)[0]
 
 
 def _certificate(
@@ -236,13 +292,13 @@ def check_workers(workers: int | None) -> None:
         raise InputError("workers must be at least 1")
 
 
-def pool_map(fn: Callable, items: Sequence, workers: int | None, chunksize: int = 1) -> list:
+def pool_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     """[fn(x) for x in items], in order; in a pool of `workers` processes
     when there are more than one of each."""
     check_workers(workers)
     if workers is not None and workers > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            return list(pool.map(fn, items))
     return [fn(x) for x in items]
 
 
@@ -256,14 +312,24 @@ def classify_grid(
 ) -> StrategyFront:
     """Run the minimality (maximality) test on every grid strategy.
 
-    Certificates come back in grid order regardless of `workers`.
+    The grid is cut into contiguous blocks, four a worker in a pool and
+    one when serial, and none longer than GRID_BLOCK; each block is one
+    task, which solves its LPs in stacks.  Certificates come back in grid
+    order regardless of `workers`.
     """
     oriented = game.for_player(player)
     grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
 
-    certificates = pool_map(
-        partial(_minimality_core, oriented, tol=tol), grid.points, workers, chunksize=8
-    )
+    parts = 4 * workers if workers is not None and workers > 1 else 1
+    count = len(grid.points)
+    nblocks = max(parts, -(-count // GRID_BLOCK))
+    cuts = [count * k // nblocks for k in range(nblocks + 1)]
+    tasks = [grid.points[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    certificates = [
+        cert
+        for block in pool_map(partial(_certificates, oriented, tol=tol), tasks, workers)
+        for cert in block
+    ]
 
     # Two optimal sets are one class when their vertex lists agree within
     # VERTEX_MERGE_TOL; each set joins the first such class, and is compared

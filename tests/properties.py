@@ -24,7 +24,7 @@ from vecgame.game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from vecgame.lp import LinearProgram, solve_lp
+from vecgame.lp import LinearProgram, LPOutcome, solve_batch, solve_lp
 from vecgame.polyhedra import (
     LOWER,
     build_lower_set,
@@ -47,6 +47,23 @@ def stack_lps(lps) -> LinearProgram:
 def unstack_lp(stack: LinearProgram) -> list[LinearProgram]:
     """The LPs of a stack, each on its own."""
     return [dataclasses.replace(stack, lhs=a, rhs=b) for a, b in zip(stack.lhs, stack.rhs)]
+
+
+def fail_one_stacked_lp(monkeypatch, module) -> list[int]:
+    """Make the last LP of the first stack of more than one that `module`
+    solves end at the iteration limit; the others keep their outcomes.
+    Returns the sizes of the stacks solved."""
+    sizes = []
+
+    def solve(lp):
+        outcomes = solve_batch(lp)
+        if len(outcomes) > 1 and not any(n > 1 for n in sizes):
+            outcomes[-1] = LPOutcome("iteration_limit", None, None, outcomes[-1].iterations)
+        sizes.append(len(outcomes))
+        return outcomes
+
+    monkeypatch.setattr(module, "solve_batch", solve)
+    return sizes
 
 
 def random_game(rng: np.random.Generator, rows: int, cols: int, dim: int,

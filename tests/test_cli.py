@@ -14,6 +14,8 @@ from vecgame import solver
 from vecgame.cli import game_dict, main
 from vecgame.lp import LPOutcome
 
+from properties import fail_one_stacked_lp
+
 
 @pytest.fixture(scope="module")
 def game_files(tmp_path_factory, two_by_two, three_by_three, corley, zero_row, scalar_game):
@@ -501,14 +503,23 @@ def test_non_finite_tol_is_an_input_error(game_files, capsys, command, tol):
 def test_invalid_lp_strategy_is_a_numerical_failure(game_files, monkeypatch, capsys):
     # An improvement LP that returns a weight of -0.5 is the program's
     # fault, not the input's.
-    def fake_solve_lp(lp):
-        slacks = np.zeros(lp.lhs.shape[1] - 2)
+    def fake_solve_batch(lp):
+        slacks = np.zeros(lp.lhs.shape[2] - 2)
         slacks[0] = 1.0
-        return LPOutcome("optimal", 1.0, np.concatenate([[-0.5, 1.5], slacks]), 0)
+        return [
+            LPOutcome("optimal", 1.0, np.concatenate([[-0.5, 1.5], slacks]), 0) for _ in lp.lhs
+        ]
 
-    monkeypatch.setattr(solver, "solve_lp", fake_solve_lp)
+    monkeypatch.setattr(solver, "solve_batch", fake_solve_batch)
     assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_one_non_optimal_lp_in_a_block_is_a_numerical_failure(game_files, monkeypatch, capsys):
+    sizes = fail_one_stacked_lp(monkeypatch, solver)
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert any(n > 1 for n in sizes)
 
 
 def test_missing_required_input_flag():

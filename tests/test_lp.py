@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -484,7 +486,9 @@ def _spy(monkeypatch, name):
 
 def test_a_cycling_lp_finishes_under_blands_rule_inside_a_batch(monkeypatch):
     lps = []
-    monkeypatch.setattr(solver, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
+    monkeypatch.setattr(
+        solver, "solve_batch", lambda lp: lps.extend(unstack_lp(lp)) or solve_batch(lp)
+    )
     for variant, counts in CYCLING_POINTS:
         game = relabeled_game(1000, (4, 4, 3), variant)
         minimality_lp(game, row_strategy(*(c / 16 for c in counts)))
@@ -624,23 +628,9 @@ def _assert_same_lp(got, want):
     assert (got.relations, got.sense, got.bounds) == (want.relations, want.sense, want.bounds)
 
 
-def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monkeypatch):
-    """Each LP the package builds in blocks, against the same LP written one row at a time."""
-    seen = []
-
-    def recording_solve_lp(lp):
-        seen.append(lp)
-        return solve_lp(lp)
-
-    monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
-    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
-    entries = relabeled_game(2000, (4, 4, 4), 0).entries
-    m, n, k = entries.shape
-    free = (None, None)
-
-    # improvement LP: n rows per halfspace, then n rows per exposing normal with its slack
-    game, p = three_by_three, row_strategy(0.2, 0.3, 0.5)
-    minimality_lp(game, p)
+def _row_built_improvement_lp(game, p):
+    """The improvement LP of row strategy `p`: n rows per halfspace, then n rows
+    per exposing normal with its slack, then the simplex row."""
     target = build_lower_set(row_generator_matrix(game, p))
     exp_normals, exp_offsets = exposing_normals(target)
     L = len(exp_offsets)
@@ -657,9 +647,33 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
             rows.append(np.concatenate([scal[:, j], eps]))
             rhs.append(offset)
     rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
-    want = _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
+    return _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
                       np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")
-    _assert_same_lp(seen.pop(), want)
+
+
+def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monkeypatch):
+    """Each LP the package builds in blocks, against the same LP written one row at a time."""
+    seen = []
+
+    def recording_solve_lp(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    def recording_solve_batch(lp):
+        seen.extend(unstack_lp(lp))
+        return solve_batch(lp)
+
+    monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
+    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
+    entries = relabeled_game(2000, (4, 4, 4), 0).entries
+    m, n, k = entries.shape
+    free = (None, None)
+
+    # improvement LP, solved as a stack of one
+    game, p = three_by_three, row_strategy(0.2, 0.3, 0.5)
+    minimality_lp(game, p)
+    _assert_same_lp(seen.pop(), _row_built_improvement_lp(game, p))
 
     # scalar game: one row per column
     weight = ScalarizationWeight((1.0, 2.0, 3.0, 4.0))
@@ -704,3 +718,29 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
                       ((0.0, None),) * (n * k) + (free,))
     _assert_same_lp(seen.pop(), want)
     assert not seen
+
+
+def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definition(
+    three_by_three, monkeypatch
+):
+    stacks = []
+
+    def recording_solve_batch(lp):
+        stacks.append(lp)
+        return solve_batch(lp)
+
+    monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
+    # 91 grid points: two blocks, each stacked by facet and exposing normal count
+    front = solver.classify_grid(three_by_three, Player.ROW, Fraction(1, 12))
+    assert len(stacks) > 2 and max(len(lp.lhs) for lp in stacks) > 1
+    # A shape's stacks, in call order, hold its grid points in grid order.
+    got, want = {}, {}
+    for lp in stacks:
+        got.setdefault(lp.lhs.shape[1:], []).extend(unstack_lp(lp))
+    for cert in front.certificates:
+        lp = _row_built_improvement_lp(three_by_three, cert.tested_strategy)
+        want.setdefault(lp.lhs.shape, []).append(lp)
+    assert got.keys() == want.keys()
+    for shape in want:
+        for g, w in zip(got[shape], want[shape], strict=True):
+            _assert_same_lp(g, w)

@@ -35,8 +35,10 @@ from vecgame.solver import (
 from properties import (
     check_k1_reduction,
     check_set_relation_monotonicity,
+    fail_one_stacked_lp,
     optimal_weight_set,
     random_game,
+    relabeled_game,
     same_polyhedron,
     scalar_game_value,
 )
@@ -115,13 +117,13 @@ def test_certificate_slacks_sum_to_the_value(two_by_two):
 def _stub_improvement_lp(monkeypatch, weights):
     """Make every improvement LP report value 1 with `weights` as its mixture."""
 
-    def fake_solve_lp(lp):
+    def fake_solve_batch(lp):
         m = len(weights)
-        slacks = np.zeros(lp.lhs.shape[1] - m)
+        slacks = np.zeros(lp.lhs.shape[2] - m)
         slacks[0] = 1.0
-        return LPOutcome("optimal", 1.0, np.concatenate([weights, slacks]), 0)
+        return [LPOutcome("optimal", 1.0, np.concatenate([weights, slacks]), 0) for _ in lp.lhs]
 
-    monkeypatch.setattr(solver, "solve_lp", fake_solve_lp)
+    monkeypatch.setattr(solver, "solve_batch", fake_solve_batch)
 
 
 def test_a_positive_value_without_improvement_is_a_numerical_fault(two_by_two, monkeypatch):
@@ -257,6 +259,54 @@ def test_classify_grid_worker_independence(two_by_two):
     assert [s.weights for s in serial.minimal_or_maximal] == [
         s.weights for s in parallel.minimal_or_maximal
     ]
+
+
+def _certificate_bytes(cert: MinimalityCertificate) -> tuple:
+    """What a certificate holds, floats as bytes, so that a change in the last bit shows."""
+    payoff_set = cert.payoff_set
+    return (
+        cert.tested_strategy.weights,
+        cert.is_minimal,
+        np.float64(cert.lp_value).tobytes(),
+        np.array(cert.slacks).tobytes(),
+        None if cert.improving_strategy is None else cert.improving_strategy.weights,
+        None if payoff_set is None else tuple(
+            getattr(payoff_set, f).tobytes() for f in ("generators", "normals", "offsets", "vertices")
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def per_point_certificates():
+    """The relabeled benchmark game of the fronts workload at 1/12 (455 points a
+    player, eight blocks that are not all full), certified one point at a time."""
+    game = relabeled_game(1000, (4, 4, 3), 0)
+    step = Fraction(1, 12)
+    test = {Player.ROW: minimality_lp, Player.COL: maximality_lp}
+    return game, step, {
+        player: [
+            _certificate_bytes(test[player](game, s))
+            for s in enumerate_simplex_grid(4, step, owner=player).points
+        ]
+        for player in Player
+    }
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_classify_grid_equals_per_point_certificates_bit_for_bit(per_point_certificates, workers):
+    game, step, want = per_point_certificates
+    assert len(want[Player.ROW]) == 455
+    for player in Player:
+        front = classify_grid(game, player, step, workers=workers)
+        got = [_certificate_bytes(c) for c in front.certificates]
+        assert got == want[player], player
+
+
+def test_one_non_optimal_lp_in_a_block_is_a_numerical_fault(two_by_two, monkeypatch):
+    sizes = fail_one_stacked_lp(monkeypatch, solver)
+    with pytest.raises(NumericalError, match="status iteration_limit"):
+        classify_grid(two_by_two, Player.ROW, Fraction(1, 10))
+    assert any(n > 1 for n in sizes)
 
 
 # --- improvement iteration ---------------------------------------------------
