@@ -22,12 +22,14 @@ A tableau whose basis repeats leaves the lockstep and finishes under the
 scalar loop's Bland rule.  The scalar loop stays because lockstep costs
 about 2.2x as much on a stack of one.
 
-`equilibria` solves its strong-equilibrium LPs as stacks, one per pair
-of facet counts: thousands of LPs with 5 or 6 rows, whose cost in
-`solve_lp` was mostly per call.  The grid minimality LPs, the gap LPs of
-`poss.verify_gap` and Benson's LPs stay on `solve_lp`.  Benson's loop
-needs each answer before it builds the next LP, and the other two build
-their LPs one at a time inside their callers (README, "The simplex").
+Two callers build stacks.  `equilibria` solves its strong-equilibrium
+LPs as one stack per pair of facet counts: thousands of LPs with 5 or 6
+rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
+improvement LPs of a block of grid points and solves them as one stack
+per constraint shape.  The gap LPs of `poss.verify_gap` and Benson's LPs
+stay on `solve_lp`: Benson's loop needs each answer before it builds the
+next LP, and one stack per facet count of a front's gap LPs raised peak
+memory past its gain (README, "The simplex").
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .polyhedra import (
 # A strategy counts as minimal/maximal when the improvement LP value
 # stays at or below this.
 DECISION_TOL = 1e-7
-# The most grid points one `classify_grid` task certifies.  On a 4x4x3
-# game at 1/16 (969 points a player), blocks of 64 took 3.05-3.25 s CPU
-# at 39 MB peak RSS for both players in one process, blocks of 1 took
-# 4.1-4.4 s at 34 MB and one block of 485 up to 3.4 s at 58 MB; the cap
-# keeps a task's memory from growing with the grid.
+# The most grid points one `classify_grid` task certifies.  Serial fronts
+# of both players of a 4x4x3 game at 1/16 (969 points each) took, median
+# of 7 runs on a 2-vCPU Xeon: blocks of 1, 2.77 s CPU at 35.0 MB peak RSS;
+# of 64, 2.16 s at 38.8 MB; of 485, 1.88 s at 60.9 MB.  The cap keeps a
+# task's memory from growing with the grid.
 GRID_BLOCK = 64
 
 
@@ -151,9 +151,15 @@ def _mixed_strategy_lp(
     return out
 
 
-# A tested strategy's lower payoff set, its exposing normals (L, K) and
-# offsets (L,), and its improvement LP's constraint matrix and rhs.
-_Built = tuple[OrientedPayoffPolyhedron, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+class _Built(NamedTuple):
+    """A tested strategy's lower payoff set, its exposing normals (L, K) and
+    offsets (L,), and its improvement LP's constraint matrix and rhs."""
+
+    target: OrientedPayoffPolyhedron
+    exp_normals: np.ndarray
+    exp_offsets: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
 
 def _improvement_lp(game: VectorPayoffGame, pbar: MixedStrategy) -> _Built:
@@ -178,7 +184,7 @@ def _improvement_lp(game: VectorPayoffGame, pbar: MixedStrategy) -> _Built:
     lhs[R - L * n + np.arange(L * n), m + np.repeat(np.arange(L), n)] = 1.0
     lhs[R, :m] = 1.0
     rhs = np.append(np.repeat(np.concatenate([target.offsets, exp_offsets]), n), 1.0)
-    return target, exp_normals, exp_offsets, lhs, rhs
+    return _Built(target, exp_normals, exp_offsets, lhs, rhs)
 
 
 def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
@@ -190,14 +196,14 @@ def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, b in enumerate(built):
-        groups.setdefault(b[3].shape, []).append(i)
-    outcomes: list[LPOutcome] = [None] * len(built)
+        groups.setdefault(b.lhs.shape, []).append(i)
+    outcomes: list[LPOutcome | None] = [None] * len(built)
     for (rows, cols), idx in groups.items():
         lp = LinearProgram(
             objective=np.concatenate([np.zeros(m), np.ones(cols - m)]),
-            lhs=np.stack([built[i][3] for i in idx]),
+            lhs=np.stack([built[i].lhs for i in idx]),
             relations=("<=",) * (rows - 1) + ("=",),
-            rhs=np.stack([built[i][4] for i in idx]),
+            rhs=np.stack([built[i].rhs for i in idx]),
             sense="max",
         )
         for i, out in zip(idx, solve_batch(lp)):
@@ -211,7 +217,7 @@ def _check_improvement(
     """Check stage: the certificate of `pbar` from its improvement LP's outcome."""
     if out.status != "optimal":
         raise NumericalError(f"improvement LP ended with status {out.status}")
-    target, exp_normals, exp_offsets = built[:3]
+    target, exp_normals, exp_offsets, _, _ = built
     m = game.rows
     value = float(out.objective_value)
     slacks = tuple(float(s) for s in out.solution[m:])
@@ -302,6 +308,16 @@ def pool_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     return [fn(x) for x in items]
 
 
+def _grid_blocks(count: int, workers: int | None) -> list[slice]:
+    """Contiguous near-equal blocks of `count` grid points: four a worker in
+    a pool and one when serial, or more where a block would exceed
+    GRID_BLOCK points.  Empty blocks are left out."""
+    parts = 4 * workers if workers is not None and workers > 1 else 1
+    nblocks = max(parts, -(-count // GRID_BLOCK))
+    cuts = [count * k // nblocks for k in range(nblocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 def classify_grid(
     game: VectorPayoffGame,
     player: Player,
@@ -312,19 +328,13 @@ def classify_grid(
 ) -> StrategyFront:
     """Run the minimality (maximality) test on every grid strategy.
 
-    The grid is cut into contiguous blocks, four a worker in a pool and
-    one when serial, and none longer than GRID_BLOCK; each block is one
-    task, which solves its LPs in stacks.  Certificates come back in grid
-    order regardless of `workers`.
+    Each block of `_grid_blocks` is one task, which solves its LPs in
+    stacks.  Certificates come back in grid order regardless of `workers`.
     """
     oriented = game.for_player(player)
     grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
 
-    parts = 4 * workers if workers is not None and workers > 1 else 1
-    count = len(grid.points)
-    nblocks = max(parts, -(-count // GRID_BLOCK))
-    cuts = [count * k // nblocks for k in range(nblocks + 1)]
-    tasks = [grid.points[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    tasks = [grid.points[block] for block in _grid_blocks(len(grid.points), workers)]
     certificates = [
         cert
         for block in pool_map(partial(_certificates, oriented, tol=tol), tasks, workers)

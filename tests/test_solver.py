@@ -302,6 +302,16 @@ def test_classify_grid_equals_per_point_certificates_bit_for_bit(per_point_certi
         assert got == want[player], player
 
 
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, 5, 35, 64, 65, 455, 969])
+def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers):
+    blocks = solver._grid_blocks(count, workers)
+    assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+    assert max(b.stop - b.start for b in blocks) <= 64
+    parts = 4 * workers if workers is not None and workers > 1 else 1
+    assert len(blocks) == max(min(parts, count), -(-count // 64))
+
+
 def test_one_non_optimal_lp_in_a_block_is_a_numerical_fault(two_by_two, monkeypatch):
     sizes = fail_one_stacked_lp(monkeypatch, solver)
     with pytest.raises(NumericalError, match="status iteration_limit"):
