@@ -263,23 +263,22 @@ def test_classify_grid_worker_independence(two_by_two):
 
 def _certificate_bytes(cert: MinimalityCertificate) -> tuple:
     """What a certificate holds, floats as bytes, so that a change in the last bit shows."""
-    payoff_set = cert.payoff_set
+    improving, payoff_set = cert.improving_strategy, cert.payoff_set
+    fields = ("generators", "normals", "offsets", "vertices")
     return (
         cert.tested_strategy.weights,
         cert.is_minimal,
         np.float64(cert.lp_value).tobytes(),
         np.array(cert.slacks).tobytes(),
-        None if cert.improving_strategy is None else cert.improving_strategy.weights,
-        None if payoff_set is None else tuple(
-            getattr(payoff_set, f).tobytes() for f in ("generators", "normals", "offsets", "vertices")
-        ),
+        None if improving is None else np.array(improving.weights).tobytes(),
+        None if payoff_set is None else tuple(getattr(payoff_set, f).tobytes() for f in fields),
     )
 
 
 @pytest.fixture(scope="module")
 def per_point_certificates():
     """The relabeled benchmark game of the fronts workload at 1/12 (455 points a
-    player, eight blocks that are not all full), certified one point at a time."""
+    player, eight blocks of 56 or 57), certified one point at a time."""
     game = relabeled_game(1000, (4, 4, 3), 0)
     step = Fraction(1, 12)
     test = {Player.ROW: minimality_lp, Player.COL: maximality_lp}
