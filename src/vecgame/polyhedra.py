@@ -4,6 +4,12 @@ A lower set stores constraints a·y <= b, an upper set a·y >= b; in both
 cases the normals a are nonnegative and normalized to unit coordinate sum,
 so they read directly as Pareto weights.  Conversion between generators and
 halfspaces runs through one double-description kernel on a homogenized cone.
+
+The kernel, `ConeDD`, steps a stack of cones in lockstep, and
+`build_lower_set` builds a stack of lower sets in one call; one cone or one
+set is a stack of one.  Every stacked step is elementwise, an exact count,
+or a computation within one member, so a member comes out bit for bit as it
+would alone, whatever else is in its stack.
 """
 
 from __future__ import annotations
@@ -68,90 +74,135 @@ class OrientedPayoffPolyhedron:
         }
 
 
-def _normalize_ray(r: np.ndarray) -> np.ndarray | None:
-    norm = float(np.linalg.norm(r))
-    if norm < 1e-12:
-        return None
-    return r / norm
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·y over the last axis, broadcast over the others, summed left to right.
 
-
-def _dedupe_rays(rays: list[np.ndarray]) -> list[np.ndarray]:
-    seen = set()
-    out = []
-    keys = np.round(np.array(rays), 9).tolist() if rays else []
-    for r, key in zip(rays, map(tuple, keys)):
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
+    Only elementwise operations run, so a value does not depend on the shape
+    of the stack it sits in; matmul, einsum and BLAS dot products round
+    differently with the shape of their operands.
+    """
+    out = x[..., 0] * y[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., k] * y[..., k]
     return out
 
 
-class ConeDD:
-    """Incremental double description of {x : C x >= 0}, one row of C at a time.
+def _places(member: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """For items sorted by member (0 <= member < count): the number of items of
+    each member, and each item's place among its member's items."""
+    counts = np.bincount(member, minlength=count)
+    return counts, np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    The start is a square nonsingular block B of rows.  {x : B x >= 0} is the
-    simplicial cone spanned by the columns of B^-1, so those columns,
-    normalized, are its extreme rays (Fukuda & Prodon, "Double description
-    method revisited", 1996).  Each `add` then runs the positive/negative
-    combination step with the combinatorial adjacency test.  The state after
-    a sequence of `add` calls depends only on the block and the rows in their
-    order, so a caller that keeps one object across cuts gets exactly what a
-    fresh run over all rows would give.
+
+class ConeDD:
+    """Double description of one cone {x : C x >= 0}, or of a stack of B such
+    cones stepped in lockstep, one row of each C at a time.
+
+    A 2-D block gives one cone; a 3-D block (B, d, d) gives a stack, and
+    `add` then takes one row per cone, (B, d).  Each cone starts from a
+    square nonsingular block of rows.  {x : B x >= 0} is the simplicial cone
+    spanned by the columns of B^-1, so those columns, normalized, are its
+    extreme rays (Fukuda & Prodon, "Double description method revisited",
+    1996).  Each `add` then runs the positive/negative combination step with
+    the combinatorial adjacency test, once for the whole stack.
+
+    The state is padded: `rays` (B, R, d) holds cone b's unit rays in the
+    rows where `valid` (B, R) is True, which come first, and zeros after;
+    `done` (B, J, d) holds the rows processed.  Every step is elementwise,
+    an exact count, or works within one cone, so a cone's state does not
+    depend on the rest of its stack: member b of a stack ends bit for bit
+    where a stack of one would.  The state after a sequence of `add` calls
+    depends only on the block and the rows in their order, so a caller that
+    keeps one object across cuts gets exactly what a fresh run over all
+    rows would give.
     """
 
     def __init__(self, block) -> None:
-        B = np.atleast_2d(np.asarray(block, dtype=float))
-        self.dim = B.shape[1]
-        if B.shape[0] != self.dim or np.linalg.matrix_rank(B) < self.dim:
+        blocks = np.asarray(block, dtype=float)
+        self.single = blocks.ndim < 3
+        if self.single:
+            blocks = np.atleast_2d(blocks)[None]
+        self.dim = blocks.shape[-1]
+        if (blocks.ndim != 3 or blocks.shape[1] != self.dim
+                or np.any(np.linalg.matrix_rank(blocks) < self.dim)):
             raise NumericalError(
                 f"a double description starts from a square nonsingular block, "
-                f"not from this {B.shape[0]}x{self.dim} one"
+                f"not from this {'x'.join(map(str, blocks.shape[1:]))} one"
             )
-        self.rays: list[np.ndarray] = [c / np.linalg.norm(c) for c in np.linalg.inv(B).T]
-        self.done: list[np.ndarray] = list(B)
+        columns = np.linalg.inv(blocks).transpose(0, 2, 1)
+        self.rays = columns / np.sqrt(_dot(columns, columns))[..., None]
+        self.valid = np.ones(blocks.shape[:2], dtype=bool)
+        self.done = blocks
 
     def add(self, row) -> None:
-        """Intersect the cone with {x : row·x >= 0}."""
-        a = np.asarray(row, dtype=float)
-        rays = self.rays
-        vals = np.array([float(a @ r) for r in rays]) if rays else np.zeros(0)
-        neg_idx = np.nonzero(vals < -DD_TOL)[0]
-        if neg_idx.size == 0:
-            self.done.append(a)
-            return
-        pos_idx = np.nonzero(vals > DD_TOL)[0]
-        zer_idx = np.nonzero(np.abs(vals) <= DD_TOL)[0]
-        new_rays: list[np.ndarray] = []
-        for ip, ineg in self._adjacent_pairs(pos_idx, neg_idx):
-            w = vals[ip] * rays[ineg] - vals[ineg] * rays[ip]
-            nw = _normalize_ray(w)
-            if nw is not None:
-                new_rays.append(nw)
-        self.rays = _dedupe_rays(
-            [rays[i] for i in pos_idx] + [rays[i] for i in zer_idx] + new_rays
-        )
-        self.done.append(a)
+        """Intersect each cone with {x : row·x >= 0}, one row per cone."""
+        a = np.asarray(row, dtype=float).reshape(len(self.done), 1, self.dim)
+        vals = _dot(self.rays, a)
+        neg = self.valid & (vals < -DD_TOL)
+        cut = neg.any(axis=1)
+        if cut.any():
+            self._cut(vals, neg, cut)
+        self.done = np.concatenate([self.done, a], axis=1)
 
-    def _adjacent_pairs(self, pos_idx: np.ndarray, neg_idx: np.ndarray) -> np.ndarray:
-        """The adjacent (positive, negative) ray pairs, in row-major order.
+    def _cut(self, vals: np.ndarray, neg: np.ndarray, cut: np.ndarray) -> None:
+        """The combination step on the cones marked `cut`, whose new row
+        `vals` (B, R) leaves negative on the rays marked `neg`.
 
-        Two rays are adjacent when their common zero set among the processed
-        rows has at least dim - 2 rows and no third ray is zero on all of it.
-        Counting is done with matrix products on the zero-set matrix, and the
-        blocking test runs only on pairs that pass the count.
+        A cut cone keeps its positive rays, then its zero rays, then the
+        normalized combinations of its adjacent pairs in pair order, and
+        drops every ray equal to an earlier one to 9 decimals.  The other
+        cones keep their rays as they are.
+        """
+        rays, valid = self.rays, self.valid
+        pos = valid & (vals > DD_TOL)
+        b, p, n = self._adjacent_pairs(pos & cut[:, None], neg)
+        new = vals[b, p, None] * rays[b, n] - vals[b, n, None] * rays[b, p]
+        norm = np.sqrt(_dot(new, new))
+        big = norm >= 1e-12
+        kb, kr = np.nonzero(valid & ~neg)
+        member = np.concatenate([kb, b[big]])
+        group = np.concatenate([(cut[kb] & ~pos[kb, kr]).astype(int), np.full(big.sum(), 2)])
+        rank = np.concatenate([kr, np.arange(big.sum())])
+        cand = np.concatenate([rays[kb, kr], new[big] / norm[big, None]])
+        order = np.lexsort((rank, group, member))
+        member, cand = member[order], cand[order]
+
+        keep = ~(_repeats(member, cand) & cut[member])
+        member, cand = member[keep], cand[keep]
+
+        counts, slot = _places(member, len(valid))
+        self.rays = np.zeros((len(valid), counts.max(initial=0), self.dim))
+        self.rays[member, slot] = cand
+        self.valid = np.arange(self.rays.shape[1]) < counts[:, None]
+
+    def _adjacent_pairs(self, pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The adjacent (positive, negative) ray pairs of every cone, as index
+        arrays (b, p, n) in row-major order, from the (B, R) masks `pos` and `neg`.
+
+        Two rays of a cone are adjacent when their common zero set among the
+        cone's processed rows has at least dim - 2 rows and no third ray of
+        the cone is zero on all of it.  Counting is done with matrix products
+        on the zero-set matrices, which count exactly, and the blocking test
+        runs only on pairs that pass the count.
         """
         Z = zero_set(self.rays, self.done).astype(float)
-        ci, cj = np.nonzero(Z[pos_idx] @ Z[neg_idx].T >= self.dim - 2)
-        pairs = np.stack([pos_idx[ci], neg_idx[cj]], axis=1)
-        common = Z[pairs[:, 0]] * Z[pairs[:, 1]]
-        # misses[c, r] counts the common zero rows of pair c on which ray r is
-        # nonzero; the pair's own two rays always miss none.
-        misses = common @ (1.0 - Z).T
-        return pairs[(misses == 0).sum(axis=1) == 2]
+        shared = Z @ Z.transpose(0, 2, 1)
+        b, p, n = np.nonzero(pos[:, :, None] & neg[:, None, :] & (shared >= self.dim - 2))
+        # the pairs of each cone are padded to one length, so that misses[b, c, r],
+        # the common zero rows of pair c on which ray r is nonzero, is one
+        # batched product; the pair's own two rays always miss none
+        count, c = _places(b, len(Z))
+        common = np.zeros((len(Z), count.max(initial=0), Z.shape[2]))
+        common[b, c] = Z[b, p] * Z[b, n]
+        misses = common @ (1.0 - Z).transpose(0, 2, 1)
+        adjacent = ((misses[b, c] == 0) & self.valid[b]).sum(axis=1) == 2
+        return b[adjacent], p[adjacent], n[adjacent]
 
-    def extreme_rays(self) -> np.ndarray:
-        """The current extreme rays, one unit vector a row."""
-        return np.array(self.rays) if self.rays else np.zeros((0, self.dim))
+    def extreme_rays(self) -> np.ndarray | tuple[np.ndarray, ...]:
+        """The current extreme rays, one unit vector a row: an (R, d) array for
+        one cone, a tuple of them for a stack."""
+        rays = tuple(r[v] for r, v in zip(self.rays, self.valid))
+        return rays[0] if self.single else rays
 
 
 def cone_extreme_rays(constraints: np.ndarray) -> np.ndarray:
@@ -166,17 +217,28 @@ def cone_extreme_rays(constraints: np.ndarray) -> np.ndarray:
 
 def zero_set(rays, rows) -> np.ndarray:
     """Boolean ray-by-row matrix: True where the unit-norm ray lies on the row's
-    hyperplane, |row·ray| <= 1e-8.  The DD's adjacency test and `facet_rows` share it."""
-    return np.abs(np.asarray(rays) @ np.asarray(rows).T) <= 1e-8
+    hyperplane, |row·ray| <= 1e-8.  Stacks (..., R, d) and (..., J, d) give
+    (..., R, J).  The DD's adjacency test and `facet_rows` share it."""
+    rays, rows = np.asarray(rays, dtype=float), np.asarray(rows, dtype=float)
+    return np.abs(_dot(rays[..., :, None, :], rows[..., None, :, :])) <= 1e-8
+
+
+def _facet_mask(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows (..., J, d) are facets of the pointed cone {x : rows x >= 0}:
+    those whose tight extreme `rays` (..., R, d) have rank dim - 1, in one
+    batched rank test.  The rank of a member depends on R, so a stack must
+    hold members with equally many rays to rank each as it would alone."""
+    # slice j holds the rays tight on row j and zeros; tight rays leave the
+    # hyperplane by rounding (about 1e-14), which numpy's default tolerance counts
+    tight = np.where(np.swapaxes(zero_set(rays, rows), -1, -2)[..., None],
+                     rays[..., None, :, :], 0.0)
+    return np.linalg.matrix_rank(tight, tol=1e-9) == rows.shape[-1] - 1
 
 
 def facet_rows(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows that are facets of the pointed cone {x : rows x >= 0}:
-    those whose tight extreme `rays` have rank dim - 1, in one batched rank test."""
-    # slice j holds the rays tight on row j and zeros; tight rays leave the
-    # hyperplane by rounding (about 1e-14), which numpy's default tolerance counts
-    tight = np.where(zero_set(rays, rows).T[:, :, None], rays[None, :, :], 0.0)
-    return np.nonzero(np.linalg.matrix_rank(tight, tol=1e-9) == rows.shape[1] - 1)[0]
+    """Indices of the rows (J, d) that are facets of the pointed cone
+    {x : rows x >= 0} with extreme `rays` (R, d), as `_facet_mask` finds them."""
+    return np.flatnonzero(_facet_mask(rays, rows))
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
@@ -184,61 +246,109 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
+def _repeats(member: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows equal, to 9 decimals, an earlier row of the same member;
+    row i belongs to member[i]."""
+    key = np.round(rows, 9)
+    seq = np.lexsort((np.arange(len(rows)), *key.T[::-1], member))
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[seq[1:]] = (member[seq[1:]] == member[seq[:-1]]) & np.all(
+        key[seq[1:]] == key[seq[:-1]], axis=1
+    )
+    return repeat
+
+
+def _unit_sum_halfspaces(
+    member: np.ndarray, normals: np.ndarray, offsets: np.ndarray, count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`unit_sum_halfspaces` of each of `count` members at once; row i of
+    `normals` and `offsets` belongs to member[i]."""
+    s = normals.sum(axis=1)
+    keep = s > 1e-9
+    member, s = member[keep], s[keep]
+    a = normals[keep] / s[:, None]
+    b = offsets[keep] / s
+    a[np.abs(a) < 1e-12] = 0.0
+    s = a.sum(axis=1)
+    rows = np.column_stack([a / s[:, None], b / s])
+    fresh = ~_repeats(member, rows)
+    member, rows = member[fresh], rows[fresh]
+    order = np.lexsort((*rows.T[::-1], member))
+    parts = np.split(rows[order], np.cumsum(np.bincount(member, minlength=count))[:-1])
+    return [(r[:, :-1], r[:, -1]) for r in parts]
+
+
 def unit_sum_halfspaces(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct halfspaces (a, b) with unit normal sum, sorted; normal components
     below 1e-12 become zero, and a normal summing to about zero (a cone's t >= 0)
     drops out.  Of halfspaces equal to 9 decimals the first one is kept."""
-    s = normals.sum(axis=1)
-    keep = s > 1e-9
-    a = normals[keep] / s[keep, None]
-    b = offsets[keep] / s[keep]
-    a[np.abs(a) < 1e-12] = 0.0
-    s = a.sum(axis=1)
-    rows = np.column_stack([a / s[:, None], b / s])
-    seen = set()
-    first = []
-    for i, key in enumerate(map(tuple, np.round(rows, 9).tolist())):
-        if key not in seen:
-            seen.add(key)
-            first.append(i)
-    rows = rows[first]
-    rows = rows[_lex_order(rows)]
-    return rows[:, :-1], rows[:, -1]
+    return _unit_sum_halfspaces(np.zeros(len(normals), dtype=int), normals, offsets, 1)[0]
 
 
-def _lower_halfspaces(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Irredundant facets a·y <= b of co(points) - R^K_+ via the polar cone, and the
-    sorted vertices: the points whose rows (1, p) are facets of the polar cone."""
-    k = points.shape[1]
+def _lower_halfspaces(points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per member of a stack (B, n, K) of generator sets: the irredundant facets
+    a·y <= b of co(points) - R^K_+ via the polar cone, and the sorted vertices,
+    the points whose rows (1, p) are facets of the polar cone.  The polar
+    cones run as one stacked double description."""
+    count, n, k = points.shape
     # the rows (0, -e_k) and (1, p_0) lead: their block inverts without rounding
-    rows = np.vstack([np.hstack([np.zeros((k, 1)), -np.eye(k)]),
-                      np.hstack([np.ones((len(points), 1)), points])])
-    rays = cone_extreme_rays(rows)
-    normals, offsets = unit_sum_halfspaces(-rays[:, 1:], rays[:, 0])
-    facets = facet_rows(rays, rows)
-    verts = rows[facets[facets >= k], 1:]
-    return normals, offsets, verts[_lex_order(verts)]
+    rows = np.concatenate([
+        np.broadcast_to(np.hstack([np.zeros((k, 1)), -np.eye(k)]), (count, k, k + 1)),
+        np.concatenate([np.ones((count, n, 1)), points], axis=2),
+    ], axis=1)
+    dd = ConeDD(rows[:, : k + 1])
+    for j in range(k + 1, k + n):
+        dd.add(rows[:, j])
+    member, r = np.nonzero(dd.valid)
+    rays = dd.rays[member, r]
+    halfspaces = _unit_sum_halfspaces(member, -rays[:, 1:], rays[:, 0], count)
+    # the rank test of a member depends on its ray count, so it runs once per count
+    facets = np.zeros(rows.shape[:2], dtype=bool)
+    sizes = dd.valid.sum(axis=1)
+    for size in set(sizes.tolist()):
+        same = np.flatnonzero(sizes == size)
+        facets[same] = _facet_mask(dd.rays[same, :size], rows[same])
+    out = []
+    for (normals, offsets), row, facet in zip(halfspaces, rows, facets):
+        verts = row[k:][facet[k:], 1:]
+        out.append((normals, offsets, verts[_lex_order(verts)]))
+    return out
 
 
-def _dedupe_points(points: np.ndarray, tol: float = VERTEX_MERGE_TOL) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if all(np.max(np.abs(p - q)) > tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+def _dedupe_points(points: np.ndarray, tol: float = VERTEX_MERGE_TOL) -> list[np.ndarray]:
+    """Per member of a stack (B, n, K): its points in order, less each point
+    within `tol` (infinity norm) of a point kept before it."""
+    near = np.abs(points[:, :, None, :] - points[:, None, :, :]).max(axis=3) <= tol
+    kept = np.zeros(points.shape[:2], dtype=bool)
+    for i in range(points.shape[1]):
+        kept[:, i] = ~np.any(near[:, i, :i] & kept[:, :i], axis=1)
+    return [p[keep] for p, keep in zip(points, kept)]
 
 
-def build_lower_set(points) -> OrientedPayoffPolyhedron:
-    """co(points) - R^K_+ with irredundant halfspaces and its vertex list."""
+def build_lower_set(points) -> OrientedPayoffPolyhedron | tuple[OrientedPayoffPolyhedron, ...]:
+    """co(points) - R^K_+ with irredundant halfspaces and its vertex list.
+
+    `points` (n, K) gives one polyhedron; a stack (B, n, K) gives a tuple of
+    B, built in one stacked double description per count of distinct
+    generators.  Member b is bit for bit `build_lower_set(points[b])`.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise InputError("need at least one generator point")
-    if pts.ndim != 2:
+    if pts.ndim not in (2, 3):
         raise InputError("points must be a list of equal-length vectors")
     if not np.isfinite(pts).all():
         raise InputError("generator points must be finite")
-    gens = _dedupe_points(pts)
-    return OrientedPayoffPolyhedron(LOWER, gens, *_lower_halfspaces(gens))
+    gens = _dedupe_points(pts if pts.ndim == 3 else pts[None])
+    by_count: dict[int, list[int]] = {}
+    for b, g in enumerate(gens):
+        by_count.setdefault(len(g), []).append(b)
+    sets: list[OrientedPayoffPolyhedron | None] = [None] * len(gens)
+    for members in by_count.values():
+        halfspaces = _lower_halfspaces(np.stack([gens[b] for b in members]))
+        for b, (normals, offsets, verts) in zip(members, halfspaces):
+            sets[b] = OrientedPayoffPolyhedron(LOWER, gens[b], normals, offsets, verts)
+    return tuple(sets) if pts.ndim == 3 else sets[0]
 
 
 def negated_set(poly: OrientedPayoffPolyhedron) -> OrientedPayoffPolyhedron:

@@ -173,7 +173,7 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
     Player II's image is player I's image of the mirrored game, negated.
     """
     dd, verified = _benson(game.for_player(player).entries)
-    rows = np.array(dd.done)
+    rows = dd.done[0]
     facets = rows[facet_rows(dd.extreme_rays(), rows)]
     # each row is (-b, a) for a·y >= b; the row t >= 0 has a = 0 and drops out
     normals, offsets = unit_sum_halfspaces(facets[:, 1:], -facets[:, 0])

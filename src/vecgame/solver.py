@@ -162,15 +162,15 @@ class _Built(NamedTuple):
     rhs: np.ndarray
 
 
-def _improvement_lp(game: VectorPayoffGame, pbar: MixedStrategy) -> _Built:
-    """Build stage of the improvement LP for `pbar` as a row strategy of `game`.
+def _improvement_lp(game: VectorPayoffGame, target: OrientedPayoffPolyhedron) -> _Built:
+    """Build stage of the improvement LP for a row strategy of `game` whose
+    lower payoff set is `target`.
 
     The LP maximizes the exposing slacks eps over the variables (p, eps):
     one block of n rows a·g_ij <= b (j = 1..n) per halfspace and per
     exposing normal, where the block of exposing normal ell also carries
     eps_ell, then the row sum(p) = 1.
     """
-    target = build_lower_set(row_generator_matrix(game, pbar))
     if not len(target.vertices):
         raise NumericalError("payoff set has no identifiable vertex")
     exp_normals, exp_offsets = exposing_normals(target)
@@ -248,10 +248,12 @@ def _certificates(
     """The certificates of a block of row strategies of `game`, in order.
 
     `game` is already the owner's view (`game.for_player(owner)`); each
-    improving strategy keeps its tested strategy's owner.  Every LP of the
-    block is built, then solved in stacks, then checked.
+    improving strategy keeps its tested strategy's owner.  The block's lower
+    sets are built in one call, then every LP of the block is built, solved
+    in stacks and checked.
     """
-    built = [_improvement_lp(game, p) for p in points]
+    targets = build_lower_set(np.stack([row_generator_matrix(game, p) for p in points]))
+    built = [_improvement_lp(game, t) for t in targets]
     outcomes = _solve_improvement_lps(game.rows, built)
     return [_check_improvement(game, *args, tol) for args in zip(points, built, outcomes)]
 

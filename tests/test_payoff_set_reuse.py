@@ -27,7 +27,8 @@ from properties import random_game, same_polyhedron
 
 
 def _count_builds(monkeypatch) -> list[str]:
-    """Record every build_lower_set/build_upper_set call made by the three modules."""
+    """Record every set that build_lower_set/build_upper_set builds for the three
+    modules: one entry for a set, B for a stack of B."""
     calls: list[str] = []
     for module in (solver, equilibria, poss):
         for name in ("build_lower_set", "build_upper_set"):
@@ -36,8 +37,9 @@ def _count_builds(monkeypatch) -> list[str]:
                 continue
 
             def counted(points, _original=original, _name=name):
-                calls.append(_name)
-                return _original(points)
+                built = _original(points)
+                calls.extend([_name] * (len(built) if isinstance(built, tuple) else 1))
+                return built
 
             monkeypatch.setattr(module, name, counted)
     return calls

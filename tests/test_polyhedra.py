@@ -303,41 +303,46 @@ def test_cone_dd_incremental_state_equals_a_fresh_run():
                 dd.add(C[i])
 
 
-class _LoopAdjacencyDD(ConeDD):
-    """The combinatorial adjacency test, one pair and one third ray at a time."""
+def _cones(dd):
+    """Each cone of a ConeDD stack as (its processed rows, its current rays)."""
+    return zip(dd.done, (r[v] for r, v in zip(dd.rays, dd.valid)))
 
-    def _adjacent_pairs(self, pos_idx, neg_idx):
-        D = np.array(self.done)
-        zsets = [np.abs(D @ r) <= 1e-8 for r in self.rays]
+
+class _LoopAdjacencyDD(ConeDD):
+    """The combinatorial adjacency test, one cone, one pair and one third ray at a time."""
+
+    def _adjacent_pairs(self, pos, neg):
         out = []
-        for ip in pos_idx:
-            for ineg in neg_idx:
-                common = zsets[ip] & zsets[ineg]
-                if int(common.sum()) < self.dim - 2:
-                    continue
-                if not any(
-                    np.all(zsets[other][common])
-                    for other in range(len(self.rays))
-                    if other not in (ip, ineg)
-                ):
-                    out.append((ip, ineg))
-        return np.array(out, dtype=int).reshape(-1, 2)
+        for b, (D, rays) in enumerate(_cones(self)):
+            zsets = [np.abs(D @ r) <= 1e-8 for r in rays]
+            for ip in np.flatnonzero(pos[b]):
+                for ineg in np.flatnonzero(neg[b]):
+                    common = zsets[ip] & zsets[ineg]
+                    if int(common.sum()) < self.dim - 2:
+                        continue
+                    if not any(
+                        np.all(zsets[other][common])
+                        for other in range(len(rays))
+                        if other not in (ip, ineg)
+                    ):
+                        out.append((b, ip, ineg))
+        return tuple(np.array(out, dtype=int).reshape(-1, 3).T)
 
 
 class _RankAdjacencyDD(ConeDD):
     """The algebraic adjacency test: the common zero rows have rank dim - 2."""
 
-    def _adjacent_pairs(self, pos_idx, neg_idx):
-        D = np.array(self.done)
-        zero = np.abs(np.array(self.rays) @ D.T) <= 1e-8
+    def _adjacent_pairs(self, pos, neg):
         out = []
-        for ip in pos_idx:
-            for ineg in neg_idx:
-                common = zero[ip] & zero[ineg]
-                rank = np.linalg.matrix_rank(D[common]) if common.any() else 0
-                if rank == self.dim - 2:
-                    out.append((ip, ineg))
-        return np.array(out, dtype=int).reshape(-1, 2)
+        for b, (D, rays) in enumerate(_cones(self)):
+            zero = np.abs(rays @ D.T) <= 1e-8
+            for ip in np.flatnonzero(pos[b]):
+                for ineg in np.flatnonzero(neg[b]):
+                    common = zero[ip] & zero[ineg]
+                    rank = np.linalg.matrix_rank(D[common]) if common.any() else 0
+                    if rank == self.dim - 2:
+                        out.append((b, ip, ineg))
+        return tuple(np.array(out, dtype=int).reshape(-1, 3).T)
 
 
 @pytest.mark.parametrize("reference", [_LoopAdjacencyDD, _RankAdjacencyDD])
@@ -365,6 +370,98 @@ def _facet_rows_per_row(rays, rows):
     dim = rows.shape[1]
     return [j for j in range(len(rows))
             if np.linalg.matrix_rank(rays[Z[:, j]], tol=1e-9) == dim - 1]
+
+
+def _cone_stacks(rng, count):
+    """`count` stacks of 1 to 6 integer cones of one dimension and row count,
+    each with a nonsingular leading block."""
+    stacks = []
+    while len(stacks) < count:
+        d = int(rng.integers(3, 7))
+        members = []
+        while len(members) < int(rng.integers(1, 7)):
+            C = _random_cone_rows(rng, d) if rng.integers(0, 2) else _benson_rows(rng, d - 1)
+            if _has_leading_block(C):
+                members.append(C)
+        rows = min(len(C) for C in members)
+        stacks.append(np.stack([C[:rows] for C in members]))
+    return stacks
+
+
+def _stacked_dd(stack):
+    dd = ConeDD(stack[:, : stack.shape[2]])
+    for j in range(stack.shape[2], stack.shape[1]):
+        dd.add(stack[:, j])
+    return dd
+
+
+def test_each_cone_of_a_stacked_dd_equals_its_stack_of_one_after_every_add():
+    rng = np.random.default_rng(83)
+    for stack in _cone_stacks(rng, 30):
+        # positive row scales keep each cone and make its arithmetic round
+        stack = stack * rng.integers(1, 10, size=(*stack.shape[:2], 1)) / 7
+        d = stack.shape[2]
+        dd, alone = ConeDD(stack[:, :d]), [ConeDD(C[:d]) for C in stack]
+        for j in range(d, stack.shape[1] + 1):
+            for got, one in zip(dd.extreme_rays(), alone):
+                want = one.extreme_rays()
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if j < stack.shape[1]:
+                dd.add(stack[:, j])
+                for C, one in zip(stack, alone):
+                    one.add(C[j])
+
+
+def test_a_stacked_dd_has_the_rays_of_the_exact_double_description():
+    for stack in _cone_stacks(np.random.default_rng(89), 30):
+        for C, rays in zip(stack, _stacked_dd(stack).extreme_rays()):
+            want = np.array(sorted(exact_dd.cone_extreme_rays(
+                [[Fraction(x).limit_denominator(1000) for x in row] for row in C]
+            )), dtype=float)
+            got = rays / np.abs(rays).max(axis=1, keepdims=True)
+            assert got.shape == want.shape
+            gaps = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+            assert gaps.min(axis=1).max() <= 1e-9 and gaps.min(axis=0).max() <= 1e-9
+
+
+def test_a_singular_block_in_one_cone_of_a_stack_raises():
+    blocks = np.stack([np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], np.eye(3)])
+    with pytest.raises(NumericalError):
+        ConeDD(blocks)
+    ConeDD(blocks[::2])
+
+
+@st.composite
+def _generator_stacks(draw):
+    """Stacks (B, n, K) of generator sets, K = 2..4, drawn from a few points and
+    their midpoints: repeats make the distinct counts differ within a stack,
+    and a midpoint is collinear with its two ends."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                                  min_size=1, max_size=4)), dtype=float) / 3
+    pool = np.vstack([pool, ((pool[:, None] + pool[None, :]) / 2).reshape(-1, k)])
+    picks = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n),
+                          min_size=1, max_size=6))
+    return pool[np.array(picks)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_generator_stacks())
+def test_each_member_of_a_stacked_build_equals_its_build_alone(points):
+    stacked = build_lower_set(points)
+    assert isinstance(stacked, tuple) and len(stacked) == len(points)
+    for pts, got in zip(points, stacked):
+        want = build_lower_set(pts)
+        for field in ("generators", "normals", "offsets", "vertices"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def test_a_stacked_build_groups_members_by_distinct_generator_count():
+    points = np.array([[(0, 0), (1, 2), (2, 1)], [(0, 0), (0, 0), (1, 1)], [(3, 0), (0, 3), (1, 1)]])
+    sets = build_lower_set(points)
+    assert [len(s.generators) for s in sets] == [3, 2, 3]
+    assert [len(s.vertices) for s in sets] == [2, 1, 2]
 
 
 @settings(deadline=None, max_examples=150)

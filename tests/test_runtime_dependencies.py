@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,26 @@ def test_pyproject_lists_only_numpy_as_a_dependency():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     names = [dep.split(">")[0].split("=")[0].split("<")[0].strip() for dep in dependencies]
     assert names == ["numpy"]
+
+
+_LATE_IMPORTS = """
+import json, os, sys
+from vecgame import cli
+loaded = set(sys.modules)
+game = os.path.join(sys.argv[1], "game.json")
+with open(game, "w", encoding="utf-8") as fh:
+    json.dump({"rows": 3, "cols": 3, "dim": 2, "payoffs": [
+        [[1, 2], [0, 3], [2, 0]], [[3, 1], [1, 1], [0, 2]], [[2, 2], [3, 0], [1, 3]]]}, fh)
+for command in ("solve", "equilibria", "poss"):
+    out = os.path.join(sys.argv[1], command + ".json")
+    assert cli.main([command, "-i", game, "--step-row", "1/4", "--workers", "1", "-o", out]) == 0
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+"""
+
+
+def test_the_commands_import_nothing_once_the_package_is_loaded(tmp_path):
+    # every pool worker would pay a late import again, in every pool
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", _LATE_IMPORTS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == []
