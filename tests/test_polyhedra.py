@@ -15,6 +15,7 @@ from vecgame.game import row_generator_matrix, row_strategy
 from vecgame.polyhedra import (
     LOWER,
     UPPER,
+    VERTEX_MERGE_TOL,
     ConeDD,
     OrientedPayoffPolyhedron,
     build_lower_set,
@@ -373,26 +374,19 @@ def _facet_rows_per_row(rays, rows):
 
 
 def _cone_stacks(rng, count):
-    """`count` stacks of 1 to 6 integer cones of one dimension and row count,
-    each with a nonsingular leading block."""
+    """`count` stacks of 1 to 6 cones with small rational rows, each stack of
+    one dimension and row count, each cone with a nonsingular leading block."""
     stacks = []
     while len(stacks) < count:
-        d = int(rng.integers(3, 7))
+        d, size = int(rng.integers(3, 7)), int(rng.integers(1, 7))
         members = []
-        while len(members) < int(rng.integers(1, 7)):
+        while len(members) < size:
             C = _random_cone_rows(rng, d) if rng.integers(0, 2) else _benson_rows(rng, d - 1)
             if _has_leading_block(C):
                 members.append(C)
         rows = min(len(C) for C in members)
         stacks.append(np.stack([C[:rows] for C in members]))
     return stacks
-
-
-def _stacked_dd(stack):
-    dd = ConeDD(stack[:, : stack.shape[2]])
-    for j in range(stack.shape[2], stack.shape[1]):
-        dd.add(stack[:, j])
-    return dd
 
 
 def test_each_cone_of_a_stacked_dd_equals_its_stack_of_one_after_every_add():
@@ -414,14 +408,19 @@ def test_each_cone_of_a_stacked_dd_equals_its_stack_of_one_after_every_add():
 
 def test_a_stacked_dd_has_the_rays_of_the_exact_double_description():
     for stack in _cone_stacks(np.random.default_rng(89), 30):
-        for C, rays in zip(stack, _stacked_dd(stack).extreme_rays()):
+        d = stack.shape[2]
+        dd = ConeDD(stack[:, :d])
+        for j in range(d, stack.shape[1]):
+            dd.add(stack[:, j])
+        for C, rays in zip(stack, dd.extreme_rays()):
             want = np.array(sorted(exact_dd.cone_extreme_rays(
                 [[Fraction(x).limit_denominator(1000) for x in row] for row in C]
-            )), dtype=float)
+            )), dtype=float).reshape(-1, d)
             got = rays / np.abs(rays).max(axis=1, keepdims=True)
             assert got.shape == want.shape
-            gaps = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
-            assert gaps.min(axis=1).max() <= 1e-9 and gaps.min(axis=0).max() <= 1e-9
+            if len(want):  # the cone may shrink to {0}
+                gaps = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+                assert gaps.min(axis=1).max() <= 1e-9 and gaps.min(axis=0).max() <= 1e-9
 
 
 def test_a_singular_block_in_one_cone_of_a_stack_raises():
@@ -462,6 +461,31 @@ def test_a_stacked_build_groups_members_by_distinct_generator_count():
     sets = build_lower_set(points)
     assert [len(s.generators) for s in sets] == [3, 2, 3]
     assert [len(s.vertices) for s in sets] == [2, 1, 2]
+
+
+def _greedy_dedupe(points):
+    """Reference: each point in order, kept when it is farther than
+    VERTEX_MERGE_TOL (infinity norm) from every point kept before it."""
+    kept = []
+    for p in points:
+        if all(np.max(np.abs(p - q)) > VERTEX_MERGE_TOL for q in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+def test_a_stacked_build_dedupes_generators_greedily():
+    # offsets in steps of 0.6 tol: a point near a dropped point but far from
+    # every kept one stays, so the rule is not "far from every earlier point"
+    rng = np.random.default_rng(97)
+    step = 0.6 * VERTEX_MERGE_TOL
+    for _ in range(20):
+        base = rng.integers(-3, 4, size=(3, 2)).astype(float)
+        points = base[rng.integers(0, 3, size=(5, 6))] + step * rng.integers(0, 4, size=(5, 6, 2))
+        for pts, poly in zip(points, build_lower_set(points)):
+            want = _greedy_dedupe(pts)
+            assert poly.generators.shape == want.shape and np.array_equal(poly.generators, want)
+    chain = np.array([[0.0, 0.0], [step, 0.0], [2 * step, 0.0]])
+    assert build_lower_set(chain).generators.tolist() == [[0.0, 0.0], [2 * step, 0.0]]
 
 
 @settings(deadline=None, max_examples=150)
