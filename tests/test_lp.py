@@ -263,28 +263,43 @@ def test_identical_inputs_give_identical_outcomes():
 
 
 def _highs(c, A, relations, b, bounds, sense="min"):
-    """(status, value) of the LP by scipy's HiGHS; relations mix <=, >= and =."""
+    """(status, value) of the LP by scipy's HiGHS; relations mix <=, >= and =.
+
+    Only bounded LPs reach HiGHS with the objective: HiGHS can call an unbounded
+    LP infeasible (its presolve only knows "infeasible or unbounded") or give up
+    on it with an unknown status, so unboundedness is settled by a recession LP.
+    """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float) * (1.0 if sense == "min" else -1.0)
     rel = np.array(relations)
     ub = rel != "="
     flip = np.where(rel[ub] == ">=", -1.0, 1.0)
-    problem = dict(
-        A_ub=A[ub] * flip[:, None] if ub.any() else None,
-        b_ub=b[ub] * flip if ub.any() else None,
-        A_eq=A[~ub] if (~ub).any() else None,
-        b_eq=b[~ub] if (~ub).any() else None,
-        bounds=bounds,
-        method="highs",
-    )
+
+    def solve(objective, rhs, var_bounds):
+        return linprog(
+            objective,
+            A_ub=A[ub] * flip[:, None] if ub.any() else None,
+            b_ub=rhs[ub] * flip if ub.any() else None,
+            A_eq=A[~ub] if (~ub).any() else None,
+            b_eq=rhs[~ub] if (~ub).any() else None,
+            bounds=var_bounds,
+            method="highs",
+        )
+
     # A zero objective settles feasibility, so "infeasible or unbounded" never arises.
-    if linprog(np.zeros(len(c)), **problem).status == 2:
+    if solve(np.zeros(len(c)), b, bounds).status == 2:
         return "infeasible", None
-    sign = 1.0 if sense == "min" else -1.0
-    # HiGHS's presolve can call an unbounded LP infeasible (it only knows the LP
-    # is "infeasible or unbounded"), so the objective is solved without it.
-    res = linprog(sign * np.asarray(c, dtype=float), options={"presolve": False}, **problem)
-    assert res.status in (0, 3), res.message
-    return ("optimal", sign * res.fun) if res.status == 0 else ("unbounded", None)
+    # A feasible LP is unbounded iff some direction d in its recession cone has
+    # c @ d < 0; in the box |d| <= 1 that LP is feasible (d = 0) and bounded.
+    cone = [(None if lo is None else 0.0, None if hi is None else 0.0) for lo, hi in bounds]
+    box = [(-1.0 if lo is None else lo, 1.0 if hi is None else hi) for lo, hi in cone]
+    ray = solve(c, np.zeros_like(b), box)
+    assert ray.status == 0, ray.message
+    if ray.fun < -1e-9:
+        return "unbounded", None
+    res = solve(c, b, bounds)
+    assert res.status == 0, res.message
+    return "optimal", (1.0 if sense == "min" else -1.0) * res.fun
 
 
 _RELATION = st.sampled_from(("<=", ">=", "="))
@@ -329,12 +344,22 @@ _PRESOLVE_UNBOUNDED = dict(
     bounds=((None, None), (None, None), (0.0, None), (None, None)),
 )
 
+# Unbounded (x3 grows without bound), but HiGHS without presolve gives up on it
+# with an unknown status.
+_UNKNOWN_UNBOUNDED = dict(
+    objective=[0.0, 0.0, 1.0, 2.0],
+    lhs=[[1.0, 0.0, -2.0, -1.0], [0.0, 0.0, 1.0, 2.0], [1.0, 0.0, -2.0, -1.0]],
+    relations=("=", ">=", "="), rhs=[-1.0, 0.0, -1.0], sense="max",
+    bounds=((0.0, None), (None, None), (0.0, None), (1.0, None)),
+)
+
 
 @settings(deadline=None, max_examples=300)
 @given(_mixed_lps())
 @example(_INFEASIBLE)
 @example(_UNBOUNDED)
 @example(_PRESOLVE_UNBOUNDED)
+@example(_UNKNOWN_UNBOUNDED)
 def test_solve_lp_agrees_with_highs(spec):
     lp = LinearProgram(**spec)
     out = solve_lp(lp)
