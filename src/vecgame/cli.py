@@ -37,7 +37,7 @@ from .game import (
 )
 from .polyhedra import build_lower_set, build_upper_set
 from .poss import compute_security_image, poss_strategies, verify_gap
-from .solver import StrategyFront, _certificate, check_workers, classify_grid
+from .solver import StrategyFront, _certificate, check_workers, classify_grid, pool_map
 
 from . import __version__ as VERSION
 
@@ -296,13 +296,18 @@ def _report(config: RunConfig, body: dict) -> dict:
     return {"version": VERSION, "config": config.embedded(), **body}
 
 
+def _step(config: RunConfig, player: Player) -> Fraction:
+    """The player's grid step: 1/10 unless given; the column step defaults to the row step."""
+    if player is Player.COL and config.step_col is not None:
+        return config.step_col
+    return config.step_row if config.step_row is not None else Fraction(1, 10)
+
+
 def _fronts(game: VectorPayoffGame, config: RunConfig):
-    step_row = config.step_row if config.step_row is not None else Fraction(1, 10)
-    step_col = config.step_col if config.step_col is not None else step_row
-    kwargs = {"tol": config.tol, "workers": config.workers}
-    front_row = classify_grid(game, Player.ROW, step_row, **kwargs)
-    front_col = classify_grid(game, Player.COL, step_col, **kwargs)
-    return front_row, front_col
+    return tuple(
+        classify_grid(game, player, _step(config, player), tol=config.tol, workers=config.workers)
+        for player in (Player.ROW, Player.COL)
+    )
 
 
 def _cmd_solve(config: RunConfig) -> str:
@@ -402,15 +407,24 @@ def _gap_dict(report, names: _Strategies) -> dict:
     }
 
 
+def _poss_player(game: VectorPayoffGame, config: RunConfig, player: Player):
+    """One player's image, POSS and gap check, serially: one pool task of `poss`.
+
+    The player's front stays here, so its certificates are never sent
+    back from a worker; only the image, the POSS list and the gap report are.
+    """
+    image = compute_security_image(game, player)
+    front = classify_grid(game, player, _step(config, player), tol=config.tol)
+    strategies = poss_strategies(game, player, front.grid.step, image=image)
+    return image, strategies, verify_gap(game, front, image)
+
+
 def _cmd_poss(config: RunConfig) -> str:
     game = load_game(config.input)
-    image_row = compute_security_image(game, Player.ROW)
-    image_col = compute_security_image(game, Player.COL)
-    front_row, front_col = _fronts(game, config)
-    poss_row = poss_strategies(game, Player.ROW, front_row.grid.step, image=image_row)
-    poss_col = poss_strategies(game, Player.COL, front_col.grid.step, image=image_col)
-    gap_row = verify_gap(game, front_row, image_row)
-    gap_col = verify_gap(game, front_col, image_col)
+    # the players never read each other's image, so each is one task
+    (image_row, poss_row, gap_row), (image_col, poss_col, gap_col) = pool_map(
+        functools.partial(_poss_player, game, config), (Player.ROW, Player.COL), config.workers
+    )
     names = _Strategies(config.step_row, config.step_col)
     report = _report(
         config,

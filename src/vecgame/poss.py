@@ -65,13 +65,6 @@ class SecurityImage:
     def vertices(self) -> np.ndarray:
         return self.polyhedron.vertices
 
-    def witness_for(self, vertex, *, tol: float = 1e-7) -> MixedStrategy:
-        v = np.asarray(vertex, dtype=float)
-        for known, strategy in zip(self.vertices, self.attainments):
-            if np.max(np.abs(known - v)) <= tol:
-                return strategy
-        raise InputError(f"no image vertex within {tol} of {tuple(v)}")
-
     def to_dict(self) -> dict:
         return {
             "player": self.player.value,

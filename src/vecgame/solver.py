@@ -301,11 +301,14 @@ def check_workers(workers: int | None) -> None:
 
 
 def pool_map(fn: Callable, items: Sequence, workers: int | None) -> list:
-    """[fn(x) for x in items], in order; in a pool of `workers` processes
-    when there are more than one of each."""
+    """[fn(x) for x in items], in order; in a pool of `workers` processes,
+    but never more than one per item, when there are more than one of each.
+
+    The cap matters under `fork`, where the executor starts all its
+    processes at the first submit."""
     check_workers(workers)
     if workers is not None and workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 

@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame import solver
+from vecgame import poss, solver
 from vecgame.cli import game_dict, main
+from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
 
 from properties import fail_one_stacked_lp
+from test_report_digests import GAMES as BUNDLED_GAMES
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +294,33 @@ def test_poss_report_strategies_and_gap(poss_report):
     assert gap["col"]["ok"] is True
     assert gap["row"]["checked"] == 4
     assert gap["col"]["checked"] == 6
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_GAMES))
+def test_poss_does_not_depend_on_the_worker_count(tmp_path, name):
+    game = tmp_path / "game.json"
+    game.write_text(
+        json.dumps(game_dict(VectorPayoffGame.from_rows(BUNDLED_GAMES[name]))), encoding="utf-8"
+    )
+    reports = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"workers{workers}.json"
+        assert main(["poss", "-i", str(game), "--step-row", "1/10", "--workers", workers,
+                     "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_non_optimal_lp_in_a_poss_task_is_a_numerical_failure(game_files, monkeypatch, capsys,
+                                                                 workers):
+    # Benson's cut LP fails inside the player's task; in a pool that task runs
+    # in a forked worker, which inherits the patch.
+    monkeypatch.setattr(poss, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
+    assert main(["poss", "-i", game_files["two_by_two"], "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: cut LP ended with status iteration_limit" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,13 @@ def test_row_witnesses_reproduce_the_vertices(two_by_two, two_by_two_row_image):
 
 
 def test_known_row_witnesses(two_by_two_row_image):
-    w = two_by_two_row_image.witness_for((2.0, 10 / 3))
-    assert w.weights == pytest.approx((1 / 3, 2 / 3), abs=1e-7)
-    w = two_by_two_row_image.witness_for((3.0, 3.0))
-    assert w.weights == pytest.approx((0.0, 1.0), abs=1e-7)
-
-
-def test_witness_lookup_rejects_unknown_vertices(two_by_two_row_image):
-    with pytest.raises(InputError):
-        two_by_two_row_image.witness_for((5.0, 5.0))
+    image = two_by_two_row_image
+    expected = {(2.0, 10 / 3): (1 / 3, 2 / 3), (3.0, 3.0): (0.0, 1.0)}
+    assert len(image.vertices) == len(expected)
+    for vertex, strategy in zip(image.vertices, image.attainments):
+        known = min(expected, key=lambda e: np.abs(vertex - e).max())
+        assert tuple(vertex) == pytest.approx(known, abs=1e-7)
+        assert strategy.weights == pytest.approx(expected[known], abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

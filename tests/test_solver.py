@@ -311,6 +311,34 @@ def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers):
     assert len(blocks) == max(min(parts, count), -(-count // 64))
 
 
+@pytest.mark.parametrize(
+    ("workers", "count", "processes"),
+    [(2, 2, 2), (16, 2, 2), (3, 8, 3), (4, 4, 4), (16, 1, None), (1, 8, None), (None, 8, None)],
+)
+def test_pool_map_starts_at_most_one_process_per_item(monkeypatch, workers, count, processes):
+    started = []
+
+    class RecordingExecutor:
+        """Stands in for the process pool: records its size and maps in process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingExecutor)
+    items = list(range(count))
+    assert solver.pool_map(str, items, workers) == [str(x) for x in items]
+    assert started == ([] if processes is None else [processes])
+
+
 def test_one_non_optimal_lp_in_a_block_is_a_numerical_fault(two_by_two, monkeypatch):
     sizes = fail_one_stacked_lp(monkeypatch, solver)
     with pytest.raises(NumericalError, match="status iteration_limit"):
