@@ -242,8 +242,10 @@ def facet_rows(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """The permutation sorting the rows of a 2-D array lexicographically."""
-    return np.lexsort(rows.T[::-1])
+    """The permutation sorting the rows of a 2-D array lexicographically, on
+    the rows rounded to 9 decimals as `_repeats` keys them, so that rounding
+    noise on a tied coordinate cannot reorder them."""
+    return np.lexsort(np.round(rows, 9).T[::-1])
 
 
 def _repeats(member: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -273,7 +275,7 @@ def _unit_sum_halfspaces(
     rows = np.column_stack([a / s[:, None], b / s])
     fresh = ~_repeats(member, rows)
     member, rows = member[fresh], rows[fresh]
-    order = np.lexsort((*rows.T[::-1], member))
+    order = np.lexsort((*np.round(rows, 9).T[::-1], member))
     parts = np.split(rows[order], np.cumsum(np.bincount(member, minlength=count))[:-1])
     return [(r[:, :-1], r[:, -1]) for r in parts]
 

@@ -78,6 +78,19 @@ def test_lower_set_two_incomparable_points():
     assert has_halfspace(poly, (1, 0), 3) and has_halfspace(poly, (0, 1), 3)
 
 
+@pytest.mark.parametrize("shift", [1e-13, -1e-13])
+def test_rounding_noise_on_a_tied_coordinate_keeps_the_vertex_order(shift):
+    # two vertices tie on their first coordinate; noise far below the
+    # 9-decimal key must not decide which of them comes first
+    points = np.array([(1.0, 0.0, 2.0), (1.0, 2.0, 0.0), (0.0, 1.0, 1.5)])
+    noisy = points.copy()
+    noisy[1, 0] += shift
+    for build, sign in ((build_lower_set, 1.0), (build_upper_set, -1.0)):
+        want = build(sign * points).vertices
+        got = build(sign * noisy).vertices
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_upper_set_single_point():
     poly = build_upper_set([(1.0, -2.0)])
     assert poly.orientation == UPPER
