@@ -26,10 +26,15 @@ Two callers build stacks.  `equilibria` solves its strong-equilibrium
 LPs as one stack per pair of facet counts: thousands of LPs with 5 or 6
 rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
 improvement LPs of a block of grid points and solves them as one stack
-per constraint shape.  The gap LPs of `poss.verify_gap` and Benson's LPs
-stay on `solve_lp`: Benson's loop needs each answer before it builds the
-next LP, and one stack per facet count of a front's gap LPs raised peak
-memory past its gain (README, "The simplex").
+per constraint shape.  The gap LPs of `poss.verify_gap` and Benson's
+verification LPs stay on `solve_lp`: Benson's loop needs each answer
+before it builds the next LP, and one stack per facet count of a front's
+gap LPs raised peak memory past its gain (README, "The simplex").
+
+An optimal outcome also carries the duals of its rows, read off the
+final phase-2 cost row in the pass that reads the solution.  Benson's
+loop takes each cut from the duals of the verification LP that failed,
+so the cut needs no LP of its own.
 """
 
 from __future__ import annotations
@@ -124,10 +129,19 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LPOutcome:
+    """How an LP ended; value, solution and duals are None unless optimal.
+
+    `duals` holds one shadow price per constraint row, d value / d rhs_r in
+    the LP's own sense: a `<=` row's dual is <= 0 in a `min` LP and >= 0 in
+    a `max` LP, and a `>=` row's the reverse.  An equality row's dual is
+    NaN.  They are read off the final phase-2 tableau (see `_read_off`).
+    """
+
     status: str  # optimal | infeasible | unbounded | iteration_limit
     objective_value: float | None
     solution: np.ndarray | None
     iterations: int
+    duals: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +318,10 @@ class _Tableaux:
     plus: np.ndarray
     minus: np.ndarray
     neg_lows: np.ndarray
+    # Row r's dual is the final reduced cost of column slack_col[r] times
+    # dual_sign[r]; an equality row has no slack and reads NaN.
+    slack_col: np.ndarray
+    dual_sign: np.ndarray
 
 
 def _price_out(T: np.ndarray, mask: np.ndarray, coef: np.ndarray | None = None) -> None:
@@ -384,7 +402,12 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
     minus_arr[minus_arr < 0] = nfull + 1 + np.flatnonzero(minus_arr < 0)
     neg_lows = np.array([-0.0 if lo is None else -lo for lo, _ in lp.bounds])
     rhs_max = rhs.max(axis=1, initial=0.0)
-    return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows)
+    # A flipped row negates its slack column with it, so only the relation
+    # and the sense set the sign; the tableau's costs are those of a `min`.
+    sense_sign = 1.0 if lp.sense == "max" else -1.0
+    dual_sign = np.where(eq, np.nan, np.where(up, sense_sign, -sense_sign))
+    return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows,
+                     np.maximum(slack_col, 0), dual_sign)
 
 
 def _pivot_out_artificials(T: np.ndarray, basis: np.ndarray, nfull: int) -> None:
@@ -426,14 +449,18 @@ def _phase2(
     return T2, basis
 
 
-def _read_off(tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray) -> list[np.ndarray]:
-    """The solutions of LPs whose phase-2 tableaux ended optimal."""
+def _read_off(
+    tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The solutions and duals (see `_Tableaux.dual_sign`) of LPs whose
+    phase-2 tableaux ended optimal."""
     x = np.zeros((len(T2), tab.nfull + 1 + tab.neg_lows.size))
     x[:, tab.nfull + 1 :] = tab.neg_lows
     x[np.arange(len(T2))[:, None], basis2] = T2[:, :-1, -1]
+    duals = T2[:, -1, tab.slack_col] * tab.dual_sign
     # Each solution gets its own buffer: a dot product's rounding can
     # depend on where its operands start in memory.
-    return [row.copy() for row in x[:, tab.plus] - x[:, tab.minus]]
+    return [(row.copy(), y.copy()) for row, y in zip(x[:, tab.plus] - x[:, tab.minus], duals)]
 
 
 def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOutcome]:
@@ -473,8 +500,8 @@ def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOut
             outcomes[b] = LPOutcome(st, None, None, it)
     if len(ok) < len(go):
         T2, basis2 = T2[ok], basis2[ok]
-    for k, x in zip(ok, _read_off(tab, T2, basis2)):
-        outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k])
+    for k, (x, duals) in zip(ok, _read_off(tab, T2, basis2)):
+        outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k], duals)
     return outcomes
 
 

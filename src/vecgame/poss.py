@@ -4,9 +4,9 @@ The row player's security image collects every payoff vector that some
 mixed strategy can guarantee componentwise against all columns; it is a
 polyhedral upper set.  The column player's image is the mirrored lower
 set.  Images are computed by outer approximation: keep a polyhedral
-superset, test its vertices by scalar LPs, and cut unverified vertices
-off with halfspaces obtained from the dual until every vertex belongs
-to the image.
+superset, test its vertices by scalar LPs, and cut each unverified
+vertex off with the halfspace that its LP's duals give, until every
+vertex belongs to the image.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, check_feasibility, solve_lp
+from .lp import LinearProgram, check_feasibility
 from .polyhedra import (
     UPPER,
     ConeDD,
@@ -83,43 +83,28 @@ def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:
     return float(out.objective_value)
 
 
-def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest uniform lift z making v + z·e guaranteeable; witness strategy."""
+def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smallest uniform lift z making v + z·e guaranteeable; witness strategy;
+    the weights w (n, K) >= 0 with unit sum, minus the duals of the LP's
+    n·K rows, that `_cut` turns into a halfspace."""
     m, n, k = entries.shape
     out = _mixed_strategy_lp(
         entries.reshape(m, n * k), np.zeros(n * k, dtype=int), np.tile(v, n), np.ones(1),
         "vertex verification",
     )
-    return float(out.objective_value), out.solution[:m]
+    return float(out.objective_value), out.solution[:m], -out.duals[: n * k].reshape(n, k)
 
 
-def _cut_for_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _cut(entries: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     """The halfspace (a, b), a·y >= b, valid for the image and violated at v.
 
-    Dual of the verification LP: weights w_jk >= 0 with unit sum and a level
-    mu <= sum_jk w_jk g_ijk for every row i give the cut a_k = sum_j w_jk,
-    b = mu; the unit-sum constraint normalizes the cut automatically.
+    The weights w of a failed verification solve its LP's dual: they give
+    a_k = sum_j w_jk and b = min_i sum_jk w_jk g_ijk, and b - a·v is the
+    lift (Hamel, Löhne & Rudloff, J. Global Optim. 59, 2014).
     """
-    m, n, k = entries.shape
-    nw = n * k
-    lhs = np.zeros((m + 1, nw + 1))  # one row mu - sum_jk w_jk g_ijk <= 0 per row i
-    lhs[:m, :nw] = -entries.reshape(m, nw)
-    lhs[:m, nw] = 1.0
-    lhs[m, :nw] = 1.0
-    lp = LinearProgram(
-        objective=np.concatenate([-np.tile(v, n), [1.0]]),
-        lhs=lhs,
-        relations=("<=",) * m + ("=",),
-        rhs=np.append(np.zeros(m), 1.0),
-        sense="max",
-        bounds=((0.0, None),) * nw + ((None, None),),
-    )
-    out = solve_lp(lp)
-    if out.status != "optimal":
-        raise NumericalError(f"cut LP ended with status {out.status}")
-    w = out.solution[:nw].reshape(n, k)
+    m = entries.shape[0]
     normal = w.sum(axis=0)
-    offset = float(out.solution[nw])
+    offset = float((entries.reshape(m, -1) @ w.ravel()).min())
     if float(normal @ v) >= offset - 1e-10:
         raise NumericalError(f"cut through {tuple(v)} fails to separate it from the image")
     return normal, offset
@@ -142,20 +127,20 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
         vertices = upper_set_vertices(dd)
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
-        pending = None
+        cut = None
         for v in vertices:
             key = _vertex_key(v)
             if key in verified:
                 continue
-            lift, witness = _verify_vertex(entries, v)
+            lift, witness, w = _verify_vertex(entries, v)
             if lift <= VERIFY_TOL:
                 verified[key] = witness
             else:
-                pending = v
+                cut = _cut(entries, v, w)
                 break
-        if pending is None:
+        if cut is None:
             return dd, verified
-        dd.add(halfspace_row(*_cut_for_vertex(entries, pending)))
+        dd.add(halfspace_row(*cut))
     raise NumericalError(f"security image not settled after {MAX_ROUNDS} cuts")
 
 

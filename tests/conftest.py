@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked example games and their grid fronts.
+"""Shared fixtures: the worked example games, their grid fronts, and
+`tools/report_diff.py` as a module.
 
 Front computation is session scoped because the grids behind the larger
 games take a few seconds; every test that consumes a front treats it as
@@ -7,7 +8,9 @@ read-only.
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +127,12 @@ def zero_row_fronts(zero_row):
     row = classify_grid(zero_row, Player.ROW, Fraction(1, 10))
     col = classify_grid(zero_row, Player.COL, Fraction(1, 10))
     return row, col
+
+
+@pytest.fixture(scope="session")
+def report_diff():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+    spec = importlib.util.spec_from_file_location("report_diff", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

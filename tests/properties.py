@@ -92,6 +92,38 @@ def relabeled_game(seed: int, shape: tuple[int, int, int], variant: int) -> Vect
     return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
 
 
+def benson_cut_lp(entries: np.ndarray, v: np.ndarray) -> LinearProgram:
+    """The dual of the vertex verification LP, written out as an LP of its
+    own: weights w_jk >= 0 with unit sum and a free level mu <= sum_jk w_jk
+    g_ijk for every row i, maximizing mu - sum_jk w_jk v_k.  Its optimum is
+    the lift of v, and (a, b) = (sum_j w_jk, mu) is Benson's cut a·y >= b."""
+    m, n, k = entries.shape
+    nw = n * k
+    lhs = np.zeros((m + 1, nw + 1))
+    lhs[:m, :nw] = -entries.reshape(m, nw)
+    lhs[:m, nw] = 1.0
+    lhs[m, :nw] = 1.0
+    return LinearProgram(
+        objective=np.concatenate([-np.tile(v, n), [1.0]]),
+        lhs=lhs,
+        relations=("<=",) * m + ("=",),
+        rhs=np.append(np.zeros(m), 1.0),
+        sense="max",
+        bounds=((0.0, None),) * nw + ((None, None),),
+    )
+
+
+def benson_cut_by_lp(entries: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Benson's cut through v from `benson_cut_lp`, solved by `solve_lp`."""
+    n, k = entries.shape[1:]
+    out = solve_lp(benson_cut_lp(entries, v))
+    assert out.status == "optimal", out.status
+    normal = out.solution[: n * k].reshape(n, k).sum(axis=0)
+    offset = float(out.solution[n * k])
+    assert float(normal @ v) < offset - 1e-10
+    return normal, offset
+
+
 def same_polyhedron(a, b) -> bool:
     """Exact equality of two payoff polyhedra, field by field."""
     return a.orientation == b.orientation and all(
@@ -212,7 +244,8 @@ def check_dd_membership(rng: np.random.Generator, instances: int, queries: int) 
 
 
 def check_lp_duality(rng: np.random.Generator, count: int) -> None:
-    """Primal optimum equals the independently assembled dual optimum."""
+    """Primal optimum equals the independently assembled dual optimum, and
+    each LP's read-off duals are an optimal solution of the other."""
     for _ in range(count):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
@@ -240,12 +273,32 @@ def check_lp_duality(rng: np.random.Generator, count: int) -> None:
                 sense="max",
             )
         )
-        assert primal.status == "optimal" and dual.status == "optimal"
+        # the primal once more with its rows negated: `<=` rows of a `min` LP
+        negated = solve_lp(
+            LinearProgram(
+                objective=c,
+                lhs=-a,
+                relations=("<=",) * m,
+                rhs=-b,
+                sense="min",
+            )
+        )
+        assert {primal.status, dual.status, negated.status} == {"optimal"}
+        tol = 1e-7 * (1.0 + abs(primal.objective_value))
         gap = abs(primal.objective_value - dual.objective_value)
-        assert gap <= 1e-7 * (1.0 + abs(primal.objective_value)), (
+        assert gap <= tol, (
             f"duality gap {gap} (primal {primal.objective_value}, "
             f"dual {dual.objective_value})"
         )
+        # Each LP's read-off duals solve the other LP: the `>=` rows of the
+        # `min` LP give y >= 0, its negated `<=` rows -y <= 0, and the `<=`
+        # rows of the `max` LP give x >= 0.
+        for y in (primal.duals, -negated.duals):
+            assert (y >= -1e-7).all() and (a.T @ y <= c + 1e-7).all(), y
+            assert abs(b @ y - dual.objective_value) <= tol
+        x = dual.duals
+        assert (x >= -1e-7).all() and (a @ x >= b - 1e-7).all(), x
+        assert abs(c @ x - primal.objective_value) <= tol
 
 
 def check_set_relation_monotonicity(rng: np.random.Generator, games: int) -> None:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame import poss, solver
+from vecgame import solver
 from vecgame.cli import game_dict, main
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
@@ -314,12 +314,12 @@ def test_poss_does_not_depend_on_the_worker_count(tmp_path, name):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_non_optimal_lp_in_a_poss_task_is_a_numerical_failure(game_files, monkeypatch, capsys,
                                                                  workers):
-    # Benson's cut LP fails inside the player's task; in a pool that task runs
-    # in a forked worker, which inherits the patch.
-    monkeypatch.setattr(poss, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
+    # Benson's first LP, a support LP of the image, fails inside the player's
+    # task; in a pool that task runs in a forked worker, which inherits the patch.
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
     assert main(["poss", "-i", game_files["two_by_two"], "--workers", workers]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: cut LP ended with status iteration_limit" in err
+    assert "numerical failure: image support LP ended with status iteration_limit" in err
     assert "Traceback" not in err
 
 

@@ -22,11 +22,11 @@ from vecgame.lp import (
     solve_lp,
 )
 from vecgame.polyhedra import build_lower_set, exposing_normals
-from vecgame import poss, solver
-from vecgame.poss import _cut_for_vertex, _support_value, _verify_vertex
+from vecgame import solver
+from vecgame.poss import _support_value, _verify_vertex
 from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
 
-from properties import check_lp_duality, relabeled_game, stack_lps, unstack_lp
+from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
 
 
 def test_bounded_maximum():
@@ -384,14 +384,15 @@ def test_the_highs_examples_cover_every_status():
 
 
 def _assert_same_outcome(got, want):
-    """Equal status and pivot count, and the same bytes of value and solution."""
+    """Equal status and pivot count, and the same bytes of value, solution and duals."""
     assert (got.status, got.iterations) == (want.status, want.iterations)
     if want.status != "optimal":
-        assert got.objective_value is None and got.solution is None
+        assert got.objective_value is None and got.solution is None and got.duals is None
         return
     assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
-    assert got.solution.shape == want.solution.shape
-    assert got.solution.tobytes() == want.solution.tobytes()
+    for field in ("solution", "duals"):
+        assert getattr(got, field).shape == getattr(want, field).shape
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 @st.composite
@@ -628,10 +629,31 @@ def test_vertex_lift_lp_agrees_with_highs(entries, point):
         [np.concatenate([entries[:, j, kk], [-1.0]]) for j in range(n) for kk in range(k)]
     )
     value = _simplex_lp(m, 1, A_ub, np.array([v[kk] for j in range(n) for kk in range(k)]), [1.0])
-    lift, witness = _verify_vertex(entries, v)
+    lift, witness, _ = _verify_vertex(entries, v)
     assert lift == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
     # the witness guarantees v + lift in every component
     assert np.all(np.einsum("i,ijk->jk", witness, entries) <= v + lift + 1e-9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_GAMES, st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_the_cut_read_off_the_lift_lp_is_optimal_for_the_cut_lp(entries, point):
+    # Benson's cut once came from its own LP, the dual of the lift LP; HiGHS
+    # solves that LP here, and the weights read off the lift LP's duals
+    # must be an optimal solution of it.
+    m, n, k = entries.shape
+    v = np.array(point[:k], dtype=float)
+    lp = benson_cut_lp(entries, v)
+    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs, lp.bounds, lp.sense)
+    assert status == "optimal"
+    lift, _, w = _verify_vertex(entries, v)
+    assert w.shape == (n, k)
+    assert (w >= -1e-9).all() and w.sum() == pytest.approx(1.0, abs=1e-9)
+    normal = w.sum(axis=0)
+    offset = (entries.reshape(m, n * k) @ w.ravel()).min()
+    tol = 1e-7 * (1.0 + abs(value))
+    assert offset - normal @ v == pytest.approx(value, abs=tol)
+    assert offset - normal @ v == pytest.approx(lift, abs=tol)
 
 
 def _row_built(rows, relations, rhs, objective, sense, bounds=None):
@@ -690,7 +712,6 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
 
     monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
     monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
-    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
     entries = relabeled_game(2000, (4, 4, 4), 0).entries
     m, n, k = entries.shape
     free = (None, None)
@@ -733,15 +754,6 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
                          ((0.0, None),) * m + (free,) * k)
     _assert_same_lp(seen.pop(), lift)
     _assert_same_lp(seen.pop(), support)
-
-    # Benson's cut: one row per row strategy
-    _cut_for_vertex(entries, np.full(k, -10.0))
-    rows = [np.concatenate([-entries[i].reshape(n * k), [1.0]]) for i in range(m)]
-    rows.append(np.concatenate([np.ones(n * k), [0.0]]))
-    want = _row_built(rows, ("<=",) * m + ("=",), [0.0] * m + [1.0],
-                      np.concatenate([-np.tile(np.full(k, -10.0), n), [1.0]]), "max",
-                      ((0.0, None),) * (n * k) + (free,))
-    _assert_same_lp(seen.pop(), want)
     assert not seen
 
 

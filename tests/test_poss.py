@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from vecgame import poss
 from vecgame.errors import InputError
 from vecgame.game import (
     Player,
@@ -37,7 +38,7 @@ from vecgame.poss import (
 )
 from vecgame.solver import MinimalityCertificate, StrategyFront, classify_grid
 
-from properties import random_game, relabeled_game, scalar_game_value
+from properties import benson_cut_by_lp, random_game, relabeled_game, scalar_game_value
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +199,7 @@ def test_five_by_five_by_four_image_is_verified_and_valid(player):
     sign = 1.0 if player is Player.ROW else -1.0
     assert len(image.vertices) > 10
     for vertex, witness in zip(image.vertices, image.attainments, strict=True):
-        lift, _ = _verify_vertex(entries, sign * np.array(vertex))
+        lift, _, _ = _verify_vertex(entries, sign * np.array(vertex))
         assert lift <= VERIFY_TOL
         point = np.array(tuple(componentwise_security_point(game, witness)))
         assert point == pytest.approx(vertex, abs=1e-7)
@@ -276,12 +277,12 @@ def _check_image_facets(image: SecurityImage) -> None:
         assert np.linalg.matrix_rank(np.array(tight), tol=1e-6) == k
 
 
+EXAMPLE_GAMES = ["two_by_two", "null_row", "constant_row", "corley", "zero_row",
+                 "three_by_three", "single_column", "scalar_game"]
+
+
 @pytest.mark.parametrize("player", [Player.ROW, Player.COL])
-@pytest.mark.parametrize(
-    "name",
-    ["two_by_two", "null_row", "constant_row", "corley", "zero_row", "three_by_three",
-     "single_column", "scalar_game"],
-)
+@pytest.mark.parametrize("name", EXAMPLE_GAMES)
 def test_image_halfspaces_are_facets_on_the_example_games(name, player, request):
     _check_image_facets(compute_security_image(request.getfixturevalue(name), player))
 
@@ -515,3 +516,39 @@ def test_image_support_matches_the_direct_security_lp(two_by_two, three_by_three
             assert _image_support(image, d) == pytest.approx(
                 _direct_security_value(game, image.player, d), abs=1e-6
             )
+
+
+def _image_and_cut_count(game, player, cut, monkeypatch) -> tuple[SecurityImage, int]:
+    """`player`'s security image with Benson's cuts made by `cut`, and how many it made."""
+    cuts = []
+
+    def counting_cut(entries, v, w):
+        cuts.append(v)
+        return cut(entries, v, w)
+
+    monkeypatch.setattr(poss, "_cut", counting_cut)
+    return compute_security_image(game, player), len(cuts)
+
+
+@pytest.mark.parametrize("player", [Player.ROW, Player.COL])
+@pytest.mark.parametrize(
+    "case", [*EXAMPLE_GAMES, "five_by_five_by_four", *LOST_VERTEX_INPUTS], ids=str
+)
+def test_cuts_read_off_the_verification_duals_give_the_images_of_the_cut_lp(
+    case, player, request, monkeypatch, report_diff
+):
+    # Benson's cut once came from an LP of its own; solving that LP instead
+    # must give the same number of cuts and the same image within 1e-9.
+    if case == "five_by_five_by_four":
+        game = _five_by_five_by_four()
+    elif isinstance(case, tuple):
+        game = relabeled_game(case[0], (4, 4, 4), case[1])
+    else:
+        game = request.getfixturevalue(case)
+    got, got_cuts = _image_and_cut_count(game, player, poss._cut, monkeypatch)
+    want, want_cuts = _image_and_cut_count(
+        game, player, lambda entries, v, w: benson_cut_by_lp(entries, v), monkeypatch
+    )
+    assert got_cuts == want_cuts
+    _, _, found = report_diff.differences(got.to_dict(), want.to_dict(), 1e-9)
+    assert not found, found

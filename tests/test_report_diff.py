@@ -3,22 +3,9 @@ tolerance, and fails on every other difference."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
-
-
-@pytest.fixture(scope="module")
-def report_diff():
-    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 BASE = {"verdict": True, "count": 3, "name": "a", "none": None,
         "values": [0.5, 1.0, {"lp_value": 0.25}]}
