@@ -61,7 +61,7 @@ DIGESTS = {
     "equilibria/json/constant_row": "3ad9a4325c95643b15a76334a4db3ff850e08e99140fa51ffc8dfd181102e87e",
     "equilibria/csv/constant_row": "1bd3f8781667976864269e1a3fb9535252b2880de70c9e5fd5723068c6ea1a5b",
     "equilibria/table/constant_row": "ad1d8f218ed4f2a327b78d15d656963d38e5aab2c887df1e5f1c6f89496fa0cb",
-    "poss/json/constant_row": "c011055b17299b4a755c0d5e433fe0662709363ef4ce20b593544824097d4ddb",
+    "poss/json/constant_row": "c593d3370516e89bd3816c65cf5931789141403c946cad8b5f5bfa7c88e057e1",
     "solve/json/corley": "0986314f1c5bc49cc2e6ddff782a8022ee5dccc62a75ce9a23448fd072ed599d",
     "solve/csv/corley": "74cc05d20103af3c9d6193042f9e26a8c8c9656a6cd59a94c6da16ffbb60f643",
     "solve/table/corley": "59c546d2cf8f94a37c65f8b99a00bd26ab546be314617b5b4abfd48e021c4b38",
@@ -82,7 +82,7 @@ DIGESTS = {
     "equilibria/json/three_by_three": "691591e91fa558cf42bd1490cf98eec8aaff9e8892cc30d5514abf001588cebc",
     "equilibria/csv/three_by_three": "d0dfb428094857aaadd747eebcdfd44aac3d3f4f2d8ef536ed4bced49ee26405",
     "equilibria/table/three_by_three": "9aed3fde804c8bc594dabd5a004e8faa144196c0e3f7aee386cd87881c69f311",
-    "poss/json/three_by_three": "f5500a3e519c150d93489655fee10fc28833fbdab59503b4fd965ba987d7e09c",
+    "poss/json/three_by_three": "8754a04a4a5b5a25747fd9e0b4088725d8b6b3cdb2d0e354387ae89d1065a6f7",
     "solve/json/single_column": "fd790686c67e99b1ac729b69c8331f8c5416ba6a481a0ef535c9896e677da59e",
     "solve/csv/single_column": "fc4d79dda6552816562db13f089a9076d2e34f5f8b86e46442d2143ac177528a",
     "solve/table/single_column": "713775dd26c2eb43350119ef896bca85f079d94f009dca18d7f89baf8ce027a4",
