@@ -638,9 +638,8 @@ def test_vertex_lift_lp_agrees_with_highs(entries, point):
 @settings(deadline=None, max_examples=60)
 @given(_GAMES, st.lists(st.integers(-6, 6), min_size=3, max_size=3))
 def test_the_cut_read_off_the_lift_lp_is_optimal_for_the_cut_lp(entries, point):
-    # Benson's cut once came from its own LP, the dual of the lift LP; HiGHS
-    # solves that LP here, and the weights read off the lift LP's duals
-    # must be an optimal solution of it.
+    # The cut LP, the dual of the lift LP, is the reference: HiGHS solves
+    # it, and the weights read off the lift LP's duals must be optimal for it.
     m, n, k = entries.shape
     v = np.array(point[:k], dtype=float)
     lp = benson_cut_lp(entries, v)

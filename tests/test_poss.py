@@ -537,8 +537,8 @@ def _image_and_cut_count(game, player, cut, monkeypatch) -> tuple[SecurityImage,
 def test_cuts_read_off_the_verification_duals_give_the_images_of_the_cut_lp(
     case, player, request, monkeypatch, report_diff
 ):
-    # Benson's cut once came from an LP of its own; solving that LP instead
-    # must give the same number of cuts and the same image within 1e-9.
+    # The cut LP (`properties.benson_cut_lp`) is the reference: cutting by
+    # it must give the same number of cuts and the same image within 1e-9.
     if case == "five_by_five_by_four":
         game = _five_by_five_by_four()
     elif isinstance(case, tuple):
