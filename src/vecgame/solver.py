@@ -30,6 +30,7 @@ from .lp import LinearProgram, LPOutcome, solve_batch, solve_lp
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
+    _dot,
     build_lower_set,
     contains_point,
     exposing_normals,
@@ -153,7 +154,8 @@ def _mixed_strategy_lp(
 
 class _Built(NamedTuple):
     """A tested strategy's lower payoff set, its exposing normals (L, K) and
-    offsets (L,), and its improvement LP's constraint matrix and rhs."""
+    offsets (L,), and its improvement LP's constraint matrix and rhs, in the
+    shifted variables (d, eps) of `_improvement_lp`."""
 
     target: OrientedPayoffPolyhedron
     exp_normals: np.ndarray
@@ -162,14 +164,25 @@ class _Built(NamedTuple):
     rhs: np.ndarray
 
 
-def _improvement_lp(game: VectorPayoffGame, target: OrientedPayoffPolyhedron) -> _Built:
-    """Build stage of the improvement LP for a row strategy of `game` whose
-    lower payoff set is `target`.
+def _improvement_lp(
+    game: VectorPayoffGame, target: OrientedPayoffPolyhedron, pbar: MixedStrategy
+) -> _Built:
+    """Build stage of the improvement LP for the row strategy `pbar` of `game`,
+    whose lower payoff set is `target`.
 
-    The LP maximizes the exposing slacks eps over the variables (p, eps):
-    one block of n rows a·g_ij <= b (j = 1..n) per halfspace and per
-    exposing normal, where the block of exposing normal ell also carries
-    eps_ell, then the row sum(p) = 1.
+    The LP runs in the shift d = p - pbar from the tested strategy, with
+    d_m = -sum_{i<m} d_i, over the variables (d_1..d_{m-1} free, eps >= 0)
+    and maximizes sum(eps).  Each halfspace and each exposing normal a with
+    offset b gives a block of n rows
+        sum_{i<m} d_i (a·g_ij - a·g_mj) <= b - sum_i pbar_i a·g_ij  (j = 1..n),
+    where the block of exposing normal ell also carries eps_ell; then the
+    rows -d_i <= pbar_i (i < m) and sum(d) <= pbar_m keep p >= 0.
+
+    Every generator of pbar lies in its own lower set and under every
+    exposing normal, so each rhs is >= 0 and d = 0, eps = 0 is the slack
+    basis: the simplex starts feasible and runs no phase 1.  A rhs that
+    rounding left in [-1e-7, 0), the containment tolerance of
+    `_check_improvement`, is set to 0; a lower one is a numerical fault.
     """
     if not len(target.vertices):
         raise NumericalError("payoff set has no identifiable vertex")
@@ -179,11 +192,17 @@ def _improvement_lp(game: VectorPayoffGame, target: OrientedPayoffPolyhedron) ->
     normals = np.vstack([target.normals, exp_normals])
     R = len(normals) * n
     scal = np.array([game.entries @ a for a in normals])  # (blocks, m, n)
-    lhs = np.zeros((R + 1, m + L))
-    lhs[:R, :m] = scal.transpose(0, 2, 1).reshape(R, m)
-    lhs[R - L * n + np.arange(L * n), m + np.repeat(np.arange(L), n)] = 1.0
-    lhs[R, :m] = 1.0
-    rhs = np.append(np.repeat(np.concatenate([target.offsets, exp_offsets]), n), 1.0)
+    p = pbar.as_array()
+    offsets = np.concatenate([target.offsets, exp_offsets])
+    room = (offsets[:, None] - _dot(scal.transpose(0, 2, 1), p)).ravel()
+    if room.min() < -1e-7:
+        raise NumericalError("a generator of the tested strategy lies outside its payoff set")
+    lhs = np.zeros((R + m, m - 1 + L))
+    lhs[:R, : m - 1] = (scal[:, :-1] - scal[:, -1:]).transpose(0, 2, 1).reshape(R, m - 1)
+    lhs[R - L * n + np.arange(L * n), m - 1 + np.repeat(np.arange(L), n)] = 1.0
+    lhs[R + np.arange(m - 1), np.arange(m - 1)] = -1.0
+    lhs[R + m - 1, : m - 1] = 1.0
+    rhs = np.concatenate([np.where(room < 0.0, 0.0, room), p])
     return _Built(target, exp_normals, exp_offsets, lhs, rhs)
 
 
@@ -191,8 +210,8 @@ def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
     """Solve stage: the outcome of each built LP, in order.
 
     The LPs are stacked by `lhs` shape, which fixes the facet and exposing
-    normal counts and so the objective (0_m, 1_L) and the relations; each
-    stack is one `solve_batch` call.
+    normal counts and so the objective (0_{m-1}, 1_L), the relations and
+    the bounds; each stack is one `solve_batch` call.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, b in enumerate(built):
@@ -200,11 +219,12 @@ def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
     outcomes: list[LPOutcome | None] = [None] * len(built)
     for (rows, cols), idx in groups.items():
         lp = LinearProgram(
-            objective=np.concatenate([np.zeros(m), np.ones(cols - m)]),
+            objective=np.concatenate([np.zeros(m - 1), np.ones(cols - m + 1)]),
             lhs=np.stack([built[i].lhs for i in idx]),
-            relations=("<=",) * (rows - 1) + ("=",),
+            relations=("<=",) * rows,
             rhs=np.stack([built[i].rhs for i in idx]),
             sense="max",
+            bounds=((None, None),) * (m - 1) + ((0.0, None),) * (cols - m + 1),
         )
         for i, out in zip(idx, solve_batch(lp)):
             outcomes[i] = out
@@ -220,7 +240,7 @@ def _check_improvement(
     target, exp_normals, exp_offsets, _, _ = built
     m = game.rows
     value = float(out.objective_value)
-    slacks = tuple(float(s) for s in out.solution[m:])
+    slacks = tuple(float(s) for s in out.solution[m - 1 :])
     if value <= tol:
         return MinimalityCertificate(pbar, value, None, True, slacks, target)
 
@@ -228,7 +248,8 @@ def _check_improvement(
     # tested set; no second set is built.  The set is contained when every
     # y_j satisfies the tested halfspaces, and it differs when some exposing
     # normal separates every y_j from its vertex, which leaves that vertex out.
-    improving = _lp_strategy(out.solution[:m], pbar.owner)
+    d, p = out.solution[: m - 1], pbar.as_array()
+    improving = _lp_strategy(np.append(p[:-1] + d, p[-1] - d.sum()), pbar.owner)
     points = row_generator_matrix(game, improving)
     if not contains_point(target, points, tol=1e-7):
         raise NumericalError(
@@ -253,7 +274,7 @@ def _certificates(
     in stacks and checked.
     """
     targets = build_lower_set(np.stack([row_generator_matrix(game, p) for p in points]))
-    built = [_improvement_lp(game, t) for t in targets]
+    built = [_improvement_lp(game, t, p) for t, p in zip(targets, points)]
     outcomes = _solve_improvement_lps(game.rows, built)
     return [_check_improvement(game, *args, tol) for args in zip(points, built, outcomes)]
 

@@ -14,6 +14,7 @@ from vecgame import solver
 from vecgame.cli import game_dict, main
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
+from vecgame.polyhedra import build_lower_set
 
 from properties import fail_one_stacked_lp
 from test_report_digests import GAMES as BUNDLED_GAMES
@@ -532,16 +533,36 @@ def test_non_finite_tol_is_an_input_error(game_files, capsys, command, tol):
 def test_invalid_lp_strategy_is_a_numerical_failure(game_files, monkeypatch, capsys):
     # An improvement LP that returns a weight of -0.5 is the program's
     # fault, not the input's.
+    # The LP runs in the shift d = p - pbar, with pbar the last two rhs entries.
     def fake_solve_batch(lp):
-        slacks = np.zeros(lp.lhs.shape[2] - 2)
+        slacks = np.zeros(lp.lhs.shape[2] - 1)
         slacks[0] = 1.0
         return [
-            LPOutcome("optimal", 1.0, np.concatenate([[-0.5, 1.5], slacks]), 0) for _ in lp.lhs
+            LPOutcome("optimal", 1.0, np.concatenate([[-0.5 - rhs[-2]], slacks]), 0)
+            for rhs in lp.rhs
         ]
 
     monkeypatch.setattr(solver, "solve_batch", fake_solve_batch)
     assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_payoff_set_that_excludes_a_generator_is_a_numerical_failure(
+    game_files, monkeypatch, capsys
+):
+    # Each tested set is built with its first generator moved down by 1 in
+    # every component, so it leaves that generator out wherever no other
+    # generator dominates it, and the tested strategy is no feasible start.
+    def lowered(points):
+        points = np.array(points)
+        points[..., 0, :] -= 1.0
+        return build_lower_set(points)
+
+    monkeypatch.setattr(solver, "build_lower_set", lowered)
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: a generator of the tested strategy lies outside" in err
+    assert "Traceback" not in err
 
 
 def test_one_non_optimal_lp_in_a_block_is_a_numerical_failure(game_files, monkeypatch, capsys):

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from vecgame.errors import InputError
-from vecgame.game import Player, VectorPayoffGame, row_generator_matrix, row_strategy
+from vecgame.game import (
+    MixedStrategy,
+    Player,
+    VectorPayoffGame,
+    col_strategy,
+    row_generator_matrix,
+    row_strategy,
+)
 from vecgame import lp as lp_module
 from vecgame.lp import (
     FeasibilityResult,
@@ -24,7 +31,13 @@ from vecgame.lp import (
 from vecgame.polyhedra import build_lower_set, exposing_normals
 from vecgame import solver
 from vecgame.poss import _support_value, _verify_vertex
-from vecgame.solver import ScalarizationWeight, minimality_lp, scalarized_game_solve
+from vecgame.solver import (
+    DECISION_TOL,
+    ScalarizationWeight,
+    maximality_lp,
+    minimality_lp,
+    scalarized_game_solve,
+)
 
 from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
 
@@ -70,9 +83,45 @@ def test_iteration_budget_is_reported_as_its_own_status():
 
 # The row strategy (5, 8, 1, 2)/16 of the benchmark's 4x4x3 game r1000, as
 # three relabelings of the game list it.  Under Dantzig's rule phase 1 of its
-# improvement LP cycles with period 8, and rounding raises the objective a
-# little each cycle, so a switch on a stalled objective never fired.
+# improvement LP in the variables (p, eps) (`_pe_improvement_lp`) cycles with
+# period 8, and rounding raises the objective a little each cycle, so a switch
+# on a stalled objective never fired.  The package's LP in the shift
+# d = p - pbar starts feasible and runs no phase 1, so the cycling LP is
+# built here in the (p, eps) form.
 CYCLING_POINTS = [(4, (1, 5, 2, 8)), (18, (1, 5, 2, 8)), (23, (5, 8, 2, 1))]
+
+
+def _pe_improvement_lp(game, p):
+    """The improvement LP of row strategy `p` in the variables (p, eps): n rows
+    per halfspace, then n rows per exposing normal with its slack, then the
+    simplex row.  Its optimum is the package's LP value."""
+    target = build_lower_set(row_generator_matrix(game, p))
+    exp_normals, exp_offsets = exposing_normals(target)
+    L = len(exp_offsets)
+    rows, rhs = [], []
+    F = len(target.offsets)
+    for ell, (normal, offset) in enumerate(
+        zip([*target.normals, *exp_normals], [*target.offsets, *exp_offsets])
+    ):
+        eps = np.zeros(L)
+        if ell >= F:
+            eps[ell - F] = 1.0
+        scal = game.entries @ np.array(normal)
+        for j in range(game.cols):
+            rows.append(np.concatenate([scal[:, j], eps]))
+            rhs.append(offset)
+    rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
+    return _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
+                      np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")
+
+
+def _cycling_lps():
+    return [
+        _pe_improvement_lp(
+            relabeled_game(1000, (4, 4, 3), variant), row_strategy(*(c / 16 for c in counts))
+        )
+        for variant, counts in CYCLING_POINTS
+    ]
 
 
 def test_a_repeated_basis_switches_to_blands_rule():
@@ -81,6 +130,10 @@ def test_a_repeated_basis_switches_to_blands_rule():
         game = relabeled_game(1000, (4, 4, 3), variant)
         verdicts.add(minimality_lp(game, row_strategy(*(c / 16 for c in counts))).is_minimal)
     assert verdicts == {True}
+    # the (p, eps) LPs, whose phase 1 cycles under Dantzig's rule, finish too
+    for lp in _cycling_lps():
+        out = solve_lp(lp)
+        assert out.status == "optimal" and out.objective_value <= DECISION_TOL
 
 
 def test_scalar_game_value_by_direct_lp(scalar_game):
@@ -511,13 +564,7 @@ def _spy(monkeypatch, name):
 
 
 def test_a_cycling_lp_finishes_under_blands_rule_inside_a_batch(monkeypatch):
-    lps = []
-    monkeypatch.setattr(
-        solver, "solve_batch", lambda lp: lps.extend(unstack_lp(lp)) or solve_batch(lp)
-    )
-    for variant, counts in CYCLING_POINTS:
-        game = relabeled_game(1000, (4, 4, 3), variant)
-        minimality_lp(game, row_strategy(*(c / 16 for c in counts)))
+    lps = _cycling_lps()
     want = [solve_lp(lp) for lp in lps]
     runs = _spy(monkeypatch, "_run_simplex")
     got = solve_batch(stack_lps(lps))
@@ -675,13 +722,16 @@ def _assert_same_lp(got, want):
 
 
 def _row_built_improvement_lp(game, p):
-    """The improvement LP of row strategy `p`: n rows per halfspace, then n rows
-    per exposing normal with its slack, then the simplex row."""
+    """The improvement LP of row strategy `p` in the shift d = p - pbar, over
+    (d_1..d_{m-1} free, eps >= 0) with d_m = -sum_{i<m} d_i: n rows per
+    halfspace, then n rows per exposing normal with its slack, each with rhs
+    b - sum_i pbar_i a·g_ij summed left to right (0 if rounding made it
+    negative), then the rows -d_i <= pbar_i and sum(d) <= pbar_m."""
     target = build_lower_set(row_generator_matrix(game, p))
     exp_normals, exp_offsets = exposing_normals(target)
-    L = len(exp_offsets)
+    m, L, F = game.rows, len(exp_offsets), len(target.offsets)
+    pbar = p.as_array()
     rows, rhs = [], []
-    F = len(target.offsets)
     for ell, (normal, offset) in enumerate(
         zip([*target.normals, *exp_normals], [*target.offsets, *exp_offsets])
     ):
@@ -690,11 +740,23 @@ def _row_built_improvement_lp(game, p):
             eps[ell - F] = 1.0
         scal = game.entries @ np.array(normal)
         for j in range(game.cols):
-            rows.append(np.concatenate([scal[:, j], eps]))
-            rhs.append(offset)
-    rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
-    return _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
-                      np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")
+            rows.append(np.concatenate([scal[:-1, j] - scal[-1, j], eps]))
+            gain = pbar[0] * scal[0, j]
+            for i in range(1, m):
+                gain = gain + pbar[i] * scal[i, j]
+            room = offset - gain
+            assert room >= -1e-7
+            rhs.append(0.0 if room < 0.0 else room)
+    for i in range(m - 1):
+        row = np.zeros(m - 1 + L)
+        row[i] = -1.0
+        rows.append(row)
+        rhs.append(pbar[i])
+    rows.append(np.concatenate([np.ones(m - 1), np.zeros(L)]))
+    rhs.append(pbar[-1])
+    return _row_built(rows, ("<=",) * len(rows), rhs,
+                      np.concatenate([np.zeros(m - 1), np.ones(L)]), "max",
+                      ((None, None),) * (m - 1) + ((0.0, None),) * L)
 
 
 def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monkeypatch):
@@ -780,3 +842,39 @@ def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definitio
     for shape in want:
         for g, w in zip(got[shape], want[shape], strict=True):
             _assert_same_lp(g, w)
+
+
+def _assert_improvement_value_agrees_with_highs(game, strategy):
+    """The package's LP value and verdict for `strategy`, against HiGHS's optimum
+    of the (p, eps) LP built on the owner's view of `game`."""
+    owner = strategy.owner
+    lp = _pe_improvement_lp(game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW))
+    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs,
+                           [(0.0, None)] * lp.num_vars, lp.sense)
+    assert status == "optimal"
+    cert = (minimality_lp if owner is Player.ROW else maximality_lp)(game, strategy)
+    assert cert.lp_value == pytest.approx(value, abs=1e-9 * (1.0 + abs(value)))
+    assert cert.is_minimal == (value <= DECISION_TOL)
+
+
+_IMPROVEMENT_GAMES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 4)).flatmap(
+    lambda shape: st.lists(
+        st.integers(-5, 5), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+    ).map(lambda v: np.array(v, dtype=float).reshape(shape))
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_IMPROVEMENT_GAMES, st.sampled_from(Player), st.data())
+def test_the_shifted_improvement_lp_agrees_with_highs_on_the_p_eps_lp(entries, owner, data):
+    size = entries.shape[0] if owner is Player.ROW else entries.shape[1]
+    # grid counts; zeros put the tested strategy on a face of the simplex
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    strategy = MixedStrategy(tuple(c / sum(counts) for c in counts), owner)
+    _assert_improvement_value_agrees_with_highs(VectorPayoffGame(entries), strategy)
+
+
+def test_the_improvement_lp_reads_highs_zero_where_the_p_eps_lp_read_1e_9():
+    # The (p, eps) LP, solved by this package's simplex, read 1.2e-9 here.
+    game = relabeled_game(2001, (4, 4, 4), 4)
+    _assert_improvement_value_agrees_with_highs(game, col_strategy(1 / 6, 1 / 3, 1 / 6, 1 / 3))

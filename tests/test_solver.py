@@ -42,6 +42,7 @@ from properties import (
     same_polyhedron,
     scalar_game_value,
 )
+from test_report_digests import GAMES as BUNDLED_GAMES
 
 # Grid-front ground truth for the 3x3 game, established by exact-arithmetic
 # recomputation (rational hulls and facets; LP results cross-checked with an
@@ -115,13 +116,20 @@ def test_certificate_slacks_sum_to_the_value(two_by_two):
 
 
 def _stub_improvement_lp(monkeypatch, weights):
-    """Make every improvement LP report value 1 with `weights` as its mixture."""
+    """Make every improvement LP report value 1 with `weights` as its mixture.
+
+    The LP runs in the shift d = p - pbar, so each outcome holds the first
+    m - 1 entries of weights - pbar, read off the last m rhs entries (pbar).
+    """
 
     def fake_solve_batch(lp):
         m = len(weights)
-        slacks = np.zeros(lp.lhs.shape[2] - m)
+        slacks = np.zeros(lp.lhs.shape[2] - (m - 1))
         slacks[0] = 1.0
-        return [LPOutcome("optimal", 1.0, np.concatenate([weights, slacks]), 0) for _ in lp.lhs]
+        return [
+            LPOutcome("optimal", 1.0, np.concatenate([(weights - rhs[-m:])[:-1], slacks]), 0)
+            for rhs in lp.rhs
+        ]
 
     monkeypatch.setattr(solver, "solve_batch", fake_solve_batch)
 
@@ -454,6 +462,22 @@ def test_improvement_is_sound_on_random_games():
             assert poly_subset(inner, outer, tol=1e-7)
             assert not poly_subset(outer, inner, tol=1e-9)
     assert improved >= 5
+
+
+@pytest.mark.parametrize("name", BUNDLED_GAMES)
+def test_each_improving_strategy_of_a_bundled_front_shrinks_the_tested_set(name):
+    # Each set is built from the strategy's own generators, not taken from a
+    # certificate: the improving set lies in the tested one and differs from it.
+    game = VectorPayoffGame.from_rows(BUNDLED_GAMES[name])
+    for player, build, generators in ((Player.ROW, build_lower_set, row_generator_matrix),
+                                      (Player.COL, build_upper_set, col_generator_matrix)):
+        for cert in classify_grid(game, player, Fraction(1, 10)).certificates:
+            if cert.is_minimal:
+                continue
+            inner = build(generators(game, cert.improving_strategy))
+            outer = build(generators(game, cert.tested_strategy))
+            assert poly_subset(inner, outer, tol=1e-7), cert.tested_strategy
+            assert not poly_subset(outer, inner, tol=1e-9), cert.tested_strategy
 
 
 def test_strict_inclusion_shows_up_in_some_support_direction():
