@@ -41,59 +41,59 @@ RUNS = [("solve", "json"), ("solve", "csv"), ("solve", "table"),
         ("poss", None)]
 
 DIGESTS = {
-    "solve/json/two_by_two": "587de78dea3ab5b7c6681339f47733e0edfccd1c01a61c4395ccb38ab0900b56",
-    "solve/csv/two_by_two": "5478c9d9c95ebd3254d7e969ca99528367834b201b75fe1b48f339ea73782417",
+    "solve/json/two_by_two": "97e1b2b401eb6761abcd7b4c0f0348acc69f3927f3ed08c0c1acc384da48a719",
+    "solve/csv/two_by_two": "63590321b95d9f328e61f28e908b1f8f13ceb465ffce9d991954b2638494a9f3",
     "solve/table/two_by_two": "0f468907da662d509efba847255a111279901e3cd3c3ef50220f8136ec900ea9",
-    "equilibria/json/two_by_two": "2ebbe6d0b48ec8962a817258f98e03a5dbc38bba322f8c0ba0ad3dc636853eb8",
+    "equilibria/json/two_by_two": "995533356198c8706479d90c42caaf02ea32e749977f2724ab3770516f5cf2ab",
     "equilibria/csv/two_by_two": "b5fc2e9c9d2d6448288f6e6861d283b38ce5ca077f079ecc58f4e84c39b20525",
     "equilibria/table/two_by_two": "adf30ddb816f91f6c2fcc4d1c61e87e258877cfbec37a36915107d2d08c17cce",
     "poss/json/two_by_two": "271573853a710810270649b101b79fd0d0ada304bc0497bd8a0efa631f572034",
-    "solve/json/null_row": "7b7a39130b2ce81895e1928b855760e08a31a42407bc3c41d086fe75bea7d457",
-    "solve/csv/null_row": "74065159aa0710ea42b796c373c004b3fbf5fd109cd2faa0ef4473bf268ac1ee",
+    "solve/json/null_row": "c8c970ed9b1d61ce6265624d73aa7cae96070f0cff0c6b9969c135cbb9f6c404",
+    "solve/csv/null_row": "c21313b95e167354534a517608bb4c05a8e81594c30549d2b385c8adc1e670f2",
     "solve/table/null_row": "f3470d685ab3f4faaa4ccb39338752f44afbf27252ed7556de41e8e57da37d66",
-    "equilibria/json/null_row": "aa7d926122840ae407814509e8bbf83c54f817af4600d50da665332ca33ec558",
+    "equilibria/json/null_row": "5205d7f20df1ed35b829f37ff0c3a626fddd097c4a59d94e7ad903d930302b85",
     "equilibria/csv/null_row": "4e57371cfb7c6457c1f3852c3cb42f67767cae50d2def60571d7a77223fce7e0",
     "equilibria/table/null_row": "b9ff509038971322ab96c3e434b724768c228d0a636238f9923d9933bb75709c",
     "poss/json/null_row": "c828b8f86b0b7df44a3b7fdd31c395b74fa121dad639b84663f3aa06698684f3",
-    "solve/json/constant_row": "381773b6da20d8ef6381add1ee76c6ea2337736697548b5a3426f44e87e56b92",
-    "solve/csv/constant_row": "6c2a8eb22ae441b4b550e40e4bd91f4513b0da0fdcb4a07c729f7b2281252e5c",
+    "solve/json/constant_row": "3dc5372b55bcf20d5c5bdf17c2b6f05680ddbd49402ae3ba16192821a523c02a",
+    "solve/csv/constant_row": "a1d0e99fd75912942e40538a0ff6f246f7fffa49487b5ab6aa2be3627dda833f",
     "solve/table/constant_row": "68634346358349685e0de69b5f488d5be5dc7f2777fff7df0ab999f925c33e03",
-    "equilibria/json/constant_row": "3ad9a4325c95643b15a76334a4db3ff850e08e99140fa51ffc8dfd181102e87e",
+    "equilibria/json/constant_row": "6a758f115b56ed7fb2a6b1ad4b43cf68a286a885563ff579d9ec31e7e68fba2d",
     "equilibria/csv/constant_row": "1bd3f8781667976864269e1a3fb9535252b2880de70c9e5fd5723068c6ea1a5b",
     "equilibria/table/constant_row": "ad1d8f218ed4f2a327b78d15d656963d38e5aab2c887df1e5f1c6f89496fa0cb",
     "poss/json/constant_row": "c593d3370516e89bd3816c65cf5931789141403c946cad8b5f5bfa7c88e057e1",
-    "solve/json/corley": "0986314f1c5bc49cc2e6ddff782a8022ee5dccc62a75ce9a23448fd072ed599d",
-    "solve/csv/corley": "74cc05d20103af3c9d6193042f9e26a8c8c9656a6cd59a94c6da16ffbb60f643",
+    "solve/json/corley": "ee94a62749eb6c1fbd3f4d27b7ca9016f979e528a9c1b1c93b23729f15c812eb",
+    "solve/csv/corley": "3d41f24c926089cce3662c89ce246d1fc5681a2c2c4140f25526348d581c9236",
     "solve/table/corley": "59c546d2cf8f94a37c65f8b99a00bd26ab546be314617b5b4abfd48e021c4b38",
-    "equilibria/json/corley": "04f278bb3e6a99bd3837ecdb44ea797123e995080b625ce8902cc4e5e62d1e6e",
+    "equilibria/json/corley": "880ea618d8170ce8ede368aa3b128fd6e6ba9f07d38b3e9bb693b323aeab59ac",
     "equilibria/csv/corley": "da43dbdde486c307c8d64b83d1ba0f9994c6b860e349cf4f9eebfb2df6975de6",
     "equilibria/table/corley": "46977f16c66f0b86ad742dbda27b825915592b2dd1479eacd0c0e812e09a825a",
     "poss/json/corley": "d2bec38ae155def16282c62016816f5c00418d08c58a18a87c1c878dbac22719",
-    "solve/json/zero_row": "f38e632eaf8a0652603ddabb7098df00c30a28208978eb31f9997a5b941530dc",
-    "solve/csv/zero_row": "df7286962d548469103ca672cf87ce5a5016f88253bc695a585cf7248ca5778c",
+    "solve/json/zero_row": "21e8bdf731057ed90c1cddddb92c3461454e0f57647e3bd8d17fbaa2b7451917",
+    "solve/csv/zero_row": "2845469f13ce0b25081bf2369e4d280eefdf5fece64375240e2a1386272b545c",
     "solve/table/zero_row": "0a785d98b245281f99f10548420e56a7d1f1d1bf10419b78b332531b7c5c1ef9",
-    "equilibria/json/zero_row": "513c127f6a54da44693986b64e1efdfa8512b1ebf2cfe63a881dd8167216ac16",
+    "equilibria/json/zero_row": "c1e5a7b500099c17fd62ebc817fe8584761cc132500b90ea8a42e59555733c2a",
     "equilibria/csv/zero_row": "9add26b42348f3cce2615d36aa257a078fcc5cdcc11901d71f9fa41268ef634f",
     "equilibria/table/zero_row": "58fcc3c70d0cc51220a2b01138368c347fc997f72f595962d7f1edbe08aea0c9",
     "poss/json/zero_row": "05d56ab009f729f758f951a97ac864d09a229dfda218f448b38e54e031624dcd",
-    "solve/json/three_by_three": "6fefb94bbc0cacd6b82d8d04fe0cd09fed1537a3475c5b9a649c0a4032e717f7",
-    "solve/csv/three_by_three": "38db8c63b68d017cc57a8ee1f4a8878f33719c76d20457dbad0eb18cbaff1646",
+    "solve/json/three_by_three": "067df4296c81fdcf49adc81f0bd72741c6fe4c9ae6c8b6a6e1f474f12c45b391",
+    "solve/csv/three_by_three": "2627d598b63d6bfd4d32568a8ef263de09cf454338eef4b23784a41d9e116bdd",
     "solve/table/three_by_three": "2b119065b3ff7fc606e9ce84a27c50a7297f6ee6706e95e1f162f901d3b3b1a0",
-    "equilibria/json/three_by_three": "691591e91fa558cf42bd1490cf98eec8aaff9e8892cc30d5514abf001588cebc",
+    "equilibria/json/three_by_three": "717a2db0747270ed2ecdb21953f8ea6b8076be074bb00b5828fad7fbcad97b70",
     "equilibria/csv/three_by_three": "d0dfb428094857aaadd747eebcdfd44aac3d3f4f2d8ef536ed4bced49ee26405",
     "equilibria/table/three_by_three": "9aed3fde804c8bc594dabd5a004e8faa144196c0e3f7aee386cd87881c69f311",
     "poss/json/three_by_three": "8754a04a4a5b5a25747fd9e0b4088725d8b6b3cdb2d0e354387ae89d1065a6f7",
-    "solve/json/single_column": "fd790686c67e99b1ac729b69c8331f8c5416ba6a481a0ef535c9896e677da59e",
-    "solve/csv/single_column": "fc4d79dda6552816562db13f089a9076d2e34f5f8b86e46442d2143ac177528a",
+    "solve/json/single_column": "3e84e5b0f3388263899315458865602f4648f5fd208af11c0ee28238d12d32b1",
+    "solve/csv/single_column": "6fe71d6668f1d4261a2d865d1b4efa0322ba5b9c3c5707f59e89a81b612b0773",
     "solve/table/single_column": "713775dd26c2eb43350119ef896bca85f079d94f009dca18d7f89baf8ce027a4",
-    "equilibria/json/single_column": "9c8c282c3eafb0b1b86e6bc9caf889fea7700dccad57493931407ee3633492c7",
+    "equilibria/json/single_column": "a5f37cb21484c89e20388a09feab50bd5f57bcd0d2314326992fbe7481832720",
     "equilibria/csv/single_column": "0b3f82f090506230e32341c96e265df70d833317c4af0618e15b6292e5bcdfb1",
     "equilibria/table/single_column": "dd1e21371c150699207d44a096559e78de975c018f6ade02da32c395de8bfc18",
     "poss/json/single_column": "8d8b9900fce14c5a31f9dfbeb48533ab93142687ec65b80be36eb4b60c607a84",
-    "solve/json/scalar": "f27a117683fffc020427d127149e572a8ccaa6cf42e59be78904b854e9793240",
-    "solve/csv/scalar": "2f8b4cfa56f41da87d8a42ef92d846cee61f2b90054d77fdb9166d74d46ecb75",
+    "solve/json/scalar": "58099805859d69271ca7e9015bafd071bae08e785664b0cc6424c61367864bbe",
+    "solve/csv/scalar": "8bcfecc71febc9e53a7d9955ee247ba80fff2bf3b087f23337fb76c9288202d7",
     "solve/table/scalar": "4bf003df0e060caedd6317489773088f07a0ab0873d450d6272e0a8208003715",
-    "equilibria/json/scalar": "7dae1ba406ddfe3b8486af1cd0f9a0df2a1987f6b1b581056fa246d33c9b5d77",
+    "equilibria/json/scalar": "3b5831baa3111f7a408447d26ff9fd2d5484ac0380838d4a1ed890eba4f909bb",
     "equilibria/csv/scalar": "ad5c614a15bf3ab6a36e370fbd2800d8012de9c352a8c9eb4ece900ea64087a4",
     "equilibria/table/scalar": "2a30d3cd4b71dd2f37fa941f305c935e717e4235f0ab1ab98f7dc703b69baace",
     "poss/json/scalar": "c75dca5a291f22ecf97082733c91b0d497ef7a039a975ff7da83116aad4e7ceb",
