@@ -26,7 +26,9 @@ Two callers build stacks.  `equilibria` solves its strong-equilibrium
 LPs as one stack per pair of facet counts: thousands of LPs with 5 or 6
 rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
 improvement LPs of a block of grid points and solves them as one stack
-per constraint shape.  The gap LPs of `poss.verify_gap` and Benson's
+per constraint shape.  Each of them starts at its tested strategy, where
+every rhs is >= 0 and the slack basis is feasible, so a stack of them
+has no artificial and skips phase 1.  The gap LPs of `poss.verify_gap` and Benson's
 verification LPs stay on `solve_lp`: Benson's loop needs each answer
 before it builds the next LP, and one stack per facet count of a front's
 gap LPs raised peak memory past its gain (README, "The simplex").
