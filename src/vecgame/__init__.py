@@ -5,19 +5,7 @@ payoff polyhedra, classifies equilibrium pairs, and computes security
 images with Pareto optimal security strategies.
 """
 
-from .equilibria import (
-    Classification,
-    EquilibriumRecord,
-    SeedResult,
-    classify_pair,
-    classify_pairs,
-    find_strong_seed,
-    is_max_point_of_row_set,
-    is_min_point_of_col_set,
-    is_shapley_equilibrium,
-    is_strong_shapley,
-    vector_minimax_diagnostic,
-)
+from .equilibria import Classification, EquilibriumRecord, classify_pair, classify_pairs
 from .errors import InputError, NumericalError
 from .game import (
     MixedStrategy,
@@ -47,16 +35,11 @@ from .poss import (
     verify_gap,
 )
 from .solver import (
-    ImprovementResult,
     MinimalityCertificate,
-    ScalarizationWeight,
     StrategyFront,
     classify_grid,
-    improve_to_maximal,
-    improve_to_minimal,
     maximality_lp,
     minimality_lp,
-    scalarized_game_solve,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +49,6 @@ __all__ = [
     "EquilibriumRecord",
     "FeasibilityResult",
     "GapReport",
-    "ImprovementResult",
     "InputError",
     "LPOutcome",
     "LinearProgram",
@@ -76,9 +58,7 @@ __all__ = [
     "OrientedPayoffPolyhedron",
     "PayoffVector",
     "Player",
-    "ScalarizationWeight",
     "SecurityImage",
-    "SeedResult",
     "SimplexGrid",
     "StrategyFront",
     "VectorPayoffGame",
@@ -93,21 +73,12 @@ __all__ = [
     "contains_point",
     "enumerate_simplex_grid",
     "expected_payoff",
-    "find_strong_seed",
-    "improve_to_maximal",
-    "improve_to_minimal",
-    "is_max_point_of_row_set",
-    "is_min_point_of_col_set",
-    "is_shapley_equilibrium",
-    "is_strong_shapley",
     "maximality_lp",
     "minimality_lp",
     "pareto_max_points",
     "pareto_min_points",
     "poly_subset",
     "poss_strategies",
-    "scalarized_game_solve",
     "solve_lp",
-    "vector_minimax_diagnostic",
     "verify_gap",
 ]

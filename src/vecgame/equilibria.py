@@ -5,6 +5,9 @@ is simultaneously a Pareto-maximal point of the row player's payoff
 set and a Pareto-minimal point of the column player's.  The strong
 variant additionally requires the whole intersection of the two payoff
 sets to consist of such points, which reduces to a zero-valued LP.
+`classify_pairs` classifies every pair of two grid fronts from their
+certificates' payoff sets; `classify_pair` classifies one pair, running
+its optimality LPs first.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .game import (
     Player,
     VectorPayoffGame,
     col_generator_matrix,
-    enumerate_simplex_grid,
-    expected_payoff,
     expected_payoffs,
     row_generator_matrix,
 )
@@ -34,20 +35,13 @@ from .polyhedra import (
     build_lower_set,
     build_upper_set,
     negated_set,
-    pareto_max_points,
-    pareto_min_points,
-    weak_pareto_points,
 )
 from .solver import (
     DECISION_TOL,
-    improve_to_maximal,
-    improve_to_minimal,
-    maximality_lp,
-    minimality_lp,
-    scalarized_game_solve,
-    ScalarizationWeight,
     StrategyFront,
     check_workers,
+    maximality_lp,
+    minimality_lp,
     pool_map,
 )
 
@@ -102,10 +96,6 @@ def _boundary_mask(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.nda
     return np.all(active_normal_sums(poly, points) > POSITIVE_TOL, axis=1)
 
 
-def _on_pareto_boundary(poly: OrientedPayoffPolyhedron, point: np.ndarray) -> bool:
-    return bool(_boundary_mask(poly, np.asarray(point, dtype=float)[None, :])[0])
-
-
 def _payoff_sets(
     game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, row_set=None, col_set=None
 ) -> tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]:
@@ -115,24 +105,6 @@ def _payoff_sets(
     if col_set is not None:
         return vi, negated_set(col_set)
     return vi, build_upper_set(col_generator_matrix(game, q))
-
-
-def is_max_point_of_row_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    """Whether the pair's payoff is Pareto-maximal in the row payoff set."""
-    row_set = build_lower_set(row_generator_matrix(game, p))
-    return _on_pareto_boundary(row_set, expected_payoff(game, p, q).as_array())
-
-
-def is_min_point_of_col_set(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    """Whether the pair's payoff is Pareto-minimal in the column payoff set."""
-    col_set = build_upper_set(col_generator_matrix(game, q))
-    return _on_pareto_boundary(col_set, expected_payoff(game, p, q).as_array())
-
-
-def is_shapley_equilibrium(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    vi, vii = _payoff_sets(game, p, q)
-    point = expected_payoff(game, p, q).as_array()
-    return _on_pareto_boundary(vi, point) and _on_pareto_boundary(vii, point)
 
 
 # A payoff set's facets, (normals (F, K), offsets (F,)), and a pair of
@@ -257,29 +229,14 @@ def _classify(
     return records
 
 
-def _classify_one(
-    game: VectorPayoffGame,
-    p: MixedStrategy,
-    q: MixedStrategy,
-    sets: tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron],
-    p_min: bool,
-    q_max: bool,
-) -> EquilibriumRecord:
-    return _classify(game, [(p, sets[0], p_min)], [(q, sets[1], q_max)])[0]
-
-
-def is_strong_shapley(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
-    return _classify_one(game, p, q, _payoff_sets(game, p, q), False, False).strong
-
-
 def classify_pair(
     game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, *, tol: float = DECISION_TOL
 ) -> EquilibriumRecord:
     """Full classification of one pair, running the optimality LPs."""
     row = minimality_lp(game, p, tol=tol)
     col = maximality_lp(game, q, tol=tol)
-    sets = _payoff_sets(game, p, q, row.payoff_set, col.payoff_set)
-    return _classify_one(game, p, q, sets, row.is_minimal, col.is_minimal)
+    vi, vii = _payoff_sets(game, p, q, row.payoff_set, col.payoff_set)
+    return _classify(game, [(p, vi, row.is_minimal)], [(q, vii, col.is_minimal)])[0]
 
 
 def classify_pairs(
@@ -308,70 +265,3 @@ def classify_pairs(
         if c.is_minimal
     ]
     return _classify(game, rows, cols, workers)
-
-
-def vector_minimax_diagnostic(
-    game: VectorPayoffGame,
-    player: Player,
-    step,
-    mode: str = "weak",
-    opponent_step=None,
-) -> list[MixedStrategy]:
-    """Grid approximation of the minimax (maximin) strategy set.
-
-    Per own-grid strategy the opponent-grid payoff samples are filtered
-    to their weak or strict Pareto frontier; a strategy is reported when
-    one of its samples coincides with a strict Pareto point of the union
-    of all frontiers.  Accurate only up to both grid resolutions.  Player
-    II's question is player I's on the mirrored game, whose samples are
-    the negated ones.
-    """
-    mode_l = mode.lower()
-    if mode_l not in ("weak", "strong"):
-        raise InputError("mode must be 'weak' or 'strong'")
-    oriented = game.for_player(player)
-    own_grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
-    opp_grid = enumerate_simplex_grid(
-        oriented.cols, opponent_step if opponent_step is not None else step, owner=player.opponent
-    )
-    opp_matrix = np.array([o.weights for o in opp_grid.points])  # (num_opp, dim_opp)
-    # one (num_opp, K) sample array per own strategy
-    sample_sets = [opp_matrix @ row_generator_matrix(oriented, s) for s in own_grid.points]
-    if mode_l == "weak":
-        filtered = [weak_pareto_points(samples, "max") for samples in sample_sets]
-    else:
-        filtered = [pareto_max_points(samples) for samples in sample_sets]
-    outer = pareto_min_points(np.vstack(filtered))
-
-    chosen = []
-    for s, samples in zip(own_grid.points, sample_sets):
-        hits = np.abs(samples[:, None, :] - outer[None, :, :]).max(axis=2) <= 1e-9
-        if hits.any():
-            chosen.append(s)
-    return chosen
-
-
-@dataclass(frozen=True)
-class SeedResult:
-    row_strategy: MixedStrategy
-    col_strategy: MixedStrategy
-    verified: bool
-
-
-def find_strong_seed(game: VectorPayoffGame) -> SeedResult:
-    """Equilibrium pair obtained from the all-ones scalarization.
-
-    The scalar-game saddle point is driven to a minimal/maximal pair by
-    the improvement iteration; such a pair always admits the strong
-    property, and `verified` records that the numerical test agreed.
-    """
-    weight = ScalarizationWeight((1.0,) * game.dim)
-    p_hat = scalarized_game_solve(game, weight, Player.ROW)
-    q_hat = scalarized_game_solve(game, weight, Player.COL)
-    imp_p = improve_to_minimal(game, p_hat)
-    imp_q = improve_to_maximal(game, q_hat)
-    p, q = imp_p.strategy, imp_q.strategy
-    if not (imp_p.converged and imp_q.converged):
-        return SeedResult(p, q, False)
-    sets = _payoff_sets(game, p, q, imp_p.certificate.payoff_set, imp_q.certificate.payoff_set)
-    return SeedResult(p, q, _classify_one(game, p, q, sets, True, True).strong)

@@ -425,21 +425,6 @@ def pareto_min_points(points, *, tol: float = 1e-9) -> np.ndarray:
     return -pareto_max_points(-np.atleast_2d(np.asarray(points, dtype=float)), tol=tol)
 
 
-def weak_pareto_points(points, sense: str, *, tol: float = 1e-9) -> np.ndarray:
-    """Points not strictly dominated in every component."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if sense not in ("max", "min"):
-        raise InputError("sense must be 'max' or 'min'")
-    cmp = pts if sense == "max" else -pts
-    keep = []
-    for i in range(cmp.shape[0]):
-        y = cmp[i]
-        dominated = np.any(np.all(cmp > y + tol, axis=1))
-        if not dominated:
-            keep.append(i)
-    return pts[keep]
-
-
 def active_normal_sums(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.ndarray:
     """Per row of the (N, K) array `points`: the sum of the normals of the
     halfspaces active there, |a·y - b| <= ACTIVE_TOL; zero where none is.

@@ -23,7 +23,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, check_feasibility
+from .lp import LinearProgram, LPOutcome, check_feasibility, solve_lp
 from .polyhedra import (
     UPPER,
     ConeDD,
@@ -36,7 +36,7 @@ from .polyhedra import (
     upper_set_cone,
     upper_set_vertices,
 )
-from .solver import StrategyFront, _lp_strategy, _mixed_strategy_lp
+from .solver import StrategyFront, _lp_strategy
 
 # A candidate vertex belongs to the image when its clearance LP stays below this.
 VERIFY_TOL = 1e-7
@@ -71,6 +71,35 @@ class SecurityImage:
             **self.polyhedron.to_dict(),
             "attainments": [list(s.weights) for s in self.attainments],
         }
+
+
+def _mixed_strategy_lp(
+    M: np.ndarray, z_index: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
+) -> LPOutcome:
+    """Solve  min cost·z  over p in the simplex and free z  subject to
+    sum_i p_i M[i, r] - z[z_index[r]] <= h[r]  for every column r of M.
+
+    The solution is (p, z); any status but optimal is a numerical fault
+    of the LP called `name`.
+    """
+    m, R = M.shape
+    lhs = np.zeros((R + 1, m + cost.size))
+    lhs[:R, :m] = M.T
+    lhs[np.arange(R), m + z_index] = -1.0
+    lhs[R, :m] = 1.0
+    out = solve_lp(
+        LinearProgram(
+            objective=np.concatenate([np.zeros(m), cost]),
+            lhs=lhs,
+            relations=("<=",) * R + ("=",),
+            rhs=np.append(h, 1.0),
+            sense="min",
+            bounds=((0.0, None),) * m + ((None, None),) * cost.size,
+        )
+    )
+    if out.status != "optimal":
+        raise NumericalError(f"{name} LP ended with status {out.status}")
+    return out
 
 
 def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, LPOutcome, solve_batch, solve_lp
+from .lp import LinearProgram, LPOutcome, solve_batch
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
@@ -45,30 +45,6 @@ DECISION_TOL = 1e-7
 # of 64, 2.16 s at 38.8 MB; of 485, 1.88 s at 60.9 MB.  The cap keeps a
 # task's memory from growing with the grid.
 GRID_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class ScalarizationWeight:
-    """Strictly positive Pareto weights, normalized to unit sum."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.ndim != 1 or w.size == 0:
-            raise InputError("weights must form a nonempty vector")
-        if not np.isfinite(w).all():
-            raise InputError("weights must be finite")
-        if np.any(w <= 0):
-            raise InputError("scalarization weights must be strictly positive")
-        w = w / w.sum()
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -121,35 +97,6 @@ def _lp_strategy(weights, owner: Player) -> MixedStrategy:
         return MixedStrategy.cleaned(weights, owner=owner)
     except InputError as exc:
         raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
-
-
-def _mixed_strategy_lp(
-    M: np.ndarray, z_index: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
-) -> LPOutcome:
-    """Solve  min cost·z  over p in the simplex and free z  subject to
-    sum_i p_i M[i, r] - z[z_index[r]] <= h[r]  for every column r of M.
-
-    The solution is (p, z); any status but optimal is a numerical fault
-    of the LP called `name`.
-    """
-    m, R = M.shape
-    lhs = np.zeros((R + 1, m + cost.size))
-    lhs[:R, :m] = M.T
-    lhs[np.arange(R), m + z_index] = -1.0
-    lhs[R, :m] = 1.0
-    out = solve_lp(
-        LinearProgram(
-            objective=np.concatenate([np.zeros(m), cost]),
-            lhs=lhs,
-            relations=("<=",) * R + ("=",),
-            rhs=np.append(h, 1.0),
-            sense="min",
-            bounds=((0.0, None),) * m + ((None, None),) * cost.size,
-        )
-    )
-    if out.status != "optimal":
-        raise NumericalError(f"{name} LP ended with status {out.status}")
-    return out
 
 
 class _Built(NamedTuple):
@@ -279,19 +226,12 @@ def _certificates(
     return [_check_improvement(game, *args, tol) for args in zip(points, built, outcomes)]
 
 
-def _minimality_core(
-    game: VectorPayoffGame, pbar: MixedStrategy, tol: float
-) -> MinimalityCertificate:
-    """The certificate of one strategy: a block of one, whose stack of one
-    runs the scalar pivot loop."""
-    return _certificates(game, [pbar], tol)[0]
-
-
 def _certificate(
     game: VectorPayoffGame, strategy: MixedStrategy, tol: float
 ) -> MinimalityCertificate:
-    """Minimality (row) or maximality (column) test, keyed on the strategy's owner."""
-    return _minimality_core(game.for_player(strategy.owner), strategy, tol)
+    """Minimality (row) or maximality (column) test, keyed on the strategy's owner:
+    a block of one, whose stack of one runs the scalar pivot loop."""
+    return _certificates(game.for_player(strategy.owner), [strategy], tol)[0]
 
 
 def _require_owner(strategy: MixedStrategy, player: Player) -> None:
@@ -393,69 +333,3 @@ def classify_grid(
         certificates=tuple(certificates),
         equivalence_classes=tuple(tuple(c) for c in classes),
     )
-
-
-@dataclass(frozen=True)
-class ImprovementResult:
-    strategy: MixedStrategy
-    certificate: MinimalityCertificate
-    improvement_steps: int
-    converged: bool
-
-
-def _improve(
-    game: VectorPayoffGame, start: MixedStrategy, player: Player, max_iter: int, tol: float
-) -> ImprovementResult:
-    """The improvement iteration for `player`, on the game seen by that player."""
-    _require_owner(start, player)
-    if max_iter < 0:
-        raise InputError("max_iter must be nonnegative")
-    oriented = game.for_player(player)
-    cur = start
-    cert = _minimality_core(oriented, cur, tol)
-    steps = 0
-    while not cert.is_minimal and steps < max_iter:
-        cur = cert.improving_strategy
-        steps += 1
-        cert = _minimality_core(oriented, cur, tol)
-    return ImprovementResult(cur, cert, steps, cert.is_minimal)
-
-
-def improve_to_minimal(
-    game: VectorPayoffGame,
-    p0: MixedStrategy,
-    max_iter: int = 25,
-    *,
-    tol: float = DECISION_TOL,
-) -> ImprovementResult:
-    """Follow improving strategies until the LP certifies minimality.
-
-    The lower payoff set shrinks strictly at every step; `max_iter`
-    bounds the number of improvement steps, and a run that exhausts it
-    comes back with converged=False and the last certificate.
-    """
-    return _improve(game, p0, Player.ROW, max_iter, tol)
-
-
-def improve_to_maximal(
-    game: VectorPayoffGame,
-    q0: MixedStrategy,
-    max_iter: int = 25,
-    *,
-    tol: float = DECISION_TOL,
-) -> ImprovementResult:
-    """Column-player counterpart of improve_to_minimal."""
-    return _improve(game, q0, Player.COL, max_iter, tol)
-
-
-def scalarized_game_solve(
-    game: VectorPayoffGame, weight: ScalarizationWeight, player: Player
-) -> MixedStrategy:
-    """Optimal strategy of the scalar game with entries weight·g_ij."""
-    if len(weight) != game.dim:
-        raise InputError(f"weight has {len(weight)} components, game payoffs have {game.dim}")
-    scal = game.for_player(player).entries @ weight.as_array()  # (m, n)
-    m, n = scal.shape
-    # min u  s.t.  sum_i p_i scal_ij <= u for all j, p in simplex
-    out = _mixed_strategy_lp(scal, np.zeros(n, dtype=int), np.zeros(n), np.ones(1), "scalar game")
-    return _lp_strategy(out.solution[:m], player)

@@ -18,24 +18,17 @@ import numpy as np
 import pytest
 
 from vecgame.cli import main
-from vecgame.equilibria import Classification, classify_pair, classify_pairs, vector_minimax_diagnostic
+from vecgame.equilibria import Classification, classify_pair, classify_pairs
 from vecgame.game import (
     Player,
     col_strategy,
     enumerate_simplex_grid,
-    expected_payoff,
     row_generator_matrix,
     row_strategy,
 )
 from vecgame.polyhedra import pareto_max_points
 from vecgame.poss import compute_security_image, verify_gap
-from vecgame.solver import (
-    DECISION_TOL,
-    ScalarizationWeight,
-    classify_grid,
-    minimality_lp,
-    scalarized_game_solve,
-)
+from vecgame.solver import DECISION_TOL, classify_grid, minimality_lp
 
 import exact_oracle
 from properties import (
@@ -45,6 +38,7 @@ from properties import (
     check_lp_duality,
     check_set_relation_monotonicity,
     optimal_weight_set,
+    scalar_game_value,
 )
 
 
@@ -235,18 +229,15 @@ def test_criterion_04_three_by_three_game_counts_and_strong_rows(three_by_three)
 
 def test_criterion_05_degenerate_row_examples(null_row, constant_row):
     with criterion(5):
-        weight = ScalarizationWeight((0.5, 0.5))
-        p = scalarized_game_solve(null_row, weight, Player.ROW)
-        q = scalarized_game_solve(null_row, weight, Player.COL)
-        alpha = weight.as_array()
-        value = float(alpha @ np.asarray(tuple(expected_payoff(null_row, p, q))))
+        alpha = np.array([0.5, 0.5])
+        value = scalar_game_value(null_row.entries @ alpha)
         assert abs(value) <= 1e-9
-        guarantee = row_generator_matrix(null_row, p) @ alpha
-        assert guarantee.max() == pytest.approx(0.0, abs=1e-9)
         cert = minimality_lp(null_row, row_strategy(0.0, 1.0))
         assert not cert.is_minimal
         assert cert.improving_strategy is not None
         assert cert.improving_strategy.weights == pytest.approx((1.0, 0.0), abs=1e-7)
+        guarantee = row_generator_matrix(null_row, cert.improving_strategy) @ alpha
+        assert guarantee.max() == pytest.approx(value, abs=1e-9)
         assert minimality_lp(constant_row, row_strategy(0.0, 0.0, 1.0)).is_minimal
 
 
@@ -283,21 +274,6 @@ def test_criterion_07_security_image_and_gap(two_by_two, three_by_three,
         assert report_3.ok and len(report_3.checked) == sum(
             c.is_minimal for c in row_front.certificates
         )
-
-
-def test_criterion_08_weak_minimax_diagnostics(two_by_two):
-    with criterion(8):
-        chosen = vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3))
-        weights = [s.weights for s in chosen]
-        assert len(weights) == 2
-        assert weights[0] == pytest.approx((0.0, 1.0), abs=1e-9)
-        assert weights[1] == pytest.approx((1 / 3, 2 / 3), abs=1e-9)
-        chosen = vector_minimax_diagnostic(two_by_two, Player.COL, Fraction(1, 10))
-        got = {s.weights for s in chosen}
-        expected = {
-            w for w in _grid_weights(2, Fraction(1, 10), Player.COL) if w[0] <= 0.5 + 1e-9
-        }
-        assert got == expected
 
 
 def test_criterion_09_property_suites(three_by_three, corley, three_by_three_fronts,

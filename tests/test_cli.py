@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame import solver
+from vecgame import poss, solver
 from vecgame.cli import game_dict, main
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
@@ -317,7 +317,7 @@ def test_a_non_optimal_lp_in_a_poss_task_is_a_numerical_failure(game_files, monk
                                                                  workers):
     # Benson's first LP, a support LP of the image, fails inside the player's
     # task; in a pool that task runs in a forked worker, which inherits the patch.
-    monkeypatch.setattr(solver, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
+    monkeypatch.setattr(poss, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
     assert main(["poss", "-i", game_files["two_by_two"], "--workers", workers]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: image support LP ended with status iteration_limit" in err
@@ -499,10 +499,11 @@ def test_ragged_or_non_numeric_payoffs_are_an_input_error(tmp_path, capsys, payo
 
 
 def test_bad_step(game_files, capsys):
-    assert main(["solve", "-i", game_files["two_by_two"], "--step-row", "0"]) == 2
-    capsys.readouterr()
-    assert main(["solve", "-i", game_files["two_by_two"], "--step-row", "abc"]) == 2
-    capsys.readouterr()
+    for step in ("0", "abc", "1/0", "nan", "inf", "3/10"):
+        for flag in ("--step-row", "--step-col"):
+            assert main(["solve", "-i", game_files["two_by_two"], flag, step]) == 2, (flag, step)
+            err = capsys.readouterr().err
+            assert "input error" in err and "Traceback" not in err
 
 
 def test_bad_pair_syntax(game_files, capsys):

@@ -1,4 +1,5 @@
-"""Pair classification, minimax diagnostics, and the scalarization seed."""
+"""Pair classification: frontier membership, the Shapley and strong tests, and
+the equilibrium hierarchy of single pairs and grid fronts."""
 
 from __future__ import annotations
 
@@ -15,19 +16,12 @@ from vecgame.equilibria import (
     STRONG_TOL,
     Classification,
     _boundary_mask,
-    _on_pareto_boundary,
     _payoff_sets,
     _row_blocks,
     _strong_lps,
     _strong_values,
     classify_pair,
     classify_pairs,
-    find_strong_seed,
-    is_max_point_of_row_set,
-    is_min_point_of_col_set,
-    is_shapley_equilibrium,
-    is_strong_shapley,
-    vector_minimax_diagnostic,
 )
 from vecgame.errors import InputError
 from vecgame.game import (
@@ -35,16 +29,22 @@ from vecgame.game import (
     VectorPayoffGame,
     col_generator_matrix,
     col_strategy,
-    enumerate_simplex_grid,
     expected_payoff,
     row_generator_matrix,
     row_strategy,
 )
 from vecgame.lp import LinearProgram, solve_batch, solve_lp
-from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset
+from vecgame.polyhedra import build_lower_set, build_upper_set
 from vecgame.solver import StrategyFront, classify_grid
 
-from properties import assert_hierarchy, random_game, random_mixed, unstack_lp
+from properties import (
+    assert_hierarchy,
+    on_col_frontier,
+    on_row_frontier,
+    random_game,
+    random_mixed,
+    unstack_lp,
+)
 
 
 def _strong_lp_value(game, p, q):
@@ -58,34 +58,34 @@ def _strong_lp_value(game, p, q):
 
 
 def test_pair_payoff_on_the_row_frontier(corley):
-    assert is_max_point_of_row_set(corley, row_strategy(1, 0), col_strategy(1, 0))
+    assert on_row_frontier(corley, row_strategy(1, 0), col_strategy(1, 0))
 
 
 def test_interior_pair_payoff_is_not_a_max_point(corley):
     # v((1,0),(1/2,1/2)) = (1/2,0) sits strictly under the generator (1,0)
-    assert not is_max_point_of_row_set(corley, row_strategy(1, 0), col_strategy(0.5, 0.5))
+    assert not on_row_frontier(corley, row_strategy(1, 0), col_strategy(0.5, 0.5))
 
 
 def test_single_column_payoff_is_always_a_max_point(single_column):
     for p1 in (0.0, 0.25, 1.0):
         p = row_strategy(p1, 1 - p1)
-        assert is_max_point_of_row_set(single_column, p, col_strategy(1.0))
+        assert on_row_frontier(single_column, p, col_strategy(1.0))
 
 
 def test_pair_payoff_on_the_column_frontier(corley):
-    assert is_min_point_of_col_set(corley, row_strategy(1, 0), col_strategy(1, 0))
+    assert on_col_frontier(corley, row_strategy(1, 0), col_strategy(1, 0))
 
 
 def test_mixed_pair_payoff_is_not_a_min_point(corley):
     # v((1/2,1/2),(1/2,1/2)) = (1/2,1/4) lies above r_1(q) = (1/2,0)
-    assert not is_min_point_of_col_set(corley, row_strategy(0.5, 0.5), col_strategy(0.5, 0.5))
+    assert not on_col_frontier(corley, row_strategy(0.5, 0.5), col_strategy(0.5, 0.5))
 
 
 def test_single_row_payoff_is_always_a_min_point():
     game = VectorPayoffGame.from_rows([[(0, 2), (3, 1)]])
     for q1 in (0.0, 0.5, 1.0):
         q = col_strategy(q1, 1 - q1)
-        assert is_min_point_of_col_set(game, row_strategy(1.0), q)
+        assert on_col_frontier(game, row_strategy(1.0), q)
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +93,20 @@ def test_single_row_payoff_is_always_a_min_point():
 
 
 def test_shapley_detection_on_known_pairs(corley):
-    assert is_shapley_equilibrium(corley, row_strategy(1, 0), col_strategy(1, 0))
-    assert not is_shapley_equilibrium(corley, row_strategy(1, 0), col_strategy(0.75, 0.25))
-    assert is_shapley_equilibrium(
-        corley, row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)
-    )
+    assert classify_pair(corley, row_strategy(1, 0), col_strategy(1, 0)).shapley
+    assert not classify_pair(corley, row_strategy(1, 0), col_strategy(0.75, 0.25)).shapley
+    assert classify_pair(corley, row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)).shapley
 
 
 def test_strong_test_separates_the_two_shapley_pairs(corley):
-    assert is_strong_shapley(corley, row_strategy(1, 0), col_strategy(1, 0))
-    assert not is_strong_shapley(
-        corley, row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)
-    )
+    assert classify_pair(corley, row_strategy(1, 0), col_strategy(1, 0)).strong
+    assert not classify_pair(corley, row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)).strong
 
 
 def test_strong_shapley_pair_of_the_three_by_three_game(three_by_three):
     p = row_strategy(0.4, 0.0, 0.6)
     q = col_strategy(0.0, 0.0, 1.0)
-    assert is_strong_shapley(three_by_three, p, q)
+    assert classify_pair(three_by_three, p, q).strong
 
 
 def test_strong_lp_value_of_the_non_strong_pair(corley):
@@ -445,7 +441,6 @@ def test_boundary_mask_edge_cases():
     )
     mask = _boundary_mask(poly, points)
     assert mask.tolist() == [False, False, True]
-    assert [_on_pareto_boundary(poly, y) for y in points] == mask.tolist()
 
 
 def test_row_blocks_are_contiguous_and_cover_every_counted_row():
@@ -497,7 +492,7 @@ def _intersection_samples(game, p, q, directions):
 
 def test_intersection_points_are_incomparable_to_the_pair_payoff(corley):
     p, q = row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)
-    assert is_shapley_equilibrium(corley, p, q)
+    assert classify_pair(corley, p, q).shapley
     v = expected_payoff(corley, p, q).as_array()
     angles = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     directions = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -526,88 +521,25 @@ def test_strong_lp_value_is_finite_and_nonnegative(corley, three_by_three, three
 
 
 # ---------------------------------------------------------------------------
-# grid minimax diagnostics
+# known strong pairs
 
 
-def test_weak_minimax_diagnostic_on_the_third_grid(two_by_two):
-    chosen = vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3))
-    weights = [s.weights for s in chosen]
-    assert len(weights) == 2
-    assert weights[0] == pytest.approx((0.0, 1.0), abs=1e-12)
-    assert weights[1] == pytest.approx((1 / 3, 2 / 3), abs=1e-12)
+# Saddle points of the all-ones scalarization, driven to a minimal and a
+# maximal strategy: (p, q, payoff) per fixture game.
+KNOWN_STRONG_PAIRS = {
+    "corley": ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0)),
+    "scalar_game": ((1 / 3, 2 / 3), (0.5, 0.5), (2.0,)),
+    "three_by_three": ((8 / 13, 0.0, 5 / 13), (2 / 13, 0.0, 11 / 13), (322 / 169, -192 / 169)),
+}
 
 
-def test_weak_maximin_diagnostic_keeps_the_left_half(two_by_two):
-    chosen = vector_minimax_diagnostic(two_by_two, Player.COL, Fraction(1, 10))
-    weights = [s.weights for s in chosen]
-    assert len(weights) == 6
-    assert all(w[0] <= 0.5 + 1e-9 for w in weights)
-
-
-def test_strong_diagnostic_returns_the_whole_grid(two_by_two):
-    # the midpoint sample v(p,(1/2,1/2)) = (2,2) survives the strict filter
-    # for every p, so the whole grid attains a minimal union point
-    chosen = vector_minimax_diagnostic(
-        two_by_two, Player.ROW, Fraction(1, 3), "strong", opponent_step=Fraction(1, 2)
-    )
-    grid = enumerate_simplex_grid(2, Fraction(1, 3), owner=Player.ROW)
-    assert [s.weights for s in chosen] == [g.weights for g in grid.points]
-
-
-def test_strong_diagnostic_depends_on_the_opponent_grid(two_by_two):
-    # a step-1/3 opponent grid misses (1/2,1/2), hiding the shared sample
-    chosen = vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3), "strong")
-    assert [s.weights for s in chosen] == [(0.0, 1.0)]
-
-
-def test_diagnostic_mode_is_case_insensitive(two_by_two):
-    lower = vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3), "weak")
-    upper = vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3), "Weak")
-    assert [s.weights for s in lower] == [s.weights for s in upper]
-
-
-def test_diagnostic_rejects_unknown_modes(two_by_two):
-    with pytest.raises(InputError):
-        vector_minimax_diagnostic(two_by_two, Player.ROW, Fraction(1, 3), "medium")
-
-
-# ---------------------------------------------------------------------------
-# scalarization seed
-
-
-def test_seed_of_the_corley_game(corley):
-    seed = find_strong_seed(corley)
-    assert seed.verified
-    assert seed.row_strategy.weights == pytest.approx((1.0, 0.0), abs=1e-9)
-    assert seed.col_strategy.weights == pytest.approx((1.0, 0.0), abs=1e-9)
-    assert is_strong_shapley(corley, seed.row_strategy, seed.col_strategy)
-
-
-def test_corley_seed_matches_the_known_strong_pair_setwise(corley):
-    seed = find_strong_seed(corley)
-    vi_seed = build_lower_set(row_generator_matrix(corley, seed.row_strategy))
-    vi_known = build_lower_set(row_generator_matrix(corley, row_strategy(1, 0)))
-    vii_seed = build_upper_set(col_generator_matrix(corley, seed.col_strategy))
-    vii_known = build_upper_set(col_generator_matrix(corley, col_strategy(1, 0)))
-    assert poly_subset(vi_seed, vi_known) and poly_subset(vi_known, vi_seed)
-    assert poly_subset(vii_seed, vii_known) and poly_subset(vii_known, vii_seed)
-
-
-def test_seed_of_a_scalar_game_is_the_saddle_point(scalar_game):
-    seed = find_strong_seed(scalar_game)
-    assert seed.verified
-    assert seed.row_strategy.weights == pytest.approx((1 / 3, 2 / 3), abs=1e-9)
-    assert seed.col_strategy.weights == pytest.approx((0.5, 0.5), abs=1e-9)
-
-
-def test_seed_of_the_three_by_three_game(three_by_three):
-    seed = find_strong_seed(three_by_three)
-    assert seed.verified
-    assert is_strong_shapley(three_by_three, seed.row_strategy, seed.col_strategy)
-    assert seed.row_strategy.weights == pytest.approx((8 / 13, 0.0, 5 / 13), abs=1e-9)
-    assert seed.col_strategy.weights == pytest.approx((2 / 13, 0.0, 11 / 13), abs=1e-9)
-    payoff = tuple(expected_payoff(three_by_three, seed.row_strategy, seed.col_strategy))
-    assert payoff == pytest.approx((322 / 169, -192 / 169), abs=1e-9)
+@pytest.mark.parametrize("name", list(KNOWN_STRONG_PAIRS))
+def test_known_strong_pairs_classify_as_strong_set_shapley(request, name):
+    p, q, payoff = KNOWN_STRONG_PAIRS[name]
+    game = request.getfixturevalue(name)
+    record = classify_pair(game, row_strategy(*p), col_strategy(*q))
+    assert record.classification is Classification.STRONG_SET_SHAPLEY
+    assert tuple(record.payoff) == pytest.approx(payoff, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,9 @@ from vecgame.lp import (
     solve_lp,
 )
 from vecgame.polyhedra import build_lower_set, exposing_normals
-from vecgame import solver
+from vecgame import poss, solver
 from vecgame.poss import _support_value, _verify_vertex
-from vecgame.solver import (
-    DECISION_TOL,
-    ScalarizationWeight,
-    maximality_lp,
-    minimality_lp,
-    scalarized_game_solve,
-)
+from vecgame.solver import DECISION_TOL, maximality_lp, minimality_lp
 
 from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
 
@@ -638,19 +632,6 @@ def _simplex_lp(m, extra, A_ub, b_ub, c):
 
 
 @settings(deadline=None, max_examples=60)
-@given(_GAMES, st.lists(st.integers(1, 5), min_size=3, max_size=3))
-def test_scalar_game_lp_agrees_with_highs(entries, weights):
-    game = VectorPayoffGame(entries)
-    m, n, k = entries.shape
-    weight = ScalarizationWeight(tuple(float(w) for w in weights[:k]))
-    scal = entries @ weight.as_array()
-    # value: min u  s.t.  sum_i p_i scal_ij <= u  for every column j
-    value = _simplex_lp(m, 1, np.hstack([scal.T, -np.ones((n, 1))]), np.zeros(n), [1.0])
-    p = np.array(scalarized_game_solve(game, weight, Player.ROW).weights)
-    assert (p @ scal).max() == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
-
-
-@settings(deadline=None, max_examples=60)
 @given(_GAMES, st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
 def test_image_support_lp_agrees_with_highs(entries, direction):
     m, n, k = entries.shape
@@ -771,7 +752,7 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
         seen.extend(unstack_lp(lp))
         return solve_batch(lp)
 
-    monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
     monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
     entries = relabeled_game(2000, (4, 4, 4), 0).entries
     m, n, k = entries.shape
@@ -781,17 +762,6 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
     game, p = three_by_three, row_strategy(0.2, 0.3, 0.5)
     minimality_lp(game, p)
     _assert_same_lp(seen.pop(), _row_built_improvement_lp(game, p))
-
-    # scalar game: one row per column
-    weight = ScalarizationWeight((1.0, 2.0, 3.0, 4.0))
-    scalarized_game_solve(VectorPayoffGame(entries), weight, Player.ROW)
-    scal = entries @ weight.as_array()
-    rows = [np.concatenate([scal[:, j], [-1.0]]) for j in range(n)]
-    rows.append(np.concatenate([np.ones(m), [0.0]]))
-    want = _row_built(rows, ("<=",) * n + ("=",), [0.0] * n + [1.0],
-                      np.concatenate([np.zeros(m), [1.0]]), "min",
-                      ((0.0, None),) * m + (free,))
-    _assert_same_lp(seen.pop(), want)
 
     # image support and vertex lift: one row per column and component
     direction, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 2.5, 1.0])

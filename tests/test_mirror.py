@@ -13,16 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from vecgame.equilibria import (
-    is_max_point_of_row_set,
-    is_min_point_of_col_set,
-    vector_minimax_diagnostic,
-)
 from vecgame.game import MixedStrategy, Player, enumerate_simplex_grid
 from vecgame.poss import compute_security_image, poss_strategies, verify_gap
 from vecgame.solver import classify_grid
 
-from properties import random_game
+from properties import on_col_frontier, on_row_frontier, random_game
 
 STEP = Fraction(1, 4)
 FIXTURE_GAMES = (
@@ -111,17 +106,8 @@ def test_column_results_equal_row_results_on_the_mirror(request):
             verify_gap(mirror, front_mirror, image_mirror)
         )
 
-        for mode in ("weak", "strong"):
-            assert _weights(vector_minimax_diagnostic(game, Player.COL, STEP, mode)) == _weights(
-                vector_minimax_diagnostic(mirror, Player.ROW, STEP, mode)
-            )
-
         for p in enumerate_simplex_grid(game.rows, Fraction(1, 2), owner=Player.ROW):
             for q in enumerate_simplex_grid(game.cols, Fraction(1, 2), owner=Player.COL):
                 q_m, p_m = _as(q, Player.ROW), _as(p, Player.COL)
-                assert is_min_point_of_col_set(game, p, q) == is_max_point_of_row_set(
-                    mirror, q_m, p_m
-                )
-                assert is_max_point_of_row_set(game, p, q) == is_min_point_of_col_set(
-                    mirror, q_m, p_m
-                )
+                assert on_col_frontier(game, p, q) == on_row_frontier(mirror, q_m, p_m)
+                assert on_row_frontier(game, p, q) == on_col_frontier(mirror, q_m, p_m)

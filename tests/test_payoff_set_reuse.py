@@ -1,9 +1,9 @@
 """Each payoff set is built once per run.
 
 An optimal certificate carries the lower set it tested; the equivalence
-pass of `classify_grid`, `classify_pairs`, `classify_pair`,
-`find_strong_seed` and `verify_gap` read it from there instead of running
-the double description again.
+pass of `classify_grid`, `classify_pairs`, `classify_pair` and
+`verify_gap` read it from there instead of running the double
+description again.
 """
 
 from __future__ import annotations
@@ -70,21 +70,6 @@ def test_classify_pair_builds_only_the_sets_no_certificate_carries(two_by_two, m
     mixed = equilibria.classify_pair(two_by_two, row_strategy(1, 0), col_strategy(0, 1))
     assert not mixed.p_minimal and mixed.q_maximal
     assert calls == ["build_lower_set", "build_lower_set", "build_lower_set"]
-
-
-def test_find_strong_seed_builds_no_set_beyond_its_certificates(corley, monkeypatch):
-    calls = _count_builds(monkeypatch)
-    certificates = []
-    original = solver._minimality_core
-
-    def counted(*args):
-        certificates.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(solver, "_minimality_core", counted)
-    seed = equilibria.find_strong_seed(corley)
-    assert seed.verified
-    assert certificates and len(calls) == len(certificates)
 
 
 def test_a_column_certificate_set_negates_to_the_upper_set(three_by_three):

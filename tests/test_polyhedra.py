@@ -29,7 +29,6 @@ from vecgame.polyhedra import (
     poly_subset,
     support_value,
     upper_set_vertices_from_halfspaces,
-    weak_pareto_points,
     zero_set,
 )
 
@@ -142,26 +141,6 @@ def test_pareto_max_matches_brute_force():
         )
         if not dominated:
             slow.add(tuple(pts[i]))
-    assert fast == slow
-
-
-def test_weak_pareto_examples():
-    assert [tuple(p) for p in weak_pareto_points([(0, 0), (1, 1)], "max")] == [(1.0, 1.0)]
-    kept = {tuple(p) for p in weak_pareto_points([(2, 0), (0, 2), (1, 1)], "max")}
-    assert kept == {(2.0, 0.0), (0.0, 2.0), (1.0, 1.0)}
-    with pytest.raises(InputError):
-        weak_pareto_points([(0, 0)], "best")
-
-
-def test_weak_pareto_matches_brute_force():
-    rng = np.random.default_rng(11)
-    pts = rng.integers(-5, 6, size=(60, 2)).astype(float)
-    fast = {tuple(p) for p in weak_pareto_points(pts, "min")}
-    slow = {
-        tuple(pts[i])
-        for i in range(len(pts))
-        if not any(np.all(pts[j] < pts[i]) for j in range(len(pts)))
-    }
     assert fast == slow
 
 

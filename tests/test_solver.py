@@ -1,4 +1,4 @@
-"""Minimality/maximality LPs, grid fronts, improvement, scalarization."""
+"""Minimality/maximality LPs and grid fronts."""
 
 from __future__ import annotations
 
@@ -23,13 +23,9 @@ from vecgame.lp import LPOutcome
 from vecgame.solver import (
     DECISION_TOL,
     MinimalityCertificate,
-    ScalarizationWeight,
     classify_grid,
-    improve_to_maximal,
-    improve_to_minimal,
     maximality_lp,
     minimality_lp,
-    scalarized_game_solve,
 )
 
 from properties import (
@@ -40,7 +36,6 @@ from properties import (
     random_game,
     relabeled_game,
     same_polyhedron,
-    scalar_game_value,
 )
 from test_report_digests import GAMES as BUNDLED_GAMES
 
@@ -352,97 +347,6 @@ def test_one_non_optimal_lp_in_a_block_is_a_numerical_fault(two_by_two, monkeypa
     with pytest.raises(NumericalError, match="status iteration_limit"):
         classify_grid(two_by_two, Player.ROW, Fraction(1, 10))
     assert any(n > 1 for n in sizes)
-
-
-# --- improvement iteration ---------------------------------------------------
-
-def test_improve_keeps_an_already_minimal_strategy(two_by_two):
-    start = row_strategy(0, 1)
-    result = improve_to_minimal(two_by_two, start)
-    assert result.converged
-    assert result.improvement_steps == 0
-    assert result.strategy.weights == start.weights
-    assert result.certificate.is_minimal
-
-
-def test_improve_reaches_the_unique_minimal_strategy(null_row):
-    result = improve_to_minimal(null_row, row_strategy(0, 1))
-    assert result.converged
-    assert result.improvement_steps >= 1
-    assert np.allclose(result.strategy.weights, (1.0, 0.0), atol=1e-9)
-
-
-def test_improve_lands_in_the_minimal_region(two_by_two):
-    result = improve_to_minimal(two_by_two, row_strategy(2 / 3, 1 / 3))
-    assert result.converged
-    assert result.strategy.weights[0] <= 1 / 3 + 1e-7
-    assert result.certificate.is_minimal
-
-
-def test_improve_to_maximal(two_by_two):
-    result = improve_to_maximal(two_by_two, col_strategy(1, 0))
-    assert result.converged
-    assert result.strategy.owner is Player.COL
-    assert result.strategy.weights[0] <= 0.5 + 1e-7
-    assert maximality_lp(two_by_two, result.strategy).is_minimal
-
-
-def test_improve_budget_handling(two_by_two):
-    capped = improve_to_minimal(two_by_two, row_strategy(2 / 3, 1 / 3), max_iter=0)
-    assert not capped.converged
-    assert capped.improvement_steps == 0
-    with pytest.raises(InputError):
-        improve_to_minimal(two_by_two, row_strategy(1, 0), max_iter=-1)
-
-
-# --- scalarization -----------------------------------------------------------
-
-def test_scalarization_weight_normalizes():
-    w = ScalarizationWeight((2.0, 2.0))
-    assert w.weights == (0.5, 0.5)
-    assert len(w) == 2
-    with pytest.raises(InputError):
-        ScalarizationWeight((1.0, 0.0))
-    with pytest.raises(InputError):
-        ScalarizationWeight((1.0, -1.0))
-    with pytest.raises(InputError):
-        ScalarizationWeight(())
-
-
-def test_scalarized_solve_null_row_has_value_zero(null_row):
-    weight = ScalarizationWeight((0.5, 0.5))
-    p = scalarized_game_solve(null_row, weight, Player.ROW)
-    scal = null_row.entries @ weight.as_array()
-    assert float((p.as_array() @ scal).max()) == pytest.approx(0.0, abs=1e-9)
-    q = scalarized_game_solve(null_row, weight, Player.COL)
-    assert q.owner is Player.COL
-    assert float((scal @ q.as_array()).min()) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_scalarized_solve_k1_classic(scalar_game):
-    p = scalarized_game_solve(scalar_game, ScalarizationWeight((1.0,)), Player.ROW)
-    assert np.allclose(p.weights, (1 / 3, 2 / 3), atol=1e-9)
-    q = scalarized_game_solve(scalar_game, ScalarizationWeight((1.0,)), Player.COL)
-    assert np.allclose(q.weights, (0.5, 0.5), atol=1e-9)
-
-
-def test_scalarized_solve_matches_reference_value(three_by_three):
-    weight = ScalarizationWeight((1.0, 1.0))
-    scal = three_by_three.entries @ weight.as_array()
-    value = scalar_game_value(scal)
-    p = scalarized_game_solve(three_by_three, weight, Player.ROW)
-    guarantee = float((p.as_array() @ scal).max())
-    assert guarantee == pytest.approx(value, abs=1e-7)
-    q = scalarized_game_solve(three_by_three, weight, Player.COL)
-    counter = float((scal @ q.as_array()).min())
-    assert counter == pytest.approx(value, abs=1e-7)
-
-
-def test_scalarized_solve_validation(two_by_two):
-    with pytest.raises(InputError):
-        scalarized_game_solve(two_by_two, ScalarizationWeight((1.0,)), Player.ROW)
-    with pytest.raises(InputError):
-        scalarized_game_solve(two_by_two, ScalarizationWeight((1.0, 1.0)), "row")
 
 
 # --- properties ---------------------------------------------------------------
