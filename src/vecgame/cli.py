@@ -32,6 +32,7 @@ from .game import (
     MixedStrategy,
     Player,
     VectorPayoffGame,
+    _as_unit_fraction,
     col_generator_matrix,
     row_generator_matrix,
 )
@@ -214,16 +215,6 @@ def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy]:
 
 def _owner(config: RunConfig) -> Player:
     return Player.ROW if (config.player or "row") == "row" else Player.COL
-
-
-def _parse_step(text: str) -> Fraction:
-    try:
-        step = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse step {text!r}: {exc}") from exc
-    if step <= 0:
-        raise InputError("step must be positive")
-    return step
 
 
 def load_game(path: str) -> VectorPayoffGame:
@@ -616,9 +607,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command, output=args.output, **offered)
     config.input = getattr(args, "input", None)
     if hasattr(args, "step_row"):
-        config.step_row = _parse_step(args.step_row)
+        config.step_row = _as_unit_fraction(args.step_row)
         config.step_col = (
-            _parse_step(args.step_col) if args.step_col is not None else config.step_row
+            _as_unit_fraction(args.step_col) if args.step_col is not None else config.step_row
         )
         check_workers(args.workers)
         config.workers = args.workers

@@ -228,14 +228,17 @@ def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy
 
 
 def _as_unit_fraction(step) -> Fraction:
-    if isinstance(step, Fraction):
-        t = step
-    elif isinstance(step, int):
+    """The grid step 1/N that `step` names: a Fraction, a string such as "1/10"
+    or "0.25", or a number other than an int, read to a denominator of at
+    most 10**6.  Anything else is an input error."""
+    if isinstance(step, int):
         raise InputError("step must be a fraction 1/N, not an integer")
-    elif isinstance(step, str):
+    try:
         t = Fraction(step)
-    else:
-        t = Fraction(step).limit_denominator(10**6)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise InputError(f"cannot parse step {step!r}: {exc}") from exc
+    if not isinstance(step, (str, Fraction)):
+        t = t.limit_denominator(10**6)
     if t.numerator != 1 or t.denominator < 1:
         raise InputError(f"step must be of the form 1/N, got {step!r}")
     return t
