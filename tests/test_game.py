@@ -157,7 +157,6 @@ def test_grid_step_validation():
         enumerate_simplex_grid(2, 2)
     with pytest.raises(InputError):
         enumerate_simplex_grid(0, Fraction(1, 2))
-    # unparseable, infinite or non-unit steps are input errors too
     for step in ("abc", "1/0", float("nan"), float("inf"), "3/10", Fraction(3, 10)):
         with pytest.raises(InputError):
             enumerate_simplex_grid(2, step)
