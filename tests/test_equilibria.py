@@ -43,6 +43,7 @@ from properties import (
     on_row_frontier,
     random_game,
     random_mixed,
+    scalar_game_value,
     unstack_lp,
 )
 
@@ -527,9 +528,14 @@ def test_strong_lp_value_is_finite_and_nonnegative(corley, three_by_three, three
 # Saddle points of the all-ones scalarization, driven to a minimal and a
 # maximal strategy: (p, q, payoff) per fixture game.
 KNOWN_STRONG_PAIRS = {
+    "two_by_two": ((0.0, 1.0), (0.5, 0.5), (2.0, 2.0)),
+    "null_row": ((1.0, 0.0), (0.5, 0.5), (0.0, 0.0)),
+    "constant_row": ((1.0, 0.0, 0.0), (1.0, 0.0), (0.0, 0.0)),
     "corley": ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0)),
-    "scalar_game": ((1 / 3, 2 / 3), (0.5, 0.5), (2.0,)),
+    "zero_row": ((0.0, 1.0), (2 / 3, 1 / 3), (0.0, 0.0)),
     "three_by_three": ((8 / 13, 0.0, 5 / 13), (2 / 13, 0.0, 11 / 13), (322 / 169, -192 / 169)),
+    "single_column": ((1.0, 0.0), (1.0,), (0.0, 2.0)),
+    "scalar_game": ((1 / 3, 2 / 3), (0.5, 0.5), (2.0,)),
 }
 
 
@@ -540,6 +546,17 @@ def test_known_strong_pairs_classify_as_strong_set_shapley(request, name):
     record = classify_pair(game, row_strategy(*p), col_strategy(*q))
     assert record.classification is Classification.STRONG_SET_SHAPLEY
     assert tuple(record.payoff) == pytest.approx(payoff, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", list(KNOWN_STRONG_PAIRS))
+def test_known_strong_pairs_guarantee_the_all_ones_scalar_value(request, name):
+    # Shrinking a payoff set never raises a weighted guarantee, so the pair
+    # stays a saddle point of the game with payoff sum_k g_ijk.
+    p, q, _ = KNOWN_STRONG_PAIRS[name]
+    scal = request.getfixturevalue(name).entries.sum(axis=2)
+    value = scalar_game_value(scal)
+    assert float((np.array(p) @ scal).max()) == pytest.approx(value, abs=1e-9)
+    assert float((scal @ np.array(q)).min()) == pytest.approx(value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from vecgame.lp import (
 )
 from vecgame.polyhedra import build_lower_set, exposing_normals
 from vecgame import poss, solver
-from vecgame.poss import _support_value, _verify_vertex
+from vecgame.poss import _support_value, _verify_vertex, compute_security_image
 from vecgame.solver import DECISION_TOL, maximality_lp, minimality_lp
 
 from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
@@ -629,6 +629,21 @@ def _simplex_lp(m, extra, A_ub, b_ub, c):
     )
     assert res.status == 0, res.message
     return res.fun
+
+
+@settings(deadline=None, max_examples=60)
+@given(_GAMES)
+def test_scalar_security_images_sit_at_the_highs_game_value(entries):
+    # K = 1: both players' security images have the game value as their only vertex
+    m, n, _ = entries.shape
+    scal = entries[:, :, 0]
+    # value: min u  s.t.  sum_i p_i a_ij <= u  for every column j
+    value = _simplex_lp(m, 1, np.hstack([scal.T, -np.ones((n, 1))]), np.zeros(n), [1.0])
+    game = VectorPayoffGame(scal[:, :, None])
+    for player in Player:
+        vertices = compute_security_image(game, player).vertices
+        assert vertices.shape == (1, 1), player
+        assert vertices[0, 0] == pytest.approx(value, abs=1e-7 * (1.0 + abs(value))), player
 
 
 @settings(deadline=None, max_examples=60)

@@ -130,6 +130,25 @@ def test_pareto_min_is_the_mirror():
     assert kept == {(0.0, 0.0)}
 
 
+def test_pareto_min_keeps_incomparable_points_and_drops_weakly_dominated_ones():
+    kept = {tuple(p) for p in pareto_min_points([(2, 0), (0, 2), (1, 1)])}
+    assert kept == {(2.0, 0.0), (0.0, 2.0), (1.0, 1.0)}
+    # (0, 1) ties (0, 0) on the first component and loses on the second
+    assert [tuple(p) for p in pareto_min_points([(0, 0), (0, 1), (1, 1)])] == [(0.0, 0.0)]
+
+
+def test_pareto_min_matches_brute_force():
+    rng = np.random.default_rng(11)
+    pts = rng.integers(-5, 6, size=(60, 2)).astype(float)
+    fast = {tuple(p) for p in pareto_min_points(pts)}
+    slow = {
+        tuple(pts[i])
+        for i in range(len(pts))
+        if not any(np.all(pts[j] <= pts[i]) and np.any(pts[j] < pts[i]) for j in range(len(pts)))
+    }
+    assert fast == slow
+
+
 def test_pareto_max_matches_brute_force():
     rng = np.random.default_rng(7)
     pts = rng.integers(-10, 11, size=(100, 3)).astype(float)

@@ -36,6 +36,7 @@ from properties import (
     random_game,
     relabeled_game,
     same_polyhedron,
+    scalar_game_value,
 )
 from test_report_digests import GAMES as BUNDLED_GAMES
 
@@ -82,6 +83,14 @@ def test_minimality_rejects_and_improves(two_by_two):
     outer = build_lower_set(row_generator_matrix(two_by_two, tested))
     assert poly_subset(inner, outer, tol=1e-7)
     assert not poly_subset(outer, inner, tol=1e-9)
+
+
+def test_an_improving_strategy_can_land_in_the_minimal_region(two_by_two):
+    # the minimal strategies of this game are p with p_1 <= 1/3
+    cert = minimality_lp(two_by_two, row_strategy(2 / 3, 1 / 3))
+    better = cert.improving_strategy
+    assert better.weights[0] <= 1 / 3 + 1e-7
+    assert minimality_lp(two_by_two, better).is_minimal
 
 
 def test_minimality_constant_row(constant_row):
@@ -193,6 +202,14 @@ def test_maximality_improvement_grows_the_upper_set(two_by_two):
     inner = build_upper_set(col_generator_matrix(two_by_two, cert.improving_strategy))
     outer = build_upper_set(col_generator_matrix(two_by_two, cert.tested_strategy))
     assert poly_subset(inner, outer, tol=1e-7)
+
+
+def test_a_maximality_witness_can_itself_be_maximal(two_by_two):
+    # the maximal strategies of this game are q with q_1 <= 1/2
+    better = maximality_lp(two_by_two, col_strategy(1, 0)).improving_strategy
+    assert better.owner is Player.COL
+    assert better.weights[0] <= 0.5 + 1e-7
+    assert maximality_lp(two_by_two, better).is_minimal
 
 
 def test_maximality_input_validation(two_by_two):
@@ -408,6 +425,29 @@ def test_strict_inclusion_shows_up_in_some_support_direction():
 
 def test_k1_reduction_equivalence():
     check_k1_reduction(np.random.default_rng(107), games=8)
+
+
+def test_k1_maximality_is_scalar_optimality_for_the_column_player():
+    # In one dimension the upper payoff set of q is [min_i (A q)_i, inf), so
+    # it is maximal exactly when q guarantees the game value.
+    rng = np.random.default_rng(108)
+    verdicts = []
+    for _ in range(8):
+        game = random_game(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)), 1)
+        value = scalar_game_value(game.entries[:, :, 0])
+        for q in enumerate_simplex_grid(game.cols, "1/4", owner=Player.COL):
+            guarantee = float(col_generator_matrix(game, q).min())
+            verdicts.append(maximality_lp(game, q).is_minimal)
+            assert verdicts[-1] == (guarantee >= value - 1e-7), q.weights
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_k1_fronts_are_the_optimal_strategies_of_the_scalar_game(scalar_game):
+    row = classify_grid(scalar_game, Player.ROW, Fraction(1, 6), workers=1)
+    col = classify_grid(scalar_game, Player.COL, Fraction(1, 6), workers=1)
+    assert [p.weights for p in row.minimal_or_maximal] == [pytest.approx((1 / 3, 2 / 3))]
+    assert [q.weights for q in col.minimal_or_maximal] == [pytest.approx((0.5, 0.5))]
+    assert len(row.optimal_indices()) == len(col.optimal_indices()) == 1
 
 
 def test_dominated_row_monotonicity():
