@@ -1,4 +1,7 @@
-"""Golden SHA-256 digests of the command line reports on the bundled games.
+"""Golden SHA-256 digests of the command line reports on the bundled games:
+every grid command in every format, `check` on uniform strategies, `plot`
+on uniform pairs (two payoff components only), and `random` with its
+defaults.
 
 Reports are deterministic, so a change that keeps them byte-identical
 keeps these digests.  The digests depend on NumPy's floating point
@@ -40,6 +43,10 @@ RUNS = [("solve", "json"), ("solve", "csv"), ("solve", "table"),
         ("equilibria", "json"), ("equilibria", "csv"), ("equilibria", "table"),
         ("poss", None)]
 
+# `check` runs on uniform strategies with the default --player and --tol,
+# so their digests also pin the defaults that the report embeds.
+CHECKS = [("row", "json"), ("row", "table"), ("col", "json"), ("pair", "json"), ("pair", "table")]
+
 DIGESTS = {
     "solve/json/two_by_two": "97e1b2b401eb6761abcd7b4c0f0348acc69f3927f3ed08c0c1acc384da48a719",
     "solve/csv/two_by_two": "63590321b95d9f328e61f28e908b1f8f13ceb465ffce9d991954b2638494a9f3",
@@ -48,6 +55,12 @@ DIGESTS = {
     "equilibria/csv/two_by_two": "b5fc2e9c9d2d6448288f6e6861d283b38ce5ca077f079ecc58f4e84c39b20525",
     "equilibria/table/two_by_two": "adf30ddb816f91f6c2fcc4d1c61e87e258877cfbec37a36915107d2d08c17cce",
     "poss/json/two_by_two": "271573853a710810270649b101b79fd0d0ada304bc0497bd8a0efa631f572034",
+    "check-row/json/two_by_two": "eb01e4c50d7999a8e46c2e2a3bad31bf61f4b77f752216576c96e288207cbb18",
+    "check-row/table/two_by_two": "0e9d881ec58898ca162b96109c2552b94ba63ad3a1f12ab84531fe68251ca3fa",
+    "check-col/json/two_by_two": "6240c60969db80bd4acedcce2dfb43cfce8386e238867767537f29a4571675e0",
+    "check-pair/json/two_by_two": "f4760f1e4121dfb9b952702bbaac4ca45f54399aa53b931b445b51abca803f90",
+    "check-pair/table/two_by_two": "f3916cda441ff3c76024596baca1acced1a964dcd92b0ba218f2586748546ff4",
+    "plot-pair/json/two_by_two": "72d6fe7b3bcbe14a62a492d4769ecc8b22cf4888b9dda588f36c65598bd19bf0",
     "solve/json/null_row": "c8c970ed9b1d61ce6265624d73aa7cae96070f0cff0c6b9969c135cbb9f6c404",
     "solve/csv/null_row": "c21313b95e167354534a517608bb4c05a8e81594c30549d2b385c8adc1e670f2",
     "solve/table/null_row": "f3470d685ab3f4faaa4ccb39338752f44afbf27252ed7556de41e8e57da37d66",
@@ -55,6 +68,12 @@ DIGESTS = {
     "equilibria/csv/null_row": "4e57371cfb7c6457c1f3852c3cb42f67767cae50d2def60571d7a77223fce7e0",
     "equilibria/table/null_row": "b9ff509038971322ab96c3e434b724768c228d0a636238f9923d9933bb75709c",
     "poss/json/null_row": "c828b8f86b0b7df44a3b7fdd31c395b74fa121dad639b84663f3aa06698684f3",
+    "check-row/json/null_row": "c183ee1b7969c7d3fb183f1abc5d344de6665f4432059941a2a762049028e06b",
+    "check-row/table/null_row": "bae115b2a7882f54946d8c68b61b852a5b6769146a808d6f2470f18d013efd64",
+    "check-col/json/null_row": "7887303319b74f8c908a4c9fa443706ff69d97c8db05fc4ba898faa864cbd615",
+    "check-pair/json/null_row": "bab766eaede8f418fea10043c2ec6468fda46de158c51ffb725830212ebe5e09",
+    "check-pair/table/null_row": "90077d5f0b5013c667219d2fbed7f498cd899934f640e1a983703ed8ea6c6652",
+    "plot-pair/json/null_row": "bcd118ccbc253f66b4024fcdca83c09b615ac7670582ae56c7d959a7dcb77c5e",
     "solve/json/constant_row": "3dc5372b55bcf20d5c5bdf17c2b6f05680ddbd49402ae3ba16192821a523c02a",
     "solve/csv/constant_row": "a1d0e99fd75912942e40538a0ff6f246f7fffa49487b5ab6aa2be3627dda833f",
     "solve/table/constant_row": "68634346358349685e0de69b5f488d5be5dc7f2777fff7df0ab999f925c33e03",
@@ -62,6 +81,12 @@ DIGESTS = {
     "equilibria/csv/constant_row": "1bd3f8781667976864269e1a3fb9535252b2880de70c9e5fd5723068c6ea1a5b",
     "equilibria/table/constant_row": "ad1d8f218ed4f2a327b78d15d656963d38e5aab2c887df1e5f1c6f89496fa0cb",
     "poss/json/constant_row": "c593d3370516e89bd3816c65cf5931789141403c946cad8b5f5bfa7c88e057e1",
+    "check-row/json/constant_row": "acc80f53e2f93fd7e79efb3cd1b1910e13541e4ef9b81ea96fa498347cdecdf2",
+    "check-row/table/constant_row": "70af081dadaa97ad64c24d2c96bc18a598f5ae91cee8da0d50f5a4ab4c6e390c",
+    "check-col/json/constant_row": "a0ea5e34d59382efdcb2813ad292f19bd6922f6799adcb277db02409227dd0b3",
+    "check-pair/json/constant_row": "d0482b0b9c65423408dc0c8ab308635beb200ada5266e5eb2ee003eae1afbb14",
+    "check-pair/table/constant_row": "eeacb1293f86929aaf17539f62e0d86bd1ae9a2c1d3db6ade5383c7f50182a11",
+    "plot-pair/json/constant_row": "ab458db1ca86f802328165bb58c85ed199f024cd9cc33351731538277cf864c9",
     "solve/json/corley": "ee94a62749eb6c1fbd3f4d27b7ca9016f979e528a9c1b1c93b23729f15c812eb",
     "solve/csv/corley": "3d41f24c926089cce3662c89ce246d1fc5681a2c2c4140f25526348d581c9236",
     "solve/table/corley": "59c546d2cf8f94a37c65f8b99a00bd26ab546be314617b5b4abfd48e021c4b38",
@@ -69,6 +94,12 @@ DIGESTS = {
     "equilibria/csv/corley": "da43dbdde486c307c8d64b83d1ba0f9994c6b860e349cf4f9eebfb2df6975de6",
     "equilibria/table/corley": "46977f16c66f0b86ad742dbda27b825915592b2dd1479eacd0c0e812e09a825a",
     "poss/json/corley": "d2bec38ae155def16282c62016816f5c00418d08c58a18a87c1c878dbac22719",
+    "check-row/json/corley": "f9f465da484fecbfdf2dd7cdb575bf8b6bd1c5af824c5ab136245d7d8b581518",
+    "check-row/table/corley": "484ecb1c482ddcd1c38e54008e008fd3f326229f0e9c0236f8d6da6ca295d9d7",
+    "check-col/json/corley": "4007ec51a70f39b6080da91df5eb480b2e4f141aa9ec09ac6560b47d7d57a5ea",
+    "check-pair/json/corley": "ce327d875466320f67b7e03ce39be8375d1ca7676acb1683ed3b32554a614da3",
+    "check-pair/table/corley": "0505fa5b9a1f33611a80b4678ac533a58cf5487687d73dbe86fdd468f4ec310b",
+    "plot-pair/json/corley": "51399563c6007b93ec178d1f863a7ef0b5f358399fb7bde067533af678965101",
     "solve/json/zero_row": "21e8bdf731057ed90c1cddddb92c3461454e0f57647e3bd8d17fbaa2b7451917",
     "solve/csv/zero_row": "2845469f13ce0b25081bf2369e4d280eefdf5fece64375240e2a1386272b545c",
     "solve/table/zero_row": "0a785d98b245281f99f10548420e56a7d1f1d1bf10419b78b332531b7c5c1ef9",
@@ -76,6 +107,12 @@ DIGESTS = {
     "equilibria/csv/zero_row": "9add26b42348f3cce2615d36aa257a078fcc5cdcc11901d71f9fa41268ef634f",
     "equilibria/table/zero_row": "58fcc3c70d0cc51220a2b01138368c347fc997f72f595962d7f1edbe08aea0c9",
     "poss/json/zero_row": "05d56ab009f729f758f951a97ac864d09a229dfda218f448b38e54e031624dcd",
+    "check-row/json/zero_row": "f6c912bbde700da32d48ec82353ebdc12c1a22e68e3c2194bd378024843654a5",
+    "check-row/table/zero_row": "8e70481b5ffb0a03822b627afca9eccebd925a1c84853da9116afd015e3b2f08",
+    "check-col/json/zero_row": "ad2c61812cbd9ec5b55613963cda47f74a0ff4a08c4d24bdef4131046d4129fa",
+    "check-pair/json/zero_row": "0ec015dc2c30a504f331c4f0e6255b75fbd059fb4bbe1e038cfbcd393f32f2e6",
+    "check-pair/table/zero_row": "6cea8f379ffa3f60e8049e3c1b5174471bd0f1d017b7cbc4046a29d9f13a5729",
+    "plot-pair/json/zero_row": "da807b9cdca17069edfa25eb3f3be986ca98ced948449193e5e9c0fd491e3506",
     "solve/json/three_by_three": "067df4296c81fdcf49adc81f0bd72741c6fe4c9ae6c8b6a6e1f474f12c45b391",
     "solve/csv/three_by_three": "2627d598b63d6bfd4d32568a8ef263de09cf454338eef4b23784a41d9e116bdd",
     "solve/table/three_by_three": "2b119065b3ff7fc606e9ce84a27c50a7297f6ee6706e95e1f162f901d3b3b1a0",
@@ -83,6 +120,12 @@ DIGESTS = {
     "equilibria/csv/three_by_three": "d0dfb428094857aaadd747eebcdfd44aac3d3f4f2d8ef536ed4bced49ee26405",
     "equilibria/table/three_by_three": "9aed3fde804c8bc594dabd5a004e8faa144196c0e3f7aee386cd87881c69f311",
     "poss/json/three_by_three": "8754a04a4a5b5a25747fd9e0b4088725d8b6b3cdb2d0e354387ae89d1065a6f7",
+    "check-row/json/three_by_three": "86a100175843002a147c70dc3a64efdfdcb59bef95ab7793551316a0e66473e6",
+    "check-row/table/three_by_three": "a1f6c2ff243d8d65fb04c76e504b0003a2aaae1cff2bf9bc6eb06b1786facd19",
+    "check-col/json/three_by_three": "0cffa0ec305c60021371cef3e30ef7223b8c24f43e500444801f2ab70917da63",
+    "check-pair/json/three_by_three": "e6c8565aa9dfedc25778a1e71b8057395d372db700e6fcef4efc181105d4d784",
+    "check-pair/table/three_by_three": "e34d789f65bca544f0547f972019560d48372f82985fb7ff089e32efae24d2a5",
+    "plot-pair/json/three_by_three": "774c349f81ea6c1f53e0536eaf81fc9b4e5220c1482996c40eb83fff1f0d670c",
     "solve/json/single_column": "3e84e5b0f3388263899315458865602f4648f5fd208af11c0ee28238d12d32b1",
     "solve/csv/single_column": "6fe71d6668f1d4261a2d865d1b4efa0322ba5b9c3c5707f59e89a81b612b0773",
     "solve/table/single_column": "713775dd26c2eb43350119ef896bca85f079d94f009dca18d7f89baf8ce027a4",
@@ -90,6 +133,12 @@ DIGESTS = {
     "equilibria/csv/single_column": "0b3f82f090506230e32341c96e265df70d833317c4af0618e15b6292e5bcdfb1",
     "equilibria/table/single_column": "dd1e21371c150699207d44a096559e78de975c018f6ade02da32c395de8bfc18",
     "poss/json/single_column": "8d8b9900fce14c5a31f9dfbeb48533ab93142687ec65b80be36eb4b60c607a84",
+    "check-row/json/single_column": "6e3690335be105ef1f9dffac078128347b07d3398d2d3d744c38db994019a0c9",
+    "check-row/table/single_column": "484ecb1c482ddcd1c38e54008e008fd3f326229f0e9c0236f8d6da6ca295d9d7",
+    "check-col/json/single_column": "688569638b6ff962078014803ac621310a1640b6e71c906a76aa45e7ba312375",
+    "check-pair/json/single_column": "8505ebb72a0e195e1d31940e0fc252588276e2c1d8a6f0bd3ee5df6faca35d7b",
+    "check-pair/table/single_column": "4ac9a8ea1af0057e088622fff767ca7d2a0738604df08b6eba35a1cb82b69892",
+    "plot-pair/json/single_column": "bc0d38b1e90e7cbab30bd69b8d2f7a2520226b35a9c1562ed89a5d6e4b0fc29f",
     "solve/json/scalar": "58099805859d69271ca7e9015bafd071bae08e785664b0cc6424c61367864bbe",
     "solve/csv/scalar": "8bcfecc71febc9e53a7d9955ee247ba80fff2bf3b087f23337fb76c9288202d7",
     "solve/table/scalar": "4bf003df0e060caedd6317489773088f07a0ab0873d450d6272e0a8208003715",
@@ -97,26 +146,50 @@ DIGESTS = {
     "equilibria/csv/scalar": "ad5c614a15bf3ab6a36e370fbd2800d8012de9c352a8c9eb4ece900ea64087a4",
     "equilibria/table/scalar": "2a30d3cd4b71dd2f37fa941f305c935e717e4235f0ab1ab98f7dc703b69baace",
     "poss/json/scalar": "c75dca5a291f22ecf97082733c91b0d497ef7a039a975ff7da83116aad4e7ceb",
+    "check-row/json/scalar": "5ca465d426336c6bcb4982cf405b449363a84f92a6dd68c6afd10ef82cea7804",
+    "check-row/table/scalar": "f89e49d651079e81744233f42e4fac2fe5f5c8779b1cc1520758788b0efbffa5",
+    "check-col/json/scalar": "7ceb7af2ad32c3507fa843dcdb242260bae4a95d56fd54f1eb4f1ddb800561ab",
+    "check-pair/json/scalar": "439ad95db9a817514ebb4d75850448be6d3927997cfc0867893b8beb7de3d8a5",
+    "check-pair/table/scalar": "d9d83236c8ff46a74d988dc001d501947b8319719fbee440a3136fbf8651f8d3",
+    "random/json/defaults": "531b0567734187eb1df30fdb6069ac4f293b0b284fba59556b3f3a9d7705eddb",
 }
 
 
+def _uniform(count: int) -> str:
+    return ",".join([f"1/{count}"] * count)
+
+
+def _argvs(name: str, game: VectorPayoffGame):
+    """(digest key, argv) of every run on one game file."""
+    common = ["-i", f"{name}.json"]
+    for command, fmt in RUNS:
+        argv = [command, *common, "--step-row", "1/10", "--workers", "1"]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        yield f"{command}/{fmt or 'json'}/{name}", argv
+    p, q = _uniform(game.rows), _uniform(game.cols)
+    typed = {"row": ["--strategy", p], "col": ["--player", "col", "--strategy", q],
+             "pair": ["--pair", f"{p};{q}"]}
+    for who, fmt in CHECKS:
+        yield f"check-{who}/{fmt}/{name}", ["check", *common, *typed[who], "--format", fmt]
+    if game.dim == 2:
+        yield f"plot-pair/json/{name}", ["plot", *common, *typed["pair"]]
+
+
 def _digests(directory) -> dict[str, str]:
-    """The digest of every report in RUNS on every game, keyed command/format/game."""
-    out = {}
+    """The digest of every report of `_argvs` on every game, and of one
+    `random` run with its defaults, keyed command/format/game."""
+    runs = []
     for name, rows in GAMES.items():
-        (directory / f"{name}.json").write_text(
-            json.dumps(game_dict(VectorPayoffGame.from_rows(rows))), encoding="utf-8"
-        )
-        for command, fmt in RUNS:
-            report = directory / "report.out"
-            argv = [command, "-i", f"{name}.json", "--step-row", "1/10", "--workers", "1",
-                    "--output", report.name]
-            if fmt is not None:
-                argv += ["--format", fmt]
-            assert main(argv) == 0, argv
-            out[f"{command}/{fmt or 'json'}/{name}"] = hashlib.sha256(
-                report.read_bytes()
-            ).hexdigest()
+        game = VectorPayoffGame.from_rows(rows)
+        (directory / f"{name}.json").write_text(json.dumps(game_dict(game)), encoding="utf-8")
+        runs += _argvs(name, game)
+    runs.append(("random/json/defaults", ["random"]))
+    out = {}
+    report = directory / "report.out"
+    for key, argv in runs:
+        assert main([*argv, "--output", report.name]) == 0, argv
+        out[key] = hashlib.sha256(report.read_bytes()).hexdigest()
     return out
 
 
