@@ -19,7 +19,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .equilibria import (
@@ -38,7 +37,14 @@ from .game import (
 )
 from .polyhedra import build_lower_set, build_upper_set
 from .poss import compute_security_image, poss_strategies, verify_gap
-from .solver import StrategyFront, _certificate, check_workers, classify_grid, pool_map
+from .solver import (
+    DECISION_TOL,
+    StrategyFront,
+    _certificate,
+    check_workers,
+    classify_grid,
+    pool_map,
+)
 
 from . import __version__ as VERSION
 
@@ -50,47 +56,6 @@ CLASSIFICATION_PHRASES = {
     Classification.SET_RELATION: "set relation equilibrium",
     Classification.NONE: "no equilibrium property",
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    step_row: Fraction | None = None
-    step_col: Fraction | None = None
-    tol: float = 1e-7
-    fmt: str = "json"
-    workers: int | None = None
-    output: str | None = None
-    player: str | None = None
-    strategy: str | None = None
-    pair: str | None = None
-    rows: int = 3
-    cols: int = 3
-    dim: int = 2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tol) or self.tol <= 0:
-            raise InputError("tol must be positive and finite")
-
-    def embedded(self) -> dict:
-        out = {"command": self.command}
-        if self.input is not None:
-            out["input"] = self.input
-        if self.step_row is not None:
-            out["step_row"] = str(self.step_row)
-        if self.step_col is not None:
-            out["step_col"] = str(self.step_col)
-        out["tol"] = self.tol
-        out["format"] = self.fmt
-        if self.player is not None:
-            out["player"] = self.player
-        if self.strategy is not None:
-            out["strategy"] = self.strategy
-        if self.pair is not None:
-            out["pair"] = self.pair
-        return out
 
 
 @functools.lru_cache(maxsize=4096)
@@ -193,28 +158,27 @@ class _Strategies:
         return out
 
 
-def _parse_weights(text: str, owner: Player) -> MixedStrategy:
+def _parse_weights(text: str, owner: Player) -> tuple[MixedStrategy, list[Fraction]]:
+    """The strategy typed as `text`, and its weights as typed."""
     try:
-        weights = [float(Fraction(part.strip())) for part in text.split(",")]
+        typed = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse strategy {text!r}: {exc}") from exc
-    return MixedStrategy(tuple(weights), owner=owner)
+    return MixedStrategy(tuple(float(w) for w in typed), owner=owner), typed
 
 
-def _typed_names(text: str) -> _Strategies:
-    """Strategy text for `check` that prints each fraction of `text` (parsed already) exactly."""
-    return _Strategies(*(Fraction(part.strip()) for part in text.replace(";", ",").split(",")))
-
-
-def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy]:
+def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy, _Strategies]:
+    """The pair typed as `text`, and strategy text that prints its weights exactly."""
     halves = text.split(";")
     if len(halves) != 2:
         raise InputError("--pair expects 'p1,p2,...;q1,q2,...'")
-    return _parse_weights(halves[0], Player.ROW), _parse_weights(halves[1], Player.COL)
+    p, p_typed = _parse_weights(halves[0], Player.ROW)
+    q, q_typed = _parse_weights(halves[1], Player.COL)
+    return p, q, _Strategies(*p_typed, *q_typed)
 
 
-def _owner(config: RunConfig) -> Player:
-    return Player.ROW if (config.player or "row") == "row" else Player.COL
+def _owner(args: argparse.Namespace) -> Player:
+    return Player.ROW if args.player == "row" else Player.COL
 
 
 def load_game(path: str) -> VectorPayoffGame:
@@ -283,29 +247,44 @@ def _record_dict(record, names: _Strategies) -> dict:
     }
 
 
-def _report(config: RunConfig, body: dict) -> dict:
-    return {"version": VERSION, "config": config.embedded(), **body}
+# The options a report embeds, in order: those that can change its content.
+_EMBEDDED = (
+    "command", "input", "step_row", "step_col", "tol", "format", "player", "strategy", "pair"
+)
 
 
-def _step(config: RunConfig, player: Player) -> Fraction:
-    """The player's grid step: 1/10 unless given; the column step defaults to the row step."""
-    if player is Player.COL and config.step_col is not None:
-        return config.step_col
-    return config.step_row if config.step_row is not None else Fraction(1, 10)
+def _report(args: argparse.Namespace, body: dict) -> dict:
+    config = {
+        name: str(value) if isinstance(value, Fraction) else value
+        for name in _EMBEDDED
+        if (value := getattr(args, name, None)) is not None
+    }
+    return {"version": VERSION, "config": config, **body}
 
 
-def _fronts(game: VectorPayoffGame, config: RunConfig):
+def _step(args: argparse.Namespace, player: Player) -> Fraction:
+    return args.step_row if player is Player.ROW else args.step_col
+
+
+def _fronts(game: VectorPayoffGame, args: argparse.Namespace):
     return tuple(
-        classify_grid(game, player, _step(config, player), tol=config.tol, workers=config.workers)
+        classify_grid(game, player, _step(args, player), tol=args.tol, workers=args.workers)
         for player in (Player.ROW, Player.COL)
     )
 
 
-def _cmd_solve(config: RunConfig) -> str:
-    game = load_game(config.input)
-    front_row, front_col = _fronts(game, config)
-    names = _Strategies(config.step_row, config.step_col)
-    if config.fmt == "csv":
+def _fronts_body(game: VectorPayoffGame, front_row, front_col, names: _Strategies) -> dict:
+    return {
+        "game": game_dict(game),
+        "fronts": {"row": _front_dict(front_row, names), "col": _front_dict(front_col, names)},
+    }
+
+
+def _cmd_solve(args: argparse.Namespace) -> str:
+    game = load_game(args.input)
+    front_row, front_col = _fronts(game, args)
+    names = _Strategies(args.step_row, args.step_col)
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["player", "strategy", "rational", "optimal", "lp_value"])
@@ -321,7 +300,7 @@ def _cmd_solve(config: RunConfig) -> str:
                     ]
                 )
         return buf.getvalue()
-    if config.fmt == "table":
+    if args.format == "table":
         lines = []
         for front in (front_row, front_col):
             kind = "minimal" if front.player is Player.ROW else "maximal"
@@ -329,25 +308,15 @@ def _cmd_solve(config: RunConfig) -> str:
             for s in front.minimal_or_maximal:
                 lines.append("  " + names.text(s))
         return "\n".join(lines) + "\n"
-    report = _report(
-        config,
-        {
-            "game": game_dict(game),
-            "fronts": {
-                "row": _front_dict(front_row, names),
-                "col": _front_dict(front_col, names),
-            },
-        },
-    )
-    return render_json(report)
+    return render_json(_report(args, _fronts_body(game, front_row, front_col, names)))
 
 
-def _cmd_equilibria(config: RunConfig) -> str:
-    game = load_game(config.input)
-    front_row, front_col = _fronts(game, config)
-    records = classify_pairs(game, front_row, front_col, workers=config.workers)
-    names = _Strategies(config.step_row, config.step_col)
-    if config.fmt == "csv":
+def _cmd_equilibria(args: argparse.Namespace) -> str:
+    game = load_game(args.input)
+    front_row, front_col = _fronts(game, args)
+    records = classify_pairs(game, front_row, front_col, workers=args.workers)
+    names = _Strategies(args.step_row, args.step_col)
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["p", "q", "type"])
@@ -364,7 +333,7 @@ def _cmd_equilibria(config: RunConfig) -> str:
                     ]
                 )
         return buf.getvalue()
-    if config.fmt == "table":
+    if args.format == "table":
         lines = [f"{'p':30} {'q':30} classification"]
         for record in records:
             lines.append(
@@ -373,13 +342,9 @@ def _cmd_equilibria(config: RunConfig) -> str:
             )
         return "\n".join(lines) + "\n"
     report = _report(
-        config,
+        args,
         {
-            "game": game_dict(game),
-            "fronts": {
-                "row": _front_dict(front_row, names),
-                "col": _front_dict(front_col, names),
-            },
+            **_fronts_body(game, front_row, front_col, names),
             "pairs": [_record_dict(r, names) for r in records],
         },
     )
@@ -398,27 +363,27 @@ def _gap_dict(report, names: _Strategies) -> dict:
     }
 
 
-def _poss_player(game: VectorPayoffGame, config: RunConfig, player: Player):
+def _poss_player(game: VectorPayoffGame, args: argparse.Namespace, player: Player):
     """One player's image, POSS and gap check, serially: one pool task of `poss`.
 
     The player's front stays here, so its certificates are never sent
     back from a worker; only the image, the POSS list and the gap report are.
     """
     image = compute_security_image(game, player)
-    front = classify_grid(game, player, _step(config, player), tol=config.tol)
+    front = classify_grid(game, player, _step(args, player), tol=args.tol)
     strategies = poss_strategies(game, player, front.grid.step, image=image)
     return image, strategies, verify_gap(game, front, image)
 
 
-def _cmd_poss(config: RunConfig) -> str:
-    game = load_game(config.input)
+def _cmd_poss(args: argparse.Namespace) -> str:
+    game = load_game(args.input)
     # the players never read each other's image, so each is one task
     (image_row, poss_row, gap_row), (image_col, poss_col, gap_col) = pool_map(
-        functools.partial(_poss_player, game, config), (Player.ROW, Player.COL), config.workers
+        functools.partial(_poss_player, game, args), (Player.ROW, Player.COL), args.workers
     )
-    names = _Strategies(config.step_row, config.step_col)
+    names = _Strategies(args.step_row, args.step_col)
     report = _report(
-        config,
+        args,
         {
             "game": game_dict(game),
             "images": {"row": image_row.to_dict(), "col": image_col.to_dict()},
@@ -432,14 +397,13 @@ def _cmd_poss(config: RunConfig) -> str:
     return render_json(report)
 
 
-def _cmd_check(config: RunConfig) -> str:
-    game = load_game(config.input)
-    if config.pair is not None:
-        p, q = _parse_pair(config.pair)
-        names = _typed_names(config.pair)
-        record = classify_pair(game, p, q, tol=config.tol)
+def _cmd_check(args: argparse.Namespace) -> str:
+    game = load_game(args.input)
+    if args.pair is not None:
+        p, q, names = _parse_pair(args.pair)
+        record = classify_pair(game, p, q, tol=args.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]
-        if config.fmt == "table":
+        if args.format == "table":
             return (
                 f"pair p={names.text(p)} q={names.text(q)}: {phrase}\n"
                 f"  payoff: ({', '.join(format(v, '.17g') for v in record.payoff.value)})\n"
@@ -447,16 +411,16 @@ def _cmd_check(config: RunConfig) -> str:
                 f"  Shapley: {record.shapley}  strong: {record.strong}\n"
             )
         return render_json(
-            _report(config, {"pair": _record_dict(record, names), "phrase": phrase})
+            _report(args, {"pair": _record_dict(record, names), "phrase": phrase})
         )
-    if config.strategy is None:
+    if args.strategy is None:
         raise InputError("check needs --strategy or --pair")
-    owner = _owner(config)
-    strategy = _parse_weights(config.strategy, owner)
-    names = _typed_names(config.strategy)
-    cert = _certificate(game, strategy, config.tol)
+    owner = _owner(args)
+    strategy, typed = _parse_weights(args.strategy, owner)
+    names = _Strategies(*typed)
+    cert = _certificate(game, strategy, args.tol)
     kind = "minimal" if owner is Player.ROW else "maximal"
-    if config.fmt == "table":
+    if args.format == "table":
         verdict = kind if cert.is_minimal else f"not {kind}"
         lines = [
             f"strategy {names.text(strategy)} "
@@ -467,7 +431,7 @@ def _cmd_check(config: RunConfig) -> str:
         return "\n".join(lines) + "\n"
     return render_json(
         _report(
-            config,
+            args,
             {
                 "certificate": {
                     "strategy": names.json_obj(strategy),
@@ -483,16 +447,16 @@ def _cmd_check(config: RunConfig) -> str:
     )
 
 
-def _cmd_plot(config: RunConfig) -> str:
-    game = load_game(config.input)
+def _cmd_plot(args: argparse.Namespace) -> str:
+    game = load_game(args.input)
     if game.dim != 2:
         raise InputError("plot geometry is only available for two payoff components")
     # as in `check`: --pair if given, otherwise --strategy for --player
     p = q = None
-    if config.pair is not None:
-        p, q = _parse_pair(config.pair)
-    elif config.strategy is not None:
-        strategy = _parse_weights(config.strategy, _owner(config))
+    if args.pair is not None:
+        p, q, _ = _parse_pair(args.pair)
+    elif args.strategy is not None:
+        strategy, _ = _parse_weights(args.strategy, _owner(args))
         p, q = (strategy, None) if strategy.owner is Player.ROW else (None, strategy)
     shapes = []
     if p is not None:
@@ -509,20 +473,20 @@ def _cmd_plot(config: RunConfig) -> str:
     )
 
 
-def _cmd_random(config: RunConfig) -> str:
-    if min(config.rows, config.cols, config.dim) < 1:
+def _cmd_random(args: argparse.Namespace) -> str:
+    if min(args.rows, args.cols, args.dim) < 1:
         raise InputError("rows, cols and dim must be at least 1")
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     payoffs = [
-        [[rng.randint(-10, 10) for _ in range(config.dim)] for _ in range(config.cols)]
-        for _ in range(config.rows)
+        [[rng.randint(-10, 10) for _ in range(args.dim)] for _ in range(args.cols)]
+        for _ in range(args.rows)
     ]
     return render_json(
         {
-            "rows": config.rows,
-            "cols": config.cols,
-            "dim": config.dim,
-            "seed": config.seed,
+            "rows": args.rows,
+            "cols": args.cols,
+            "dim": args.dim,
+            "seed": args.seed,
             "payoffs": payoffs,
         }
     )
@@ -538,22 +502,16 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        text = COMMANDS[config.command](config)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _check_options(args: argparse.Namespace) -> None:
+    """Check --tol, the grid steps and --workers, where the command has them,
+    and read the grid steps as fractions."""
+    if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError("tol must be positive and finite")
+    if hasattr(args, "step_row"):
+        args.step_row = _as_unit_fraction(args.step_row)
+        col = args.step_col
+        args.step_col = args.step_row if col is None else _as_unit_fraction(col)
+        check_workers(args.workers)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -568,14 +526,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if game_input:
             p.add_argument("--input", "-i", required=True, help="game JSON file")
         if formats:
-            p.add_argument("--format", dest="fmt", choices=formats, default="json")
+            p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", "-o", default=None, help="write report here instead of stdout")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-7)
+            p.add_argument("--tol", type=float, default=DECISION_TOL)
 
     for name in ("solve", "equilibria", "poss"):
         p = sub.add_parser(name)
         common(p, formats=("json", "csv", "table") if name != "poss" else ())
+        if name == "poss":
+            p.set_defaults(format="json")  # embedded in its report; there is one format
         p.add_argument("--step-row", default="1/10", help="grid step for player I, a fraction 1/N")
         p.add_argument("--step-col", default=None, help="grid step for player II (default: step-row)")
         p.add_argument("--workers", type=int, default=os.cpu_count(), help="parallel processes")
@@ -601,33 +561,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # a subcommand without --format or --tol keeps RunConfig's default
-    offered = {name: getattr(args, name) for name in ("fmt", "tol") if hasattr(args, name)}
-    config = RunConfig(command=args.command, output=args.output, **offered)
-    config.input = getattr(args, "input", None)
-    if hasattr(args, "step_row"):
-        config.step_row = _as_unit_fraction(args.step_row)
-        config.step_col = (
-            _as_unit_fraction(args.step_col) if args.step_col is not None else config.step_row
-        )
-        check_workers(args.workers)
-        config.workers = args.workers
-    for name in ("player", "strategy", "pair", "rows", "cols", "dim", "seed"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the process exit status."""
+    args = _build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        _check_options(args)
+        text = COMMANDS[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":
