@@ -191,9 +191,12 @@ def load_game(path: str) -> VectorPayoffGame:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     try:
         payoffs = data["payoffs"]
-        rows, cols, dim = int(data["rows"]), int(data["cols"]), int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, dim = data["rows"], data["cols"], data["dim"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"game file {path} needs rows, cols, dim, payoffs: {exc}") from exc
+    # JSON integers only: a bool is an int to Python, and int() takes 2.9 and "2"
+    if any(type(n) is not int for n in (rows, cols, dim)):
+        raise InputError(f"game file {path}: rows, cols and dim must be integers")
     game = VectorPayoffGame.from_rows(payoffs)
     if (game.rows, game.cols, game.dim) != (rows, cols, dim):
         raise InputError(

@@ -489,6 +489,22 @@ def test_header_mismatch(tmp_path, two_by_two, capsys):
 
 
 @pytest.mark.parametrize(
+    ("rows", "payoffs"),
+    [(2.9, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]),
+     ("2", [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]),
+     (True, [[[1, 0], [0, 1]]])],
+    ids=["float", "string", "bool"],
+)
+def test_header_counts_must_be_json_integers(tmp_path, capsys, rows, payoffs):
+    # each header matches the payoff array once int() is applied to it
+    path = tmp_path / "bad_header.json"
+    path.write_text(json.dumps({"rows": rows, "cols": 2, "dim": 2, "payoffs": payoffs}))
+    assert main(["solve", "-i", str(path), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "must be integers" in err
+
+
+@pytest.mark.parametrize(
     "payoffs", [[[[1, 0], [0, 0]], [[0, 1]]], [[["a", 0], [0, 0]], [[0, 1], [1, 0]]]]
 )
 def test_ragged_or_non_numeric_payoffs_are_an_input_error(tmp_path, capsys, payoffs):
