@@ -43,6 +43,7 @@ from .solver import (
     maximality_lp,
     minimality_lp,
     pool_map,
+    pool_parts,
 )
 
 # The strong test accepts when the separation LP value stays below this.
@@ -188,7 +189,7 @@ def _classify(
 
     Each V_I(p) is tested against the payoffs of all its pairs in one
     call, and so is each V_II(q).  The strong LPs run only on the
-    Shapley pairs, in contiguous blocks of row strategies (four a worker)
+    Shapley pairs, in `pool_parts` contiguous blocks of row strategies
     mapped over the pool; each block returns one flag a pair.
     """
     payoffs = expected_payoffs(game, [p for p, _, _ in rows], [q for q, _, _ in cols])
@@ -198,13 +199,12 @@ def _classify(
     for b, (_, vii, _) in enumerate(cols):
         shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
 
-    parts = 4 * workers if workers is not None and workers > 1 else 1
     # The tasks carry only the facet arrays the strong LPs read.
     row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
     col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
     tasks = [
         [(row_facets[a], [col_facets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
-        for block in _row_blocks(shapley.sum(axis=1), parts)
+        for block in _row_blocks(shapley.sum(axis=1), pool_parts(workers))
     ]
     strong = np.zeros_like(shapley)
     strong[shapley] = [flag for flags in pool_map(_strong_flags, tasks, workers) for flag in flags]

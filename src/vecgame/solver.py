@@ -274,12 +274,16 @@ def pool_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     return [fn(x) for x in items]
 
 
+def pool_parts(workers: int | None) -> int:
+    """How many tasks to cut a job into: four a worker in a pool, one when serial."""
+    return 4 * workers if workers is not None and workers > 1 else 1
+
+
 def _grid_blocks(count: int, workers: int | None) -> list[slice]:
-    """Contiguous near-equal blocks of `count` grid points: four a worker in
-    a pool and one when serial, or more where a block would exceed
-    GRID_BLOCK points.  Empty blocks are left out."""
-    parts = 4 * workers if workers is not None and workers > 1 else 1
-    nblocks = max(parts, -(-count // GRID_BLOCK))
+    """Contiguous near-equal blocks of `count` grid points, `pool_parts` of
+    them or more where a block would exceed GRID_BLOCK points.  Empty
+    blocks are left out."""
+    nblocks = max(pool_parts(workers), -(-count // GRID_BLOCK))
     cuts = [count * k // nblocks for k in range(nblocks + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 

@@ -327,8 +327,11 @@ def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers):
     blocks = solver._grid_blocks(count, workers)
     assert [i for b in blocks for i in range(count)[b]] == list(range(count))
     assert max(b.stop - b.start for b in blocks) <= 64
-    parts = 4 * workers if workers is not None and workers > 1 else 1
-    assert len(blocks) == max(min(parts, count), -(-count // 64))
+    assert len(blocks) == max(min(solver.pool_parts(workers), count), -(-count // 64))
+
+
+def test_a_job_is_cut_into_four_tasks_a_worker_in_a_pool_and_one_when_serial():
+    assert [solver.pool_parts(w) for w in (None, 1, 2, 3)] == [1, 1, 8, 12]
 
 
 @pytest.mark.parametrize(
