@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import InputError
 
+# `MixedStrategy.cleaned` sets weights down to -CLIP_TOL to zero; lower ones are an error.
+CLIP_TOL = 1e-9
+
 
 class Player(enum.Enum):
     ROW = "I"
@@ -79,18 +82,12 @@ class MixedStrategy:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def cleaned(
-        cls,
-        weights: Iterable[float],
-        owner: Player = Player.ROW,
-        *,
-        clip: float = 1e-9,
-    ) -> "MixedStrategy":
+    def cleaned(cls, weights: Iterable[float], owner: Player = Player.ROW) -> "MixedStrategy":
         """Clip tiny negatives and renormalize, then construct strictly."""
         w = np.array(list(weights), dtype=float)
         if w.size == 0 or not np.isfinite(w).all():
             raise InputError("weights must be a nonempty finite vector")
-        if w.min() < -clip:
+        if w.min() < -CLIP_TOL:
             raise InputError(f"weight {w.min()} is negative beyond tolerance")
         w = np.clip(w, 0.0, None)
         total = w.sum()

@@ -42,7 +42,7 @@ from .solver import StrategyFront, _lp_strategy
 VERIFY_TOL = 1e-7
 # A security point counts as lying on the image boundary within this slack.
 BOUNDARY_TOL = 1e-7
-# Shift used by the gap check; must stay positive for the test to be meaningful.
+# The gap check shifts the image by this much along each coordinate.
 GAP_EPS = 1e-6
 MAX_ROUNDS = 500
 
@@ -248,15 +248,12 @@ def verify_gap(
     game: VectorPayoffGame,
     front: StrategyFront,
     image: SecurityImage,
-    eps: float = GAP_EPS,
 ) -> GapReport:
     """For every grid-optimal strategy, confirm its payoff set misses the
-    image shifted by eps along each coordinate.
+    image shifted by GAP_EPS along each coordinate.
 
     The payoff sets are the ones the front's certificates tested.
     """
-    if eps <= 0:
-        raise InputError("eps must be strictly positive")
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
     img = _row_view(image)
@@ -276,7 +273,7 @@ def verify_gap(
                 objective=np.zeros(k),
                 lhs=lhs,
                 relations=relations,
-                rhs=np.concatenate([poly.offsets, img.offsets + eps * img.normals[:, kk]]),
+                rhs=np.concatenate([poly.offsets, img.offsets + GAP_EPS * img.normals[:, kk]]),
                 sense="min",
                 bounds=((None, None),) * k,
             )
@@ -284,7 +281,7 @@ def verify_gap(
                 violations.append((strategy, kk))
     return GapReport(
         player=front.player,
-        eps=eps,
+        eps=GAP_EPS,
         checked=tuple(checked),
         violations=tuple(violations),
     )
