@@ -26,7 +26,7 @@ from vecgame.game import (
     expected_payoff,
     row_generator_matrix,
 )
-from vecgame.lp import LinearProgram, LPOutcome, solve_batch, solve_lp
+from vecgame.lp import LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
 from vecgame.polyhedra import (
     LOWER,
     build_lower_set,
@@ -34,7 +34,8 @@ from vecgame.polyhedra import (
     contains_point,
     poly_subset,
 )
-from vecgame.solver import minimality_lp
+from vecgame.poss import GAP_EPS, _row_view
+from vecgame.solver import MinimalityCertificate, StrategyFront, minimality_lp
 
 
 def stack_lps(lps) -> LinearProgram:
@@ -124,6 +125,50 @@ def benson_cut_by_lp(entries: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, fl
     offset = float(out.solution[n * k])
     assert float(normal @ v) < offset - 1e-10
     return normal, offset
+
+
+def certify_every_grid_point(game: VectorPayoffGame, player: Player, step) -> StrategyFront:
+    """A front of `player` that certifies every grid strategy optimal, each
+    with the lower payoff set built from its generators in the owner's view,
+    as `classify_grid` would attach it to an optimal certificate."""
+    oriented = game.for_player(player)
+    grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
+    certificates = tuple(
+        MinimalityCertificate(
+            s, 0.0, None, True, (), build_lower_set(row_generator_matrix(oriented, s))
+        )
+        for s in grid.points
+    )
+    return StrategyFront(player, grid, (), certificates, ())
+
+
+def gap_violations_by_lp(front, image) -> list[tuple[MixedStrategy, int]]:
+    """The gap check in payoff space: for each optimal certificate and each
+    component k, one phase-1 LP over a free payoff point w that must lie in
+    the certificate's payoff set (its F_P halfspaces) and in the image
+    shifted by GAP_EPS along e_k (its F_I halfspaces).  A feasible LP is a
+    violation (strategy, k)."""
+    img = _row_view(image)
+    k = img.dim
+    violations = []
+    for cert in front.certificates:
+        if not cert.is_minimal:
+            continue
+        poly = cert.payoff_set
+        lhs = np.vstack([poly.normals, img.normals])
+        relations = ("<=",) * len(poly.offsets) + (">=",) * len(img.offsets)
+        for kk in range(k):
+            lp = LinearProgram(
+                objective=np.zeros(k),
+                lhs=lhs,
+                relations=relations,
+                rhs=np.concatenate([poly.offsets, img.offsets + GAP_EPS * img.normals[:, kk]]),
+                sense="min",
+                bounds=((None, None),) * k,
+            )
+            if check_feasibility(lp).feasible:
+                violations.append((cert.tested_strategy, kk))
+    return violations
 
 
 def same_polyhedron(a, b) -> bool:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from vecgame import poss
@@ -38,7 +40,15 @@ from vecgame.poss import (
 )
 from vecgame.solver import MinimalityCertificate, StrategyFront, classify_grid
 
-from properties import benson_cut_by_lp, random_game, relabeled_game, scalar_game_value
+from conftest import TWO_BY_TWO_ROWS
+from properties import (
+    benson_cut_by_lp,
+    certify_every_grid_point,
+    gap_violations_by_lp,
+    random_game,
+    relabeled_game,
+    scalar_game_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +423,29 @@ def test_gap_report_flags_a_non_minimal_certificate(two_by_two, two_by_two_row_i
     report = verify_gap(two_by_two, fake, two_by_two_row_image)
     assert not report.ok
     assert [(s.weights, k) for s, k in report.violations] == [((1.0, 0.0), 0), ((1.0, 0.0), 1)]
+
+
+@st.composite
+def _small_games(draw) -> list:
+    """The entries of an m x n x K game, m and n in 2..4 and K in 2..4."""
+    m, n, k = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    entries = draw(st.lists(st.integers(-4, 4), min_size=m * n * k, max_size=m * n * k))
+    return np.reshape(entries, (m, n, k)).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=_small_games(), player=st.sampled_from(Player), den=st.integers(2, 3))
+@example(rows=TWO_BY_TWO_ROWS, player=Player.ROW, den=2)
+@example(rows=TWO_BY_TWO_ROWS, player=Player.COL, den=3)
+def test_gap_verdicts_match_the_payoff_space_lp(rows, player, den):
+    # Every grid strategy is certified optimal, so strategies whose payoff
+    # sets reach into the shifted image are checked as well.
+    game = VectorPayoffGame.from_rows(rows)
+    front = certify_every_grid_point(game, player, Fraction(1, den))
+    image = compute_security_image(game, player)
+    report = verify_gap(game, front, image)
+    assert len(report.checked) == len(front.grid)
+    assert list(report.violations) == gap_violations_by_lp(front, image)
 
 
 def test_gap_check_validates_its_inputs(two_by_two, two_by_two_col_image):
