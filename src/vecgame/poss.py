@@ -23,7 +23,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, LPOutcome, check_feasibility, solve_lp
+from .lp import TOL_FEAS, LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
 from .polyhedra import (
     UPPER,
     ConeDD,
@@ -36,7 +36,7 @@ from .polyhedra import (
     upper_set_cone,
     upper_set_vertices,
 )
-from .solver import StrategyFront, _lp_strategy
+from .solver import GRID_BLOCK, StrategyFront, _lp_strategy
 
 # A candidate vertex belongs to the image when its clearance LP stays below this.
 VERIFY_TOL = 1e-7
@@ -244,6 +244,62 @@ class GapReport:
         return not self.violations
 
 
+def _certificate_lps(img: OrientedPayoffPolyhedron, generators: np.ndarray) -> LinearProgram:
+    """The separation LPs of a stack (B, n, K) of generator sets against the
+    image {w : A w >= b} (F facets), one per set: over lambda in the simplex
+    of R^F and a free t, maximize t subject to
+        sum_f lambda_f (a_f·y_j - b_f) <= 0   for each generator y_j,
+        t - (A^T lambda)_k <= 0               for each component k.
+    Every LP has the shape (n + K + 1) x (F + 1); only the first n rows
+    depend on the set."""
+    count, n, k = generators.shape
+    f = len(img.offsets)
+    lhs = np.zeros((count, n + k + 1, f + 1))
+    lhs[:, :n, :f] = generators @ img.normals.T - img.offsets
+    lhs[:, n : n + k, :f] = -img.normals.T
+    lhs[:, n : n + k, f] = 1.0
+    lhs[:, -1, :f] = 1.0
+    return LinearProgram(
+        objective=np.append(np.zeros(f), 1.0),
+        lhs=lhs,
+        relations=("<=",) * (n + k) + ("=",),
+        rhs=np.broadcast_to(np.append(np.zeros(n + k), 1.0), lhs.shape[:2]),
+        sense="max",
+        bounds=((0.0, None),) * f + ((None, None),),
+    )
+
+
+def _separated(img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, limit: float) -> bool:
+    """Whether the separation LP's weights lambda prove that co(Y) - R^K_+
+    misses the image shifted by GAP_EPS along every coordinate.
+
+    The normals A are nonnegative, so h = A^T lambda is too: the lower set
+    lies in {h·w <= max_j h·y_j}, and the image shifted along e_k lies in
+    {h·w >= lambda·b + GAP_EPS h_k} (Farkas).  The margin between the two
+    is recomputed in floats from lambda and must exceed `limit`.
+    """
+    if out.status != "optimal":
+        return False
+    lam = np.maximum(out.solution[:-1], 0.0)
+    h = lam @ img.normals
+    margin = GAP_EPS * h.min() - (float((Y @ h).max()) - float(lam @ img.offsets))
+    return bool(margin > limit)
+
+
+def _meets_shifted_image(img: OrientedPayoffPolyhedron, Y: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether some mixture mu of the generators Y (n, K) has A Y^T mu >= rhs:
+    a point of co(Y) - R^K_+ in the shifted image {w : A w >= rhs}, since
+    A >= 0 makes the mixture itself the best point below it."""
+    n = len(Y)
+    lp = LinearProgram(
+        objective=np.zeros(n),
+        lhs=np.vstack([img.normals @ Y.T, np.ones(n)]),
+        relations=(">=",) * len(rhs) + ("=",),
+        rhs=np.append(rhs, 1.0),
+    )
+    return check_feasibility(lp).feasible
+
+
 def verify_gap(
     game: VectorPayoffGame,
     front: StrategyFront,
@@ -252,33 +308,32 @@ def verify_gap(
     """For every grid-optimal strategy, confirm its payoff set misses the
     image shifted by GAP_EPS along each coordinate.
 
-    The payoff sets are the ones the front's certificates tested.
+    The payoff set co(Y) - R^K_+ is read from the strategy's generators Y.
+    One separation LP a strategy (`_certificate_lps`), solved in stacks of
+    at most GRID_BLOCK, clears all K shifts at once when its weights pass
+    `_separated`.  A strategy they do not clear gets one feasibility LP a
+    shift (`_meets_shifted_image`).  A certificate's margin must exceed
+    the phase-1 infeasibility limit of those LPs, TOL_FEAS (1 + max |rhs|).
     """
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
     img = _row_view(image)
-    k = game.dim
-    checked = []
+    oriented = game.for_player(front.player)
+    checked = [c.tested_strategy for c in front.certificates if c.is_minimal]
+    # column k: the rhs of the image shifted by GAP_EPS along e_k
+    shifted = img.offsets[:, None] + GAP_EPS * img.normals
+    limit = TOL_FEAS * (1.0 + float(np.abs(shifted).max()))
     violations = []
-    for cert in front.certificates:
-        if not cert.is_minimal:
-            continue
-        strategy = cert.tested_strategy
-        checked.append(strategy)
-        poly = cert.payoff_set
-        lhs = np.vstack([poly.normals, img.normals])
-        relations = ("<=",) * len(poly.offsets) + (">=",) * len(img.offsets)
-        for kk in range(k):
-            lp = LinearProgram(
-                objective=np.zeros(k),
-                lhs=lhs,
-                relations=relations,
-                rhs=np.concatenate([poly.offsets, img.offsets + GAP_EPS * img.normals[:, kk]]),
-                sense="min",
-                bounds=((None, None),) * k,
-            )
-            if check_feasibility(lp).feasible:
-                violations.append((strategy, kk))
+    for lo in range(0, len(checked), GRID_BLOCK):
+        block = checked[lo : lo + GRID_BLOCK]
+        generators = np.stack([row_generator_matrix(oriented, s) for s in block])
+        outcomes = solve_batch(_certificate_lps(img, generators))
+        for strategy, Y, out in zip(block, generators, outcomes):
+            if not _separated(img, Y, out, limit):
+                violations.extend(
+                    (strategy, k) for k in range(game.dim)
+                    if _meets_shifted_image(img, Y, shifted[:, k])
+                )
     return GapReport(
         player=front.player,
         eps=GAP_EPS,

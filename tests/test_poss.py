@@ -13,6 +13,7 @@ from scipy.optimize import linprog
 
 from vecgame import poss
 from vecgame.errors import InputError
+from vecgame.lp import LPOutcome
 from vecgame.game import (
     Player,
     VectorPayoffGame,
@@ -446,6 +447,65 @@ def test_gap_verdicts_match_the_payoff_space_lp(rows, player, den):
     report = verify_gap(game, front, image)
     assert len(report.checked) == len(front.grid)
     assert list(report.violations) == gap_violations_by_lp(front, image)
+
+
+def _count_gap_lps(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the stack size of each `solve_batch` call of `poss`, and one
+    entry per fallback feasibility LP."""
+    stacks, fallbacks = [], []
+
+    def solve(lp):
+        stacks.append(len(lp.lhs))
+        return poss_solve_batch(lp)
+
+    def feasibility(lp):
+        fallbacks.append(1)
+        return poss_check_feasibility(lp)
+
+    poss_solve_batch, poss_check_feasibility = poss.solve_batch, poss.check_feasibility
+    monkeypatch.setattr(poss, "solve_batch", solve)
+    monkeypatch.setattr(poss, "check_feasibility", feasibility)
+    return stacks, fallbacks
+
+
+def test_separation_certificates_clear_an_optimal_front_in_stacks(
+    three_by_three, three_by_three_fronts, three_by_three_row_image, monkeypatch
+):
+    row, _ = three_by_three_fronts
+    stacks, fallbacks = _count_gap_lps(monkeypatch)
+    monkeypatch.setattr(poss, "GRID_BLOCK", 4)
+    report = verify_gap(three_by_three, row, three_by_three_row_image)
+    assert report.ok and len(report.checked) == 9
+    assert stacks == [4, 4, 1]
+    assert fallbacks == []
+
+
+def test_a_payoff_set_that_meets_the_image_falls_back_to_one_lp_per_component(
+    two_by_two, two_by_two_row_image, monkeypatch
+):
+    # the pure first row's payoff set reaches into the image, so no
+    # separation certificate exists and each component is decided alone
+    front = certify_every_grid_point(two_by_two, Player.ROW, Fraction(1, 1))
+    stacks, fallbacks = _count_gap_lps(monkeypatch)
+    report = verify_gap(two_by_two, front, two_by_two_row_image)
+    assert [(s.weights, k) for s, k in report.violations] == [((1.0, 0.0), 0), ((1.0, 0.0), 1)]
+    assert stacks == [2]
+    assert len(fallbacks) == 2
+
+
+def test_weights_that_do_not_separate_are_no_certificate(two_by_two, two_by_two_row_image,
+                                                         monkeypatch):
+    # every separation LP claims uniform weights and t = 1; the margin is
+    # recomputed from the weights, so the pure first row still falls back
+    def uniform(lp):
+        f = lp.lhs.shape[2] - 1
+        solution = np.append(np.full(f, 1.0 / f), 1.0)
+        return [LPOutcome("optimal", 1.0, solution.copy(), 0) for _ in lp.lhs]
+
+    monkeypatch.setattr(poss, "solve_batch", uniform)
+    front = certify_every_grid_point(two_by_two, Player.ROW, Fraction(1, 1))
+    report = verify_gap(two_by_two, front, two_by_two_row_image)
+    assert [(s.weights, k) for s, k in report.violations] == [((1.0, 0.0), 0), ((1.0, 0.0), 1)]
 
 
 def test_gap_check_validates_its_inputs(two_by_two, two_by_two_col_image):
