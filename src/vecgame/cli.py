@@ -181,6 +181,14 @@ def _owner(args: argparse.Namespace) -> Player:
     return Player.ROW if args.player == "row" else Player.COL
 
 
+def _numbers_only(value) -> bool:
+    """Whether every leaf of a nested list is a JSON number; a bool is an
+    int to Python, and numpy reads true as 1.0 and "2" as 2.0."""
+    if isinstance(value, list):
+        return all(_numbers_only(item) for item in value)
+    return type(value) in (int, float)
+
+
 def load_game(path: str) -> VectorPayoffGame:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -197,6 +205,8 @@ def load_game(path: str) -> VectorPayoffGame:
     # JSON integers only: a bool is an int to Python, and int() takes 2.9 and "2"
     if any(type(n) is not int for n in (rows, cols, dim)):
         raise InputError(f"game file {path}: rows, cols and dim must be integers")
+    if not _numbers_only(payoffs):
+        raise InputError(f"game file {path}: every payoff entry must be a number")
     game = VectorPayoffGame.from_rows(payoffs)
     if (game.rows, game.cols, game.dim) != (rows, cols, dim):
         raise InputError(
@@ -403,6 +413,8 @@ def _cmd_poss(args: argparse.Namespace) -> str:
 def _cmd_check(args: argparse.Namespace) -> str:
     game = load_game(args.input)
     if args.pair is not None:
+        if args.strategy is not None:
+            raise InputError("check takes --strategy or --pair, not both")
         p, q, names = _parse_pair(args.pair)
         record = classify_pair(game, p, q, tol=args.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]

@@ -380,6 +380,14 @@ def test_check_strategy_table_output(game_files, capsys):
     assert "improving strategy:" in text
 
 
+def test_check_rejects_a_strategy_together_with_a_pair(game_files, capsys):
+    assert main(["check", "-i", game_files["corley"], "--strategy", "1,0",
+                 "--pair", "1,0;1,0", "--player", "col"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: check takes --strategy or --pair, not both" in captured.err
+    assert captured.out == ""
+
+
 def test_check_requires_a_strategy_or_a_pair(game_files, capsys):
     assert main(["check", "-i", game_files["two_by_two"]]) == 2
     assert "input error" in capsys.readouterr().err
@@ -505,7 +513,10 @@ def test_header_counts_must_be_json_integers(tmp_path, capsys, rows, payoffs):
 
 
 @pytest.mark.parametrize(
-    "payoffs", [[[[1, 0], [0, 0]], [[0, 1]]], [[["a", 0], [0, 0]], [[0, 1], [1, 0]]]]
+    "payoffs",
+    [[[[1, 0], [0, 0]], [[0, 1]]], [[["a", 0], [0, 0]], [[0, 1], [1, 0]]],
+     [[[True, 0], [0, 0]], [[0, 1], [1, 0]]], [[["2", 0], [0, 0]], [[0, 1], [1, 0]]]],
+    ids=["ragged", "letter", "bool", "numeral"],
 )
 def test_ragged_or_non_numeric_payoffs_are_an_input_error(tmp_path, capsys, payoffs):
     path = tmp_path / "bad_payoffs.json"
