@@ -13,9 +13,7 @@ from .game import (
     Player,
     SimplexGrid,
     VectorPayoffGame,
-    componentwise_security_point,
     enumerate_simplex_grid,
-    expected_payoff,
 )
 from .lp import FeasibilityResult, LinearProgram, LPOutcome, check_feasibility, solve_lp
 from .polyhedra import (
@@ -25,7 +23,6 @@ from .polyhedra import (
     contains_point,
     pareto_max_points,
     pareto_min_points,
-    poly_subset,
 )
 from .poss import (
     GapReport,
@@ -68,16 +65,13 @@ __all__ = [
     "classify_grid",
     "classify_pair",
     "classify_pairs",
-    "componentwise_security_point",
     "compute_security_image",
     "contains_point",
     "enumerate_simplex_grid",
-    "expected_payoff",
     "maximality_lp",
     "minimality_lp",
     "pareto_max_points",
     "pareto_min_points",
-    "poly_subset",
     "poss_strategies",
     "solve_lp",
     "verify_gap",

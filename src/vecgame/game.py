@@ -210,11 +210,6 @@ def expected_payoffs(
     return out
 
 
-def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
-    """v(p, q) = sum_ij p_i g_ij q_j, the expected vector loss of player I."""
-    return PayoffVector(tuple(expected_payoffs(game, (p,), (q,))[0, 0]))
-
-
 def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:
     """Worst-case payoff per component: w(p) = max_j y_j(p) for the row
     player.  Player II's is the negated row answer on the mirrored game,

@@ -387,26 +387,6 @@ def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> b
     return bool(np.all(values >= poly.offsets - tol))
 
 
-def poly_subset(
-    a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron, *, tol: float = 1e-9
-) -> bool:
-    """A ⊆ B; valid because both share the same orthant recession cone."""
-    if a.orientation != b.orientation:
-        raise InputError("cannot compare polyhedra of different orientations")
-    return contains_point(b, a.generators, tol=tol)
-
-
-def support_value(poly: OrientedPayoffPolyhedron, direction) -> float:
-    """max of w·y over a lower set / min over an upper set, w in R^K_+."""
-    w = np.asarray(direction, dtype=float)
-    if w.shape != (poly.dim,):
-        raise InputError("direction dimension mismatch")
-    if np.any(w < -1e-12):
-        raise InputError("support value is unbounded for directions outside R^K_+")
-    vals = poly.generators @ w
-    return float(vals.max() if poly.orientation == LOWER else vals.min())
-
-
 def pareto_max_points(points, *, tol: float = 1e-9) -> np.ndarray:
     """Points not dominated by another listed point (>= with some strict >)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

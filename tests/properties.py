@@ -17,25 +17,52 @@ import numpy as np
 from scipy.optimize import linprog
 
 from vecgame.equilibria import Classification, EquilibriumRecord, _boundary_mask
+from vecgame.errors import InputError
 from vecgame.game import (
     MixedStrategy,
+    PayoffVector,
     Player,
     VectorPayoffGame,
     col_generator_matrix,
     enumerate_simplex_grid,
-    expected_payoff,
+    expected_payoffs,
     row_generator_matrix,
 )
 from vecgame.lp import LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
 from vecgame.polyhedra import (
     LOWER,
+    OrientedPayoffPolyhedron,
     build_lower_set,
     build_upper_set,
     contains_point,
-    poly_subset,
 )
 from vecgame.poss import GAP_EPS, _row_view
 from vecgame.solver import MinimalityCertificate, StrategyFront, minimality_lp
+
+
+def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
+    """v(p, q) = sum_ij p_i g_ij q_j, the expected vector loss of player I."""
+    return PayoffVector(tuple(expected_payoffs(game, (p,), (q,))[0, 0]))
+
+
+def poly_subset(
+    a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron, *, tol: float = 1e-9
+) -> bool:
+    """A ⊆ B; valid because both share the same orthant recession cone."""
+    if a.orientation != b.orientation:
+        raise InputError("cannot compare polyhedra of different orientations")
+    return contains_point(b, a.generators, tol=tol)
+
+
+def support_value(poly: OrientedPayoffPolyhedron, direction) -> float:
+    """max of w·y over a lower set / min over an upper set, w in R^K_+."""
+    w = np.asarray(direction, dtype=float)
+    if w.shape != (poly.dim,):
+        raise InputError("direction dimension mismatch")
+    if np.any(w < -1e-12):
+        raise InputError("support value is unbounded for directions outside R^K_+")
+    vals = poly.generators @ w
+    return float(vals.max() if poly.orientation == LOWER else vals.min())
 
 
 def stack_lps(lps) -> LinearProgram:

@@ -29,7 +29,6 @@ from vecgame.game import (
     VectorPayoffGame,
     col_generator_matrix,
     col_strategy,
-    expected_payoff,
     row_generator_matrix,
     row_strategy,
 )
@@ -39,6 +38,7 @@ from vecgame.solver import StrategyFront, classify_grid
 
 from properties import (
     assert_hierarchy,
+    expected_payoff,
     on_col_frontier,
     on_row_frontier,
     random_game,

@@ -20,13 +20,12 @@ from vecgame.game import (
     col_strategy,
     componentwise_security_point,
     enumerate_simplex_grid,
-    expected_payoff,
     expected_payoffs,
     row_generator_matrix,
     row_strategy,
 )
 
-from properties import weights_close
+from properties import expected_payoff, weights_close
 
 
 def close(vec, expected, tol=1e-12):

@@ -26,15 +26,13 @@ from vecgame.polyhedra import (
     facet_rows,
     pareto_max_points,
     pareto_min_points,
-    poly_subset,
-    support_value,
     upper_set_vertices_from_halfspaces,
     zero_set,
 )
 
 import exact_dd
 import exact_oracle
-from properties import check_dd_membership
+from properties import check_dd_membership, poly_subset, support_value
 
 
 def normals_of(poly):

@@ -26,9 +26,8 @@ EXPORTED = (
     "OrientedPayoffPolyhedron", "PayoffVector", "Player", "SecurityImage", "SimplexGrid",
     "StrategyFront", "VectorPayoffGame", "build_lower_set", "build_upper_set",
     "check_feasibility", "classify_grid", "classify_pair", "classify_pairs",
-    "componentwise_security_point", "compute_security_image", "contains_point",
-    "enumerate_simplex_grid", "expected_payoff", "maximality_lp", "minimality_lp",
-    "pareto_max_points", "pareto_min_points", "poly_subset", "poss_strategies", "solve_lp",
+    "compute_security_image", "contains_point", "enumerate_simplex_grid", "maximality_lp",
+    "minimality_lp", "pareto_max_points", "pareto_min_points", "poss_strategies", "solve_lp",
     "verify_gap",
 )
 

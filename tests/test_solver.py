@@ -18,7 +18,7 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
-from vecgame.polyhedra import build_lower_set, build_upper_set, poly_subset, support_value
+from vecgame.polyhedra import build_lower_set, build_upper_set
 from vecgame.lp import LPOutcome
 from vecgame.solver import (
     DECISION_TOL,
@@ -33,10 +33,12 @@ from properties import (
     check_set_relation_monotonicity,
     fail_one_stacked_lp,
     optimal_weight_set,
+    poly_subset,
     random_game,
     relabeled_game,
     same_polyhedron,
     scalar_game_value,
+    support_value,
 )
 from test_report_digests import GAMES as BUNDLED_GAMES
 
