@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,8 @@ from vecgame.polyhedra import (
 )
 from vecgame.poss import GAP_EPS, _row_view
 from vecgame.solver import MinimalityCertificate, StrategyFront, minimality_lp
+
+import exact_oracle
 
 
 def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
@@ -196,6 +199,22 @@ def gap_violations_by_lp(front, image) -> list[tuple[MixedStrategy, int]]:
             if check_feasibility(lp).feasible:
                 violations.append((cert.tested_strategy, kk))
     return violations
+
+
+def meets_shifted_image_exactly(generators: np.ndarray, image, k: int) -> bool:
+    """Whether co(generators) - R^K_+ meets the image shifted by GAP_EPS
+    along e_k, decided in rational arithmetic on the same floats: some mu
+    in the simplex with A Y^T mu >= b + GAP_EPS A[:, k] (`exact_oracle.maximize`)."""
+    img = _row_view(image)
+    A = [[Fraction(a) for a in row] for row in img.normals.tolist()]
+    Y = [[Fraction(y) for y in row] for row in generators.tolist()]
+    eps = Fraction(GAP_EPS)
+    rows = [
+        ([exact_oracle.dot(a, y) for y in Y], ">=", Fraction(b) + eps * a[k])
+        for a, b in zip(A, img.offsets.tolist())
+    ]
+    rows.append(([Fraction(1)] * len(Y), "=", Fraction(1)))
+    return exact_oracle.maximize([Fraction(0)] * len(Y), rows) is not None
 
 
 def same_polyhedron(a, b) -> bool:

@@ -46,6 +46,7 @@ from properties import (
     benson_cut_by_lp,
     certify_every_grid_point,
     gap_violations_by_lp,
+    meets_shifted_image_exactly,
     random_game,
     relabeled_game,
     scalar_game_value,
@@ -438,15 +439,32 @@ def _small_games(draw) -> list:
 @given(rows=_small_games(), player=st.sampled_from(Player), den=st.integers(2, 3))
 @example(rows=TWO_BY_TWO_ROWS, player=Player.ROW, den=2)
 @example(rows=TWO_BY_TWO_ROWS, player=Player.COL, den=3)
+# (0, 2/3, 1/3, 0) is separated from the image shifted along e_2 by
+# GAP_EPS/232, about 4.3e-9, which the payoff-space LP's phase 1 reads as
+# feasible
+@example(
+    rows=[[[0, 0, 0], [-1, 0, 0], [3, 0, 0], [3, 0, 0]],
+          [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
+          [[-1, 0, 1], [2, -3, -2], [-3, -4, 0], [-1, 1, -3]]],
+    player=Player.COL,
+    den=3,
+)
 def test_gap_verdicts_match_the_payoff_space_lp(rows, player, den):
     # Every grid strategy is certified optimal, so strategies whose payoff
-    # sets reach into the shifted image are checked as well.
+    # sets reach into the shifted image are checked as well.  Where the two
+    # formulations differ, the sets are within the LPs' tolerances of
+    # touching, and an exact LP on the same floats must side with verify_gap.
     game = VectorPayoffGame.from_rows(rows)
     front = certify_every_grid_point(game, player, Fraction(1, den))
     image = compute_security_image(game, player)
     report = verify_gap(game, front, image)
+    got, want = list(report.violations), gap_violations_by_lp(front, image)
     assert len(report.checked) == len(front.grid)
-    assert list(report.violations) == gap_violations_by_lp(front, image)
+    disputed = set(got) ^ set(want)
+    for s, k in disputed:
+        generators = row_generator_matrix(game.for_player(player), s)
+        assert ((s, k) in got) == meets_shifted_image_exactly(generators, image, k), (s, k)
+    assert [v for v in got if v not in disputed] == [v for v in want if v not in disputed]
 
 
 def _count_gap_lps(monkeypatch) -> tuple[list[int], list[int]]:
