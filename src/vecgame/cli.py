@@ -181,14 +181,6 @@ def _owner(args: argparse.Namespace) -> Player:
     return Player.ROW if args.player == "row" else Player.COL
 
 
-def _numbers_only(value) -> bool:
-    """Whether every leaf of a nested list is a JSON number; a bool is an
-    int to Python, and numpy reads true as 1.0 and "2" as 2.0."""
-    if isinstance(value, list):
-        return all(_numbers_only(item) for item in value)
-    return type(value) in (int, float)
-
-
 def load_game(path: str) -> VectorPayoffGame:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -205,9 +197,11 @@ def load_game(path: str) -> VectorPayoffGame:
     # JSON integers only: a bool is an int to Python, and int() takes 2.9 and "2"
     if any(type(n) is not int for n in (rows, cols, dim)):
         raise InputError(f"game file {path}: rows, cols and dim must be integers")
-    if not _numbers_only(payoffs):
-        raise InputError(f"game file {path}: every payoff entry must be a number")
     game = VectorPayoffGame.from_rows(payoffs)
+    # the array is m x n x K, so its entries sit three lists deep; numpy
+    # read a JSON true as 1.0 and "2" as 2.0
+    if any(type(x) not in (int, float) for row in payoffs for g in row for x in g):
+        raise InputError(f"game file {path}: every payoff entry must be a number")
     if (game.rows, game.cols, game.dim) != (rows, cols, dim):
         raise InputError(
             f"payoff array is {game.rows}x{game.cols}x{game.dim}, "
