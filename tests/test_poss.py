@@ -13,7 +13,6 @@ from scipy.optimize import linprog
 
 from vecgame import poss
 from vecgame.errors import InputError
-from vecgame.lp import LPOutcome
 from vecgame.game import (
     Player,
     VectorPayoffGame,
@@ -23,6 +22,7 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
+from vecgame.lp import LPOutcome
 from vecgame.polyhedra import (
     UPPER,
     build_lower_set,
@@ -439,9 +439,9 @@ def _small_games(draw) -> list:
 @given(rows=_small_games(), player=st.sampled_from(Player), den=st.integers(2, 3))
 @example(rows=TWO_BY_TWO_ROWS, player=Player.ROW, den=2)
 @example(rows=TWO_BY_TWO_ROWS, player=Player.COL, den=3)
-# (0, 2/3, 1/3, 0) is separated from the image shifted along e_2 by
-# GAP_EPS/232, about 4.3e-9, which the payoff-space LP's phase 1 reads as
-# feasible
+# (0, 2/3, 1/3, 0) is separated from the image shifted along component 1
+# by GAP_EPS/232, about 4.3e-9, which the payoff-space LP's phase 1 reads
+# as feasible
 @example(
     rows=[[[0, 0, 0], [-1, 0, 0], [3, 0, 0], [3, 0, 0]],
           [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
