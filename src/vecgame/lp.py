@@ -22,16 +22,18 @@ A tableau whose basis repeats leaves the lockstep and finishes under the
 scalar loop's Bland rule.  The scalar loop stays because lockstep costs
 about 2.2x as much on a stack of one.
 
-Two callers build stacks.  `equilibria` solves its strong-equilibrium
+Three callers build stacks.  `equilibria` solves its strong-equilibrium
 LPs as one stack per pair of facet counts: thousands of LPs with 5 or 6
 rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
 improvement LPs of a block of grid points and solves them as one stack
 per constraint shape.  Each of them starts at its tested strategy, where
 every rhs is >= 0 and the slack basis is feasible, so a stack of them
-has no artificial and skips phase 1.  The gap LPs of `poss.verify_gap` and Benson's
-verification LPs stay on `solve_lp`: Benson's loop needs each answer
-before it builds the next LP, and one stack per facet count of a front's
-gap LPs raised peak memory past its gain (README, "The simplex").
+has no artificial and skips phase 1.  `poss.verify_gap` solves one
+separation LP per optimal strategy; a player's LPs share one shape, so
+they go in stacks of at most `solver.GRID_BLOCK`.  Benson's verification
+LPs stay on `solve_lp`, because the loop needs each answer before it
+builds the next LP, and so do the gap check's few fallback LPs, through
+`check_feasibility`.
 
 An optimal outcome also carries the duals of its rows, read off the
 final phase-2 cost row in the pass that reads the solution.  Benson's
