@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from vecgame.equilibria import Classification, EquilibriumRecord, _boundary_mask
-from vecgame.errors import InputError
+from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     MixedStrategy,
     PayoffVector,
@@ -31,8 +31,11 @@ from vecgame.game import (
 )
 from vecgame.lp import LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
 from vecgame.polyhedra import (
+    ACTIVE_TOL,
     LOWER,
+    VERTEX_MERGE_TOL,
     OrientedPayoffPolyhedron,
+    _dot,
     build_lower_set,
     build_upper_set,
     contains_point,
@@ -66,6 +69,69 @@ def support_value(poly: OrientedPayoffPolyhedron, direction) -> float:
         raise InputError("support value is unbounded for directions outside R^K_+")
     vals = poly.generators @ w
     return float(vals.max() if poly.orientation == LOWER else vals.min())
+
+
+def exposing_normals(poly: OrientedPayoffPolyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex v of a lower set, one set at a time: the strictly positive
+    unit-sum normal c that sums the facet normals active at v, and its offset
+    c·v; each check raises the `NumericalError` the package raises for it.
+    The reference for the stacked build of `solver`."""
+    active = np.abs(poly.vertices @ poly.normals.T - poly.offsets) <= ACTIVE_TOL
+    sums = np.where(active[:, :, None], poly.normals, 0.0).sum(axis=1)
+    totals = sums.sum(axis=1, keepdims=True)
+    if np.any(totals == 0.0):
+        v = poly.vertices[np.flatnonzero(totals[:, 0] == 0.0)[0]]
+        raise NumericalError(f"no active facet at the claimed vertex {tuple(v)}")
+    normals = sums / totals
+    offsets = np.array([float(c @ v) for c, v in zip(normals, poly.vertices)])
+    bad = np.flatnonzero(np.any(normals <= 1e-12, axis=1))
+    if bad.size:
+        v, c = poly.vertices[bad[0]], normals[bad[0]]
+        raise NumericalError(
+            f"exposing normal has a zero component at vertex {tuple(v)}: {tuple(c)}"
+        )
+    # a generator within VERTEX_MERGE_TOL of v is v itself and is not tested
+    values = poly.generators @ normals.T
+    exposed = values < offsets - 1e-12 * (1.0 + np.abs(offsets))
+    same = np.abs(poly.generators[:, None, :] - poly.vertices[None, :, :]).max(axis=2)
+    failed = np.argwhere(~exposed & (same > VERTEX_MERGE_TOL))
+    if failed.size:
+        g, i = failed[0]
+        raise NumericalError(
+            f"exposure failed at vertex {tuple(poly.vertices[i])}: generator "
+            f"{tuple(poly.generators[g])} sits on the supporting hyperplane "
+            f"(value {values[g, i]}, offset {offsets[i]})"
+        )
+    return normals, offsets
+
+
+def improvement_lp(
+    game: VectorPayoffGame, target: OrientedPayoffPolyhedron, pbar: MixedStrategy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The improvement LP of the row strategy `pbar`, whose lower payoff set
+    is `target`, built one strategy at a time: the exposing normals (L, K),
+    their offsets (L,), and the LP's `lhs` and `rhs` in the shifted
+    variables (d, eps) of `solver`.  The reference for the stacked build."""
+    if not len(target.vertices):
+        raise NumericalError("payoff set has no identifiable vertex")
+    exp_normals, exp_offsets = exposing_normals(target)
+    m, n = game.rows, game.cols
+    L = len(exp_offsets)
+    normals = np.vstack([target.normals, exp_normals])
+    R = len(normals) * n
+    scal = np.array([game.entries @ a for a in normals])  # (blocks, m, n)
+    p = pbar.as_array()
+    offsets = np.concatenate([target.offsets, exp_offsets])
+    room = (offsets[:, None] - _dot(scal.transpose(0, 2, 1), p)).ravel()
+    if room.min() < -1e-7:
+        raise NumericalError("a generator of the tested strategy lies outside its payoff set")
+    lhs = np.zeros((R + m, m - 1 + L))
+    lhs[:R, : m - 1] = (scal[:, :-1] - scal[:, -1:]).transpose(0, 2, 1).reshape(R, m - 1)
+    lhs[R - L * n + np.arange(L * n), m - 1 + np.repeat(np.arange(L), n)] = 1.0
+    lhs[R + np.arange(m - 1), np.arange(m - 1)] = -1.0
+    lhs[R + m - 1, : m - 1] = 1.0
+    rhs = np.concatenate([np.where(room < 0.0, 0.0, room), p])
+    return exp_normals, exp_offsets, lhs, rhs
 
 
 def stack_lps(lps) -> LinearProgram:

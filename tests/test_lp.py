@@ -33,6 +33,7 @@ from vecgame import poss, solver
 from vecgame.poss import _support_value, _verify_vertex, compute_security_image
 from vecgame.solver import DECISION_TOL, maximality_lp, minimality_lp
 
+import full_tableau
 from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
 
 
@@ -589,6 +590,60 @@ def test_a_leftover_artificial_is_handled_inside_a_batch(monkeypatch):
     assert len(pivot_outs) == len(lps) and not runs
     for g, w in zip(got, want, strict=True):
         _assert_same_outcome(g, w)
+
+
+def _assert_matches_the_full_tableau(stack, max_iter=None):
+    """`solve_batch` on the stack, and `solve_lp` on each of its LPs, against
+    the full-tableau kernel of `tests/full_tableau.py`, bit for bit."""
+    members = unstack_lp(stack)
+    want = full_tableau.solve_batch(stack, max_iter=max_iter)
+    for g, w in zip(solve_batch(stack, max_iter=max_iter), want, strict=True):
+        _assert_same_outcome(g, w)
+    for lp in members:
+        _assert_same_outcome(solve_lp(lp, max_iter=max_iter),
+                             full_tableau.solve_lp(lp, max_iter=max_iter))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lp_stacks(), st.sampled_from((None, 0, 1, 2)))
+@example(_STATUS_STACKS, None)
+def test_the_kernel_equals_the_full_tableau_bit_for_bit(stacks, max_iter):
+    # phase 1, `=` rows, free variables, redundant rows and small pivot budgets
+    for stack in stacks:
+        _assert_matches_the_full_tableau(stack, max_iter)
+
+
+def test_the_kernel_equals_the_full_tableau_on_cycling_and_redundant_lps():
+    _assert_matches_the_full_tableau(stack_lps(_cycling_lps()))
+    # the equality x + y + z = b twice: phase 1 leaves an artificial on a redundant row
+    redundant = [
+        LinearProgram(
+            objective=[1.0, -2.0, 0.5],
+            lhs=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
+            relations=("=", "<=", "="),
+            rhs=[b, c, b],
+            sense="max",
+        )
+        for b, c in ((1.0, 0.5), (2.0, -1.0), (3.0, 1.0))
+    ]
+    for max_iter in (None, 0, 1, 2):
+        _assert_matches_the_full_tableau(stack_lps(redundant), max_iter)
+
+
+def test_every_improvement_lp_of_a_grid_replays_on_the_full_tableau(monkeypatch):
+    stacks = []
+
+    def recording_solve_batch(lp):
+        stacks.append(lp)
+        return solve_batch(lp)
+
+    monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
+    game = relabeled_game(1000, (4, 4, 3), 0)
+    for player in (Player.ROW, Player.COL):
+        solver.classify_grid(game, player, Fraction(1, 8))
+    assert sum(len(lp.lhs) for lp in stacks) == 2 * 165
+    for stack in stacks:
+        _assert_matches_the_full_tableau(stack)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from vecgame.game import (
     row_strategy,
 )
 from vecgame.polyhedra import build_lower_set, build_upper_set
-from vecgame.lp import LPOutcome
+from vecgame.lp import LPOutcome, solve_batch
 from vecgame.solver import (
     DECISION_TOL,
     MinimalityCertificate,
@@ -30,6 +31,7 @@ from vecgame.solver import (
 
 from properties import (
     check_k1_reduction,
+    improvement_lp,
     check_set_relation_monotonicity,
     fail_one_stacked_lp,
     optimal_weight_set,
@@ -152,6 +154,81 @@ def test_an_improving_set_outside_the_tested_one_is_a_numerical_fault(two_by_two
     _stub_improvement_lp(monkeypatch, [1.0, 0.0])
     with pytest.raises(NumericalError, match="not contained in the tested one"):
         minimality_lp(two_by_two, row_strategy(0.0, 1.0))
+
+
+def test_each_stacked_improvement_lp_equals_the_one_at_a_time_build(monkeypatch):
+    stacks = []
+
+    def recording_solve_batch(lp):
+        stacks.append(lp)
+        return solve_batch(lp)
+
+    monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
+    game = relabeled_game(1000, (4, 4, 3), 0)
+    for player in (Player.ROW, Player.COL):
+        stacks.clear()
+        front = classify_grid(game, player, Fraction(1, 8))
+        oriented = game.for_player(player)
+        # a shape's stacks, in call order, hold its grid points in grid order
+        got, want = {}, {}
+        for lp in stacks:
+            got.setdefault(lp.lhs.shape[1:], []).extend(zip(lp.lhs, lp.rhs))
+        for cert in front.certificates:
+            p = cert.tested_strategy
+            target = build_lower_set(row_generator_matrix(oriented, p))
+            *_, lhs, rhs = improvement_lp(oriented, target, p)
+            want.setdefault(lhs.shape, []).append((lhs, rhs))
+        assert got.keys() == want.keys() and len(want) > 1
+        for shape in want:
+            for (g_lhs, g_rhs), (w_lhs, w_rhs) in zip(got[shape], want[shape], strict=True):
+                assert g_lhs.tobytes() == w_lhs.tobytes() and g_rhs.tobytes() == w_rhs.tobytes()
+
+
+# The row strategy (1, 0) of this game has the generators (3, 1) and (1, 3),
+# whose lower set has the facets y1 <= 3, y2 <= 3 and (y1 + y2) / 2 <= 2.
+_TWO_POINTS = VectorPayoffGame(np.array([[(3, 1), (1, 3)], [(0, 0), (0, 0)]], dtype=float))
+
+
+def _keep_facets(poly, keep):
+    return dataclasses.replace(poly, normals=poly.normals[keep], offsets=poly.offsets[keep])
+
+
+_TAMPERED_SETS = {
+    "no identifiable vertex": lambda s: dataclasses.replace(s, vertices=np.zeros((0, 2))),
+    # the vertices moved inside the set, where no facet is active
+    "no active facet": lambda s: dataclasses.replace(s, vertices=s.vertices - 1.0),
+    # only y1 <= 3 is active at (3, 1)
+    "zero component": lambda s: dataclasses.replace(
+        _keep_facets(s, s.normals[:, 1] == 0.0), vertices=s.vertices[s.vertices[:, 0] == 3.0]
+    ),
+    # without y1 <= 3, (1, 3) lies on the hyperplane that should expose (3, 1)
+    "exposure failed": lambda s: _keep_facets(s, s.normals[:, 1] != 0.0),
+    # built with the first generator lowered, so (3, 1) lies outside it
+    "lies outside its payoff set": lambda s: build_lower_set(s.generators - [[1.0, 1.0], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("message", _TAMPERED_SETS)
+def test_a_tested_set_that_breaks_the_build_is_a_numerical_fault(message, monkeypatch):
+    tamper = _TAMPERED_SETS[message]
+    p = row_strategy(1, 0)
+    oriented_set = build_lower_set(row_generator_matrix(_TWO_POINTS, p))
+    assert np.allclose(oriented_set.normals, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(NumericalError, match=message):
+        improvement_lp(_TWO_POINTS, tamper(oriented_set), p)
+
+    def build(points):
+        sets = build_lower_set(points)
+        return tuple(
+            tamper(s) if np.array_equal(s.generators, oriented_set.generators) else s for s in sets
+        )
+
+    monkeypatch.setattr(solver, "build_lower_set", build)
+    with pytest.raises(NumericalError, match=message):
+        minimality_lp(_TWO_POINTS, p)
+    # inside a block of more than one LP, beside strategies whose sets are whole
+    with pytest.raises(NumericalError, match=message):
+        classify_grid(_TWO_POINTS, Player.ROW, Fraction(1, 4))
 
 
 def test_verdicts_do_not_depend_on_the_payoff_unit():
