@@ -1,9 +1,15 @@
 """Dense two-phase simplex solver for small linear programs.
 
 Everything here is deliberately dense and explicit: the problems produced by
-the rest of the package have tens of variables at most, so a tableau with
-full row reduction per pivot is both fast enough and easy to audit.  The
-solver reports four statuses: "optimal", "infeasible", "unbounded" and
+the rest of the package have tens of variables at most.  The tableau is
+condensed (Tucker's layout): it stores the rhs and only the nonbasic
+columns, since a basic column is a unit column that no pivot needs to
+read, and labels each row with its basic variable and each column with
+its nonbasic one.  A pivot swaps the two labels and reduces every row over
+the kept columns, by the floating-point operations the full tableau would
+make on them, so it gives the full tableau's outcome bit for bit at a
+fraction of the cost: most improvement-LP columns are slacks.  The solver
+reports four statuses: "optimal", "infeasible", "unbounded" and
 "iteration_limit"; an exhausted pivot budget is never misreported as
 infeasibility.
 
@@ -11,7 +17,7 @@ A `LinearProgram` is one LP, or a stack of B LPs that share their
 objective, relations, bounds and sense and differ in `lhs` (B, m, n) and
 `rhs` (B, m).  `solve_lp` solves one LP and `solve_batch` a stack, with
 one outcome per LP that is bit for bit what `solve_lp` gives it alone.
-`solve_batch` runs the two phases on a (B, rows + 1, cols + 1) stack of
+`solve_batch` runs the two phases on a (B, rows + 1, slots + 1) stack of
 tableaux, and `solve_lp` calls it on a stack of one, so both share the
 set-up, the change of phase and the read-off.  Only the pivot loop
 exists twice: a stack of one runs the scalar loop, and a larger stack
@@ -154,38 +160,48 @@ class FeasibilityResult:
     witness: np.ndarray | None
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factor = T[:, col].copy()
+def _pivot(T: np.ndarray, labels: list[int], row: int, slot: int) -> None:
+    """Pivot a condensed tableau on (row, slot): the slot's variable enters
+    the basis in `row`, and the row's variable leaves into the slot.
+
+    The leaving variable's new column is computed as the full tableau
+    computes its unit column, 1/p in the pivot row and 0 - f_i (1/p)
+    elsewhere; every other column sees the same operations as there."""
+    m = len(T) - 1
+    p = T[row, slot]
+    factor = T[:, slot].copy()
     factor[row] = 0.0
+    T[row] /= p
+    T[:, slot] = 0.0
+    T[row, slot] = 1.0 / p
     T -= factor[:, None] * T[row]
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    labels[row], labels[m + slot] = labels[m + slot], labels[row]
 
 
 def _run_simplex(
-    T: np.ndarray, basis: list[int], budget: int, bland: bool = False
+    T: np.ndarray, labels: list[int], budget: int, bland: bool = False
 ) -> tuple[str, int]:
     """Iterate to optimality by Dantzig's rule.  A basis seen before means the
-    pivots are cycling, so from then on Bland's rule picks the entering column."""
-    ncols = T.shape[1] - 1
+    pivots are cycling, so from then on Bland's rule picks the entering column.
+
+    Ties go to the lowest variable index, for the entering column as for the
+    leaving row, whatever slot the variable sits in."""
+    m, width = len(T) - 1, T.shape[1] - 1
     iters = 0
-    seen = {tuple(basis)}
+    seen = {tuple(labels[:m])}
     while iters < budget:
-        red = T[-1, :ncols]
+        red = T[-1, :width]
         if bland:
-            enter = -1
-            for c in range(ncols):
-                if red[c] < -TOL_OPT:
-                    enter = c
-                    break
-            if enter == -1:
+            slots = np.flatnonzero(red < -TOL_OPT).tolist()
+            if not slots:
                 return "optimal", iters
         else:
             enter = int(red.argmin())
-            if red[enter] >= -TOL_OPT:
+            low = red[enter]
+            if low >= -TOL_OPT:
                 return "optimal", iters
+            slots = np.flatnonzero(red == low).tolist()
+        enter = min(slots, key=lambda s: labels[m + s]) if len(slots) > 1 else slots[0]
         colvals = T[:-1, enter]
         rows = (colvals > 1e-9).nonzero()[0]
         if rows.size == 0:
@@ -194,35 +210,37 @@ def _run_simplex(
         rmin = float(ratios.min())
         ties = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))].tolist()
         # among ratio ties pick the smallest basis index (anti-cycling bias)
-        leave = min(ties, key=basis.__getitem__)
-        _pivot(T, basis, leave, enter)
+        leave = min(ties, key=labels.__getitem__)
+        _pivot(T, labels, leave, enter)
         rhs = T[:-1, -1]
         np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
         iters += 1
         if not bland:
-            key = tuple(basis)
+            key = tuple(labels[:m])
             bland = key in seen
             seen.add(key)
     return "iteration_limit", iters
 
 
-def _pivot_stack(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """`_pivot` on every tableau of the stack, tableau t at (rows[t], cols[t])."""
+def _pivot_stack(T: np.ndarray, labels: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> None:
+    """`_pivot` on every tableau of the stack, tableau t at (rows[t], slots[t])."""
     at = np.arange(len(T))
-    T[at, rows] /= T[at, rows, cols][:, None]
-    factor = T[at, :, cols]
+    m = T.shape[1] - 1
+    p = T[at, rows, slots]
+    factor = T[at, :, slots]
     factor[at, rows] = 0.0
+    T[at, rows] /= p[:, None]
+    T[at, :, slots] = 0.0
+    T[at, rows, slots] = 1.0 / p
     T -= factor[:, :, None] * T[at, rows][:, None, :]
-    T[at, :, cols] = 0.0
-    T[at, rows, cols] = 1.0
-    basis[at, rows] = cols
+    labels[at, rows], labels[at, m + slots] = labels[at, m + slots], labels[at, rows]
 
 
 _STATUSES = ("optimal", "unbounded", "iteration_limit")
 
 
 def _run_lockstep(
-    T: np.ndarray, basis: np.ndarray, budget: np.ndarray
+    T: np.ndarray, labels: np.ndarray, budget: np.ndarray
 ) -> tuple[list[str], np.ndarray]:
     """Dantzig's rule on every tableau of the stack at once.
 
@@ -232,22 +250,25 @@ def _run_lockstep(
     `_run_simplex`'s Bland rule.  The running tableaux are copied out of
     `T` once one of them finishes, and each is written back when it does.
     """
-    m, ncols = T.shape[1] - 1, T.shape[2] - 1
+    m, width = T.shape[1] - 1, T.shape[2] - 1
+    past = np.iinfo(labels.dtype).max  # ranks after every variable
     status = [""] * len(T)
     iters = np.zeros(len(T), dtype=int)
-    live, Tw, bw, seen = np.arange(len(T)), T, basis, basis[:, None, :].copy()
+    live, Tw, lw, seen = np.arange(len(T)), T, labels, labels[:, None, :m].copy()
 
     def finish(done: np.ndarray) -> None:
-        nonlocal live, Tw, bw, seen
+        nonlocal live, Tw, lw, seen
         if Tw is not T:
             T[live[done]] = Tw[done]
-            basis[live[done]] = bw[done]
+            labels[live[done]] = lw[done]
         keep = ~done
-        live, Tw, bw, seen = live[keep], Tw[keep], bw[keep], seen[keep]
+        live, Tw, lw, seen = live[keep], Tw[keep], lw[keep], seen[keep]
 
     while live.size:
-        red = Tw[:, -1, :ncols]
-        enter = red.argmin(axis=1)
+        red = Tw[:, -1, :width]
+        low = red.min(axis=1)
+        # among the lowest reduced costs pick the smallest variable index
+        enter = np.where(red == low[:, None], lw[:, m:], past).argmin(axis=1)
         at = np.arange(live.size)
         col = Tw[at, :m, enter]
         pos = col > 1e-9
@@ -255,7 +276,7 @@ def _run_lockstep(
         code = np.where(
             iters[live] >= budget[live],
             2,
-            np.where(red[at, enter] >= -TOL_OPT, 0, np.where(pos.any(axis=1), -1, 1)),
+            np.where(low >= -TOL_OPT, 0, np.where(pos.any(axis=1), -1, 1)),
         )
         done = code >= 0
         if done.any():
@@ -270,52 +291,61 @@ def _run_lockstep(
         rmin = ratios.min(axis=1)
         ties = pos & (ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None])
         # among ratio ties pick the smallest basis index, as _run_simplex does
-        leave = np.where(ties, bw, ncols).argmin(axis=1)
-        _pivot_stack(Tw, bw, leave, enter)
+        leave = np.where(ties, lw[:, :m], past).argmin(axis=1)
+        _pivot_stack(Tw, lw, leave, enter)
         np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
         iters[live] += 1
-        repeated = (seen == bw[:, None, :]).all(axis=2).any(axis=1)
-        seen = np.concatenate([seen, bw[:, None, :]], axis=1)
+        basis = lw[:, None, :m]
+        repeated = (seen == basis).all(axis=2).any(axis=1)
+        seen = np.concatenate([seen, basis], axis=1)
         if repeated.any():
             for j in np.flatnonzero(repeated).tolist():
                 b = live[j]
-                rows = bw[j].tolist()
-                status[b], it = _run_simplex(Tw[j], rows, int(budget[b] - iters[b]), bland=True)
-                bw[j] = rows
+                row_labels = lw[j].tolist()
+                status[b], it = _run_simplex(
+                    Tw[j], row_labels, int(budget[b] - iters[b]), bland=True
+                )
+                lw[j] = row_labels
                 iters[b] += it
             finish(repeated)
     return status, iters
 
 
-def _run(T: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> tuple[list[str], np.ndarray]:
+def _run(T: np.ndarray, labels: np.ndarray, budget: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Run a stack of tableaux in place; returns each one's status and pivot
     count.  A stack of one runs `_run_simplex`, on which lockstep would
     spend about 2.2x the time."""
     if len(T) > 1:
-        return _run_lockstep(T, basis, budget)
-    rows = basis[0].tolist()
-    status, iters = _run_simplex(T[0], rows, int(budget[0]))
-    basis[0] = rows
+        return _run_lockstep(T, labels, budget)
+    row_labels = labels[0].tolist()
+    status, iters = _run_simplex(T[0], row_labels, int(budget[0]))
+    labels[0] = row_labels
     return [status], np.array([iters])
 
 
 @dataclass
 class _Tableaux:
-    """The LPs of a stack as phase-1 tableaux.
+    """The LPs of a stack as condensed (Tucker) phase-1 tableaux.
 
-    The columns are the structural columns, one per variable with a lower
-    bound (shifted to zero) and two (+x, -x) per free variable, then one
-    slack per inequality row, then one artificial per row that no slack
-    can start in the basis.  LP b's artificials fill the first nart[b]
-    slots after column `nfull`; the slots after them stay zero columns.
+    A variable of the full tableau is one of its columns: the structural
+    columns, one per variable with a lower bound (shifted to zero) and two
+    (+x, -x) per free variable, then one slack per inequality row, then LP
+    b's artificials, one per row that no slack can start in the basis, as
+    columns nfull .. nfull + nart[b] - 1.  A condensed tableau keeps the
+    rhs and only the nonbasic columns, each in a slot: `labels[b, :m]`
+    names the basic variable of each row and `labels[b, m:]` the variable
+    in each slot.  A slot past LP b's last nonbasic variable is a zero
+    column labelled `pad`, a label past every variable; every tableau has
+    at least one slot.
     """
 
-    T: np.ndarray  # (B, m + 1, nfull + max nart + 1): the rows, then the phase-1 objective
-    basis: np.ndarray  # (B, m): the basic column of each row
+    T: np.ndarray  # (B, m + 1, slots + 1): the rows, then the phase-1 objective
+    labels: np.ndarray  # (B, m + slots): the basic variable of each row, then of each slot
     budget: np.ndarray  # (B,): each LP's pivot budget
-    cost: np.ndarray  # (nfull + 1,): each column's phase-2 cost (minimizing), then a zero
+    cost: np.ndarray  # (pad + 1,): each variable's phase-2 cost (minimizing), zero from nfull on
     rhs_max: np.ndarray  # (B,): the largest rhs, which scales the infeasibility test
     nfull: int  # structural and slack columns
+    pad: int
     # Variable j is x[plus[j]] - x[minus[j]] over the column values x
     # followed by one slot and then by -lo of each variable (-0.0 if free):
     # minus[j] names a free variable's second column, or the slot holding -lo.
@@ -375,7 +405,7 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
 
     # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
     # basis unless the row was flipped against it; every other row starts
-    # with an artificial.
+    # with an artificial.  The nonbasic slacks follow the structural columns.
     up = np.array([r == "<=" for r in lp.relations], dtype=bool)
     eq = np.array([r == "=" for r in lp.relations], dtype=bool)
     ineq = np.flatnonzero(~eq)
@@ -384,23 +414,30 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
     slack_col[ineq] = np.arange(n_core, nfull)
     art = eq | (up == flipped)
     nart = art.sum(axis=1)
+    pad = nfull + int(nart.max())
     basis = np.where(art, np.cumsum(art, axis=1) + (nfull - 1), slack_col)
     if max_iter is None:
         budget = 1000 + 50 * (m + nfull + nart)
     else:
         budget = np.full(len(lhs), max_iter)
 
-    width = nfull + int(nart.max())
+    # A slack that cannot start basic is one of the structural columns'
+    # followers; it holds -1 in its row once the row's sign is fixed.
+    lp_of, row_of = np.nonzero(art & ~eq)
+    place = np.arange(lp_of.size) - np.searchsorted(lp_of, lp_of)
+    width = max(1, n_core + int(np.bincount(lp_of).max(initial=0)))
     T = np.zeros((len(lhs), m + 1, width + 1))
     T[:, :m, :n_core] = lhs[:, :, src_arr] * sign_arr
-    T[:, ineq, slack_col[ineq]] = np.where(up[ineq], 1.0, -1.0)
-    T[:, :m][flipped, :nfull] *= -1.0
-    T[:, :m, nfull:width] = basis[:, :, None] == np.arange(nfull, width)
+    T[:, :m][flipped, :n_core] *= -1.0
+    T[lp_of, row_of, n_core + place] = -1.0
     T[:, :m, -1] = rhs
-    T[:, -1, nfull:width] = np.arange(nfull, width) < (nfull + nart)[:, None]
+    labels = np.full((len(lhs), m + width), pad)
+    labels[:, :m] = basis
+    labels[:, m : m + n_core] = np.arange(n_core)
+    labels[lp_of, m + n_core + place] = slack_col[row_of]
     _price_out(T, art)
 
-    cost = np.zeros(nfull + 1)
+    cost = np.zeros(pad + 1)
     cost[:n_core] = c0[src_arr] * sign_arr
     minus_arr = np.array(minus, dtype=int)
     minus_arr[minus_arr < 0] = nfull + 1 + np.flatnonzero(minus_arr < 0)
@@ -410,58 +447,75 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
     # and the sense set the sign; the tableau's costs are those of a `min`.
     sense_sign = 1.0 if lp.sense == "max" else -1.0
     dual_sign = np.where(eq, np.nan, np.where(up, sense_sign, -sense_sign))
-    return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows,
-                     np.maximum(slack_col, 0), dual_sign)
+    return _Tableaux(T, labels, budget, cost, rhs_max, nfull, pad, np.array(plus), minus_arr,
+                     neg_lows, np.maximum(slack_col, 0), dual_sign)
 
 
-def _pivot_out_artificials(T: np.ndarray, basis: np.ndarray, nfull: int) -> None:
-    """Pivot the leftover artificials out of one feasible phase-1 tableau.  A
-    row whose only nonzeros lie in basic columns is redundant and keeps its
-    artificial."""
-    rows = basis.tolist()
-    basic_set = set(rows)
-    for i in range(len(rows)):
-        if rows[i] >= nfull:
-            row = T[i, :nfull]
-            for c in np.nonzero(np.abs(row) > 1e-9)[0]:
-                if int(c) not in basic_set:
-                    basic_set.discard(rows[i])
-                    _pivot(T, rows, i, int(c))
-                    basic_set.add(int(c))
-                    break
-    basis[:] = rows
+def _pivot_out_artificials(T: np.ndarray, labels: np.ndarray, nfull: int) -> None:
+    """Pivot the leftover artificials out of one feasible phase-1 tableau,
+    each on the nonbasic column of lowest index that is nonzero in its row.
+    A row whose only nonzeros lie in basic columns is redundant and keeps
+    its artificial."""
+    m = len(T) - 1
+    row_labels = labels.tolist()
+    for i in range(m):
+        if row_labels[i] >= nfull:
+            slots = [
+                s for s in np.flatnonzero(np.abs(T[i, :-1]) > 1e-9).tolist()
+                if row_labels[m + s] < nfull
+            ]
+            if slots:
+                _pivot(T, row_labels, i, min(slots, key=lambda s: row_labels[m + s]))
+    labels[:] = row_labels
 
 
-def _phase2(
-    T: np.ndarray, basis: np.ndarray, cost: np.ndarray, nfull: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phase-2 tableaux and bases that follow feasible phase-1 tableaux.
+def _phase2(tab: _Tableaux, T: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-2 tableaux and labels that follow feasible phase-1 tableaux.
 
-    The artificial columns are dropped.  A redundant row becomes a zero row
-    whose basic column is `nfull`, a slot past the last column: it never
-    passes a ratio test and every pivot leaves it zero.  The cost row is
-    priced out by the rows with a basic cost, in row order.
+    The artificial columns are dropped: each tableau's slots keep their
+    order, less the artificials, and a tableau with fewer slots than the
+    widest is padded.  A redundant row becomes a zero row whose basic
+    variable is `nfull`, past the last column: it never passes a ratio
+    test and every pivot leaves it zero.  The cost row is priced out by the
+    rows with a basic cost, in row order.
     """
-    T2 = np.concatenate([T[:, :, :nfull], T[:, :, -1:]], axis=2)
-    T2[:, -1] = cost
-    redundant = basis >= nfull
+    m = T.shape[1] - 1
+    art = labels[:, m:] >= tab.nfull
+    if art.any():
+        order = np.argsort(art, axis=1, kind="stable")
+        width = max(1, int((~art).sum(axis=1).max()))
+        keep = order[:, :width]
+        T = np.concatenate([np.take_along_axis(T, keep[:, None, :], axis=2), T[:, :, -1:]], axis=2)
+        slot_labels = np.take_along_axis(labels[:, m:], keep, axis=1)
+        dropped = slot_labels >= tab.nfull
+        T[:, :, :-1][np.broadcast_to(dropped[:, None, :], T[:, :, :-1].shape)] = 0.0
+        slot_labels[dropped] = tab.pad
+        labels = np.concatenate([labels[:, :m], slot_labels], axis=1)
+    T[:, -1, :-1] = tab.cost[labels[:, m:]]
+    T[:, -1, -1] = 0.0
+    redundant = labels[:, :m] >= tab.nfull
     if redundant.any():
-        T2[:, :-1][redundant] = 0.0
-        basis = np.where(redundant, nfull, basis)
-    coef = cost[basis]
-    _price_out(T2, coef != 0.0, coef)
-    return T2, basis
+        T[:, :-1][redundant] = 0.0
+        labels[:, :m][redundant] = tab.nfull
+    coef = tab.cost[labels[:, :m]]
+    _price_out(T, coef != 0.0, coef)
+    return T, labels
 
 
 def _read_off(
-    tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray
+    tab: _Tableaux, T2: np.ndarray, labels2: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The solutions and duals (see `_Tableaux.dual_sign`) of LPs whose
-    phase-2 tableaux ended optimal."""
+    phase-2 tableaux ended optimal.  A basic variable's value is its row's
+    rhs, and its reduced cost is zero."""
+    m = T2.shape[1] - 1
+    at = np.arange(len(T2))[:, None]
     x = np.zeros((len(T2), tab.nfull + 1 + tab.neg_lows.size))
     x[:, tab.nfull + 1 :] = tab.neg_lows
-    x[np.arange(len(T2))[:, None], basis2] = T2[:, :-1, -1]
-    duals = T2[:, -1, tab.slack_col] * tab.dual_sign
+    x[at, labels2[:, :m]] = T2[:, :-1, -1]
+    reduced = np.zeros((len(T2), tab.pad + 1))
+    reduced[at, labels2[:, m:]] = T2[:, -1, :-1]
+    duals = reduced[:, tab.slack_col] * tab.dual_sign
     # Each solution gets its own buffer: a dot product's rounding can
     # depend on where its operands start in memory.
     return [(row.copy(), y.copy()) for row, y in zip(x[:, tab.plus] - x[:, tab.minus], duals)]
@@ -475,12 +529,13 @@ def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOut
     (`_run_lockstep`).  An error in any LP raises out of the whole stack.
     """
     tab = _setup(lp, max_iter)
-    T, basis, budget = tab.T, tab.basis, tab.budget
+    T, labels, budget = tab.T, tab.labels, tab.budget
+    m = lp.num_constraints
     outcomes: list[LPOutcome | None] = [None] * len(T)
     go = list(range(len(T)))
     iters = np.zeros(len(T), dtype=int)
-    if T.shape[2] > tab.nfull + 1:  # some LP starts with an artificial
-        status, iters = _run(T, basis, budget)
+    if tab.pad > tab.nfull:  # some LP starts with an artificial
+        status, iters = _run(T, labels, budget)
         if "unbounded" in status:
             raise NumericalError("phase-1 simplex reported unbounded")
         limits = (TOL_FEAS * (1.0 + tab.rhs_max)).tolist()
@@ -490,21 +545,21 @@ def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOut
                 outcomes[b] = LPOutcome(st, None, None, int(iters[b]))
         go = [b for b, out in enumerate(outcomes) if out is None]
         if len(go) < len(T):
-            T, basis, budget, iters = T[go], basis[go], budget[go], iters[go]
-        for b in np.flatnonzero((basis >= tab.nfull).any(axis=1)).tolist():
-            _pivot_out_artificials(T[b], basis[b], tab.nfull)
+            T, labels, budget, iters = T[go], labels[go], budget[go], iters[go]
+        for b in np.flatnonzero((labels[:, :m] >= tab.nfull).any(axis=1)).tolist():
+            _pivot_out_artificials(T[b], labels[b], tab.nfull)
     if not go:
         return outcomes
-    T2, basis2 = _phase2(T, basis, tab.cost, tab.nfull)
-    status, it2 = _run(T2, basis2, budget - iters)
+    T2, labels2 = _phase2(tab, T, labels)
+    status, it2 = _run(T2, labels2, budget - iters)
     iters = (iters + it2).tolist()
     ok = [k for k, st in enumerate(status) if st == "optimal"]
     for b, st, it in zip(go, status, iters):
         if st != "optimal":
             outcomes[b] = LPOutcome(st, None, None, it)
     if len(ok) < len(go):
-        T2, basis2 = T2[ok], basis2[ok]
-    for k, (x, duals) in zip(ok, _read_off(tab, T2, basis2)):
+        T2, labels2 = T2[ok], labels2[ok]
+    for k, (x, duals) in zip(ok, _read_off(tab, T2, labels2)):
         outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k], duals)
     return outcomes
 
