@@ -94,7 +94,7 @@ def _boundary_mask(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.nda
     Such a point is Pareto-maximal in a lower set and Pareto-minimal in an
     upper set.  A point with no active facet sums to the zero normal.
     """
-    return np.all(active_normal_sums(poly, points) > POSITIVE_TOL, axis=1)
+    return np.all(active_normal_sums(poly.normals, poly.offsets, points) > POSITIVE_TOL, axis=1)
 
 
 def _payoff_sets(

@@ -405,53 +405,63 @@ def pareto_min_points(points, *, tol: float = 1e-9) -> np.ndarray:
     return -pareto_max_points(-np.atleast_2d(np.asarray(points, dtype=float)), tol=tol)
 
 
-def active_normal_sums(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.ndarray:
-    """Per row of the (N, K) array `points`: the sum of the normals of the
-    halfspaces active there, |a·y - b| <= ACTIVE_TOL; zero where none is.
+def active_normal_sums(normals: np.ndarray, offsets: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per point: the sum of the normals of the halfspaces a·y vs b active
+    there, |a·y - b| <= ACTIVE_TOL; zero where none is.  (F, K) `normals`,
+    (F,) `offsets` and (N, K) `points` give (N, K); stacks of them,
+    (B, F, K), (B, F) and (B, N, K), give (B, N, K).
 
     A point of a lower set is Pareto-maximal, and one of an upper set
     Pareto-minimal, exactly when this sum is strictly positive.  Each sum
     adds the active normals one at a time, in halfspace order.
     """
-    active = np.abs(points @ poly.normals.T - poly.offsets) <= ACTIVE_TOL
-    return np.where(active[:, :, None], poly.normals, 0.0).sum(axis=1)
+    active = np.abs(points @ np.swapaxes(normals, -1, -2) - offsets[..., None, :]) <= ACTIVE_TOL
+    return np.where(active[..., None], normals[..., None, :, :], 0.0).sum(axis=-2)
 
 
-def exposing_normals(poly: OrientedPayoffPolyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex v: a strictly positive normal c with unit sum whose halfspace
-    touches the set only at v, and its offset c·v.  The normal is the
-    renormalized sum of the facet normals active at v."""
-    sums = active_normal_sums(poly, poly.vertices)
-    totals = sums.sum(axis=1, keepdims=True)
+def exposing_normals(
+    normals: np.ndarray, offsets: np.ndarray, vertices: np.ndarray, generators: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex v of each lower set of a stack: a strictly positive normal c
+    with unit sum whose halfspace touches the set only at v, and its offset
+    c·v.  The normal is the renormalized sum of the facet normals active at v.
+
+    The sets come as arrays (B, F, K) `normals`, (B, F) `offsets`, (B, V, K)
+    `vertices` and (B, G, K) `generators`, and the result as (B, V, K)
+    normals and (B, V) offsets.  A generator listed twice is tested twice.
+    A vertex with no active facet, a normal with a zero component, or a
+    generator other than v on v's hyperplane is a numerical fault, reported
+    at the first set of the stack that has it.
+    """
+    sums = active_normal_sums(normals, offsets, vertices)
+    totals = sums.sum(axis=2, keepdims=True)
     if np.any(totals == 0.0):
-        v = poly.vertices[np.flatnonzero(totals[:, 0] == 0.0)[0]]
-        raise NumericalError(f"no active facet at the claimed vertex {tuple(v)}")
-    normals = sums / totals
-    offsets = np.array([float(c @ v) for c, v in zip(normals, poly.vertices)])
-    bad = np.flatnonzero(np.any(normals <= 1e-12, axis=1))
+        b, i = np.argwhere(totals[:, :, 0] == 0.0)[0]
+        raise NumericalError(f"no active facet at the claimed vertex {tuple(vertices[b, i])}")
+    exp_normals = sums / totals
+    exp_offsets = (exp_normals[:, :, None, :] @ vertices[:, :, :, None])[:, :, 0, 0]
+    bad = np.argwhere(np.any(exp_normals <= 1e-12, axis=2))
     if bad.size:
-        v, c = poly.vertices[bad[0]], normals[bad[0]]
+        b, i = bad[0]
         raise NumericalError(
-            f"exposing normal has a zero component at vertex {tuple(v)}: {tuple(c)}"
+            f"exposing normal has a zero component at vertex {tuple(vertices[b, i])}: "
+            f"{tuple(exp_normals[b, i])}"
         )
-    # values[g, v]: generator g against the normal of vertex v; a generator
-    # within VERTEX_MERGE_TOL of v is v itself and is not tested
-    values = poly.generators @ normals.T
-    margin = 1e-12 * (1.0 + np.abs(offsets))
-    if poly.orientation == LOWER:
-        exposed = values < offsets - margin
-    else:
-        exposed = values > offsets + margin
-    same = np.abs(poly.generators[:, None, :] - poly.vertices[None, :, :]).max(axis=2)
+    # values[b, g, v]: generator g against the normal of vertex v; a
+    # generator within VERTEX_MERGE_TOL of v is v itself and is not tested
+    values = generators @ exp_normals.transpose(0, 2, 1)
+    margin = 1e-12 * (1.0 + np.abs(exp_offsets))
+    exposed = values < (exp_offsets - margin)[:, None, :]
+    same = np.abs(generators[:, :, None, :] - vertices[:, None, :, :]).max(axis=3)
     failed = np.argwhere(~exposed & (same > VERTEX_MERGE_TOL))
     if failed.size:
-        g, i = failed[0]
+        b, g, i = failed[0]
         raise NumericalError(
-            f"exposure failed at vertex {tuple(poly.vertices[i])}: generator "
-            f"{tuple(poly.generators[g])} sits on the supporting hyperplane "
-            f"(value {values[g, i]}, offset {offsets[i]})"
+            f"exposure failed at vertex {tuple(vertices[b, i])}: generator "
+            f"{tuple(generators[b, g])} sits on the supporting hyperplane "
+            f"(value {values[b, g, i]}, offset {exp_offsets[b, i]})"
         )
-    return normals, offsets
+    return exp_normals, exp_offsets
 
 
 def halfspace_row(normals: np.ndarray, offsets) -> np.ndarray:

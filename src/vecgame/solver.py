@@ -32,7 +32,6 @@ from .polyhedra import (
     VERTEX_MERGE_TOL,
     _dot,
     build_lower_set,
-    contains_point,
     exposing_normals,
 )
 
@@ -99,25 +98,27 @@ def _lp_strategy(weights, owner: Player) -> MixedStrategy:
         raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
 
 
-class _Built(NamedTuple):
-    """A tested strategy's lower payoff set, its exposing normals (L, K) and
-    offsets (L,), and its improvement LP's constraint matrix and rhs, in the
-    shifted variables (d, eps) of `_improvement_lp`."""
+class _Block(NamedTuple):
+    """The improvement LPs of the grid points of one block that share F facets
+    and V vertices: the indices of the points in the block, their lower
+    payoff sets, their exposing normals (B, V, K) and offsets (B, V), and
+    the stack of their LPs, whose shape F and V fix."""
 
-    target: OrientedPayoffPolyhedron
+    members: list[int]
+    targets: list[OrientedPayoffPolyhedron]
     exp_normals: np.ndarray
     exp_offsets: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    lp: LinearProgram
 
 
-def _improvement_lp(
-    game: VectorPayoffGame, target: OrientedPayoffPolyhedron, pbar: MixedStrategy
-) -> _Built:
-    """Build stage of the improvement LP for the row strategy `pbar` of `game`,
-    whose lower payoff set is `target`.
+def _improvement_lps(
+    game: VectorPayoffGame, targets: list[OrientedPayoffPolyhedron], pbar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, LinearProgram]:
+    """Build stage of the improvement LPs of the row strategies `pbar` (B, m)
+    of `game`, whose lower payoff sets `targets` share F facets and V >= 1
+    vertices: their exposing normals, offsets and LPs, in one pass.
 
-    The LP runs in the shift d = p - pbar from the tested strategy, with
+    Each LP runs in the shift d = p - pbar from the tested strategy, with
     d_m = -sum_{i<m} d_i, over the variables (d_1..d_{m-1} free, eps >= 0)
     and maximizes sum(eps).  Each halfspace and each exposing normal a with
     offset b gives a block of n rows
@@ -129,85 +130,94 @@ def _improvement_lp(
     exposing normal, so each rhs is >= 0 and d = 0, eps = 0 is the slack
     basis: the simplex starts feasible and runs no phase 1.  A rhs that
     rounding left in [-1e-7, 0), the containment tolerance of
-    `_check_improvement`, is set to 0; a lower one is a numerical fault.
+    `_check_improvements`, is set to 0; a lower one is a numerical fault.
+
+    The products are stacked matmuls, which round as the one-set products
+    `entries @ a` and `c @ v` do, and the rhs sums run in `_dot`.
     """
-    if not len(target.vertices):
-        raise NumericalError("payoff set has no identifiable vertex")
-    exp_normals, exp_offsets = exposing_normals(target)
     m, n = game.rows, game.cols
-    L = len(exp_offsets)
-    normals = np.vstack([target.normals, exp_normals])
-    R = len(normals) * n
-    scal = np.array([game.entries @ a for a in normals])  # (blocks, m, n)
-    p = pbar.as_array()
-    offsets = np.concatenate([target.offsets, exp_offsets])
-    room = (offsets[:, None] - _dot(scal.transpose(0, 2, 1), p)).ravel()
+    B, L = len(targets), len(targets[0].vertices)
+    vertices = np.stack([t.vertices for t in targets])
+    normals = np.stack([t.normals for t in targets])
+    offsets = np.stack([t.offsets for t in targets])
+    # the generator counts may differ; a set's first generator fills its list
+    gens = [t.generators for t in targets]
+    most = max(len(g) for g in gens)
+    generators = np.stack([np.concatenate([g, np.repeat(g[:1], most - len(g), axis=0)]) for g in gens])
+    exp_normals, exp_offsets = exposing_normals(normals, offsets, vertices, generators)
+
+    blocks = np.concatenate([normals, exp_normals], axis=1)
+    R = blocks.shape[1] * n
+    scal = (game.entries @ blocks[:, :, None, :, None])[..., 0]  # (B, blocks, m, n)
+    room = np.concatenate([offsets, exp_offsets], axis=1)[:, :, None] - _dot(
+        scal.transpose(0, 1, 3, 2), pbar[:, None, None, :]
+    )
+    room = room.reshape(B, R)
     if room.min() < -1e-7:
         raise NumericalError("a generator of the tested strategy lies outside its payoff set")
-    lhs = np.zeros((R + m, m - 1 + L))
-    lhs[:R, : m - 1] = (scal[:, :-1] - scal[:, -1:]).transpose(0, 2, 1).reshape(R, m - 1)
-    lhs[R - L * n + np.arange(L * n), m - 1 + np.repeat(np.arange(L), n)] = 1.0
-    lhs[R + np.arange(m - 1), np.arange(m - 1)] = -1.0
-    lhs[R + m - 1, : m - 1] = 1.0
-    rhs = np.concatenate([np.where(room < 0.0, 0.0, room), p])
-    return _Built(target, exp_normals, exp_offsets, lhs, rhs)
+    lhs = np.zeros((B, R + m, m - 1 + L))
+    lhs[:, :R, : m - 1] = (scal[:, :, :-1] - scal[:, :, -1:]).transpose(0, 1, 3, 2).reshape(
+        B, R, m - 1
+    )
+    lhs[:, R - L * n + np.arange(L * n), m - 1 + np.repeat(np.arange(L), n)] = 1.0
+    lhs[:, R + np.arange(m - 1), np.arange(m - 1)] = -1.0
+    lhs[:, R + m - 1, : m - 1] = 1.0
+    lp = LinearProgram(
+        objective=np.concatenate([np.zeros(m - 1), np.ones(L)]),
+        lhs=lhs,
+        relations=("<=",) * (R + m),
+        rhs=np.concatenate([np.where(room < 0.0, 0.0, room), pbar], axis=1),
+        sense="max",
+        bounds=((None, None),) * (m - 1) + ((0.0, None),) * L,
+    )
+    return exp_normals, exp_offsets, lp
 
 
-def _solve_improvement_lps(m: int, built: Sequence[_Built]) -> list[LPOutcome]:
-    """Solve stage: the outcome of each built LP, in order.
-
-    The LPs are stacked by `lhs` shape, which fixes the facet and exposing
-    normal counts and so the objective (0_{m-1}, 1_L), the relations and
-    the bounds; each stack is one `solve_batch` call.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, b in enumerate(built):
-        groups.setdefault(b.lhs.shape, []).append(i)
-    outcomes: list[LPOutcome | None] = [None] * len(built)
-    for (rows, cols), idx in groups.items():
-        lp = LinearProgram(
-            objective=np.concatenate([np.zeros(m - 1), np.ones(cols - m + 1)]),
-            lhs=np.stack([built[i].lhs for i in idx]),
-            relations=("<=",) * rows,
-            rhs=np.stack([built[i].rhs for i in idx]),
-            sense="max",
-            bounds=((None, None),) * (m - 1) + ((0.0, None),) * (cols - m + 1),
-        )
-        for i, out in zip(idx, solve_batch(lp)):
-            outcomes[i] = out
-    return outcomes
-
-
-def _check_improvement(
-    game: VectorPayoffGame, pbar: MixedStrategy, built: _Built, out: LPOutcome, tol: float
-) -> MinimalityCertificate:
-    """Check stage: the certificate of `pbar` from its improvement LP's outcome."""
-    if out.status != "optimal":
-        raise NumericalError(f"improvement LP ended with status {out.status}")
-    target, exp_normals, exp_offsets, _, _ = built
+def _check_improvements(
+    game: VectorPayoffGame, points: Sequence[MixedStrategy], block: _Block,
+    outcomes: Sequence[LPOutcome], tol: float,
+) -> list[MinimalityCertificate]:
+    """Check stage: the certificates of a block's strategies from the outcomes
+    of their improvement LPs, in block order."""
     m = game.rows
-    value = float(out.objective_value)
-    slacks = tuple(float(s) for s in out.solution[m - 1 :])
-    if value <= tol:
-        return MinimalityCertificate(pbar, value, None, True, slacks, target)
+    for out in outcomes:
+        if out.status != "optimal":
+            raise NumericalError(f"improvement LP ended with status {out.status}")
+    certificates = []
+    improved = []
+    for i, target, out in zip(block.members, block.targets, outcomes):
+        pbar, value = points[i], float(out.objective_value)
+        slacks = tuple(out.solution[m - 1 :].tolist())
+        if value <= tol:
+            certificates.append(MinimalityCertificate(pbar, value, None, True, slacks, target))
+            continue
+        d, p = out.solution[: m - 1], pbar.as_array()
+        improving = _lp_strategy(np.append(p[:-1] + d, p[-1] - d.sum()), pbar.owner)
+        improved.append(len(certificates))
+        certificates.append(MinimalityCertificate(pbar, value, improving, False, slacks))
+    if not improved:
+        return certificates
 
-    # Both checks read the improving strategy's generators y_j against the
-    # tested set; no second set is built.  The set is contained when every
+    # Both checks read the improving strategies' generators y_j against the
+    # tested sets; no second set is built.  A set is contained when every
     # y_j satisfies the tested halfspaces, and it differs when some exposing
     # normal separates every y_j from its vertex, which leaves that vertex out.
-    d, p = out.solution[: m - 1], pbar.as_array()
-    improving = _lp_strategy(np.append(p[:-1] + d, p[-1] - d.sum()), pbar.owner)
-    points = row_generator_matrix(game, improving)
-    if not contains_point(target, points, tol=1e-7):
+    ys = np.stack([row_generator_matrix(game, certificates[k].improving_strategy) for k in improved])
+    normals = np.stack([block.targets[k].normals for k in improved])
+    offsets = np.stack([block.targets[k].offsets for k in improved])
+    if not np.all(ys @ normals.transpose(0, 2, 1) <= offsets[:, None, :] + 1e-7):
         raise NumericalError(
             "improvement LP produced a strategy whose payoff set is not contained "
             "in the tested one"
         )
-    if not np.any((points @ exp_normals.T).max(axis=0) < exp_offsets - 1e-9):
+    separated = (ys @ block.exp_normals[improved].transpose(0, 2, 1)).max(axis=1) < (
+        block.exp_offsets[improved] - 1e-9
+    )
+    if not np.all(np.any(separated, axis=1)):
         raise NumericalError(
             "improvement LP reported positive value but the payoff sets coincide"
         )
-    return MinimalityCertificate(pbar, value, improving, False, slacks)
+    return certificates
 
 
 def _certificates(
@@ -217,13 +227,27 @@ def _certificates(
 
     `game` is already the owner's view (`game.for_player(owner)`); each
     improving strategy keeps its tested strategy's owner.  The block's lower
-    sets are built in one call, then every LP of the block is built, solved
-    in stacks and checked.
+    sets are built in one call.  The strategies whose sets share a facet
+    and a vertex count have LPs of one shape: each such group is built in
+    one pass, then solved as one stack and checked.
     """
     targets = build_lower_set(np.stack([row_generator_matrix(game, p) for p in points]))
-    built = [_improvement_lp(game, t, p) for t, p in zip(targets, points)]
-    outcomes = _solve_improvement_lps(game.rows, built)
-    return [_check_improvement(game, *args, tol) for args in zip(points, built, outcomes)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(targets):
+        if not len(t.vertices):
+            raise NumericalError("payoff set has no identifiable vertex")
+        groups.setdefault((len(t.offsets), len(t.vertices)), []).append(i)
+    blocks = []
+    for members in groups.values():
+        sets = [targets[i] for i in members]
+        pbar = np.array([points[i].weights for i in members])
+        blocks.append(_Block(members, sets, *_improvement_lps(game, sets, pbar)))
+    certificates: list[MinimalityCertificate | None] = [None] * len(points)
+    for block in blocks:
+        checked = _check_improvements(game, points, block, solve_batch(block.lp), tol)
+        for i, cert in zip(block.members, checked):
+            certificates[i] = cert
+    return certificates
 
 
 def _certificate(

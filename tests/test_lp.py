@@ -28,13 +28,20 @@ from vecgame.lp import (
     solve_batch,
     solve_lp,
 )
-from vecgame.polyhedra import build_lower_set, exposing_normals
+from vecgame.polyhedra import build_lower_set
 from vecgame import poss, solver
 from vecgame.poss import _support_value, _verify_vertex, compute_security_image
 from vecgame.solver import DECISION_TOL, maximality_lp, minimality_lp
 
 import full_tableau
-from properties import benson_cut_lp, check_lp_duality, relabeled_game, stack_lps, unstack_lp
+from properties import (
+    benson_cut_lp,
+    check_lp_duality,
+    exposing_normals,
+    relabeled_game,
+    stack_lps,
+    unstack_lp,
+)
 
 
 def test_bounded_maximum():

@@ -32,7 +32,12 @@ from vecgame.polyhedra import (
 
 import exact_dd
 import exact_oracle
-from properties import check_dd_membership, poly_subset, support_value
+from properties import (
+    check_dd_membership,
+    exposing_normals as one_set_exposing_normals,
+    poly_subset,
+    support_value,
+)
 
 
 def normals_of(poly):
@@ -237,9 +242,20 @@ def test_support_value_is_monotone_under_inclusion():
 
 # --- exposing normals -------------------------------------------------------
 
+def _exposing(*polys):
+    """`exposing_normals` of lower sets with equal facet and vertex counts, as one stack."""
+    fields = ("normals", "offsets", "vertices", "generators")
+    return exposing_normals(*(np.stack([getattr(p, f) for p in polys]) for f in fields))
+
+
+def _one_exposing(poly):
+    normals, offsets = _exposing(poly)
+    return normals[0], offsets[0]
+
+
 def test_exposing_normal_single_vertex():
     poly = build_lower_set([(4, 4)])
-    normals, offsets = exposing_normals(poly)
+    normals, offsets = _one_exposing(poly)
     assert np.array_equal(poly.vertices, [(4.0, 4.0)])
     assert np.allclose(normals[0], (0.5, 0.5))
     assert offsets[0] == pytest.approx(4.0)
@@ -247,7 +263,7 @@ def test_exposing_normal_single_vertex():
 
 def test_exposing_normal_separates_the_other_vertex():
     poly = build_lower_set([(3, 1), (1, 3)])
-    normals, _ = exposing_normals(poly)
+    normals, _ = _one_exposing(poly)
     c = normals[poly.vertices.tolist().index([3.0, 1.0])]
     assert np.all(c > 0) and abs(c.sum() - 1.0) <= 1e-12
     assert c @ (3, 1) > c @ (1, 3)
@@ -258,13 +274,28 @@ def test_exposing_normals_random_k3():
     for _ in range(15):
         pts = rng.integers(-6, 7, size=(5, 3)).astype(float)
         poly = build_lower_set(pts)
-        for v, c, offset in zip(poly.vertices, *exposing_normals(poly), strict=True):
+        for v, c, offset in zip(poly.vertices, *_one_exposing(poly), strict=True):
             assert np.all(c > 0)
             assert abs(float(c @ np.array(v)) - offset) <= 1e-9
             for g in poly.generators:
                 if max(abs(a - b) for a, b in zip(g, v)) <= 1e-8:
                     continue
                 assert float(c @ np.array(g)) < offset - 1e-12
+
+
+def test_a_stack_of_exposing_normals_equals_each_set_alone_bit_for_bit():
+    rng = np.random.default_rng(32)
+    by_shape = {}
+    for _ in range(60):
+        poly = build_lower_set(rng.integers(-6, 7, size=(5, 3)).astype(float))
+        by_shape.setdefault((len(poly.offsets), len(poly.vertices)), []).append(poly)
+    stacks = [polys for polys in by_shape.values() if len(polys) > 1]
+    assert stacks
+    for polys in stacks:
+        normals, offsets = _exposing(*polys)
+        for poly, c, b in zip(polys, normals, offsets, strict=True):
+            want_c, want_b = one_set_exposing_normals(poly)
+            assert c.tobytes() == want_c.tobytes() and b.tobytes() == want_b.tobytes()
 
 
 # --- double description kernel ---------------------------------------------
