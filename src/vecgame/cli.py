@@ -41,6 +41,7 @@ from .solver import (
     DECISION_TOL,
     StrategyFront,
     _certificate,
+    _classify_grids,
     check_workers,
     classify_grid,
     pool_map,
@@ -111,9 +112,18 @@ def render_json(value) -> str:
     return "".join(pieces) + "\n"
 
 
-def _rational(x: float, max_den: int = 1000) -> str:
-    f = Fraction(x).limit_denominator(max_den)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _number(x: float) -> str:
+    """A float as `_emit` writes it."""
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def _numbers(values) -> str:
+    """A list of floats as `_emit` writes it."""
+    return "[" + ",".join(map(_number, values)) + "]"
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 class _Strategies:
@@ -122,20 +132,37 @@ class _Strategies:
     A weight prints as the nearest fraction whose denominator is at most
     the largest denominator among `fractions` (the run's grid steps, or
     the weights typed for `check`), and never less than 1000, so every
-    grid or typed weight prints exactly.
+    grid or typed weight prints exactly.  A weight w with w == c / N for
+    one of those denominators N is that fraction, c/N reduced: any other
+    fraction within the bound lies at least 1 / (N max_den) from c/N, far
+    beyond w's rounding, while the bound stays below 10**7.
     """
 
     def __init__(self, *fractions: Fraction | None) -> None:
-        self.max_den = max([1000] + [f.denominator for f in fractions if f is not None])
+        dens = {f.denominator for f in fractions if f is not None}
+        self.max_den = max([1000, *dens])
+        self._dens = sorted(dens) if self.max_den <= 10**7 else []
         self._rational: dict[MixedStrategy, list[str]] = {}
+        self._fields: dict[MixedStrategy, str] = {}
         self._text: dict[MixedStrategy, str] = {}
         self._json: dict[MixedStrategy, _JSONText] = {}
+
+    def _fraction(self, w: float) -> str:
+        for n in self._dens:
+            c = round(w * n)
+            if c / n == w:
+                g = math.gcd(c, n)
+                break
+        else:
+            f = Fraction(w).limit_denominator(self.max_den)
+            c, n, g = f.numerator, f.denominator, 1
+        return str(c // g) if n == g else f"{c // g}/{n // g}"
 
     def rational(self, s: MixedStrategy) -> list[str]:
         """Each weight as the text of a fraction."""
         out = self._rational.get(s)
         if out is None:
-            out = self._rational[s] = [_rational(w, self.max_den) for w in s.weights]
+            out = self._rational[s] = [self._fraction(w) for w in s.weights]
         return out
 
     def text(self, s: MixedStrategy) -> str:
@@ -145,16 +172,21 @@ class _Strategies:
             out = self._text[s] = "(" + ", ".join(self.rational(s)) + ")"
         return out
 
+    def fields(self, s: MixedStrategy) -> str:
+        """The JSON members "weights" and "rational" of the strategy."""
+        out = self._fields.get(s)
+        if out is None:
+            rational = ",".join(map(_json_string, self.rational(s)))
+            out = self._fields[s] = f'"weights":{_numbers(s.weights)},"rational":[{rational}]'
+        return out
+
     def json_obj(self, s: MixedStrategy) -> _JSONText:
         """The strategy's JSON object: owner, weights and rational weights."""
         out = self._json.get(s)
         if out is None:
-            pieces: list[str] = []
-            _emit(
-                {"player": s.owner.value, "weights": list(s.weights), "rational": self.rational(s)},
-                pieces,
+            out = self._json[s] = _JSONText(
+                f'{{"player":{_json_string(s.owner.value)},{self.fields(s)}}}'
             )
-            out = self._json[s] = _JSONText("".join(pieces))
         return out
 
 
@@ -220,38 +252,33 @@ def game_dict(game: VectorPayoffGame) -> dict:
 
 
 def _front_dict(front: StrategyFront, names: _Strategies) -> dict:
-    certificates = []
+    # thousands of certificate rows: each is written as JSON text here
+    rows = []
     for cert in front.certificates:
         improving = cert.improving_strategy
-        certificates.append(
-            {
-                "weights": list(cert.tested_strategy.weights),
-                "rational": names.rational(cert.tested_strategy),
-                "lp_value": cert.lp_value,
-                "minimal": cert.is_minimal,
-                "improving": list(improving.weights) if improving is not None else None,
-            }
+        rows.append(
+            f'{{{names.fields(cert.tested_strategy)},"lp_value":{_number(cert.lp_value)},'
+            f'"minimal":{_bool(cert.is_minimal)},"improving":'
+            f'{"null" if improving is None else _numbers(improving.weights)}}}'
         )
     return {
         "player": front.player.value,
         "step": str(front.grid.step),
-        "certificates": certificates,
+        "certificates": _JSONText("[" + ",".join(rows) + "]"),
         "optimal": [names.json_obj(s) for s in front.minimal_or_maximal],
         "equivalence_classes": [list(c) for c in front.equivalence_classes],
     }
 
 
-def _record_dict(record, names: _Strategies) -> dict:
-    return {
-        "p": names.json_obj(record.p),
-        "q": names.json_obj(record.q),
-        "payoff": list(record.payoff.value),
-        "p_minimal": record.p_minimal,
-        "q_maximal": record.q_maximal,
-        "shapley": record.shapley,
-        "strong": record.strong,
-        "classification": record.classification.value,
-    }
+def _record_json(record, names: _Strategies) -> _JSONText:
+    """A pair record as JSON text: `equilibria` writes thousands of them."""
+    return _JSONText(
+        f'{{"p":{names.json_obj(record.p)},"q":{names.json_obj(record.q)},'
+        f'"payoff":{_numbers(record.payoff.value)},"p_minimal":{_bool(record.p_minimal)},'
+        f'"q_maximal":{_bool(record.q_maximal)},"shapley":{_bool(record.shapley)},'
+        f'"strong":{_bool(record.strong)},'
+        f'"classification":{_json_string(record.classification.value)}}}'
+    )
 
 
 # The options a report embeds, in order: those that can change its content.
@@ -274,10 +301,9 @@ def _step(args: argparse.Namespace, player: Player) -> Fraction:
 
 
 def _fronts(game: VectorPayoffGame, args: argparse.Namespace):
-    return tuple(
-        classify_grid(game, player, _step(args, player), tol=args.tol, workers=args.workers)
-        for player in (Player.ROW, Player.COL)
-    )
+    """Both players' fronts, their grid blocks in one pool."""
+    steps = [(player, _step(args, player)) for player in (Player.ROW, Player.COL)]
+    return tuple(_classify_grids(game, steps, args.tol, args.workers))
 
 
 def _fronts_body(game: VectorPayoffGame, front_row, front_col, names: _Strategies) -> dict:
@@ -352,7 +378,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> str:
         args,
         {
             **_fronts_body(game, front_row, front_col, names),
-            "pairs": [_record_dict(r, names) for r in records],
+            "pairs": _JSONText("[" + ",".join(_record_json(r, names) for r in records) + "]"),
         },
     )
     return render_json(report)
@@ -420,7 +446,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
                 f"  Shapley: {record.shapley}  strong: {record.strong}\n"
             )
         return render_json(
-            _report(args, {"pair": _record_dict(record, names), "phrase": phrase})
+            _report(args, {"pair": _record_json(record, names), "phrase": phrase})
         )
     if args.strategy is None:
         raise InputError("check needs --strategy or --pair")

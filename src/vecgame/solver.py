@@ -312,6 +312,31 @@ def _grid_blocks(count: int, workers: int | None) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
+def _block_certificates(task: tuple[VectorPayoffGame, Sequence[MixedStrategy]], tol: float):
+    """One pool task: the certificates of a block of strategies of a game in its owner's view."""
+    return _certificates(*task, tol)
+
+
+def _classify_grids(
+    game: VectorPayoffGame, steps: Sequence[tuple[Player, object]], tol: float, workers: int | None
+) -> list[StrategyFront]:
+    """`classify_grid` for each (player, step) of `steps`, in order, with the
+    blocks of every grid mapped in one `pool_map`: one pool, and no wait
+    for one player's blocks before the next player's start."""
+    grids, tasks = [], []
+    for player, step in steps:
+        oriented = game.for_player(player)
+        grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
+        blocks = _grid_blocks(len(grid.points), workers)
+        grids.append((player, grid, len(blocks)))
+        tasks += [(oriented, grid.points[block]) for block in blocks]
+    done = iter(pool_map(partial(_block_certificates, tol=tol), tasks, workers))
+    return [
+        _front(player, grid, [cert for _ in range(count) for cert in next(done)])
+        for player, grid, count in grids
+    ]
+
+
 def classify_grid(
     game: VectorPayoffGame,
     player: Player,
@@ -325,16 +350,13 @@ def classify_grid(
     Each block of `_grid_blocks` is one task, which solves its LPs in
     stacks.  Certificates come back in grid order regardless of `workers`.
     """
-    oriented = game.for_player(player)
-    grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
+    return _classify_grids(game, [(player, step)], tol, workers)[0]
 
-    tasks = [grid.points[block] for block in _grid_blocks(len(grid.points), workers)]
-    certificates = [
-        cert
-        for block in pool_map(partial(_certificates, oriented, tol=tol), tasks, workers)
-        for cert in block
-    ]
 
+def _front(
+    player: Player, grid: SimplexGrid, certificates: list[MinimalityCertificate]
+) -> StrategyFront:
+    """The front of a grid whose certificates, in grid order, are given."""
     # Two optimal sets are one class when their vertex lists agree within
     # VERTEX_MERGE_TOL; each set joins the first such class, and is compared
     # in one call with the representatives of its vertex count.

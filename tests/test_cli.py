@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vecgame import poss, solver
-from vecgame.cli import game_dict, main
+from vecgame.cli import _Strategies, game_dict, main
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
 from vecgame.polyhedra import build_lower_set
@@ -152,6 +152,18 @@ def test_rational_text_is_exact_on_a_1024_grid(game_files, capsys, fmt):
         assert "  (1/1024, 1023/1024)\n" in out
         assert "  (7/1024, 1017/1024)\n" in out
         assert "1/1000" not in out and "4/585" not in out
+
+
+def test_a_grid_weight_prints_as_the_nearest_bounded_fraction():
+    # the count c of a weight c/N gives the text that limit_denominator gives
+    rng = np.random.default_rng(5)
+    for steps in ((16,), (150, 7), (1024, 2), (9999, 3)):
+        names = _Strategies(*(Fraction(1, n) for n in steps))
+        weights = [c / n for n in steps for c in range(n + 1)] + list(rng.random(50))
+        for w in weights:
+            f = Fraction(w).limit_denominator(names.max_den)
+            want = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            assert names._fraction(w) == want, (steps, w)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
