@@ -436,6 +436,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         if args.strategy is not None:
             raise InputError("check takes --strategy or --pair, not both")
         p, q, names = _parse_pair(args.pair)
+        args.player = None  # --player does not shape a pair report, so it is not embedded
         record = classify_pair(game, p, q, tol=args.tol)
         phrase = CLASSIFICATION_PHRASES[record.classification]
         if args.format == "table":

@@ -400,6 +400,15 @@ def test_check_rejects_a_strategy_together_with_a_pair(game_files, capsys):
     assert captured.out == ""
 
 
+def test_a_pair_report_does_not_embed_the_player(game_files, capsys):
+    reports = []
+    for extra in ([], ["--player", "col"]):
+        assert main(["check", "-i", game_files["corley"], "--pair", "1,0;1,0", *extra]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "player" not in json.loads(reports[0])["config"]
+
+
 def test_check_requires_a_strategy_or_a_pair(game_files, capsys):
     assert main(["check", "-i", game_files["two_by_two"]]) == 2
     assert "input error" in capsys.readouterr().err

@@ -58,7 +58,7 @@ DIGESTS = {
     "check-row/json/two_by_two": "eb01e4c50d7999a8e46c2e2a3bad31bf61f4b77f752216576c96e288207cbb18",
     "check-row/table/two_by_two": "0e9d881ec58898ca162b96109c2552b94ba63ad3a1f12ab84531fe68251ca3fa",
     "check-col/json/two_by_two": "6240c60969db80bd4acedcce2dfb43cfce8386e238867767537f29a4571675e0",
-    "check-pair/json/two_by_two": "f4760f1e4121dfb9b952702bbaac4ca45f54399aa53b931b445b51abca803f90",
+    "check-pair/json/two_by_two": "e490f98a1bcca8008065e3456b1c8d8aa32866f69e8256a919301d29a54ac42a",
     "check-pair/table/two_by_two": "f3916cda441ff3c76024596baca1acced1a964dcd92b0ba218f2586748546ff4",
     "plot-pair/json/two_by_two": "72d6fe7b3bcbe14a62a492d4769ecc8b22cf4888b9dda588f36c65598bd19bf0",
     "solve/json/null_row": "c8c970ed9b1d61ce6265624d73aa7cae96070f0cff0c6b9969c135cbb9f6c404",
@@ -71,7 +71,7 @@ DIGESTS = {
     "check-row/json/null_row": "c183ee1b7969c7d3fb183f1abc5d344de6665f4432059941a2a762049028e06b",
     "check-row/table/null_row": "bae115b2a7882f54946d8c68b61b852a5b6769146a808d6f2470f18d013efd64",
     "check-col/json/null_row": "7887303319b74f8c908a4c9fa443706ff69d97c8db05fc4ba898faa864cbd615",
-    "check-pair/json/null_row": "bab766eaede8f418fea10043c2ec6468fda46de158c51ffb725830212ebe5e09",
+    "check-pair/json/null_row": "151307caecf8ed7268671d777f5f45ad9e8c063e05aa1163a7c2814ad8356ece",
     "check-pair/table/null_row": "90077d5f0b5013c667219d2fbed7f498cd899934f640e1a983703ed8ea6c6652",
     "plot-pair/json/null_row": "bcd118ccbc253f66b4024fcdca83c09b615ac7670582ae56c7d959a7dcb77c5e",
     "solve/json/constant_row": "3dc5372b55bcf20d5c5bdf17c2b6f05680ddbd49402ae3ba16192821a523c02a",
@@ -84,7 +84,7 @@ DIGESTS = {
     "check-row/json/constant_row": "acc80f53e2f93fd7e79efb3cd1b1910e13541e4ef9b81ea96fa498347cdecdf2",
     "check-row/table/constant_row": "70af081dadaa97ad64c24d2c96bc18a598f5ae91cee8da0d50f5a4ab4c6e390c",
     "check-col/json/constant_row": "a0ea5e34d59382efdcb2813ad292f19bd6922f6799adcb277db02409227dd0b3",
-    "check-pair/json/constant_row": "d0482b0b9c65423408dc0c8ab308635beb200ada5266e5eb2ee003eae1afbb14",
+    "check-pair/json/constant_row": "688352d6d1865bb30dad22fe00cc902e7d83915e4ddc089bef393410ab902819",
     "check-pair/table/constant_row": "eeacb1293f86929aaf17539f62e0d86bd1ae9a2c1d3db6ade5383c7f50182a11",
     "plot-pair/json/constant_row": "ab458db1ca86f802328165bb58c85ed199f024cd9cc33351731538277cf864c9",
     "solve/json/corley": "ee94a62749eb6c1fbd3f4d27b7ca9016f979e528a9c1b1c93b23729f15c812eb",
@@ -97,7 +97,7 @@ DIGESTS = {
     "check-row/json/corley": "f9f465da484fecbfdf2dd7cdb575bf8b6bd1c5af824c5ab136245d7d8b581518",
     "check-row/table/corley": "484ecb1c482ddcd1c38e54008e008fd3f326229f0e9c0236f8d6da6ca295d9d7",
     "check-col/json/corley": "4007ec51a70f39b6080da91df5eb480b2e4f141aa9ec09ac6560b47d7d57a5ea",
-    "check-pair/json/corley": "ce327d875466320f67b7e03ce39be8375d1ca7676acb1683ed3b32554a614da3",
+    "check-pair/json/corley": "aa7dd28781d12d160a37b7883e510777acc0de04f66df5f1585c8898af16d6e6",
     "check-pair/table/corley": "0505fa5b9a1f33611a80b4678ac533a58cf5487687d73dbe86fdd468f4ec310b",
     "plot-pair/json/corley": "51399563c6007b93ec178d1f863a7ef0b5f358399fb7bde067533af678965101",
     "solve/json/zero_row": "21e8bdf731057ed90c1cddddb92c3461454e0f57647e3bd8d17fbaa2b7451917",
@@ -110,7 +110,7 @@ DIGESTS = {
     "check-row/json/zero_row": "f6c912bbde700da32d48ec82353ebdc12c1a22e68e3c2194bd378024843654a5",
     "check-row/table/zero_row": "8e70481b5ffb0a03822b627afca9eccebd925a1c84853da9116afd015e3b2f08",
     "check-col/json/zero_row": "ad2c61812cbd9ec5b55613963cda47f74a0ff4a08c4d24bdef4131046d4129fa",
-    "check-pair/json/zero_row": "0ec015dc2c30a504f331c4f0e6255b75fbd059fb4bbe1e038cfbcd393f32f2e6",
+    "check-pair/json/zero_row": "566a38f6d94c573dd45fa1c35ae7c3ea41e9414c07c9c0cf1b0ef37571673bc6",
     "check-pair/table/zero_row": "6cea8f379ffa3f60e8049e3c1b5174471bd0f1d017b7cbc4046a29d9f13a5729",
     "plot-pair/json/zero_row": "da807b9cdca17069edfa25eb3f3be986ca98ced948449193e5e9c0fd491e3506",
     "solve/json/three_by_three": "067df4296c81fdcf49adc81f0bd72741c6fe4c9ae6c8b6a6e1f474f12c45b391",
@@ -123,7 +123,7 @@ DIGESTS = {
     "check-row/json/three_by_three": "86a100175843002a147c70dc3a64efdfdcb59bef95ab7793551316a0e66473e6",
     "check-row/table/three_by_three": "a1f6c2ff243d8d65fb04c76e504b0003a2aaae1cff2bf9bc6eb06b1786facd19",
     "check-col/json/three_by_three": "0cffa0ec305c60021371cef3e30ef7223b8c24f43e500444801f2ab70917da63",
-    "check-pair/json/three_by_three": "e6c8565aa9dfedc25778a1e71b8057395d372db700e6fcef4efc181105d4d784",
+    "check-pair/json/three_by_three": "6d46d0447142110bd0b58f08babcaf493a787fb7344d87c164178516e80625c0",
     "check-pair/table/three_by_three": "e34d789f65bca544f0547f972019560d48372f82985fb7ff089e32efae24d2a5",
     "plot-pair/json/three_by_three": "774c349f81ea6c1f53e0536eaf81fc9b4e5220c1482996c40eb83fff1f0d670c",
     "solve/json/single_column": "3e84e5b0f3388263899315458865602f4648f5fd208af11c0ee28238d12d32b1",
@@ -136,7 +136,7 @@ DIGESTS = {
     "check-row/json/single_column": "6e3690335be105ef1f9dffac078128347b07d3398d2d3d744c38db994019a0c9",
     "check-row/table/single_column": "484ecb1c482ddcd1c38e54008e008fd3f326229f0e9c0236f8d6da6ca295d9d7",
     "check-col/json/single_column": "688569638b6ff962078014803ac621310a1640b6e71c906a76aa45e7ba312375",
-    "check-pair/json/single_column": "8505ebb72a0e195e1d31940e0fc252588276e2c1d8a6f0bd3ee5df6faca35d7b",
+    "check-pair/json/single_column": "7f24fc75fa5c29939c49fd7e35bffe4e1ba163076553afe6b83d4fbc1df5751e",
     "check-pair/table/single_column": "4ac9a8ea1af0057e088622fff767ca7d2a0738604df08b6eba35a1cb82b69892",
     "plot-pair/json/single_column": "bc0d38b1e90e7cbab30bd69b8d2f7a2520226b35a9c1562ed89a5d6e4b0fc29f",
     "solve/json/scalar": "58099805859d69271ca7e9015bafd071bae08e785664b0cc6424c61367864bbe",
@@ -149,7 +149,7 @@ DIGESTS = {
     "check-row/json/scalar": "5ca465d426336c6bcb4982cf405b449363a84f92a6dd68c6afd10ef82cea7804",
     "check-row/table/scalar": "f89e49d651079e81744233f42e4fac2fe5f5c8779b1cc1520758788b0efbffa5",
     "check-col/json/scalar": "7ceb7af2ad32c3507fa843dcdb242260bae4a95d56fd54f1eb4f1ddb800561ab",
-    "check-pair/json/scalar": "439ad95db9a817514ebb4d75850448be6d3927997cfc0867893b8beb7de3d8a5",
+    "check-pair/json/scalar": "d025585de47d216132c54ce9c45e770a8ae3f08b748f360e57a0c4b7dd894694",
     "check-pair/table/scalar": "d9d83236c8ff46a74d988dc001d501947b8319719fbee440a3136fbf8651f8d3",
     "random/json/defaults": "531b0567734187eb1df30fdb6069ac4f293b0b284fba59556b3f3a9d7705eddb",
 }
