@@ -210,15 +210,6 @@ def expected_payoffs(
     return out
 
 
-def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:
-    """Worst-case payoff per component: w(p) = max_j y_j(p) for the row
-    player.  Player II's is the negated row answer on the mirrored game,
-    the componentwise min over rows."""
-    sign = 1.0 if strategy.owner is Player.ROW else -1.0
-    worst = row_generator_matrix(game.for_player(strategy.owner), strategy).max(axis=0)
-    return PayoffVector(tuple(sign * worst))
-
-
 def _as_unit_fraction(step) -> Fraction:
     """The grid step 1/N that `step` names: a Fraction, a string such as "1/10"
     or "0.25", or a number other than an int, read to a denominator of at

@@ -51,6 +51,15 @@ def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) 
     return PayoffVector(tuple(expected_payoffs(game, (p,), (q,))[0, 0]))
 
 
+def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:
+    """Worst-case payoff per component: w(p) = max_j y_j(p) for the row
+    player.  Player II's is the negated row answer on the mirrored game,
+    the componentwise min over rows."""
+    sign = 1.0 if strategy.owner is Player.ROW else -1.0
+    worst = row_generator_matrix(game.for_player(strategy.owner), strategy).max(axis=0)
+    return PayoffVector(tuple(sign * worst))
+
+
 def poly_subset(
     a: OrientedPayoffPolyhedron, b: OrientedPayoffPolyhedron, *, tol: float = 1e-9
 ) -> bool:

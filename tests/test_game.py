@@ -18,14 +18,13 @@ from vecgame.game import (
     VectorPayoffGame,
     col_generator_matrix,
     col_strategy,
-    componentwise_security_point,
     enumerate_simplex_grid,
     expected_payoffs,
     row_generator_matrix,
     row_strategy,
 )
 
-from properties import expected_payoff, weights_close
+from properties import componentwise_security_point, expected_payoff, weights_close
 
 
 def close(vec, expected, tol=1e-12):

@@ -18,12 +18,11 @@ from vecgame.game import (
     Player,
     col_generator_matrix,
     col_strategy,
-    componentwise_security_point,
     row_strategy,
 )
 from vecgame.polyhedra import build_upper_set, negated_set
 
-from properties import random_game, same_polyhedron
+from properties import componentwise_security_point, random_game, same_polyhedron
 
 
 def _count_builds(monkeypatch) -> list[str]:

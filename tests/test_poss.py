@@ -17,7 +17,6 @@ from vecgame.game import (
     Player,
     VectorPayoffGame,
     col_generator_matrix,
-    componentwise_security_point,
     enumerate_simplex_grid,
     row_generator_matrix,
     row_strategy,
@@ -45,6 +44,7 @@ from conftest import TWO_BY_TWO_ROWS
 from properties import (
     benson_cut_by_lp,
     certify_every_grid_point,
+    componentwise_security_point,
     gap_violations_by_lp,
     meets_shifted_image_exactly,
     random_game,
