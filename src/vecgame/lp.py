@@ -229,10 +229,11 @@ def _pivot_stack(T: np.ndarray, labels: np.ndarray, rows: np.ndarray, slots: np.
     p = T[at, rows, slots]
     factor = T[at, :, slots]
     factor[at, rows] = 0.0
-    T[at, rows] /= p[:, None]
+    prow = T[at, rows] / p[:, None]
+    prow[at, slots] = 1.0 / p
     T[at, :, slots] = 0.0
-    T[at, rows, slots] = 1.0 / p
-    T -= factor[:, :, None] * T[at, rows][:, None, :]
+    T[at, rows] = prow
+    T -= factor[:, :, None] * prow[:, None, :]
     labels[at, rows], labels[at, m + slots] = labels[at, m + slots], labels[at, rows]
 
 
@@ -272,14 +273,13 @@ def _run_lockstep(
         at = np.arange(live.size)
         col = Tw[at, :m, enter]
         pos = col > 1e-9
-        # An index into _STATUSES, tested in _run_simplex's order, or -1 to pivot.
-        code = np.where(
-            iters[live] >= budget[live],
-            2,
-            np.where(low >= -TOL_OPT, 0, np.where(pos.any(axis=1), -1, 1)),
-        )
-        done = code >= 0
+        # _run_simplex's tests in its order: the budget, optimality, a pivot row
+        limit = iters[live] >= budget[live]
+        optimal = low >= -TOL_OPT
+        bounded = pos.any(axis=1)
+        done = limit | optimal | ~bounded
         if done.any():
+            code = np.where(limit, 2, np.where(optimal, 0, 1))
             for b, c in zip(live[done].tolist(), code[done].tolist()):
                 status[b] = _STATUSES[c]
             enter, col, pos = enter[~done], col[~done], pos[~done]
