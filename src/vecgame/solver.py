@@ -40,10 +40,10 @@ from .polyhedra import (
 DECISION_TOL = 1e-7
 # The most grid points one `classify_grid` task certifies.  Serial fronts
 # of both players of a 4x4x3 game at 1/16 (969 points each) took, median
-# of 7 runs on a 2-vCPU Xeon: blocks of 1, 2.77 s CPU at 35.0 MB peak RSS;
-# of 64, 2.16 s at 38.8 MB; of 485, 1.88 s at 60.9 MB.  The cap keeps a
-# task's memory from growing with the grid.
-GRID_BLOCK = 64
+# of 7 runs on a 2-vCPU Xeon: blocks of 1, 4.69 s CPU at 39.5 MB peak RSS;
+# of 64, 1.13 s at 39.3 MB; of 128, 1.02 s at 39.5 MB; of 485, 0.92 s at
+# 41.7 MB.  The cap keeps a task's memory from growing with the grid.
+GRID_BLOCK = 128
 
 
 @dataclass(frozen=True)

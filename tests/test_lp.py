@@ -875,6 +875,7 @@ def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definitio
         return solve_batch(lp)
 
     monkeypatch.setattr(solver, "solve_batch", recording_solve_batch)
+    monkeypatch.setattr(solver, "GRID_BLOCK", 64)
     # 91 grid points: two blocks, each stacked by facet and exposing normal count
     front = solver.classify_grid(three_by_three, Player.ROW, Fraction(1, 12))
     assert len(stacks) > 2 and max(len(lp.lhs) for lp in stacks) > 1
