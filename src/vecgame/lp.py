@@ -405,7 +405,7 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
 
     # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
     # basis unless the row was flipped against it; every other row starts
-    # with an artificial.  The nonbasic slacks follow the structural columns.
+    # with an artificial.
     up = np.array([r == "<=" for r in lp.relations], dtype=bool)
     eq = np.array([r == "=" for r in lp.relations], dtype=bool)
     ineq = np.flatnonzero(~eq)
@@ -421,8 +421,8 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
     else:
         budget = np.full(len(lhs), max_iter)
 
-    # A slack that cannot start basic is one of the structural columns'
-    # followers; it holds -1 in its row once the row's sign is fixed.
+    # The slacks that cannot start basic take the slots after the structural
+    # columns, in row order; each holds -1 in its row once the row's sign is fixed.
     lp_of, row_of = np.nonzero(art & ~eq)
     place = np.arange(lp_of.size) - np.searchsorted(lp_of, lp_of)
     width = max(1, n_core + int(np.bincount(lp_of).max(initial=0)))
@@ -488,7 +488,7 @@ def _phase2(tab: _Tableaux, T: np.ndarray, labels: np.ndarray) -> tuple[np.ndarr
         T = np.concatenate([np.take_along_axis(T, keep[:, None, :], axis=2), T[:, :, -1:]], axis=2)
         slot_labels = np.take_along_axis(labels[:, m:], keep, axis=1)
         dropped = slot_labels >= tab.nfull
-        T[:, :, :-1][np.broadcast_to(dropped[:, None, :], T[:, :, :-1].shape)] = 0.0
+        np.copyto(T[:, :, :-1], 0.0, where=dropped[:, None, :])
         slot_labels[dropped] = tab.pad
         labels = np.concatenate([labels[:, :m], slot_labels], axis=1)
     T[:, -1, :-1] = tab.cost[labels[:, m:]]

@@ -98,11 +98,11 @@ def _lp_strategy(weights, owner: Player) -> MixedStrategy:
         raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
 
 
-class _Block(NamedTuple):
-    """The improvement LPs of the grid points of one block that share F facets
-    and V vertices: the indices of the points in the block, their lower
-    payoff sets, their exposing normals (B, V, K) and offsets (B, V), and
-    the stack of their LPs, whose shape F and V fix."""
+class _Group(NamedTuple):
+    """The improvement LPs of the strategies of one grid block whose payoff
+    sets have F facets and V vertices: the strategies' places in the block,
+    their lower payoff sets, their exposing normals (B, V, K) and offsets
+    (B, V), and the stack of their LPs, whose shape F and V fix."""
 
     members: list[int]
     targets: list[OrientedPayoffPolyhedron]
@@ -141,9 +141,11 @@ def _improvement_lps(
     normals = np.stack([t.normals for t in targets])
     offsets = np.stack([t.offsets for t in targets])
     # the generator counts may differ; a set's first generator fills its list
-    gens = [t.generators for t in targets]
-    most = max(len(g) for g in gens)
-    generators = np.stack([np.concatenate([g, np.repeat(g[:1], most - len(g), axis=0)]) for g in gens])
+    most = max(len(t.generators) for t in targets)
+    generators = np.stack([
+        np.concatenate([t.generators, np.repeat(t.generators[:1], most - len(t.generators), 0)])
+        for t in targets
+    ])
     exp_normals, exp_offsets = exposing_normals(normals, offsets, vertices, generators)
 
     blocks = np.concatenate([normals, exp_normals], axis=1)
@@ -174,18 +176,18 @@ def _improvement_lps(
 
 
 def _check_improvements(
-    game: VectorPayoffGame, points: Sequence[MixedStrategy], block: _Block,
+    game: VectorPayoffGame, points: Sequence[MixedStrategy], group: _Group,
     outcomes: Sequence[LPOutcome], tol: float,
 ) -> list[MinimalityCertificate]:
-    """Check stage: the certificates of a block's strategies from the outcomes
-    of their improvement LPs, in block order."""
+    """Check stage: the certificates of a group's strategies, of the block
+    `points`, from the outcomes of their improvement LPs, in group order."""
     m = game.rows
     for out in outcomes:
         if out.status != "optimal":
             raise NumericalError(f"improvement LP ended with status {out.status}")
     certificates = []
     improved = []
-    for i, target, out in zip(block.members, block.targets, outcomes):
+    for i, target, out in zip(group.members, group.targets, outcomes):
         pbar, value = points[i], float(out.objective_value)
         slacks = tuple(out.solution[m - 1 :].tolist())
         if value <= tol:
@@ -202,16 +204,18 @@ def _check_improvements(
     # tested sets; no second set is built.  A set is contained when every
     # y_j satisfies the tested halfspaces, and it differs when some exposing
     # normal separates every y_j from its vertex, which leaves that vertex out.
-    ys = np.stack([row_generator_matrix(game, certificates[k].improving_strategy) for k in improved])
-    normals = np.stack([block.targets[k].normals for k in improved])
-    offsets = np.stack([block.targets[k].offsets for k in improved])
+    ys = np.stack([
+        row_generator_matrix(game, certificates[k].improving_strategy) for k in improved
+    ])
+    normals = np.stack([group.targets[k].normals for k in improved])
+    offsets = np.stack([group.targets[k].offsets for k in improved])
     if not np.all(ys @ normals.transpose(0, 2, 1) <= offsets[:, None, :] + 1e-7):
         raise NumericalError(
             "improvement LP produced a strategy whose payoff set is not contained "
             "in the tested one"
         )
-    separated = (ys @ block.exp_normals[improved].transpose(0, 2, 1)).max(axis=1) < (
-        block.exp_offsets[improved] - 1e-9
+    separated = (ys @ group.exp_normals[improved].transpose(0, 2, 1)).max(axis=1) < (
+        group.exp_offsets[improved] - 1e-9
     )
     if not np.all(np.any(separated, axis=1)):
         raise NumericalError(
@@ -237,15 +241,15 @@ def _certificates(
         if not len(t.vertices):
             raise NumericalError("payoff set has no identifiable vertex")
         groups.setdefault((len(t.offsets), len(t.vertices)), []).append(i)
-    blocks = []
+    built = []
     for members in groups.values():
         sets = [targets[i] for i in members]
         pbar = np.array([points[i].weights for i in members])
-        blocks.append(_Block(members, sets, *_improvement_lps(game, sets, pbar)))
+        built.append(_Group(members, sets, *_improvement_lps(game, sets, pbar)))
     certificates: list[MinimalityCertificate | None] = [None] * len(points)
-    for block in blocks:
-        checked = _check_improvements(game, points, block, solve_batch(block.lp), tol)
-        for i, cert in zip(block.members, checked):
+    for group in built:
+        checked = _check_improvements(game, points, group, solve_batch(group.lp), tol)
+        for i, cert in zip(group.members, checked):
             certificates[i] = cert
     return certificates
 
