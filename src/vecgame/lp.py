@@ -195,13 +195,16 @@ def _run_simplex(
             slots = np.flatnonzero(red < -TOL_OPT).tolist()
             if not slots:
                 return "optimal", iters
+            enter = min(slots, key=lambda s: labels[m + s])
         else:
             enter = int(red.argmin())
-            low = red[enter]
-            if low >= -TOL_OPT:
+            if red[enter] >= -TOL_OPT:
                 return "optimal", iters
-            slots = np.flatnonzero(red == low).tolist()
-        enter = min(slots, key=lambda s: labels[m + s]) if len(slots) > 1 else slots[0]
+            values = red.tolist()
+            low = values[enter]
+            if values.count(low) > 1:
+                slots = [s for s, v in enumerate(values) if v == low]
+                enter = min(slots, key=lambda s: labels[m + s])
         colvals = T[:-1, enter]
         rows = (colvals > 1e-9).nonzero()[0]
         if rows.size == 0:
@@ -472,25 +475,17 @@ def _pivot_out_artificials(T: np.ndarray, labels: np.ndarray, nfull: int) -> Non
 def _phase2(tab: _Tableaux, T: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The phase-2 tableaux and labels that follow feasible phase-1 tableaux.
 
-    The artificial columns are dropped: each tableau's slots keep their
-    order, less the artificials, and a tableau with fewer slots than the
-    widest is padded.  A redundant row becomes a zero row whose basic
-    variable is `nfull`, past the last column: it never passes a ratio
-    test and every pivot leaves it zero.  The cost row is priced out by the
-    rows with a basic cost, in row order.
+    The artificial columns are dropped: a slot that holds an artificial
+    becomes a zero slot labelled `pad`.  A redundant row becomes a zero row
+    whose basic variable is `nfull`, past the last column: it never passes
+    a ratio test and every pivot leaves it zero.  The cost row is priced
+    out by the rows with a basic cost, in row order.
     """
     m = T.shape[1] - 1
     art = labels[:, m:] >= tab.nfull
     if art.any():
-        order = np.argsort(art, axis=1, kind="stable")
-        width = max(1, int((~art).sum(axis=1).max()))
-        keep = order[:, :width]
-        T = np.concatenate([np.take_along_axis(T, keep[:, None, :], axis=2), T[:, :, -1:]], axis=2)
-        slot_labels = np.take_along_axis(labels[:, m:], keep, axis=1)
-        dropped = slot_labels >= tab.nfull
-        np.copyto(T[:, :, :-1], 0.0, where=dropped[:, None, :])
-        slot_labels[dropped] = tab.pad
-        labels = np.concatenate([labels[:, :m], slot_labels], axis=1)
+        np.copyto(T[:, :, :-1], 0.0, where=art[:, None, :])
+        labels[:, m:][art] = tab.pad
     T[:, -1, :-1] = tab.cost[labels[:, m:]]
     T[:, -1, -1] = 0.0
     redundant = labels[:, :m] >= tab.nfull
