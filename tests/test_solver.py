@@ -401,13 +401,14 @@ def test_classify_grid_equals_per_point_certificates_bit_for_bit(per_point_certi
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3])
-@pytest.mark.parametrize("count", [1, 5, 35, 64, 65, 128, 129, 455, 969])
-def test_grid_blocks_are_contiguous_and_hold_at_most_grid_block_points(count, workers):
-    cap = solver.GRID_BLOCK
+@pytest.mark.parametrize("count", [1, 5, 35, 64, 65, 455, 969])
+def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers, monkeypatch):
+    # the policy under a cap of 64; the package's cap is solver.GRID_BLOCK
+    monkeypatch.setattr(solver, "GRID_BLOCK", 64)
     blocks = solver._grid_blocks(count, workers)
     assert [i for b in blocks for i in range(count)[b]] == list(range(count))
-    assert max(b.stop - b.start for b in blocks) <= cap
-    assert len(blocks) == max(min(solver.pool_parts(workers), count), -(-count // cap))
+    assert max(b.stop - b.start for b in blocks) <= 64
+    assert len(blocks) == max(min(solver.pool_parts(workers), count), -(-count // 64))
 
 
 def test_a_job_is_cut_into_four_tasks_a_worker_in_a_pool_and_one_when_serial():
