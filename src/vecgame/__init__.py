@@ -5,6 +5,14 @@ payoff polyhedra, classifies equilibrium pairs, and computes security
 images with Pareto optimal security strategies.
 """
 
+import os
+
+# No array here is large enough for BLAS threads to pay, and starting
+# OpenBLAS's thread pool costs each process about 0.08 s of CPU.  This must
+# run before the first submodule loads NumPy; a value the caller set wins,
+# and where NumPy is already loaded it changes nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .equilibria import Classification, EquilibriumRecord, classify_pair, classify_pairs
 from .errors import InputError, NumericalError
 from .game import (
@@ -20,7 +28,6 @@ from .polyhedra import (
     OrientedPayoffPolyhedron,
     build_lower_set,
     build_upper_set,
-    contains_point,
     pareto_max_points,
     pareto_min_points,
 )
@@ -66,7 +73,6 @@ __all__ = [
     "classify_pair",
     "classify_pairs",
     "compute_security_image",
-    "contains_point",
     "enumerate_simplex_grid",
     "maximality_lp",
     "minimality_lp",

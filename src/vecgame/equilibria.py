@@ -44,12 +44,16 @@ from .solver import (
     minimality_lp,
     pool_map,
     pool_parts,
+    pool_size,
 )
 
 # The strong test accepts when the separation LP value stays below this.
 STRONG_TOL = 1e-7
 # A summed normal counts as strictly positive when every component exceeds this.
 POSITIVE_TOL = 1e-9
+# The strong LPs a pool process must be given to pay for its start; fewer
+# than two such shares run serially (README, "When a pool pays").
+PAIR_BREAK_EVEN = 16384
 
 
 class Classification(enum.Enum):
@@ -190,7 +194,8 @@ def _classify(
     Each V_I(p) is tested against the payoffs of all its pairs in one
     call, and so is each V_II(q).  The strong LPs run only on the
     Shapley pairs, in `pool_parts` contiguous blocks of row strategies
-    mapped over the pool; each block returns one flag a pair.
+    mapped over a pool sized by their number (`pool_size`); each block
+    returns one flag a pair.
     """
     payoffs = expected_payoffs(game, [p for p, _, _ in rows], [q for q, _, _ in cols])
     shapley = np.zeros(payoffs.shape[:2], dtype=bool)
@@ -202,12 +207,14 @@ def _classify(
     # The tasks carry only the facet arrays the strong LPs read.
     row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
     col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
+    counts = shapley.sum(axis=1)
     tasks = [
         [(row_facets[a], [col_facets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
-        for block in _row_blocks(shapley.sum(axis=1), pool_parts(workers))
+        for block in _row_blocks(counts, pool_parts(workers))
     ]
+    flags = pool_map(_strong_flags, tasks, pool_size(workers, int(counts.sum()), PAIR_BREAK_EVEN))
     strong = np.zeros_like(shapley)
-    strong[shapley] = [flag for flags in pool_map(_strong_flags, tasks, workers) for flag in flags]
+    strong[shapley] = [flag for block in flags for flag in block]
 
     records = []
     for (p, _, p_min), pay_row, sh_row, st_row in zip(
@@ -252,8 +259,9 @@ def classify_pairs(
     certificates, so every record here has p_minimal and q_maximal set and
     no set is built again.  A column certificate holds V_II(q) as a lower
     set of the mirrored game; negating it gives the upper set.  The
-    strong LPs run in a pool of `workers` processes when there are more
-    than one; the records do not depend on `workers`.
+    strong LPs run in a pool of at most `workers` processes when there
+    are enough of them to pay for it; the records do not depend on
+    `workers`.
     """
     check_workers(workers)
     if front_row.player is not Player.ROW or front_col.player is not Player.COL:

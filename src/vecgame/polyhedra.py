@@ -376,17 +376,6 @@ def build_upper_set(points) -> OrientedPayoffPolyhedron:
     return negated_set(build_lower_set(-np.atleast_2d(np.asarray(points, dtype=float))))
 
 
-def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> bool:
-    """Whether the point y, or every row of an (N, K) array y, lies in poly."""
-    yv = np.asarray(y, dtype=float)
-    if yv.ndim not in (1, 2) or yv.shape[-1] != poly.dim:
-        raise InputError(f"point has dimension {yv.shape}, polyhedron has {poly.dim}")
-    values = yv @ poly.normals.T
-    if poly.orientation == LOWER:
-        return bool(np.all(values <= poly.offsets + tol))
-    return bool(np.all(values >= poly.offsets - tol))
-
-
 def pareto_max_points(points, *, tol: float = 1e-9) -> np.ndarray:
     """Points not dominated by another listed point (>= with some strict >)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

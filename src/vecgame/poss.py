@@ -44,7 +44,6 @@ VERIFY_TOL = 1e-7
 BOUNDARY_TOL = 1e-7
 # The gap check shifts the image by this much along each coordinate.
 GAP_EPS = 1e-6
-MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +150,12 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
     offsets = np.array([_support_value(entries, a) for a in normals])
 
     verified: dict[tuple, np.ndarray] = {}
+    # Each cut comes from a basic dual solution of a verification LP, and
+    # there are finitely many, so the loop ends unless the DD fails to
+    # remove a vertex: then the vertex fails again and its cut repeats.
+    cuts: set[tuple] = set()
     dd = upper_set_cone(normals, offsets)
-    for _ in range(MAX_ROUNDS):
+    while True:
         vertices = upper_set_vertices(dd)
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
@@ -169,8 +172,11 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
                 break
         if cut is None:
             return dd, verified
+        key = _vertex_key(np.append(*cut))
+        if key in cuts:
+            raise NumericalError(f"cut through {tuple(v)} repeats an earlier one")
+        cuts.add(key)
         dd.add(halfspace_row(*cut))
-    raise NumericalError(f"security image not settled after {MAX_ROUNDS} cuts")
 
 
 def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityImage:

@@ -44,6 +44,10 @@ DECISION_TOL = 1e-7
 # of 64, 1.13 s at 39.3 MB; of 128, 1.02 s at 39.5 MB; of 485, 0.92 s at
 # 41.7 MB.  The cap keeps a task's memory from growing with the grid.
 GRID_BLOCK = 128
+# The grid points a pool process must be given to pay for its start; a
+# job of fewer than two such shares runs serially (README, "When a pool
+# pays").
+GRID_BREAK_EVEN = 256
 
 
 @dataclass(frozen=True)
@@ -307,6 +311,17 @@ def pool_parts(workers: int | None) -> int:
     return 4 * workers if workers is not None and workers > 1 else 1
 
 
+def pool_size(workers: int | None, work: int, break_even: int) -> int:
+    """How many processes to map a job of `work` units over: at most
+    `workers`, and at most one per `break_even` units, the least work that
+    pays for a pool process's start.  1 is serial.
+
+    The job keeps the `pool_parts` of the requested `workers`, so a job
+    run serially is cut into the same tasks as a pooled one."""
+    check_workers(workers)
+    return 1 if workers is None else max(1, min(workers, work // break_even))
+
+
 def _grid_blocks(count: int, workers: int | None) -> list[slice]:
     """Contiguous near-equal blocks of `count` grid points, `pool_parts` of
     them or more where a block would exceed GRID_BLOCK points.  Empty
@@ -326,7 +341,8 @@ def _classify_grids(
 ) -> list[StrategyFront]:
     """`classify_grid` for each (player, step) of `steps`, in order, with the
     blocks of every grid mapped in one `pool_map`: one pool, and no wait
-    for one player's blocks before the next player's start."""
+    for one player's blocks before the next player's start.  The pool is
+    sized (`pool_size`) by the grid points of all the grids."""
     grids, tasks = [], []
     for player, step in steps:
         oriented = game.for_player(player)
@@ -334,7 +350,9 @@ def _classify_grids(
         blocks = _grid_blocks(len(grid.points), workers)
         grids.append((player, grid, len(blocks)))
         tasks += [(oriented, grid.points[block]) for block in blocks]
-    done = iter(pool_map(partial(_block_certificates, tol=tol), tasks, workers))
+    points = sum(len(grid.points) for _, grid, _ in grids)
+    processes = pool_size(workers, points, GRID_BREAK_EVEN)
+    done = iter(pool_map(partial(_block_certificates, tol=tol), tasks, processes))
     return [
         _front(player, grid, [cert for _ in range(count) for cert in next(done)])
         for player, grid, count in grids
@@ -352,7 +370,9 @@ def classify_grid(
     """Run the minimality (maximality) test on every grid strategy.
 
     Each block of `_grid_blocks` is one task, which solves its LPs in
-    stacks.  Certificates come back in grid order regardless of `workers`.
+    stacks.  A pool of at most `workers` processes starts only when the
+    grid is large enough to pay for it (`pool_size`).  Certificates come
+    back in grid order regardless of `workers`.
     """
     return _classify_grids(game, [(player, step)], tol, workers)[0]
 

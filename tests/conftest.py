@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from vecgame import equilibria, solver
 from vecgame.game import Player, VectorPayoffGame
 from vecgame.solver import classify_grid
 
@@ -66,6 +67,14 @@ SCALAR_ROWS = [
     [(0,), (4,)],
     [(3,), (1,)],
 ]
+
+
+@pytest.fixture
+def pool_pays(monkeypatch):
+    """Break-evens of one unit, so that a worker count above 1 starts a pool
+    even on the small jobs a test can afford (`solver.pool_size`)."""
+    monkeypatch.setattr(solver, "GRID_BREAK_EVEN", 1)
+    monkeypatch.setattr(equilibria, "PAIR_BREAK_EVEN", 1)
 
 
 @pytest.fixture(scope="session")

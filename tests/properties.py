@@ -38,7 +38,6 @@ from vecgame.polyhedra import (
     _dot,
     build_lower_set,
     build_upper_set,
-    contains_point,
 )
 from vecgame.poss import GAP_EPS, _row_view
 from vecgame.solver import MinimalityCertificate, StrategyFront, minimality_lp
@@ -58,6 +57,17 @@ def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy
     sign = 1.0 if strategy.owner is Player.ROW else -1.0
     worst = row_generator_matrix(game.for_player(strategy.owner), strategy).max(axis=0)
     return PayoffVector(tuple(sign * worst))
+
+
+def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> bool:
+    """Whether the point y, or every row of an (N, K) array y, lies in poly."""
+    yv = np.asarray(y, dtype=float)
+    if yv.ndim not in (1, 2) or yv.shape[-1] != poly.dim:
+        raise InputError(f"point has dimension {yv.shape}, polyhedron has {poly.dim}")
+    values = yv @ poly.normals.T
+    if poly.orientation == LOWER:
+        return bool(np.all(values <= poly.offsets + tol))
+    return bool(np.all(values >= poly.offsets - tol))
 
 
 def poly_subset(

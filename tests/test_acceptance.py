@@ -289,7 +289,7 @@ def test_criterion_09_property_suites(three_by_three, corley, three_by_three_fro
                 assert_hierarchy(record)
 
 
-def test_criterion_10_solver_scales_and_ignores_worker_count(tmp_path):
+def test_criterion_10_solver_scales_and_ignores_worker_count(tmp_path, pool_pays):
     with criterion(10):
         game_file = tmp_path / "random_3x3x3.json"
         assert main(["random", "--rows", "3", "--cols", "3", "--dim", "3",

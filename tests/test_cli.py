@@ -14,7 +14,7 @@ from vecgame import poss, solver
 from vecgame.cli import _Strategies, game_dict, main
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
-from vecgame.polyhedra import build_lower_set
+from vecgame.polyhedra import build_lower_set, upper_set_cone
 
 from properties import fail_one_stacked_lp
 from test_report_digests import GAMES as BUNDLED_GAMES
@@ -125,13 +125,17 @@ def test_solve_is_deterministic(game_files, capsys):
     assert first == second
 
 
-def test_solve_does_not_depend_on_the_worker_count(game_files, reports_dir):
+def test_solve_does_not_depend_on_the_worker_count(game_files, reports_dir, request):
     one = reports_dir / "workers1.json"
     two = reports_dir / "workers2.json"
+    pooled = reports_dir / "workers2_pooled.json"
     base = ["solve", "-i", game_files["three_by_three"], "--step-row", "1/5"]
     assert main(base + ["--workers", "1", "--output", str(one)]) == 0
+    # below the break-even, serially in the blocks of a pool of 2; then in that pool
     assert main(base + ["--workers", "2", "--output", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+    request.getfixturevalue("pool_pays")
+    assert main(base + ["--workers", "2", "--output", str(pooled)]) == 0
+    assert one.read_bytes() == two.read_bytes() == pooled.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -267,13 +271,18 @@ def test_equilibria_csv_has_one_row_per_set_shapley_pair(game_files, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("name, step", [("three_by_three", "1/5"), ("corley", "1/20")])
-def test_equilibria_does_not_depend_on_the_worker_count(game_files, tmp_path, name, step, fmt):
+def test_equilibria_does_not_depend_on_the_worker_count(game_files, tmp_path, request, name, step,
+                                                        fmt):
     one = tmp_path / "workers1"
     two = tmp_path / "workers2"
+    pooled = tmp_path / "workers2_pooled"
     base = ["equilibria", "-i", game_files[name], "--step-row", step, "--format", fmt]
     assert main(base + ["--workers", "1", "--output", str(one)]) == 0
+    # below the break-evens, serially in the blocks of a pool of 2; then in that pool
     assert main(base + ["--workers", "2", "--output", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+    request.getfixturevalue("pool_pays")
+    assert main(base + ["--workers", "2", "--output", str(pooled)]) == 0
+    assert one.read_bytes() == two.read_bytes() == pooled.read_bytes()
 
 
 def test_equilibria_table_uses_the_long_phrases(game_files, capsys):
@@ -322,6 +331,20 @@ def test_poss_does_not_depend_on_the_worker_count(tmp_path, name):
                      "--output", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_cut_the_outer_approximation_ignores_stops_benson_with_a_numerical_failure(
+        game_files, monkeypatch, capsys):
+    # The DD keeps the vertex a cut should remove, so the vertex fails its
+    # verification again and gives the same cut: the loop must not spin.
+    def stuck_cone(normals, offsets):
+        dd = upper_set_cone(normals, offsets)
+        dd.add = lambda row: None
+        return dd
+
+    monkeypatch.setattr(poss, "upper_set_cone", stuck_cone)
+    assert main(["poss", "-i", game_files["three_by_three"], "--workers", "1"]) == 3
+    assert "repeats an earlier one" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

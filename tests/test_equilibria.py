@@ -351,10 +351,22 @@ def test_batched_strong_flags_equal_the_single_pair_lp(request, name, fronts, re
 
 @pytest.mark.parametrize("workers", [None, 1, 2])
 @pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
-def test_records_do_not_depend_on_workers(request, name, fronts, records, workers):
+def test_records_do_not_depend_on_workers(request, name, fronts, records, workers, pool_pays):
     game = request.getfixturevalue(name)
     row, col = request.getfixturevalue(fronts)
     assert classify_pairs(game, row, col, workers=workers) == request.getfixturevalue(records)
+
+
+def test_the_strong_lps_size_their_pool_by_the_shapley_pairs(corley, corley_fronts,
+                                                             corley_records, monkeypatch):
+    sized = []
+    pool_size = equilibria.pool_size
+    monkeypatch.setattr(equilibria, "pool_size",
+                        lambda *args: sized.append(args) or pool_size(*args))
+    classify_pairs(corley, *corley_fronts, workers=3)
+    shapley = sum(r.shapley for r in corley_records)
+    assert shapley > 1
+    assert sized == [(3, shapley, equilibria.PAIR_BREAK_EVEN)]
 
 
 def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, monkeypatch):

@@ -1,4 +1,5 @@
-"""The exact rational oracle on its own, against fronts already settled.
+"""The exact rational oracle on its own, against fronts already settled,
+and the package against the oracle on random games.
 
 Criterion 4 trusts exact_oracle.py to judge the package, so the oracle
 must reproduce the fronts of criteria 1 and 3 and prove a known
@@ -12,6 +13,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vecgame.equilibria import classify_pairs
+from vecgame.game import Player, VectorPayoffGame
+from vecgame.solver import classify_grid
 
 import exact_dd
 import exact_oracle as eo
@@ -98,3 +105,36 @@ def test_oracle_pure_first_row_of_the_three_by_three_game_is_dominated(three_by_
     assert eo.lower_subset(better, tested)
     assert not eo.lower_subset(tested, better)
     assert not eo.in_lower_set(verdict.vertex, better)
+
+
+# Integer K=2 games with 2 or 3 rows and columns and entries in [-5, 5].
+_GAMES = st.tuples(st.integers(2, 3), st.integers(2, 3)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+def _sixths(weights) -> tuple[F, ...]:
+    return tuple(F(round(6 * w), 6) for w in weights)
+
+
+@settings(deadline=None, max_examples=12)
+@given(_GAMES)
+def test_fronts_and_pair_flags_match_the_exact_oracle_on_random_games(entries):
+    # expected values come from the oracle alone
+    game = VectorPayoffGame.from_rows(entries)
+    exact = eo.exact_game(entries)
+    fronts = []
+    for player, decide in ((Player.ROW, eo.minimality), (Player.COL, eo.maximality)):
+        front = classify_grid(game, player, F(1, 6))
+        for cert in front.certificates:
+            point = _sixths(cert.tested_strategy.weights)
+            assert cert.is_minimal == decide(exact, point).minimal, (player, point)
+        fronts.append(front)
+    for record in classify_pairs(game, *fronts):
+        pair = (_sixths(record.p.weights), _sixths(record.q.weights))
+        verdict = eo.classify_pair(exact, *pair)
+        assert (record.shapley, record.strong) == (verdict.shapley, verdict.strong), pair

@@ -21,7 +21,6 @@ from vecgame.polyhedra import (
     build_lower_set,
     build_upper_set,
     cone_extreme_rays,
-    contains_point,
     exposing_normals,
     facet_rows,
     pareto_max_points,
@@ -34,6 +33,7 @@ import exact_dd
 import exact_oracle
 from properties import (
     check_dd_membership,
+    contains_point,
     exposing_normals as one_set_exposing_normals,
     poly_subset,
     support_value,

@@ -26,7 +26,6 @@ from vecgame.polyhedra import (
     UPPER,
     build_lower_set,
     build_upper_set,
-    contains_point,
     upper_set_vertices,
 )
 from vecgame.poss import (
@@ -45,6 +44,7 @@ from properties import (
     benson_cut_by_lp,
     certify_every_grid_point,
     componentwise_security_point,
+    contains_point,
     gap_violations_by_lp,
     meets_shifted_image_exactly,
     random_game,

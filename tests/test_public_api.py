@@ -26,7 +26,7 @@ EXPORTED = (
     "OrientedPayoffPolyhedron", "PayoffVector", "Player", "SecurityImage", "SimplexGrid",
     "StrategyFront", "VectorPayoffGame", "build_lower_set", "build_upper_set",
     "check_feasibility", "classify_grid", "classify_pair", "classify_pairs",
-    "compute_security_image", "contains_point", "enumerate_simplex_grid", "maximality_lp",
+    "compute_security_image", "enumerate_simplex_grid", "maximality_lp",
     "minimality_lp", "pareto_max_points", "pareto_min_points", "poss_strategies", "solve_lp",
     "verify_gap",
 )

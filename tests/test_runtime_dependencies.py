@@ -67,3 +67,26 @@ def test_the_commands_import_nothing_once_the_package_is_loaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", _LATE_IMPORTS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+_BLAS_THREADS = """
+import os, sys
+import vecgame
+threads = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.parametrize(("given", "want"), [(None, "1"), ("3", "3")])
+def test_the_package_runs_one_blas_thread_unless_the_caller_chose(given, want):
+    # no array here is large enough for BLAS threads, and starting them costs CPU
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    run = subprocess.run([sys.executable, "-c", _BLAS_THREADS],
+                         env=env, capture_output=True, text=True, check=True)
+    value, threads = run.stdout.split()
+    assert value == want
+    if given is None and sys.platform.startswith("linux"):
+        assert threads == "1"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame import solver
+from vecgame import equilibria, solver
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
@@ -347,7 +347,7 @@ def test_front_bookkeeping(corley_fronts):
     ]
 
 
-def test_classify_grid_worker_independence(two_by_two):
+def test_classify_grid_worker_independence(two_by_two, pool_pays):
     serial = classify_grid(two_by_two, Player.ROW, Fraction(1, 10))
     parallel = classify_grid(two_by_two, Player.ROW, Fraction(1, 10), workers=2)
     assert len(serial.certificates) == len(parallel.certificates)
@@ -413,6 +413,27 @@ def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers, m
 
 def test_a_job_is_cut_into_four_tasks_a_worker_in_a_pool_and_one_when_serial():
     assert [solver.pool_parts(w) for w in (None, 1, 2, 3)] == [1, 1, 8, 12]
+
+
+@pytest.mark.parametrize("break_even", [solver.GRID_BREAK_EVEN, equilibria.PAIR_BREAK_EVEN])
+def test_a_pool_starts_only_when_each_process_gets_a_break_even_of_work(break_even):
+    assert solver.pool_size(2, 2 * break_even - 1, break_even) == 1
+    assert solver.pool_size(2, 2 * break_even, break_even) == 2
+    assert solver.pool_size(3, 3 * break_even - 1, break_even) == 2
+    assert solver.pool_size(3, 100 * break_even, break_even) == 3
+    assert solver.pool_size(1, 100 * break_even, break_even) == 1
+    assert solver.pool_size(None, 100 * break_even, break_even) == 1
+    with pytest.raises(InputError, match="workers must be at least 1"):
+        solver.pool_size(0, 100 * break_even, break_even)
+
+
+def test_the_fronts_size_their_pool_by_the_grid_points_of_every_grid(two_by_two, monkeypatch):
+    sized = []
+    pool_size = solver.pool_size
+    monkeypatch.setattr(solver, "pool_size", lambda *args: sized.append(args) or pool_size(*args))
+    steps = [(Player.ROW, Fraction(1, 10)), (Player.COL, Fraction(1, 4))]
+    solver._classify_grids(two_by_two, steps, DECISION_TOL, 3)
+    assert sized == [(3, 11 + 5, solver.GRID_BREAK_EVEN)]
 
 
 @pytest.mark.parametrize(
