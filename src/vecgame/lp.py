@@ -61,6 +61,11 @@ RELATIONS = ("<=", ">=", "=")
 TOL_FEAS = 1e-9
 # A column enters the basis when its reduced cost is below -TOL_OPT.
 TOL_OPT = 1e-8
+# A row is a pivot candidate when its entry in the entering column exceeds
+# TOL_PIVOT times the column's largest entry, or TOL_PIVOT where that is below
+# 1: a degenerate row with an entry of 1e-9, in a column reaching 400, must
+# not win the ratio test, because pivoting on it wrecks the tableau.
+TOL_PIVOT = 1e-9
 
 Bound = tuple[float | None, float | None]
 
@@ -206,7 +211,7 @@ def _run_simplex(
                 slots = [s for s, v in enumerate(values) if v == low]
                 enter = min(slots, key=lambda s: labels[m + s])
         colvals = T[:-1, enter]
-        rows = (colvals > 1e-9).nonzero()[0]
+        rows = (colvals > TOL_PIVOT * float(colvals.max(initial=1.0))).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iters
         ratios = T[rows, -1] / colvals[rows]
@@ -275,7 +280,7 @@ def _run_lockstep(
         enter = np.where(red == low[:, None], lw[:, m:], past).argmin(axis=1)
         at = np.arange(live.size)
         col = Tw[at, :m, enter]
-        pos = col > 1e-9
+        pos = col > TOL_PIVOT * col.max(axis=1, initial=1.0)[:, None]
         # _run_simplex's tests in its order: the budget, optimality, a pivot row
         limit = iters[live] >= budget[live]
         optimal = low >= -TOL_OPT

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vecgame.errors import NumericalError
-from vecgame.lp import TOL_FEAS, TOL_OPT, LinearProgram, LPOutcome
+from vecgame.lp import TOL_FEAS, TOL_OPT, TOL_PIVOT, LinearProgram, LPOutcome
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -52,7 +52,7 @@ def _run_simplex(
             if red[enter] >= -TOL_OPT:
                 return "optimal", iters
         colvals = T[:-1, enter]
-        rows = (colvals > 1e-9).nonzero()[0]
+        rows = (colvals > TOL_PIVOT * float(colvals.max(initial=1.0))).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iters
         ratios = T[rows, -1] / colvals[rows]
@@ -115,7 +115,7 @@ def _run_lockstep(
         enter = red.argmin(axis=1)
         at = np.arange(live.size)
         col = Tw[at, :m, enter]
-        pos = col > 1e-9
+        pos = col > TOL_PIVOT * col.max(axis=1, initial=1.0)[:, None]
         # An index into _STATUSES, tested in _run_simplex's order, or -1 to pivot.
         code = np.where(
             iters[live] >= budget[live],

@@ -922,6 +922,27 @@ def test_the_shifted_improvement_lp_agrees_with_highs_on_the_p_eps_lp(entries, o
     _assert_improvement_value_agrees_with_highs(VectorPayoffGame(entries), strategy)
 
 
+@pytest.mark.parametrize(
+    ("owner", "support"),
+    [(Player.ROW, (7,)), (Player.COL, (2, 3)), (Player.COL, (3, 9)), (Player.COL, (4,)),
+     (Player.COL, (0, 1)), (Player.COL, (4, 7))],
+)
+def test_improvement_lps_of_hundreds_of_rows_agree_with_highs(owner, support):
+    # LPs of 250-380 rows on the 10x10x4 game r7, whose columns reach 400:
+    # a pivot on an entry of about 1e-9 once ended them "optimal" with
+    # weights down to -1.19, or with a value of 1.9 where HiGHS reads 0.
+    game = relabeled_game(7, (10, 10, 4), 0)
+    strategy = MixedStrategy(tuple(1 / len(support) if i in support else 0.0
+                                   for i in range(10)), owner)
+    lp = _pe_improvement_lp(game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW))
+    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs,
+                           [(0.0, None)] * lp.num_vars, lp.sense)
+    assert status == "optimal"
+    cert = (minimality_lp if owner is Player.ROW else maximality_lp)(game, strategy)
+    assert cert.lp_value == pytest.approx(value, abs=DECISION_TOL)
+    assert cert.is_minimal == (value <= DECISION_TOL)
+
+
 def test_the_improvement_lp_reads_highs_zero_where_the_p_eps_lp_read_1e_9():
     # The (p, eps) LP, solved by this package's simplex, read 1.2e-9 here.
     game = relabeled_game(2001, (4, 4, 4), 4)
