@@ -39,7 +39,6 @@ from .polyhedra import (
 from .solver import (
     DECISION_TOL,
     StrategyFront,
-    check_workers,
     maximality_lp,
     minimality_lp,
     pool_map,
@@ -263,7 +262,6 @@ def classify_pairs(
     are enough of them to pay for it; the records do not depend on
     `workers`.
     """
-    check_workers(workers)
     if front_row.player is not Player.ROW or front_col.player is not Player.COL:
         raise InputError("expected a row front and a column front, in that order")
     rows = [(c.tested_strategy, c.payoff_set, True) for c in front_row.certificates if c.is_minimal]

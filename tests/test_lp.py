@@ -892,16 +892,17 @@ def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definitio
             _assert_same_lp(g, w)
 
 
-def _assert_improvement_value_agrees_with_highs(game, strategy):
-    """The package's LP value and verdict for `strategy`, against HiGHS's optimum
-    of the (p, eps) LP built on the owner's view of `game`."""
+def _assert_improvement_value_agrees_with_highs(game, strategy, tol=1e-9):
+    """The package's LP value, to `tol` (1 + |value|), and verdict for
+    `strategy`, against HiGHS's optimum of the (p, eps) LP built on the
+    owner's view of `game`."""
     owner = strategy.owner
     lp = _pe_improvement_lp(game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW))
     status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs,
                            [(0.0, None)] * lp.num_vars, lp.sense)
     assert status == "optimal"
     cert = (minimality_lp if owner is Player.ROW else maximality_lp)(game, strategy)
-    assert cert.lp_value == pytest.approx(value, abs=1e-9 * (1.0 + abs(value)))
+    assert cert.lp_value == pytest.approx(value, abs=tol * (1.0 + abs(value)))
     assert cert.is_minimal == (value <= DECISION_TOL)
 
 
@@ -931,16 +932,12 @@ def test_improvement_lps_of_hundreds_of_rows_agree_with_highs(owner, support):
     # LPs of 250-380 rows on the 10x10x4 game r7, whose columns reach 400:
     # a pivot on an entry of about 1e-9 once ended them "optimal" with
     # weights down to -1.19, or with a value of 1.9 where HiGHS reads 0.
-    game = relabeled_game(7, (10, 10, 4), 0)
+    # Values agree to the decision tolerance: the maximal one reads 5e-8.
     strategy = MixedStrategy(tuple(1 / len(support) if i in support else 0.0
                                    for i in range(10)), owner)
-    lp = _pe_improvement_lp(game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW))
-    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs,
-                           [(0.0, None)] * lp.num_vars, lp.sense)
-    assert status == "optimal"
-    cert = (minimality_lp if owner is Player.ROW else maximality_lp)(game, strategy)
-    assert cert.lp_value == pytest.approx(value, abs=DECISION_TOL)
-    assert cert.is_minimal == (value <= DECISION_TOL)
+    _assert_improvement_value_agrees_with_highs(
+        relabeled_game(7, (10, 10, 4), 0), strategy, tol=DECISION_TOL
+    )
 
 
 def test_the_improvement_lp_reads_highs_zero_where_the_p_eps_lp_read_1e_9():
