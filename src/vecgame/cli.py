@@ -194,9 +194,10 @@ def _parse_weights(text: str, owner: Player) -> tuple[MixedStrategy, list[Fracti
     """The strategy typed as `text`, and its weights as typed."""
     try:
         typed = [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        weights = tuple(float(w) for w in typed)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot parse strategy {text!r}: {exc}") from exc
-    return MixedStrategy(tuple(float(w) for w in typed), owner=owner), typed
+    return MixedStrategy(weights, owner=owner), typed
 
 
 def _parse_pair(text: str) -> tuple[MixedStrategy, MixedStrategy, _Strategies]:
@@ -347,7 +348,7 @@ def _cmd_solve(args: argparse.Namespace) -> str:
 def _cmd_equilibria(args: argparse.Namespace) -> str:
     game = load_game(args.input)
     front_row, front_col = _fronts(game, args)
-    records = classify_pairs(game, front_row, front_col, workers=args.workers)
+    records = classify_pairs(game, front_row, front_col)
     names = _Strategies(args.step_row, args.step_col)
     if args.format == "csv":
         buf = io.StringIO()
@@ -597,23 +598,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit status."""
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
         text = COMMANDS[args.command](args)
+        if args.output:
+            _write(args.output, text)
+        else:
+            sys.stdout.write(text)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

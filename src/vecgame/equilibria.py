@@ -38,21 +38,16 @@ from .polyhedra import (
 )
 from .solver import (
     DECISION_TOL,
+    GRID_BLOCK,
     StrategyFront,
     maximality_lp,
     minimality_lp,
-    pool_map,
-    pool_parts,
-    pool_size,
 )
 
 # The strong test accepts when the separation LP value stays below this.
 STRONG_TOL = 1e-7
 # A summed normal counts as strictly positive when every component exceeds this.
 POSITIVE_TOL = 1e-9
-# The strong LPs a pool process must be given to pay for its start; fewer
-# than two such shares run serially (README, "When a pool pays").
-PAIR_BREAK_EVEN = 16384
 
 
 class Classification(enum.Enum):
@@ -159,42 +154,17 @@ def _strong_values(pairs: Sequence[_Pair]) -> list[float]:
     return values
 
 
-def _strong_flags(block: Sequence[tuple[_Facets, Sequence[_Facets]]]) -> list[bool]:
-    """One pool task: the strong test on the Shapley pairs of a block of rows.
-
-    `block` holds, per row strategy p, the facets of V_I(p) and those of
-    the V_II(q) of each q that makes a Shapley pair with it; one flag comes
-    back per pair.
-    """
-    pairs = [(vi, vii) for vi, partners in block for vii in partners]
-    return [value <= STRONG_TOL for value in _strong_values(pairs)]
-
-
-def _row_blocks(counts: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Up to `parts` contiguous blocks of row indices with near-equal sums of
-    `counts`; rows past the last nonzero count and empty blocks are left out."""
-    cum = np.cumsum(counts)
-    if not len(cum) or cum[-1] == 0:
-        return []
-    ends = np.searchsorted(cum, cum[-1] * np.arange(1, parts + 1) / parts) + 1
-    starts = np.concatenate([[0], ends[:-1]])
-    return [np.arange(lo, hi) for lo, hi in zip(starts, ends) if hi > lo]
-
-
 # One side of the pairs: per strategy, its payoff set and its optimality flag.
 _Side = Sequence[tuple[MixedStrategy, OrientedPayoffPolyhedron, bool]]
 
 
-def _classify(
-    game: VectorPayoffGame, rows: _Side, cols: _Side, workers: int | None = None
-) -> list[EquilibriumRecord]:
+def _classify(game: VectorPayoffGame, rows: _Side, cols: _Side) -> list[EquilibriumRecord]:
     """The record of every pair in rows x cols, in row-major order.
 
     Each V_I(p) is tested against the payoffs of all its pairs in one
     call, and so is each V_II(q).  The strong LPs run only on the
-    Shapley pairs, in `pool_parts` contiguous blocks of row strategies
-    mapped over a pool sized by their number (`pool_size`); each block
-    returns one flag a pair.
+    Shapley pairs, in row-major order, GRID_BLOCK pairs a `_strong_values`
+    call, so that no stack grows with the number of pairs.
     """
     payoffs = expected_payoffs(game, [p for p, _, _ in rows], [q for q, _, _ in cols])
     shapley = np.zeros(payoffs.shape[:2], dtype=bool)
@@ -203,17 +173,14 @@ def _classify(
     for b, (_, vii, _) in enumerate(cols):
         shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
 
-    # The tasks carry only the facet arrays the strong LPs read.
     row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
     col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
-    counts = shapley.sum(axis=1)
-    tasks = [
-        [(row_facets[a], [col_facets[b] for b in np.flatnonzero(shapley[a])]) for a in block]
-        for block in _row_blocks(counts, pool_parts(workers))
-    ]
-    flags = pool_map(_strong_flags, tasks, pool_size(workers, int(counts.sum()), PAIR_BREAK_EVEN))
+    pairs = [(row_facets[a], col_facets[b]) for a, b in np.argwhere(shapley).tolist()]
+    values = []
+    for lo in range(0, len(pairs), GRID_BLOCK):
+        values += _strong_values(pairs[lo : lo + GRID_BLOCK])
     strong = np.zeros_like(shapley)
-    strong[shapley] = [flag for block in flags for flag in block]
+    strong[shapley] = np.array(values) <= STRONG_TOL
 
     records = []
     for (p, _, p_min), pay_row, sh_row, st_row in zip(
@@ -249,18 +216,13 @@ def classify_pairs(
     game: VectorPayoffGame,
     front_row: StrategyFront,
     front_col: StrategyFront,
-    *,
-    workers: int | None = None,
 ) -> list[EquilibriumRecord]:
     """One record per pair of grid-optimal strategies, in grid order.
 
     Optimality flags and payoff sets are taken from the fronts'
     certificates, so every record here has p_minimal and q_maximal set and
     no set is built again.  A column certificate holds V_II(q) as a lower
-    set of the mirrored game; negating it gives the upper set.  The
-    strong LPs run in a pool of at most `workers` processes when there
-    are enough of them to pay for it; the records do not depend on
-    `workers`.
+    set of the mirrored game; negating it gives the upper set.
     """
     if front_row.player is not Player.ROW or front_col.player is not Player.COL:
         raise InputError("expected a row front and a column front, in that order")
@@ -270,4 +232,4 @@ def classify_pairs(
         for c in front_col.certificates
         if c.is_minimal
     ]
-    return _classify(game, rows, cols, workers)
+    return _classify(game, rows, cols)

@@ -248,6 +248,11 @@ def _pivot_stack(T: np.ndarray, labels: np.ndarray, rows: np.ndarray, slots: np.
 _STATUSES = ("optimal", "unbounded", "iteration_limit")
 
 
+def _basis_keys(labels: np.ndarray, m: int) -> list[bytes]:
+    """The basis of each tableau of the stack, `labels[:, :m]`, as bytes."""
+    return np.ascontiguousarray(labels[:, :m]).view(f"V{m * labels.itemsize}").ravel().tolist()
+
+
 def _run_lockstep(
     T: np.ndarray, labels: np.ndarray, budget: np.ndarray
 ) -> tuple[list[str], np.ndarray]:
@@ -258,12 +263,15 @@ def _run_lockstep(
     A tableau whose basis repeats leaves the stack and finishes under
     `_run_simplex`'s Bland rule.  The running tableaux are copied out of
     `T` once one of them finishes, and each is written back when it does.
+    Each running tableau keeps the set of its bases so far, as bytes, so
+    a step's repeat test does not grow with the steps taken.
     """
     m, width = T.shape[1] - 1, T.shape[2] - 1
     past = np.iinfo(labels.dtype).max  # ranks after every variable
     status = [""] * len(T)
     iters = np.zeros(len(T), dtype=int)
-    live, Tw, lw, seen = np.arange(len(T)), T, labels, labels[:, None, :m].copy()
+    live, Tw, lw = np.arange(len(T)), T, labels
+    seen = [{key} for key in _basis_keys(labels, m)]
 
     def finish(done: np.ndarray) -> None:
         nonlocal live, Tw, lw, seen
@@ -271,7 +279,8 @@ def _run_lockstep(
             T[live[done]] = Tw[done]
             labels[live[done]] = lw[done]
         keep = ~done
-        live, Tw, lw, seen = live[keep], Tw[keep], lw[keep], seen[keep]
+        live, Tw, lw = live[keep], Tw[keep], lw[keep]
+        seen = [bases for bases, kept in zip(seen, keep.tolist()) if kept]
 
     while live.size:
         red = Tw[:, -1, :width]
@@ -303,9 +312,10 @@ def _run_lockstep(
         _pivot_stack(Tw, lw, leave, enter)
         np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-11))
         iters[live] += 1
-        basis = lw[:, None, :m]
-        repeated = (seen == basis).all(axis=2).any(axis=1)
-        seen = np.concatenate([seen, basis], axis=1)
+        keys = _basis_keys(lw, m)
+        repeated = np.array([key in bases for bases, key in zip(seen, keys)])
+        for bases, key in zip(seen, keys):
+            bases.add(key)
         if repeated.any():
             for j in np.flatnonzero(repeated).tolist():
                 b = live[j]

@@ -46,7 +46,7 @@ DECISION_TOL = 1e-7
 GRID_BLOCK = 128
 # The grid points a pool process must be given to pay for its start; a
 # job of fewer than two such shares runs serially (README, "When a pool
-# pays").
+# pays").  At 2 x GRID_BLOCK, every pool process gets two or more blocks.
 GRID_BREAK_EVEN = 256
 
 
@@ -306,29 +306,20 @@ def pool_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     return [fn(x) for x in items]
 
 
-def pool_parts(workers: int | None) -> int:
-    """How many tasks to cut a job into: four a worker in a pool, one when serial."""
-    return 4 * workers if workers is not None and workers > 1 else 1
-
-
 def pool_size(workers: int | None, work: int, break_even: int) -> int:
     """How many processes to map a job of `work` units over: at most
     `workers`, and at most one per `break_even` units, the least work that
-    pays for a pool process's start.  1 is serial.
-
-    The job keeps the `pool_parts` of the requested `workers`, so a job
-    run serially is cut into the same tasks as a pooled one."""
+    pays for a pool process's start.  1 is serial."""
     check_workers(workers)
     return 1 if workers is None else max(1, min(workers, work // break_even))
 
 
-def _grid_blocks(count: int, workers: int | None) -> list[slice]:
-    """Contiguous near-equal blocks of `count` grid points, `pool_parts` of
-    them or more where a block would exceed GRID_BLOCK points.  Empty
-    blocks are left out."""
-    nblocks = max(pool_parts(workers), -(-count // GRID_BLOCK))
+def _grid_blocks(count: int) -> list[slice]:
+    """The fewest contiguous near-equal blocks of `count` grid points that
+    hold at most GRID_BLOCK points each, whatever the worker count."""
+    nblocks = -(-count // GRID_BLOCK)
     cuts = [count * k // nblocks for k in range(nblocks + 1)]
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _block_certificates(task: tuple[VectorPayoffGame, Sequence[MixedStrategy]], tol: float):
@@ -347,7 +338,7 @@ def _classify_grids(
     for player, step in steps:
         oriented = game.for_player(player)
         grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
-        blocks = _grid_blocks(len(grid.points), workers)
+        blocks = _grid_blocks(len(grid.points))
         grids.append((player, grid, len(blocks)))
         tasks += [(oriented, grid.points[block]) for block in blocks]
     points = sum(len(grid.points) for _, grid, _ in grids)

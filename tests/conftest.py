@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from vecgame import equilibria, solver
+from vecgame import solver
 from vecgame.game import Player, VectorPayoffGame
 from vecgame.solver import classify_grid
 
@@ -71,10 +71,9 @@ SCALAR_ROWS = [
 
 @pytest.fixture
 def pool_pays(monkeypatch):
-    """Break-evens of one unit, so that a worker count above 1 starts a pool
-    even on the small jobs a test can afford (`solver.pool_size`)."""
+    """A break-even of one grid point, so that a worker count above 1 starts
+    a pool even on the small grids a test can afford (`solver.pool_size`)."""
     monkeypatch.setattr(solver, "GRID_BREAK_EVEN", 1)
-    monkeypatch.setattr(equilibria, "PAIR_BREAK_EVEN", 1)
 
 
 @pytest.fixture(scope="session")

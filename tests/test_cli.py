@@ -131,7 +131,7 @@ def test_solve_does_not_depend_on_the_worker_count(game_files, reports_dir, requ
     pooled = reports_dir / "workers2_pooled.json"
     base = ["solve", "-i", game_files["three_by_three"], "--step-row", "1/5"]
     assert main(base + ["--workers", "1", "--output", str(one)]) == 0
-    # below the break-even, serially in the blocks of a pool of 2; then in that pool
+    # below the break-even, serially; then in a pool of 2
     assert main(base + ["--workers", "2", "--output", str(two)]) == 0
     request.getfixturevalue("pool_pays")
     assert main(base + ["--workers", "2", "--output", str(pooled)]) == 0
@@ -278,7 +278,7 @@ def test_equilibria_does_not_depend_on_the_worker_count(game_files, tmp_path, re
     pooled = tmp_path / "workers2_pooled"
     base = ["equilibria", "-i", game_files[name], "--step-row", step, "--format", fmt]
     assert main(base + ["--workers", "1", "--output", str(one)]) == 0
-    # below the break-evens, serially in the blocks of a pool of 2; then in that pool
+    # below the break-even, serially; then the fronts in a pool of 2
     assert main(base + ["--workers", "2", "--output", str(two)]) == 0
     request.getfixturevalue("pool_pays")
     assert main(base + ["--workers", "2", "--output", str(pooled)]) == 0
@@ -580,6 +580,27 @@ def test_bad_step(game_files, capsys):
 def test_bad_pair_syntax(game_files, capsys):
     assert main(["check", "-i", game_files["corley"], "--pair", "1,0"]) == 2
     assert "--pair expects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["abc,0", "1/0,0", "2,0", "1e999,0"])
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--strategy", "{}"], ["plot", "--pair", "{};1,0"]],
+    ids=["check", "plot"],
+)
+def test_bad_strategy_weights_are_an_input_error(game_files, capsys, command, weights):
+    argv = [arg.format(weights) for arg in command]
+    assert main([*argv, "-i", game_files["two_by_two"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_an_unwritable_output_path_is_an_input_error(game_files, tmp_path, capsys):
+    path = tmp_path / "absent" / "report.json"
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

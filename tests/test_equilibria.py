@@ -17,7 +17,6 @@ from vecgame.equilibria import (
     Classification,
     _boundary_mask,
     _payoff_sets,
-    _row_blocks,
     _strong_lps,
     _strong_values,
     classify_pair,
@@ -349,24 +348,19 @@ def test_batched_strong_flags_equal_the_single_pair_lp(request, name, fronts, re
     assert not any(r.strong for r in records if not r.shapley)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2])
-@pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
-def test_records_do_not_depend_on_workers(request, name, fronts, records, workers, pool_pays):
-    game = request.getfixturevalue(name)
-    row, col = request.getfixturevalue(fronts)
-    assert classify_pairs(game, row, col, workers=workers) == request.getfixturevalue(records)
+def test_strong_lps_run_in_slices_of_grid_block_pairs(corley, corley_fine_fronts,
+                                                     corley_fine_records, monkeypatch):
+    stacks = []
 
+    def recording_solve_batch(lp):
+        stacks.append(len(lp.lhs))
+        return solve_batch(lp)
 
-def test_the_strong_lps_size_their_pool_by_the_shapley_pairs(corley, corley_fronts,
-                                                             corley_records, monkeypatch):
-    sized = []
-    pool_size = equilibria.pool_size
-    monkeypatch.setattr(equilibria, "pool_size",
-                        lambda *args: sized.append(args) or pool_size(*args))
-    classify_pairs(corley, *corley_fronts, workers=3)
-    shapley = sum(r.shapley for r in corley_records)
-    assert shapley > 1
-    assert sized == [(3, shapley, equilibria.PAIR_BREAK_EVEN)]
+    monkeypatch.setattr(equilibria, "solve_batch", recording_solve_batch)
+    monkeypatch.setattr(equilibria, "GRID_BLOCK", 4)
+    assert classify_pairs(corley, *corley_fine_fronts) == corley_fine_records
+    assert sum(stacks) == sum(r.shapley for r in corley_fine_records) > 4
+    assert max(stacks) <= 4
 
 
 def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, monkeypatch):
@@ -434,10 +428,7 @@ def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_thr
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_library_rejects_a_worker_count_below_one(corley, corley_fronts, workers):
-    row, col = corley_fronts
-    with pytest.raises(InputError, match="workers must be at least 1"):
-        classify_pairs(corley, row, col, workers=workers)
+def test_library_rejects_a_worker_count_below_one(corley, workers):
     with pytest.raises(InputError, match="workers must be at least 1"):
         classify_grid(corley, Player.ROW, Fraction(1, 4), workers=workers)
 
@@ -454,18 +445,6 @@ def test_boundary_mask_edge_cases():
     )
     mask = _boundary_mask(poly, points)
     assert mask.tolist() == [False, False, True]
-
-
-def test_row_blocks_are_contiguous_and_cover_every_counted_row():
-    counts = np.array([0, 3, 0, 1, 5, 0, 2, 0])
-    for parts in (1, 2, 3, 8, 20):
-        blocks = _row_blocks(counts, parts)
-        assert 1 <= len(blocks) <= parts
-        rows = np.concatenate(blocks)
-        assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
-        assert set(np.flatnonzero(counts)) <= set(rows.tolist())
-    assert _row_blocks(np.zeros(4, dtype=int), 4) == []
-    assert _row_blocks(np.zeros(0, dtype=int), 4) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of the command line reports on the bundled games:
 every grid command in every format, `check` on uniform strategies, `plot`
 on uniform pairs (two payoff components only), and `random` with its
-defaults.
+defaults; and of one `solve` report on a 10x10x4 game.
 
 Reports are deterministic, so a change that keeps them byte-identical
 keeps these digests.  The digests depend on NumPy's floating point
@@ -10,7 +10,8 @@ recorded with.  Reports embed the input path, so every command runs
 from the directory holding the game file and names it relatively.
 
 To re-record after a deliberate change of the reports, run
-`python tests/test_report_digests.py` and paste its output over DIGESTS.
+`python tests/test_report_digests.py` and paste its output over DIGESTS
+and LARGE_SOLVE_DIGEST.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from vecgame.cli import game_dict, main
 from vecgame.game import VectorPayoffGame
 
 import conftest
+from properties import relabeled_game
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -154,6 +156,11 @@ DIGESTS = {
     "random/json/defaults": "531b0567734187eb1df30fdb6069ac4f293b0b284fba59556b3f3a9d7705eddb",
 }
 
+# `solve --step-row 1/2` on the benchmark's seed-7 10x10x4 game: 55 points
+# a player, whose improvement LPs of 110 to 420 rows take thousands of
+# lockstep pivots and meet the relative pivot bound (`lp.TOL_PIVOT`).
+LARGE_SOLVE_DIGEST = "e47bd9ff15ddc07f929d7f3eedc40a4cc339786100977b10382e50188831b054"
+
 
 def _uniform(count: int) -> str:
     return ",".join([f"1/{count}"] * count)
@@ -193,11 +200,28 @@ def _digests(directory) -> dict[str, str]:
     return out
 
 
+def _large_solve_digest(directory) -> str:
+    """The digest of the `solve` report of LARGE_SOLVE_DIGEST."""
+    game = relabeled_game(7, (10, 10, 4), 0)
+    (directory / "r7_10x10x4.json").write_text(json.dumps(game_dict(game)), encoding="utf-8")
+    report = directory / "report.out"
+    argv = ["solve", "-i", "r7_10x10x4.json", "--step-row", "1/2", "--workers", "1"]
+    assert main([*argv, "--output", report.name]) == 0
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
 def test_reports_match_their_recorded_digests(tmp_path, monkeypatch):
     if np.__version__ != RECORDED_NUMPY:
         pytest.skip(f"digests were recorded under numpy {RECORDED_NUMPY}, not {np.__version__}")
     monkeypatch.chdir(tmp_path)
     assert _digests(tmp_path) == DIGESTS
+
+
+def test_a_10x10x4_solve_report_matches_its_recorded_digest(tmp_path, monkeypatch):
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests were recorded under numpy {RECORDED_NUMPY}, not {np.__version__}")
+    monkeypatch.chdir(tmp_path)
+    assert _large_solve_digest(tmp_path) == LARGE_SOLVE_DIGEST
 
 
 if __name__ == "__main__":
@@ -208,7 +232,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         digests = _digests(Path(tmp))
+        large = _large_solve_digest(Path(tmp))
     print("DIGESTS = {")
     for key, value in digests.items():
         print(f'    "{key}": "{value}",')
     print("}")
+    print(f'LARGE_SOLVE_DIGEST = "{large}"')

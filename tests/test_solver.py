@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecgame import equilibria, solver
+from vecgame import solver
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
@@ -377,7 +377,7 @@ def _certificate_bytes(cert: MinimalityCertificate) -> tuple:
 @pytest.fixture(scope="module")
 def per_point_certificates():
     """The relabeled benchmark game of the fronts workload at 1/12 (455 points a
-    player, eight blocks of 56 or 57), certified one point at a time."""
+    player, four blocks of 113 or 114), certified one point at a time."""
     game = relabeled_game(1000, (4, 4, 3), 0)
     step = Fraction(1, 12)
     test = {Player.ROW: minimality_lp, Player.COL: maximality_lp}
@@ -400,23 +400,22 @@ def test_classify_grid_equals_per_point_certificates_bit_for_bit(per_point_certi
         assert got == want[player], player
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2, 3])
 @pytest.mark.parametrize("count", [1, 5, 35, 64, 65, 455, 969])
-def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers, monkeypatch):
+def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, monkeypatch):
     # the policy under a cap of 64; the package's cap is solver.GRID_BLOCK
     monkeypatch.setattr(solver, "GRID_BLOCK", 64)
-    blocks = solver._grid_blocks(count, workers)
+    blocks = solver._grid_blocks(count)
     assert [i for b in blocks for i in range(count)[b]] == list(range(count))
     assert max(b.stop - b.start for b in blocks) <= 64
-    assert len(blocks) == max(min(solver.pool_parts(workers), count), -(-count // 64))
+    assert len(blocks) == -(-count // 64)
 
 
-def test_a_job_is_cut_into_four_tasks_a_worker_in_a_pool_and_one_when_serial():
-    assert [solver.pool_parts(w) for w in (None, 1, 2, 3)] == [1, 1, 8, 12]
+def test_every_pool_process_gets_two_or_more_grid_blocks():
+    assert solver.GRID_BREAK_EVEN >= 2 * solver.GRID_BLOCK
 
 
-@pytest.mark.parametrize("break_even", [solver.GRID_BREAK_EVEN, equilibria.PAIR_BREAK_EVEN])
-def test_a_pool_starts_only_when_each_process_gets_a_break_even_of_work(break_even):
+def test_a_pool_starts_only_when_each_process_gets_a_break_even_of_work():
+    break_even = solver.GRID_BREAK_EVEN
     assert solver.pool_size(2, 2 * break_even - 1, break_even) == 1
     assert solver.pool_size(2, 2 * break_even, break_even) == 2
     assert solver.pool_size(3, 3 * break_even - 1, break_even) == 2
