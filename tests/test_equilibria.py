@@ -348,6 +348,18 @@ def test_batched_strong_flags_equal_the_single_pair_lp(request, name, fronts, re
     assert not any(r.strong for r in records if not r.shapley)
 
 
+@pytest.mark.parametrize("workers", [None, 1, 2])
+@pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
+def test_records_do_not_depend_on_workers(request, name, fronts, records, workers, pool_pays):
+    # the fronts are classified again under `workers`, in a pool for 2
+    game = request.getfixturevalue(name)
+    row, col = (
+        classify_grid(game, front.player, front.grid.step, workers=workers)
+        for front in request.getfixturevalue(fronts)
+    )
+    assert classify_pairs(game, row, col) == request.getfixturevalue(records)
+
+
 def test_strong_lps_run_in_slices_of_grid_block_pairs(corley, corley_fine_fronts,
                                                      corley_fine_records, monkeypatch):
     stacks = []

@@ -400,14 +400,21 @@ def test_classify_grid_equals_per_point_certificates_bit_for_bit(per_point_certi
         assert got == want[player], player
 
 
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
 @pytest.mark.parametrize("count", [1, 5, 35, 64, 65, 455, 969])
-def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, monkeypatch):
-    # the policy under a cap of 64; the package's cap is solver.GRID_BLOCK
+def test_grid_blocks_are_contiguous_and_hold_at_most_64_points(count, workers, monkeypatch):
+    # the policy under a cap of 64 and a break-even of twice that; the
+    # package's are solver.GRID_BLOCK and solver.GRID_BREAK_EVEN
     monkeypatch.setattr(solver, "GRID_BLOCK", 64)
+    monkeypatch.setattr(solver, "GRID_BREAK_EVEN", 128)
     blocks = solver._grid_blocks(count)
     assert [i for b in blocks for i in range(count)[b]] == list(range(count))
     assert max(b.stop - b.start for b in blocks) <= 64
     assert len(blocks) == -(-count // 64)
+    # whatever the worker count, a pool over the cut gives each of its
+    # processes two blocks or more
+    processes = solver.pool_size(workers, count, solver.GRID_BREAK_EVEN)
+    assert processes == 1 or len(blocks) >= 2 * processes
 
 
 def test_every_pool_process_gets_two_or_more_grid_blocks():
