@@ -45,9 +45,15 @@ from .solver import (
     check_workers,
     classify_grid,
     pool_map,
+    pool_size,
 )
 
 from . import __version__ as VERSION
+
+# The payoff entries (rows x columns x components) a `poss` pool process
+# must be given to pay for its start; below two such shares both players
+# run serially (README, "When a pool pays").
+POSS_BREAK_EVEN = 72
 
 CLASSIFICATION_PHRASES = {
     Classification.STRONG_SET_SHAPLEY: "strong set Shapley equilibrium",
@@ -412,8 +418,9 @@ def _poss_player(game: VectorPayoffGame, args: argparse.Namespace, player: Playe
 def _cmd_poss(args: argparse.Namespace) -> str:
     game = load_game(args.input)
     # the players never read each other's image, so each is one task
+    processes = pool_size(args.workers, game.rows * game.cols * game.dim, POSS_BREAK_EVEN)
     (image_row, poss_row, gap_row), (image_col, poss_col, gap_col) = pool_map(
-        functools.partial(_poss_player, game, args), (Player.ROW, Player.COL), args.workers
+        functools.partial(_poss_player, game, args), (Player.ROW, Player.COL), processes
     )
     names = _Strategies(args.step_row, args.step_col)
     report = _report(
@@ -540,8 +547,11 @@ COMMANDS = {
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Check --tol, the grid steps and --workers, where the command has them,
-    and read the grid steps as fractions."""
+    """Check --output, --tol, the grid steps and --workers, where the command
+    has them, and read the grid steps as fractions.  An unwritable --output
+    fails here, before the command spends any work on its report."""
+    if args.output:
+        _check_writable(args.output)
     if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError("tol must be positive and finite")
     if hasattr(args, "step_row"):
@@ -596,6 +606,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _check_writable(path: str) -> None:
+    """Open `path` for appending, which leaves its content alone, and delete
+    it again if this made it."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write(path: str, text: str) -> None:

@@ -37,9 +37,12 @@ every rhs is >= 0 and the slack basis is feasible, so a stack of them
 has no artificial and skips phase 1.  `poss.verify_gap` solves one
 separation LP per optimal strategy; a player's LPs share one shape, so
 they go in stacks of at most `solver.GRID_BLOCK`.  Benson's verification
-LPs stay on `solve_lp`, because the loop needs each answer before it
-builds the next LP, and so do the gap check's few fallback LPs, through
-`check_feasibility`.
+and support LPs stay on `solve_lp`, because the loop needs each answer
+before it builds the next LP, and so do the gap check's few fallback
+LPs, through `check_feasibility`.  Benson's LPs start feasible as well:
+`poss._mixed_strategy_lp` starts each at its cheapest pure strategy and
+shifts the rest of the mixture and the level there, so that every row is
+`<=` with rhs >= 0, and only the fallback LPs still run phase 1.
 
 An optimal outcome also carries the duals of its rows, read off the
 final phase-2 cost row in the pass that reads the solution.  Benson's

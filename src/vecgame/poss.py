@@ -73,42 +73,57 @@ class SecurityImage:
 
 
 def _mixed_strategy_lp(
-    M: np.ndarray, z_index: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
-) -> LPOutcome:
-    """Solve  min cost·z  over p in the simplex and free z  subject to
-    sum_i p_i M[i, r] - z[z_index[r]] <= h[r]  for every column r of M.
+    M: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Solve  min cost·z  over p in the simplex and free z (C,), cost >= 0,
+    subject to  sum_i p_i M[i, r] - z[r mod C] <= h[r]  for every column r
+    of M.  Returns the value, p and the duals of those rows.
 
-    The solution is (p, z); any status but optimal is a numerical fault
-    of the LP called `name`.
+    The LP starts at the pure strategy s whose least feasible z0 costs
+    least, and runs over p_i >= 0 (i != s) and a free u = z - z0, with
+    p_s = 1 - sum p_i.  Its rows
+        sum_{i != s} p_i (M[i, r] - M[s, r]) - u[r mod C] <= z0[r mod C] - (M[s, r] - h[r]),
+        sum_{i != s} p_i <= 1
+    all have rhs >= 0, so the slack basis is feasible and `solve_lp` runs
+    no phase 1.  A row's rhs moves by a constant, which leaves its dual as
+    it was.  Any status but optimal is a numerical fault of the LP called
+    `name`.
     """
     m, R = M.shape
-    lhs = np.zeros((R + 1, m + cost.size))
-    lhs[:R, :m] = M.T
-    lhs[np.arange(R), m + z_index] = -1.0
-    lhs[R, :m] = 1.0
+    c = cost.size
+    reach = M - h  # row i: how far pure strategy i reaches past each rhs
+    z0 = reach.reshape(m, -1, c).max(axis=1)
+    s = int(np.argmin(z0 @ cost))
+    rest = np.arange(m) != s
+    lhs = np.zeros((R + 1, m - 1 + c))
+    lhs[:R, : m - 1] = (M[rest] - M[s]).T
+    lhs[:R, m - 1 :] = np.tile(-np.eye(c), (R // c, 1))
+    lhs[R, : m - 1] = 1.0
     out = solve_lp(
         LinearProgram(
-            objective=np.concatenate([np.zeros(m), cost]),
+            objective=np.concatenate([np.zeros(m - 1), cost]),
             lhs=lhs,
-            relations=("<=",) * R + ("=",),
-            rhs=np.append(h, 1.0),
+            relations=("<=",) * (R + 1),
+            rhs=np.append((z0[s] - reach[s].reshape(-1, c)).ravel(), 1.0),
             sense="min",
-            bounds=((0.0, None),) * m + ((None, None),) * cost.size,
+            bounds=((0.0, None),) * (m - 1) + ((None, None),) * c,
         )
     )
     if out.status != "optimal":
         raise NumericalError(f"{name} LP ended with status {out.status}")
-    return out
+    p = np.zeros(m)
+    p[rest] = out.solution[: m - 1]
+    p[s] = 1.0 - p[rest].sum()
+    return float(cost @ z0[s]) + out.objective_value, p, out.duals[:R]
 
 
 def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:
     """min direction·y over y >= sum_i p_i g_ij (componentwise, all j), p in simplex."""
     m, n, k = entries.shape
-    out = _mixed_strategy_lp(
-        entries.reshape(m, n * k), np.tile(np.arange(k), n), np.zeros(n * k), direction,
-        "image support",
+    value, _, _ = _mixed_strategy_lp(
+        entries.reshape(m, n * k), np.zeros(n * k), direction, "image support"
     )
-    return float(out.objective_value)
+    return value
 
 
 def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -116,11 +131,10 @@ def _verify_vertex(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarra
     the weights w (n, K) >= 0 with unit sum, minus the duals of the LP's
     n·K rows, that `_cut` turns into a halfspace."""
     m, n, k = entries.shape
-    out = _mixed_strategy_lp(
-        entries.reshape(m, n * k), np.zeros(n * k, dtype=int), np.tile(v, n), np.ones(1),
-        "vertex verification",
+    lift, witness, duals = _mixed_strategy_lp(
+        entries.reshape(m, n * k), np.tile(v, n), np.ones(1), "vertex verification"
     )
-    return float(out.objective_value), out.solution[:m], -out.duals[: n * k].reshape(n, k)
+    return lift, witness, -duals.reshape(n, k)
 
 
 def _cut(entries: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -138,12 +152,13 @@ def _cut(entries: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
     return normal, offset
 
 
-def _vertex_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(v, 9).tolist())
+def _vertex_keys(rows: np.ndarray) -> list[tuple]:
+    """Each row rounded to 9 decimals, as a tuple: one `np.round` for them all."""
+    return [tuple(row) for row in np.round(rows, 9).tolist()]
 
 
 def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
-    """Settled DD of the row player's upper set, and its vertices' witnesses by `_vertex_key`."""
+    """Settled DD of the row player's upper set, and its vertices' witnesses by `_vertex_keys`."""
     k = entries.shape[2]
     # the K coordinate bounds, then the bound along (1, ..., 1) / K
     normals = np.vstack([np.eye(k), np.full(k, 1.0 / k)])
@@ -160,8 +175,7 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
         cut = None
-        for v in vertices:
-            key = _vertex_key(v)
+        for v, key in zip(vertices, _vertex_keys(vertices)):
             if key in verified:
                 continue
             lift, witness, w = _verify_vertex(entries, v)
@@ -172,7 +186,7 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
                 break
         if cut is None:
             return dd, verified
-        key = _vertex_key(np.append(*cut))
+        key = _vertex_keys(np.append(*cut)[None])[0]
         if key in cuts:
             raise NumericalError(f"cut through {tuple(v)} repeats an earlier one")
         cuts.add(key)
@@ -191,7 +205,7 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
     # each row is (-b, a) for a·y >= b; the row t >= 0 has a = 0 and drops out
     normals, offsets = unit_sum_halfspaces(facets[:, 1:], -facets[:, 0])
     vertices = upper_set_vertices(dd)
-    attainments = tuple(_lp_strategy(verified[_vertex_key(v)], player) for v in vertices)
+    attainments = tuple(_lp_strategy(verified[key], player) for key in _vertex_keys(vertices))
     image = OrientedPayoffPolyhedron(UPPER, vertices, normals, offsets, vertices)
     if player is Player.ROW:
         return SecurityImage(player, image, attainments)

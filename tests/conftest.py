@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from vecgame import solver
+from vecgame import cli, solver
 from vecgame.game import Player, VectorPayoffGame
 from vecgame.solver import classify_grid
 
@@ -71,9 +71,11 @@ SCALAR_ROWS = [
 
 @pytest.fixture
 def pool_pays(monkeypatch):
-    """A break-even of one grid point, so that a worker count above 1 starts
-    a pool even on the small grids a test can afford (`solver.pool_size`)."""
+    """Break-evens of one grid point and one payoff entry, so that a worker
+    count above 1 starts a pool even on the small grids and games a test can
+    afford (`solver.pool_size`)."""
     monkeypatch.setattr(solver, "GRID_BREAK_EVEN", 1)
+    monkeypatch.setattr(cli, "POSS_BREAK_EVEN", 1)
 
 
 @pytest.fixture(scope="session")

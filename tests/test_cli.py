@@ -319,7 +319,7 @@ def test_poss_report_strategies_and_gap(poss_report):
 
 
 @pytest.mark.parametrize("name", list(BUNDLED_GAMES))
-def test_poss_does_not_depend_on_the_worker_count(tmp_path, name):
+def test_poss_does_not_depend_on_the_worker_count(tmp_path, name, pool_pays):
     game = tmp_path / "game.json"
     game.write_text(
         json.dumps(game_dict(VectorPayoffGame.from_rows(BUNDLED_GAMES[name]))), encoding="utf-8"
@@ -349,7 +349,7 @@ def test_a_cut_the_outer_approximation_ignores_stops_benson_with_a_numerical_fai
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_non_optimal_lp_in_a_poss_task_is_a_numerical_failure(game_files, monkeypatch, capsys,
-                                                                 workers):
+                                                                 workers, pool_pays):
     # Benson's first LP, a support LP of the image, fails inside the player's
     # task; in a pool that task runs in a forked worker, which inherits the patch.
     monkeypatch.setattr(poss, "solve_lp", lambda lp: LPOutcome("iteration_limit", None, None, 0))
@@ -601,6 +601,30 @@ def test_an_unwritable_output_path_is_an_input_error(game_files, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err.startswith(f"input error: cannot write {path}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_an_unwritable_output_path_fails_before_any_lp_is_solved(
+        game_files, tmp_path, capsys, monkeypatch):
+    stacks = []
+    monkeypatch.setattr(solver, "solve_batch", lambda lp: stacks.append(lp) or [])
+    path = tmp_path / "absent" / "x.json"
+    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
+    assert stacks == []
+
+
+def test_checking_the_output_path_leaves_no_file_and_keeps_an_existing_one(
+        game_files, tmp_path, monkeypatch):
+    # the command fails after the check: a new path stays absent, and an
+    # existing file keeps its content
+    monkeypatch.setattr(solver, "solve_batch", lambda lp: 1 / 0)
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier report", encoding="utf-8")
+    for path in (fresh, kept):
+        with pytest.raises(ZeroDivisionError):
+            main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)])
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "earlier report"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

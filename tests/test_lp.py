@@ -840,29 +840,57 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
     minimality_lp(game, p)
     _assert_same_lp(seen.pop(), _row_built_improvement_lp(game, p))
 
-    # image support and vertex lift: one row per column and component
+    # image support and vertex lift, shifted to the cheapest pure strategy
+    # s: over p_i (i != s) and a free u = z - z0, one row per column and
+    # component with rhs z0 - (g_sjk - h_jk) >= 0, then sum_i p_i <= 1
     direction, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 2.5, 1.0])
     _support_value(entries, direction)
     _verify_vertex(entries, v)
-    support_rows, lift_rows = [], []
+    support_z0 = entries.max(axis=1)  # (m, k): each pure strategy's worst payoff
+    lift_z0 = (entries - v).max(axis=(1, 2))  # (m,): each pure strategy's lift of v
+    s_support = int(np.argmin(support_z0 @ direction))
+    s_lift = int(np.argmin(lift_z0))
+    support_rows, lift_rows, support_rhs, lift_rhs = [], [], [], []
     for j in range(n):
         for kk in range(k):
-            row = np.zeros(m + k)
-            row[:m] = entries[:, j, kk]
-            row[m + kk] = -1.0
-            support_rows.append(row)
-            lift_rows.append(np.concatenate([entries[:, j, kk], [-1.0]]))
-    support_rows.append(np.concatenate([np.ones(m), np.zeros(k)]))
-    lift_rows.append(np.concatenate([np.ones(m), [0.0]]))
-    relations = ("<=",) * (n * k) + ("=",)
-    lift = _row_built(lift_rows, relations, [v[kk] for j in range(n) for kk in range(k)] + [1.0],
-                      np.concatenate([np.zeros(m), [1.0]]), "min", ((0.0, None),) * m + (free,))
-    support = _row_built(support_rows, relations, [0.0] * (n * k) + [1.0],
-                         np.concatenate([np.zeros(m), direction]), "min",
-                         ((0.0, None),) * m + (free,) * k)
+            row = [entries[i, j, kk] - entries[s_support, j, kk] for i in range(m)
+                   if i != s_support]
+            support_rows.append(np.concatenate([row, -np.eye(k)[kk]]))
+            support_rhs.append(support_z0[s_support, kk] - entries[s_support, j, kk])
+            row = [entries[i, j, kk] - entries[s_lift, j, kk] for i in range(m) if i != s_lift]
+            lift_rows.append(np.concatenate([row, [-1.0]]))
+            lift_rhs.append(lift_z0[s_lift] - (entries[s_lift, j, kk] - v[kk]))
+    support_rows.append(np.concatenate([np.ones(m - 1), np.zeros(k)]))
+    lift_rows.append(np.concatenate([np.ones(m - 1), [0.0]]))
+    relations = ("<=",) * (n * k + 1)
+    lift = _row_built(lift_rows, relations, lift_rhs + [1.0],
+                      np.concatenate([np.zeros(m - 1), [1.0]]), "min",
+                      ((0.0, None),) * (m - 1) + (free,))
+    support = _row_built(support_rows, relations, support_rhs + [1.0],
+                         np.concatenate([np.zeros(m - 1), direction]), "min",
+                         ((0.0, None),) * (m - 1) + (free,) * k)
     _assert_same_lp(seen.pop(), lift)
     _assert_same_lp(seen.pop(), support)
     assert not seen
+
+
+def test_every_lp_poss_solves_alone_starts_at_a_feasible_slack_basis(monkeypatch):
+    # only <= rows with rhs >= 0: the slack basis is feasible, and no phase 1 runs
+    seen = []
+
+    def recording_solve_lp(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
+    for case in range(3):
+        game = relabeled_game(2000 + case, (4, 4, 4), case)
+        for player in Player:
+            compute_security_image(game, player)
+    assert len(seen) > 100
+    for lp in seen:
+        assert set(lp.relations) == {"<="}
+        assert (lp.rhs >= 0.0).all()
 
 
 def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definition(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vecgame import solver
+from vecgame import cli, solver
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
@@ -442,16 +443,12 @@ def test_the_fronts_size_their_pool_by_the_grid_points_of_every_grid(two_by_two,
     assert sized == [(3, 11 + 5, solver.GRID_BREAK_EVEN)]
 
 
-@pytest.mark.parametrize(
-    ("workers", "count", "processes"),
-    [(2, 2, 2), (16, 2, 2), (3, 8, 3), (4, 4, 4), (16, 1, None), (1, 8, None), (None, 8, None)],
-)
-def test_pool_map_starts_at_most_one_process_per_item(monkeypatch, workers, count, processes):
+def _record_pools(monkeypatch) -> list[int]:
+    """Stand a recorder in for the process pool; returns the list of the
+    sizes of the pools started, which map in process."""
     started = []
 
     class RecordingExecutor:
-        """Stands in for the process pool: records its size and maps in process."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -465,9 +462,40 @@ def test_pool_map_starts_at_most_one_process_per_item(monkeypatch, workers, coun
             return map(fn, items)
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingExecutor)
+    return started
+
+
+@pytest.mark.parametrize(
+    ("workers", "count", "processes"),
+    [(2, 2, 2), (16, 2, 2), (3, 8, 3), (4, 4, 4), (16, 1, None), (1, 8, None), (None, 8, None)],
+)
+def test_pool_map_starts_at_most_one_process_per_item(monkeypatch, workers, count, processes):
+    started = _record_pools(monkeypatch)
     items = list(range(count))
     assert solver.pool_map(str, items, workers) == [str(x) for x in items]
     assert started == ([] if processes is None else [processes])
+
+
+def test_poss_starts_its_pool_of_two_at_the_break_even(two_by_two, tmp_path, monkeypatch):
+    # two_by_two has 2 x 2 x 2 = 8 payoff entries: a pool of two needs two
+    # shares of cli.POSS_BREAK_EVEN entries, so 4 starts one and 5 does not
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(cli.game_dict(two_by_two)), encoding="utf-8")
+    argv = ["poss", "-i", str(game), "--workers", "2", "-o", str(tmp_path / "out.json")]
+    started = _record_pools(monkeypatch)
+    monkeypatch.setattr(cli, "POSS_BREAK_EVEN", 5)
+    assert cli.main(argv) == 0
+    assert started == []
+    monkeypatch.setattr(cli, "POSS_BREAK_EVEN", 4)
+    assert cli.main(argv) == 0
+    assert started == [2]
+
+
+def test_the_image_games_run_serially_and_a_10x10x4_game_in_a_pool_of_two():
+    # the `image` benchmark's 4x4x4 games, and the 10x10x4 game of README's
+    # "Cost of a security image", under the break-even of README's table
+    assert solver.pool_size(2, 4 * 4 * 4, cli.POSS_BREAK_EVEN) == 1
+    assert solver.pool_size(2, 10 * 10 * 4, cli.POSS_BREAK_EVEN) == 2
 
 
 def test_one_non_optimal_lp_in_a_block_is_a_numerical_fault(two_by_two, monkeypatch):
