@@ -56,7 +56,7 @@ DIGESTS = {
     "equilibria/json/two_by_two": "995533356198c8706479d90c42caaf02ea32e749977f2724ab3770516f5cf2ab",
     "equilibria/csv/two_by_two": "b5fc2e9c9d2d6448288f6e6861d283b38ce5ca077f079ecc58f4e84c39b20525",
     "equilibria/table/two_by_two": "adf30ddb816f91f6c2fcc4d1c61e87e258877cfbec37a36915107d2d08c17cce",
-    "poss/json/two_by_two": "271573853a710810270649b101b79fd0d0ada304bc0497bd8a0efa631f572034",
+    "poss/json/two_by_two": "4c655f4ffcf1fc6982a96f35c724bb0e32386383ad06082d82aec821a65215f9",
     "check-row/json/two_by_two": "eb01e4c50d7999a8e46c2e2a3bad31bf61f4b77f752216576c96e288207cbb18",
     "check-row/table/two_by_two": "0e9d881ec58898ca162b96109c2552b94ba63ad3a1f12ab84531fe68251ca3fa",
     "check-col/json/two_by_two": "6240c60969db80bd4acedcce2dfb43cfce8386e238867767537f29a4571675e0",
@@ -82,13 +82,13 @@ DIGESTS = {
     "equilibria/json/constant_row": "6a758f115b56ed7fb2a6b1ad4b43cf68a286a885563ff579d9ec31e7e68fba2d",
     "equilibria/csv/constant_row": "1bd3f8781667976864269e1a3fb9535252b2880de70c9e5fd5723068c6ea1a5b",
     "equilibria/table/constant_row": "ad1d8f218ed4f2a327b78d15d656963d38e5aab2c887df1e5f1c6f89496fa0cb",
-    "poss/json/constant_row": "c593d3370516e89bd3816c65cf5931789141403c946cad8b5f5bfa7c88e057e1",
+    "poss/json/constant_row": "8528ffbf2865ceb3ab62feb66e2aa47a9549aaef3ee0a314d0bca78a3462c814",
     "check-row/json/constant_row": "acc80f53e2f93fd7e79efb3cd1b1910e13541e4ef9b81ea96fa498347cdecdf2",
     "check-row/table/constant_row": "70af081dadaa97ad64c24d2c96bc18a598f5ae91cee8da0d50f5a4ab4c6e390c",
     "check-col/json/constant_row": "a0ea5e34d59382efdcb2813ad292f19bd6922f6799adcb277db02409227dd0b3",
     "check-pair/json/constant_row": "688352d6d1865bb30dad22fe00cc902e7d83915e4ddc089bef393410ab902819",
     "check-pair/table/constant_row": "eeacb1293f86929aaf17539f62e0d86bd1ae9a2c1d3db6ade5383c7f50182a11",
-    "plot-pair/json/constant_row": "ab458db1ca86f802328165bb58c85ed199f024cd9cc33351731538277cf864c9",
+    "plot-pair/json/constant_row": "ad292a7f41e086333ef7719ff89cb9cb5febc91b32c4f2c03038f75208c6aa3f",
     "solve/json/corley": "ee94a62749eb6c1fbd3f4d27b7ca9016f979e528a9c1b1c93b23729f15c812eb",
     "solve/csv/corley": "3d41f24c926089cce3662c89ce246d1fc5681a2c2c4140f25526348d581c9236",
     "solve/table/corley": "59c546d2cf8f94a37c65f8b99a00bd26ab546be314617b5b4abfd48e021c4b38",
@@ -108,7 +108,7 @@ DIGESTS = {
     "equilibria/json/zero_row": "c1e5a7b500099c17fd62ebc817fe8584761cc132500b90ea8a42e59555733c2a",
     "equilibria/csv/zero_row": "9add26b42348f3cce2615d36aa257a078fcc5cdcc11901d71f9fa41268ef634f",
     "equilibria/table/zero_row": "58fcc3c70d0cc51220a2b01138368c347fc997f72f595962d7f1edbe08aea0c9",
-    "poss/json/zero_row": "05d56ab009f729f758f951a97ac864d09a229dfda218f448b38e54e031624dcd",
+    "poss/json/zero_row": "bd80f0ddc71521c6393c8da3a60ea5b76f3539a070ac666fe200c0802b4612f7",
     "check-row/json/zero_row": "f6c912bbde700da32d48ec82353ebdc12c1a22e68e3c2194bd378024843654a5",
     "check-row/table/zero_row": "8e70481b5ffb0a03822b627afca9eccebd925a1c84853da9116afd015e3b2f08",
     "check-col/json/zero_row": "ad2c61812cbd9ec5b55613963cda47f74a0ff4a08c4d24bdef4131046d4129fa",
@@ -121,20 +121,20 @@ DIGESTS = {
     "equilibria/json/three_by_three": "717a2db0747270ed2ecdb21953f8ea6b8076be074bb00b5828fad7fbcad97b70",
     "equilibria/csv/three_by_three": "d0dfb428094857aaadd747eebcdfd44aac3d3f4f2d8ef536ed4bced49ee26405",
     "equilibria/table/three_by_three": "9aed3fde804c8bc594dabd5a004e8faa144196c0e3f7aee386cd87881c69f311",
-    "poss/json/three_by_three": "8754a04a4a5b5a25747fd9e0b4088725d8b6b3cdb2d0e354387ae89d1065a6f7",
+    "poss/json/three_by_three": "b0fc0e1c575225e083e462fae89c96e8561cff668aeb19d3acdf35afd674b0f6",
     "check-row/json/three_by_three": "86a100175843002a147c70dc3a64efdfdcb59bef95ab7793551316a0e66473e6",
     "check-row/table/three_by_three": "a1f6c2ff243d8d65fb04c76e504b0003a2aaae1cff2bf9bc6eb06b1786facd19",
     "check-col/json/three_by_three": "0cffa0ec305c60021371cef3e30ef7223b8c24f43e500444801f2ab70917da63",
     "check-pair/json/three_by_three": "6d46d0447142110bd0b58f08babcaf493a787fb7344d87c164178516e80625c0",
     "check-pair/table/three_by_three": "e34d789f65bca544f0547f972019560d48372f82985fb7ff089e32efae24d2a5",
-    "plot-pair/json/three_by_three": "774c349f81ea6c1f53e0536eaf81fc9b4e5220c1482996c40eb83fff1f0d670c",
+    "plot-pair/json/three_by_three": "7065e672b3154859e9a5ff03fc37c41a6eec706a9fbc615ebf215257f154e17b",
     "solve/json/single_column": "3e84e5b0f3388263899315458865602f4648f5fd208af11c0ee28238d12d32b1",
     "solve/csv/single_column": "6fe71d6668f1d4261a2d865d1b4efa0322ba5b9c3c5707f59e89a81b612b0773",
     "solve/table/single_column": "713775dd26c2eb43350119ef896bca85f079d94f009dca18d7f89baf8ce027a4",
     "equilibria/json/single_column": "a5f37cb21484c89e20388a09feab50bd5f57bcd0d2314326992fbe7481832720",
     "equilibria/csv/single_column": "0b3f82f090506230e32341c96e265df70d833317c4af0618e15b6292e5bcdfb1",
     "equilibria/table/single_column": "dd1e21371c150699207d44a096559e78de975c018f6ade02da32c395de8bfc18",
-    "poss/json/single_column": "8d8b9900fce14c5a31f9dfbeb48533ab93142687ec65b80be36eb4b60c607a84",
+    "poss/json/single_column": "67f55f8e7e39f76e503e5b47a14256eb1166f67511a404de73c726b3966092d4",
     "check-row/json/single_column": "6e3690335be105ef1f9dffac078128347b07d3398d2d3d744c38db994019a0c9",
     "check-row/table/single_column": "484ecb1c482ddcd1c38e54008e008fd3f326229f0e9c0236f8d6da6ca295d9d7",
     "check-col/json/single_column": "688569638b6ff962078014803ac621310a1640b6e71c906a76aa45e7ba312375",
@@ -147,7 +147,7 @@ DIGESTS = {
     "equilibria/json/scalar": "3b5831baa3111f7a408447d26ff9fd2d5484ac0380838d4a1ed890eba4f909bb",
     "equilibria/csv/scalar": "ad5c614a15bf3ab6a36e370fbd2800d8012de9c352a8c9eb4ece900ea64087a4",
     "equilibria/table/scalar": "2a30d3cd4b71dd2f37fa941f305c935e717e4235f0ab1ab98f7dc703b69baace",
-    "poss/json/scalar": "c75dca5a291f22ecf97082733c91b0d497ef7a039a975ff7da83116aad4e7ceb",
+    "poss/json/scalar": "bf5781e65fcd531a82c2e5b5960eb677664fbf3c8ec380d7e82bd9b9bf9889aa",
     "check-row/json/scalar": "5ca465d426336c6bcb4982cf405b449363a84f92a6dd68c6afd10ef82cea7804",
     "check-row/table/scalar": "f89e49d651079e81744233f42e4fac2fe5f5c8779b1cc1520758788b0efbffa5",
     "check-col/json/scalar": "7ceb7af2ad32c3507fa843dcdb242260bae4a95d56fd54f1eb4f1ddb800561ab",
