@@ -97,7 +97,7 @@ def _mixed_strategy_lp(
     rest = np.arange(m) != s
     lhs = np.zeros((R + 1, m - 1 + c))
     lhs[:R, : m - 1] = (M[rest] - M[s]).T
-    lhs[:R, m - 1 :] = np.tile(-np.eye(c), (R // c, 1))
+    lhs[np.arange(R), m - 1 + np.arange(R) % c] = -1.0
     lhs[R, : m - 1] = 1.0
     out = solve_lp(
         LinearProgram(

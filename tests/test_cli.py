@@ -595,34 +595,26 @@ def test_bad_strategy_weights_are_an_input_error(game_files, capsys, command, we
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
-def test_an_unwritable_output_path_is_an_input_error(game_files, tmp_path, capsys):
+def test_an_unwritable_output_path_is_an_input_error(game_files, tmp_path, capsys, monkeypatch):
+    # the path is checked before the command runs, so no LP is solved
+    stacks = []
+    monkeypatch.setattr(solver, "solve_batch", lambda lp: stacks.append(lp) or [])
     path = tmp_path / "absent" / "report.json"
     assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"input error: cannot write {path}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
-
-
-def test_an_unwritable_output_path_fails_before_any_lp_is_solved(
-        game_files, tmp_path, capsys, monkeypatch):
-    stacks = []
-    monkeypatch.setattr(solver, "solve_batch", lambda lp: stacks.append(lp) or [])
-    path = tmp_path / "absent" / "x.json"
-    assert main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
     assert stacks == []
 
 
-def test_checking_the_output_path_leaves_no_file_and_keeps_an_existing_one(
-        game_files, tmp_path, monkeypatch):
-    # the command fails after the check: a new path stays absent, and an
-    # existing file keeps its content
-    monkeypatch.setattr(solver, "solve_batch", lambda lp: 1 / 0)
+def test_checking_the_output_path_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys):
+    # the command fails after the check, on a game file that is not there:
+    # a new output path stays absent, and an existing file keeps its content
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier report", encoding="utf-8")
     for path in (fresh, kept):
-        with pytest.raises(ZeroDivisionError):
-            main(["solve", "-i", game_files["two_by_two"], "--workers", "1", "-o", str(path)])
+        assert main(["solve", "-i", str(tmp_path / "absent.json"), "-o", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
     assert not fresh.exists()
     assert kept.read_text(encoding="utf-8") == "earlier report"
 

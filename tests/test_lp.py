@@ -855,7 +855,9 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
         for kk in range(k):
             row = [entries[i, j, kk] - entries[s_support, j, kk] for i in range(m)
                    if i != s_support]
-            support_rows.append(np.concatenate([row, -np.eye(k)[kk]]))
+            level = np.zeros(k)
+            level[kk] = -1.0
+            support_rows.append(np.concatenate([row, level]))
             support_rhs.append(support_z0[s_support, kk] - entries[s_support, j, kk])
             row = [entries[i, j, kk] - entries[s_lift, j, kk] for i in range(m) if i != s_lift]
             lift_rows.append(np.concatenate([row, [-1.0]]))

@@ -661,3 +661,17 @@ def test_cuts_read_off_the_verification_duals_give_the_images_of_the_cut_lp(
     assert got_cuts == want_cuts
     _, _, found = report_diff.differences(got.to_dict(), want.to_dict(), 1e-9)
     assert not found, found
+
+
+def test_vertex_keys_round_the_whole_array_as_each_vertex_alone():
+    # the per-vertex rounding is the reference; ties at the ninth decimal
+    # and values of every scale must key the same bit for bit
+    rng = np.random.default_rng(11)
+    vertices = np.vstack([
+        rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-12, 4, size=(200, 1)),
+        np.array([[0.5e-9, -0.5e-9, 2.5e-9, 1.0000000005], [-0.0, 0.0, 1e-10, -1e-10]]),
+    ])
+    want = [tuple(np.round(v, 9).tolist()) for v in vertices]
+    got = poss._vertex_keys(vertices)
+    assert got == want
+    assert np.array(got).tobytes() == np.array(want).tobytes()  # -0.0 too
