@@ -28,7 +28,7 @@ from .game import (
     expected_payoffs,
     row_generator_matrix,
 )
-from .lp import LinearProgram, solve_batch
+from .lp import LinearProgram, clip_rhs, solve_batch
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     active_normal_sums,
@@ -112,30 +112,38 @@ _Facets = tuple[np.ndarray, np.ndarray]
 _Pair = tuple[_Facets, _Facets]
 
 
-def _strong_lps(pairs: Sequence[_Pair]) -> list[tuple[list[int], LinearProgram]]:
-    """The separation LPs of the pairs (V_I(p), V_II(q)), one stack per pair
-    of facet counts (f, g), each with the indices of its pairs.
+def _strong_lps(
+    pairs: Sequence[_Pair], payoffs: np.ndarray
+) -> list[tuple[list[int], LinearProgram]]:
+    """The separation LPs of the pairs (V_I(p), V_II(q)), whose payoffs
+    v(p, q) are the rows of `payoffs` (N, K), one stack per pair of facet
+    counts (f, g), each with the indices of its pairs.
 
     A pair's LP finds the largest total downward shift t >= 0 from a point
     y of V_I(p) with y - t in V_II(q); zero means the intersection contains
-    no improvable point.  A stack's (B, f + g, 2k) constraint matrices, over
-    the variables (y, t), come from one block build.
+    no improvable point.  It runs in the free shift d = y - v: v mixes the
+    generators of both sets, so it lies in both, and every row
+        a1 d <= b1 - a1·v,    -a2 d + a2 t <= a2·v - b2
+    has rhs >= 0 (`clip_rhs`), which makes d = 0, t = 0 the slack basis.  A
+    stack's (B, f + g, 2k) constraint matrices, over (d, t), come from one
+    block build.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, ((_, b1), (_, b2)) in enumerate(pairs):
         groups.setdefault((len(b1), len(b2)), []).append(i)
     stacks = []
-    for (f, g), idx in groups.items():
+    for idx in groups.values():
         a1 = np.array([pairs[i][0][0] for i in idx])
         b1 = np.array([pairs[i][0][1] for i in idx])
         a2 = np.array([pairs[i][1][0] for i in idx])
         b2 = np.array([pairs[i][1][1] for i in idx])
+        v = payoffs[idx][:, :, None]
         k = a1.shape[2]
+        rhs = np.concatenate([b1 - (a1 @ v)[..., 0], (a2 @ v)[..., 0] - b2], axis=1)
         lp = LinearProgram(
             objective=np.concatenate([np.zeros(k), np.ones(k)]),
-            lhs=np.block([[a1, np.zeros_like(a1)], [a2, -a2]]),
-            relations=("<=",) * f + (">=",) * g,
-            rhs=np.concatenate([b1, b2], axis=1),
+            lhs=np.block([[a1, np.zeros_like(a1)], [-a2, a2]]),
+            rhs=clip_rhs(rhs, "a pair's payoff lies outside its payoff sets"),
             sense="max",
             bounds=((None, None),) * k + ((0.0, None),) * k,
         )
@@ -143,10 +151,10 @@ def _strong_lps(pairs: Sequence[_Pair]) -> list[tuple[list[int], LinearProgram]]
     return stacks
 
 
-def _strong_values(pairs: Sequence[_Pair]) -> list[float]:
+def _strong_values(pairs: Sequence[_Pair], payoffs: np.ndarray) -> list[float]:
     """The value of each pair's separation LP, solved one stack at a time."""
     values = [0.0] * len(pairs)
-    for idx, lp in _strong_lps(pairs):
+    for idx, lp in _strong_lps(pairs, payoffs):
         for i, out in zip(idx, solve_batch(lp)):
             if out.status != "optimal":
                 raise NumericalError(f"strong-equilibrium LP ended with status {out.status}")
@@ -176,9 +184,10 @@ def _classify(game: VectorPayoffGame, rows: _Side, cols: _Side) -> list[Equilibr
     row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
     col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
     pairs = [(row_facets[a], col_facets[b]) for a, b in np.argwhere(shapley).tolist()]
+    pair_payoffs = payoffs[shapley]
     values = []
     for lo in range(0, len(pairs), GRID_BLOCK):
-        values += _strong_values(pairs[lo : lo + GRID_BLOCK])
+        values += _strong_values(pairs[lo : lo + GRID_BLOCK], pair_payoffs[lo : lo + GRID_BLOCK])
     strong = np.zeros_like(shapley)
     strong[shapley] = np.array(values) <= STRONG_TOL
 

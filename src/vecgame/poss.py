@@ -72,49 +72,69 @@ class SecurityImage:
         }
 
 
+def _mixed_strategy_lps(
+    M: np.ndarray, h: np.ndarray, cost: np.ndarray, levels: np.ndarray
+) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """The LPs  min cost·z  over p in the simplex and free z (C,), cost >= 0,
+    subject to  sum_i p_i M[i, r] - z[levels[r]] <= h[r]  for every column r
+    of M (m, R), one per M of a stack (..., m, R) and its h (..., R), in one
+    `LinearProgram` of that stack shape.  Returns it, each LP's start s
+    and its least feasible z0 there (`_mixed_strategy`).
+
+    An LP starts at the pure strategy s whose least feasible z0 costs
+    least, and runs over p_i >= 0 (i != s) and a free u = z - z0, with
+    p_s = 1 - sum p_i.  Its rows
+        sum_{i != s} p_i (M[i, r] - M[s, r]) - u[levels[r]] <= z0[levels[r]] - (M[s, r] - h[r]),
+        sum_{i != s} p_i <= 1
+    all have rhs >= 0, so the slack basis is feasible.  A row's rhs moves
+    by a constant, which leaves its dual as it was.
+    """
+    stack, (m, R), c = M.shape[:-2], M.shape[-2:], cost.size
+    M, h = M.reshape(-1, m, R), h.reshape(-1, R)
+    at = np.arange(len(M))
+    reach = M - h[:, None, :]  # row i: how far pure strategy i reaches past each rhs
+    z0 = np.stack([reach[:, :, levels == lv].max(axis=2) for lv in range(c)], axis=2)
+    s = (z0 @ cost).argmin(axis=1)
+    rest = np.arange(m - 1) + (np.arange(m - 1) >= s[:, None])
+    lhs = np.zeros((len(M), R + 1, m - 1 + c))
+    lhs[:, :R, : m - 1] = (M[at[:, None], rest] - M[at, s][:, None]).transpose(0, 2, 1)
+    lhs[:, np.arange(R), m - 1 + levels] = -1.0
+    lhs[:, R, : m - 1] = 1.0
+    rhs = np.ones((len(M), R + 1))
+    rhs[:, :R] = z0[at, s][:, levels] - reach[at, s]
+    lp = LinearProgram(
+        objective=np.concatenate([np.zeros(m - 1), cost]),
+        lhs=lhs.reshape(*stack, R + 1, m - 1 + c),
+        rhs=rhs.reshape(*stack, R + 1),
+        sense="min",
+        bounds=((0.0, None),) * (m - 1) + ((None, None),) * c,
+    )
+    return lp, s, z0[at, s]
+
+
+def _mixed_strategy(x: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The strategy p (m,) of the solution x of an LP of `_mixed_strategy_lps`
+    that started at the pure strategy s."""
+    p = np.zeros(m)
+    rest = np.arange(m) != s
+    p[rest] = x[: m - 1]
+    p[s] = 1.0 - p[rest].sum()
+    return p
+
+
 def _mixed_strategy_lp(
     M: np.ndarray, h: np.ndarray, cost: np.ndarray, name: str
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Solve  min cost·z  over p in the simplex and free z (C,), cost >= 0,
-    subject to  sum_i p_i M[i, r] - z[r mod C] <= h[r]  for every column r
-    of M.  Returns the value, p and the duals of those rows.
-
-    The LP starts at the pure strategy s whose least feasible z0 costs
-    least, and runs over p_i >= 0 (i != s) and a free u = z - z0, with
-    p_s = 1 - sum p_i.  Its rows
-        sum_{i != s} p_i (M[i, r] - M[s, r]) - u[r mod C] <= z0[r mod C] - (M[s, r] - h[r]),
-        sum_{i != s} p_i <= 1
-    all have rhs >= 0, so the slack basis is feasible and `solve_lp` runs
-    no phase 1.  A row's rhs moves by a constant, which leaves its dual as
-    it was.  Any status but optimal is a numerical fault of the LP called
-    `name`.
-    """
+    """Solve the LP of `_mixed_strategy_lps` whose levels are r mod C, the
+    size of `cost`.  Returns the value, p and the duals of the rows of M.
+    Any status but optimal is a numerical fault of the LP called `name`."""
     m, R = M.shape
-    c = cost.size
-    reach = M - h  # row i: how far pure strategy i reaches past each rhs
-    z0 = reach.reshape(m, -1, c).max(axis=1)
-    s = int(np.argmin(z0 @ cost))
-    rest = np.arange(m) != s
-    lhs = np.zeros((R + 1, m - 1 + c))
-    lhs[:R, : m - 1] = (M[rest] - M[s]).T
-    lhs[np.arange(R), m - 1 + np.arange(R) % c] = -1.0
-    lhs[R, : m - 1] = 1.0
-    out = solve_lp(
-        LinearProgram(
-            objective=np.concatenate([np.zeros(m - 1), cost]),
-            lhs=lhs,
-            relations=("<=",) * (R + 1),
-            rhs=np.append((z0[s] - reach[s].reshape(-1, c)).ravel(), 1.0),
-            sense="min",
-            bounds=((0.0, None),) * (m - 1) + ((None, None),) * c,
-        )
-    )
+    lp, s, z0 = _mixed_strategy_lps(M, h, cost, np.arange(R) % cost.size)
+    out = solve_lp(lp)
     if out.status != "optimal":
         raise NumericalError(f"{name} LP ended with status {out.status}")
-    p = np.zeros(m)
-    p[rest] = out.solution[: m - 1]
-    p[s] = 1.0 - p[rest].sum()
-    return float(cost @ z0[s]) + out.objective_value, p, out.duals[:R]
+    p = _mixed_strategy(out.solution, int(s[0]), m)
+    return float(cost @ z0[0]) + out.objective_value, p, out.duals[:R]
 
 
 def _support_value(entries: np.ndarray, direction: np.ndarray) -> float:
@@ -264,34 +284,36 @@ class GapReport:
         return not self.violations
 
 
-def _certificate_lps(img: OrientedPayoffPolyhedron, generators: np.ndarray) -> LinearProgram:
-    """The separation LPs of a stack (B, n, K) of generator sets against the
-    image {w : A w >= b} (F facets), one per set: over lambda in the simplex
-    of R^F and a free t, maximize t subject to
-        sum_f lambda_f (a_f·y_j - b_f) <= 0   for each generator y_j,
-        t - (A^T lambda)_k <= 0               for each component k.
-    Every LP has the shape (n + K + 1) x (F + 1); only the first n rows
-    depend on the set."""
+def _margin_lps(
+    img: OrientedPayoffPolyhedron, generators: np.ndarray
+) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """The margin LPs of a stack (B, n, K) of generator sets against the
+    image {w : A w >= b} (F facets), one per set, as `_mixed_strategy_lps`
+    returns them: over lambda in the simplex of R^F, maximize
+        GAP_EPS min_k (A^T lambda)_k - max_j sum_f lambda_f (a_f·y_j - b_f),
+    the margin that `_separated` checks.  They are `_mixed_strategy_lps`
+    that minimize its negation z_0 + z_1 over two levels:
+        z_0 >= sum_f lambda_f (a_f·y_j - b_f)   for each generator y_j,
+        z_1 >= -GAP_EPS (A^T lambda)_k           for each component k.
+    Every LP has the shape (n + K + 1) x (F + 1)."""
     count, n, k = generators.shape
     f = len(img.offsets)
-    lhs = np.zeros((count, n + k + 1, f + 1))
-    lhs[:, :n, :f] = generators @ img.normals.T - img.offsets
-    lhs[:, n : n + k, :f] = -img.normals.T
-    lhs[:, n : n + k, f] = 1.0
-    lhs[:, -1, :f] = 1.0
-    return LinearProgram(
-        objective=np.append(np.zeros(f), 1.0),
-        lhs=lhs,
-        relations=("<=",) * (n + k) + ("=",),
-        rhs=np.broadcast_to(np.append(np.zeros(n + k), 1.0), lhs.shape[:2]),
-        sense="max",
-        bounds=((0.0, None),) * f + ((None, None),),
+    M = np.concatenate(
+        [
+            (generators @ img.normals.T - img.offsets).transpose(0, 2, 1),
+            np.broadcast_to(-GAP_EPS * img.normals, (count, f, k)),
+        ],
+        axis=2,
     )
+    return _mixed_strategy_lps(M, np.zeros((count, n + k)), np.ones(2), np.repeat([0, 1], [n, k]))
 
 
-def _separated(img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, limit: float) -> bool:
-    """Whether the separation LP's weights lambda prove that co(Y) - R^K_+
-    misses the image shifted by GAP_EPS along every coordinate.
+def _separated(
+    img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, start: int, limit: float
+) -> bool:
+    """Whether the weights lambda of the margin LP that started at facet
+    `start` prove that co(Y) - R^K_+ misses the image shifted by GAP_EPS
+    along every coordinate.
 
     The normals A are nonnegative, so h = A^T lambda is too: the lower set
     lies in {h·w <= max_j h·y_j}, and the image shifted along e_k lies in
@@ -300,7 +322,7 @@ def _separated(img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, lim
     """
     if out.status != "optimal":
         return False
-    lam = np.maximum(out.solution[:-1], 0.0)
+    lam = np.maximum(_mixed_strategy(out.solution, start, len(img.offsets)), 0.0)
     h = lam @ img.normals
     margin = GAP_EPS * h.min() - (float((Y @ h).max()) - float(lam @ img.offsets))
     return bool(margin > limit)
@@ -309,13 +331,13 @@ def _separated(img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, lim
 def _meets_shifted_image(img: OrientedPayoffPolyhedron, Y: np.ndarray, rhs: np.ndarray) -> bool:
     """Whether some mixture mu of the generators Y (n, K) has A Y^T mu >= rhs:
     a point of co(Y) - R^K_+ in the shifted image {w : A w >= rhs}, since
-    A >= 0 makes the mixture itself the best point below it."""
+    A >= 0 makes the mixture itself the best point below it.  The rows are
+    -A Y^T mu <= -rhs and sum(mu) = 1 as two `<=` rows."""
     n = len(Y)
     lp = LinearProgram(
         objective=np.zeros(n),
-        lhs=np.vstack([img.normals @ Y.T, np.ones(n)]),
-        relations=(">=",) * len(rhs) + ("=",),
-        rhs=np.append(rhs, 1.0),
+        lhs=np.vstack([-(img.normals @ Y.T), np.ones(n), -np.ones(n)]),
+        rhs=np.concatenate([-rhs, [1.0, -1.0]]),
     )
     return check_feasibility(lp).feasible
 
@@ -329,11 +351,12 @@ def verify_gap(
     image shifted by GAP_EPS along each coordinate.
 
     The payoff set co(Y) - R^K_+ is read from the strategy's generators Y.
-    One separation LP a strategy (`_certificate_lps`), solved in stacks of
-    at most GRID_BLOCK, clears all K shifts at once when its weights pass
-    `_separated`.  A strategy they do not clear gets one feasibility LP a
-    shift (`_meets_shifted_image`).  A certificate's margin must exceed
-    the phase-1 infeasibility limit of those LPs, TOL_FEAS (1 + max |rhs|).
+    One margin LP a strategy (`_margin_lps`), solved in stacks of at most
+    GRID_BLOCK, clears all K shifts at once when its weights pass
+    `_separated`.  A strategy they do not clear gets one feasibility check
+    a shift (`_meets_shifted_image`).  A certificate's margin must exceed
+    the violation that `check_feasibility` still calls feasible on those
+    systems, TOL_FEAS (1 + max |rhs|).
     """
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
@@ -347,9 +370,10 @@ def verify_gap(
     for lo in range(0, len(checked), GRID_BLOCK):
         block = checked[lo : lo + GRID_BLOCK]
         generators = np.stack([row_generator_matrix(oriented, s) for s in block])
-        outcomes = solve_batch(_certificate_lps(img, generators))
-        for strategy, Y, out in zip(block, generators, outcomes):
-            if not _separated(img, Y, out, limit):
+        lp, starts, _ = _margin_lps(img, generators)
+        outcomes = solve_batch(lp)
+        for strategy, Y, out, start in zip(block, generators, outcomes, starts.tolist()):
+            if not _separated(img, Y, out, start, limit):
                 violations.extend(
                     (strategy, k) for k in range(game.dim)
                     if _meets_shifted_image(img, Y, shifted[:, k])

@@ -26,7 +26,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import LinearProgram, LPOutcome, solve_batch
+from .lp import LinearProgram, LPOutcome, clip_rhs, solve_batch
 from .polyhedra import (
     OrientedPayoffPolyhedron,
     VERTEX_MERGE_TOL,
@@ -132,9 +132,9 @@ def _improvement_lps(
 
     Every generator of pbar lies in its own lower set and under every
     exposing normal, so each rhs is >= 0 and d = 0, eps = 0 is the slack
-    basis: the simplex starts feasible and runs no phase 1.  A rhs that
-    rounding left in [-1e-7, 0), the containment tolerance of
-    `_check_improvements`, is set to 0; a lower one is a numerical fault.
+    basis, where the simplex starts.  `clip_rhs` sets a rhs that rounding
+    left in [-1e-7, 0), the containment tolerance of `_check_improvements`,
+    to 0; a lower one is a numerical fault.
 
     The products are stacked matmuls, which round as the one-set products
     `entries @ a` and `c @ v` do, and the rhs sums run in `_dot`.
@@ -158,9 +158,9 @@ def _improvement_lps(
     room = np.concatenate([offsets, exp_offsets], axis=1)[:, :, None] - _dot(
         scal.transpose(0, 1, 3, 2), pbar[:, None, None, :]
     )
-    room = room.reshape(B, R)
-    if room.min() < -1e-7:
-        raise NumericalError("a generator of the tested strategy lies outside its payoff set")
+    room = clip_rhs(
+        room.reshape(B, R), "a generator of the tested strategy lies outside its payoff set"
+    )
     lhs = np.zeros((B, R + m, m - 1 + L))
     lhs[:, :R, : m - 1] = (scal[:, :, :-1] - scal[:, :, -1:]).transpose(0, 1, 3, 2).reshape(
         B, R, m - 1
@@ -171,8 +171,7 @@ def _improvement_lps(
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(m - 1), np.ones(L)]),
         lhs=lhs,
-        relations=("<=",) * (R + m),
-        rhs=np.concatenate([np.where(room < 0.0, 0.0, room), pbar], axis=1),
+        rhs=np.concatenate([room, pbar], axis=1),
         sense="max",
         bounds=((None, None),) * (m - 1) + ((0.0, None),) * L,
     )

@@ -6,7 +6,9 @@ columns, and each pivot reduces every row over every column.  The package
 kernel stores only the nonbasic columns, and must give the same outcome
 bit for bit: status, pivot count, value, solution and duals, the sign of
 each zero included.  `solve_batch` takes a stack as `vecgame.lp.solve_batch`
-does; `solve_lp` solves one LP.
+does; `solve_lp` solves one LP.  Like the package, it takes only LPs
+that start at their slack basis: `<=` rows with rhs >= 0, and variables
+that are >= 0 or free.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vecgame.errors import NumericalError
-from vecgame.lp import TOL_FEAS, TOL_OPT, TOL_PIVOT, LinearProgram, LPOutcome
+from vecgame.lp import TOL_OPT, TOL_PIVOT, LinearProgram, LPOutcome
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -166,57 +167,31 @@ def _run(T: np.ndarray, basis: np.ndarray, budget: np.ndarray) -> tuple[list[str
 
 @dataclass
 class _Tableaux:
-    """The LPs of a stack as phase-1 tableaux.
+    """The LPs of a stack as tableaux at the slack basis.
 
-    The columns are the structural columns, one per variable with a lower
-    bound (shifted to zero) and two (+x, -x) per free variable, then one
-    slack per inequality row, then one artificial per row that no slack
-    can start in the basis.  LP b's artificials fill the first nart[b]
-    slots after column `nfull`; the slots after them stay zero columns.
+    The columns are the structural columns, one per variable >= 0 and two
+    (+x, -x) per free variable, then one slack per row.
     """
 
-    T: np.ndarray  # (B, m + 1, nfull + max nart + 1): the rows, then the phase-1 objective
+    T: np.ndarray  # (B, m + 1, nfull + 1): the rows, then the cost row (minimizing)
     basis: np.ndarray  # (B, m): the basic column of each row
     budget: np.ndarray  # (B,): each LP's pivot budget
-    cost: np.ndarray  # (nfull + 1,): each column's phase-2 cost (minimizing), then a zero
-    rhs_max: np.ndarray  # (B,): the largest rhs, which scales the infeasibility test
     nfull: int  # structural and slack columns
     # Variable j is x[plus[j]] - x[minus[j]] over the column values x
-    # followed by one slot and then by -lo of each variable (-0.0 if free):
-    # minus[j] names a free variable's second column, or the slot holding -lo.
+    # followed by one slot holding -0.0: minus[j] names a free variable's
+    # second column, or that slot.
     plus: np.ndarray
     minus: np.ndarray
-    neg_lows: np.ndarray
-    # Row r's dual is the final reduced cost of column slack_col[r] times
-    # dual_sign[r]; an equality row has no slack and reads NaN.
-    slack_col: np.ndarray
-    dual_sign: np.ndarray
-
-
-def _price_out(T: np.ndarray, mask: np.ndarray, coef: np.ndarray | None = None) -> None:
-    """For each tableau t and each row i in turn where mask[t, i], subtract
-    T[t, i], or coef[t, i] * T[t, i] when `coef` is given, from the last row.
-
-    `np.subtract.accumulate` subtracts the terms one at a time in row
-    order, as a loop over the rows would, and x - 0.0 is x, so a row left
-    out of one tableau costs it nothing.
-    """
-    rows = np.flatnonzero(mask.any(axis=0))
-    if not rows.size:
-        return
-    terms = T[:, rows] if coef is None else coef[:, rows, None] * T[:, rows]
-    skip = ~mask[:, rows]
-    if skip.any():
-        terms[skip] = 0.0
-    T[:, -1] = np.subtract.accumulate(np.concatenate([T[:, -1:], terms], axis=1), axis=1)[:, -1]
+    # Row r's dual is the final reduced cost of its slack times dual_sign.
+    dual_sign: float
 
 
 def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
     m = lp.num_constraints
     lhs, rhs = (lp.lhs, lp.rhs) if lp.lhs.ndim == 3 else (lp.lhs[None], lp.rhs[None])
+    assert (rhs >= 0.0).all()
     c0 = -lp.objective if lp.sense == "max" else lp.objective
-    # Structural column -> source variable and the sign it carries; a nonzero
-    # lower bound is shifted into the rhs.
+    # Structural column -> source variable and the sign it carries.
     src: list[int] = []
     sign: list[float] = []
     plus: list[int] = []
@@ -231,102 +206,36 @@ def _setup(lp: LinearProgram, max_iter: int | None) -> _Tableaux:
             sign.append(-1.0)
         else:
             minus.append(-1)
-            if lo != 0.0:
-                rhs = rhs - lhs[:, :, j] * lo
     n_core = len(src)
     src_arr, sign_arr = np.array(src, dtype=int), np.array(sign)
-    flipped = rhs < 0
-    rhs = np.abs(rhs)
-
-    # Slack k enters row ineq[k] as +s ("<=") or -s (">=") and starts in the
-    # basis unless the row was flipped against it; every other row starts
-    # with an artificial.
-    up = np.array([r == "<=" for r in lp.relations], dtype=bool)
-    eq = np.array([r == "=" for r in lp.relations], dtype=bool)
-    ineq = np.flatnonzero(~eq)
-    nfull = n_core + ineq.size
-    slack_col = np.full(m, -1)
-    slack_col[ineq] = np.arange(n_core, nfull)
-    art = eq | (up == flipped)
-    nart = art.sum(axis=1)
-    basis = np.where(art, np.cumsum(art, axis=1) + (nfull - 1), slack_col)
+    nfull = n_core + m
     if max_iter is None:
-        budget = 1000 + 50 * (m + nfull + nart)
+        budget = np.full(len(lhs), 1000 + 50 * (m + nfull))
     else:
         budget = np.full(len(lhs), max_iter)
 
-    width = nfull + int(nart.max())
-    T = np.zeros((len(lhs), m + 1, width + 1))
+    T = np.zeros((len(lhs), m + 1, nfull + 1))
     T[:, :m, :n_core] = lhs[:, :, src_arr] * sign_arr
-    T[:, ineq, slack_col[ineq]] = np.where(up[ineq], 1.0, -1.0)
-    T[:, :m][flipped, :nfull] *= -1.0
-    T[:, :m, nfull:width] = basis[:, :, None] == np.arange(nfull, width)
+    T[:, np.arange(m), n_core + np.arange(m)] = 1.0
     T[:, :m, -1] = rhs
-    T[:, -1, nfull:width] = np.arange(nfull, width) < (nfull + nart)[:, None]
-    _price_out(T, art)
-
-    cost = np.zeros(nfull + 1)
-    cost[:n_core] = c0[src_arr] * sign_arr
+    T[:, -1, :n_core] = c0[src_arr] * sign_arr
+    basis = np.tile(np.arange(n_core, nfull), (len(lhs), 1))
     minus_arr = np.array(minus, dtype=int)
-    minus_arr[minus_arr < 0] = nfull + 1 + np.flatnonzero(minus_arr < 0)
-    neg_lows = np.array([-0.0 if lo is None else -lo for lo, _ in lp.bounds])
-    rhs_max = rhs.max(axis=1, initial=0.0)
-    # A flipped row negates its slack column with it, so only the relation
-    # and the sense set the sign; the tableau's costs are those of a `min`.
-    sense_sign = 1.0 if lp.sense == "max" else -1.0
-    dual_sign = np.where(eq, np.nan, np.where(up, sense_sign, -sense_sign))
-    return _Tableaux(T, basis, budget, cost, rhs_max, nfull, np.array(plus), minus_arr, neg_lows,
-                     np.maximum(slack_col, 0), dual_sign)
-
-
-def _pivot_out_artificials(T: np.ndarray, basis: np.ndarray, nfull: int) -> None:
-    """Pivot the leftover artificials out of one feasible phase-1 tableau.  A
-    row whose only nonzeros lie in basic columns is redundant and keeps its
-    artificial."""
-    rows = basis.tolist()
-    basic_set = set(rows)
-    for i in range(len(rows)):
-        if rows[i] >= nfull:
-            row = T[i, :nfull]
-            for c in np.nonzero(np.abs(row) > 1e-9)[0]:
-                if int(c) not in basic_set:
-                    basic_set.discard(rows[i])
-                    _pivot(T, rows, i, int(c))
-                    basic_set.add(int(c))
-                    break
-    basis[:] = rows
-
-
-def _phase2(
-    T: np.ndarray, basis: np.ndarray, cost: np.ndarray, nfull: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phase-2 tableaux and bases that follow feasible phase-1 tableaux.
-
-    The artificial columns are dropped.  A redundant row becomes a zero row
-    whose basic column is `nfull`, a slot past the last column: it never
-    passes a ratio test and every pivot leaves it zero.  The cost row is
-    priced out by the rows with a basic cost, in row order.
-    """
-    T2 = np.concatenate([T[:, :, :nfull], T[:, :, -1:]], axis=2)
-    T2[:, -1] = cost
-    redundant = basis >= nfull
-    if redundant.any():
-        T2[:, :-1][redundant] = 0.0
-        basis = np.where(redundant, nfull, basis)
-    coef = cost[basis]
-    _price_out(T2, coef != 0.0, coef)
-    return T2, basis
+    minus_arr[minus_arr < 0] = nfull
+    return _Tableaux(T, basis, budget, nfull, np.array(plus), minus_arr,
+                     1.0 if lp.sense == "max" else -1.0)
 
 
 def _read_off(
-    tab: _Tableaux, T2: np.ndarray, basis2: np.ndarray
+    tab: _Tableaux, T: np.ndarray, basis: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The solutions and duals (see `_Tableaux.dual_sign`) of LPs whose
-    phase-2 tableaux ended optimal."""
-    x = np.zeros((len(T2), tab.nfull + 1 + tab.neg_lows.size))
-    x[:, tab.nfull + 1 :] = tab.neg_lows
-    x[np.arange(len(T2))[:, None], basis2] = T2[:, :-1, -1]
-    duals = T2[:, -1, tab.slack_col] * tab.dual_sign
+    tableaux ended optimal."""
+    x = np.zeros((len(T), tab.nfull + 1))
+    x[:, tab.nfull] = -0.0
+    x[np.arange(len(T))[:, None], basis] = T[:, :-1, -1]
+    m = basis.shape[1]
+    duals = T[:, -1, tab.nfull - m : tab.nfull] * tab.dual_sign
     # Each solution gets its own buffer: a dot product's rounding can
     # depend on where its operands start in memory.
     return [(row.copy(), y.copy()) for row, y in zip(x[:, tab.plus] - x[:, tab.minus], duals)]
@@ -336,41 +245,19 @@ def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOut
     """One outcome per LP of the stack `lp`, in stack order, each bit for
     bit what `solve_lp` gives that LP alone; a single LP is a stack of one.
 
-    Both phases pivot in `_run`: a stack of more than one LP in lockstep
-    (`_run_lockstep`).  An error in any LP raises out of the whole stack.
+    The tableaux pivot in `_run`: a stack of more than one LP in lockstep
+    (`_run_lockstep`).
     """
     tab = _setup(lp, max_iter)
-    T, basis, budget = tab.T, tab.basis, tab.budget
-    outcomes: list[LPOutcome | None] = [None] * len(T)
-    go = list(range(len(T)))
-    iters = np.zeros(len(T), dtype=int)
-    if T.shape[2] > tab.nfull + 1:  # some LP starts with an artificial
-        status, iters = _run(T, basis, budget)
-        if "unbounded" in status:
-            raise NumericalError("phase-1 simplex reported unbounded")
-        limits = (TOL_FEAS * (1.0 + tab.rhs_max)).tolist()
-        for b, (st, value, limit) in enumerate(zip(status, (-T[:, -1, -1]).tolist(), limits)):
-            if st != "optimal" or value > limit:
-                st = "infeasible" if st == "optimal" else st
-                outcomes[b] = LPOutcome(st, None, None, int(iters[b]))
-        go = [b for b, out in enumerate(outcomes) if out is None]
-        if len(go) < len(T):
-            T, basis, budget, iters = T[go], basis[go], budget[go], iters[go]
-        for b in np.flatnonzero((basis >= tab.nfull).any(axis=1)).tolist():
-            _pivot_out_artificials(T[b], basis[b], tab.nfull)
-    if not go:
-        return outcomes
-    T2, basis2 = _phase2(T, basis, tab.cost, tab.nfull)
-    status, it2 = _run(T2, basis2, budget - iters)
-    iters = (iters + it2).tolist()
-    ok = [k for k, st in enumerate(status) if st == "optimal"]
-    for b, st, it in zip(go, status, iters):
-        if st != "optimal":
-            outcomes[b] = LPOutcome(st, None, None, it)
-    if len(ok) < len(go):
-        T2, basis2 = T2[ok], basis2[ok]
-    for k, (x, duals) in zip(ok, _read_off(tab, T2, basis2)):
-        outcomes[go[k]] = LPOutcome("optimal", float(lp.objective @ x), x, iters[k], duals)
+    T, basis = tab.T, tab.basis
+    status, iters = _run(T, basis, tab.budget)
+    iters = iters.tolist()
+    outcomes = [LPOutcome(st, None, None, it) for st, it in zip(status, iters)]
+    ok = [b for b, st in enumerate(status) if st == "optimal"]
+    if len(ok) < len(T):
+        T, basis = T[ok], basis[ok]
+    for b, (x, duals) in zip(ok, _read_off(tab, T, basis)):
+        outcomes[b] = LPOutcome("optimal", float(lp.objective @ x), x, iters[b], duals)
     return outcomes
 
 

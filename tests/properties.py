@@ -29,7 +29,7 @@ from vecgame.game import (
     expected_payoffs,
     row_generator_matrix,
 )
-from vecgame.lp import LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
+from vecgame.lp import LinearProgram, LPOutcome, solve_batch, solve_lp
 from vecgame.polyhedra import (
     ACTIVE_TOL,
     LOWER,
@@ -158,7 +158,7 @@ def stack_lps(lps) -> LinearProgram:
     first = lps[0]
     for lp in lps:
         assert np.array_equal(lp.objective, first.objective)
-        assert (lp.relations, lp.bounds, lp.sense) == (first.relations, first.bounds, first.sense)
+        assert (lp.bounds, lp.sense) == (first.bounds, first.sense)
     return dataclasses.replace(first, lhs=[lp.lhs for lp in lps], rhs=[lp.rhs for lp in lps])
 
 
@@ -210,34 +210,30 @@ def relabeled_game(seed: int, shape: tuple[int, int, int], variant: int) -> Vect
     return VectorPayoffGame(np.array(relabel.apply(payoffs), dtype=float))
 
 
-def benson_cut_lp(entries: np.ndarray, v: np.ndarray) -> LinearProgram:
+def benson_cut_by_highs(entries: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, float]:
     """The dual of the vertex verification LP, written out as an LP of its
-    own: weights w_jk >= 0 with unit sum and a free level mu <= sum_jk w_jk
-    g_ijk for every row i, maximizing mu - sum_jk w_jk v_k.  Its optimum is
-    the lift of v, and (a, b) = (sum_j w_jk, mu) is Benson's cut a·y >= b."""
+    own and solved by HiGHS: weights w_jk >= 0 with unit sum and a free
+    level mu <= sum_jk w_jk g_ijk for every row i, maximizing
+    mu - sum_jk w_jk v_k.  Returns its optimum, the lift of v, and Benson's
+    cut a·y >= b through v, (a, b) = (sum_j w_jk, mu)."""
     m, n, k = entries.shape
     nw = n * k
-    lhs = np.zeros((m + 1, nw + 1))
-    lhs[:m, :nw] = -entries.reshape(m, nw)
-    lhs[:m, nw] = 1.0
-    lhs[m, :nw] = 1.0
-    return LinearProgram(
-        objective=np.concatenate([-np.tile(v, n), [1.0]]),
-        lhs=lhs,
-        relations=("<=",) * m + ("=",),
-        rhs=np.append(np.zeros(m), 1.0),
-        sense="max",
-        bounds=((0.0, None),) * nw + ((None, None),),
+    res = linprog(
+        np.append(np.tile(v, n), -1.0),
+        A_ub=np.hstack([-entries.reshape(m, nw), np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(nw), 0.0)[None],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * nw + [(None, None)],
+        method="highs",
     )
+    assert res.status == 0, res.message
+    return -float(res.fun), res.x[:nw].reshape(n, k).sum(axis=0), float(res.x[nw])
 
 
 def benson_cut_by_lp(entries: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Benson's cut through v from `benson_cut_lp`, solved by `solve_lp`."""
-    n, k = entries.shape[1:]
-    out = solve_lp(benson_cut_lp(entries, v))
-    assert out.status == "optimal", out.status
-    normal = out.solution[: n * k].reshape(n, k).sum(axis=0)
-    offset = float(out.solution[n * k])
+    """Benson's cut through v from `benson_cut_by_highs`."""
+    _, normal, offset = benson_cut_by_highs(entries, v)
     assert float(normal @ v) < offset - 1e-10
     return normal, offset
 
@@ -258,11 +254,11 @@ def certify_every_grid_point(game: VectorPayoffGame, player: Player, step) -> St
 
 
 def gap_violations_by_lp(front, image) -> list[tuple[MixedStrategy, int]]:
-    """The gap check in payoff space: for each optimal certificate and each
-    component k, one phase-1 LP over a free payoff point w that must lie in
-    the certificate's payoff set (its F_P halfspaces) and in the image
-    shifted by GAP_EPS along e_k (its F_I halfspaces).  A feasible LP is a
-    violation (strategy, k)."""
+    """The gap check in payoff space, by HiGHS: for each optimal certificate
+    and each component k, one feasibility LP over a free payoff point w that
+    must lie in the certificate's payoff set (its F_P halfspaces) and in the
+    image shifted by GAP_EPS along e_k (its F_I halfspaces).  A feasible LP
+    is a violation (strategy, k)."""
     img = _row_view(image)
     k = img.dim
     violations = []
@@ -270,18 +266,17 @@ def gap_violations_by_lp(front, image) -> list[tuple[MixedStrategy, int]]:
         if not cert.is_minimal:
             continue
         poly = cert.payoff_set
-        lhs = np.vstack([poly.normals, img.normals])
-        relations = ("<=",) * len(poly.offsets) + (">=",) * len(img.offsets)
+        lhs = np.vstack([poly.normals, -img.normals])
         for kk in range(k):
-            lp = LinearProgram(
-                objective=np.zeros(k),
-                lhs=lhs,
-                relations=relations,
-                rhs=np.concatenate([poly.offsets, img.offsets + GAP_EPS * img.normals[:, kk]]),
-                sense="min",
-                bounds=((None, None),) * k,
+            res = linprog(
+                np.zeros(k),
+                A_ub=lhs,
+                b_ub=np.concatenate([poly.offsets, -(img.offsets + GAP_EPS * img.normals[:, kk])]),
+                bounds=[(None, None)] * k,
+                method="highs",
             )
-            if check_feasibility(lp).feasible:
+            assert res.status in (0, 2), res.message
+            if res.status == 0:
                 violations.append((cert.tested_strategy, kk))
     return violations
 
@@ -427,61 +422,33 @@ def check_dd_membership(rng: np.random.Generator, instances: int, queries: int) 
 
 
 def check_lp_duality(rng: np.random.Generator, count: int) -> None:
-    """Primal optimum equals the independently assembled dual optimum, and
-    each LP's read-off duals are an optimal solution of the other."""
+    """The package's optimum of  max c·x  s.t.  a x <= b, x >= 0  equals
+    HiGHS's optimum of its dual  min b·y  s.t.  a^T y >= c, y >= 0, and the
+    duals read off the package's tableau are an optimal solution of that
+    dual; the same LP as  min -c·x  reads the negated value and duals."""
     for _ in range(count):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         a = rng.integers(-4, 5, size=(m, n)).astype(float)
-        x0 = rng.random(n) * 2.0
         y0 = rng.random(m) * 2.0
-        b = a @ x0 - rng.random(m)  # primal strictly feasible at x0
-        c = a.T @ y0 + rng.random(n)  # dual strictly feasible at y0
+        b = rng.random(m) * 2.0  # x = 0 is feasible: the LP starts at its slack basis
+        c = a.T @ y0 - rng.random(n)  # dual strictly feasible at y0: the primal is bounded
 
-        primal = solve_lp(
-            LinearProgram(
-                objective=c,
-                lhs=a,
-                relations=(">=",) * m,
-                rhs=b,
-                sense="min",
-            )
-        )
-        dual = solve_lp(
-            LinearProgram(
-                objective=b,
-                lhs=a.T,
-                relations=("<=",) * n,
-                rhs=c,
-                sense="max",
-            )
-        )
-        # the primal once more with its rows negated: `<=` rows of a `min` LP
-        negated = solve_lp(
-            LinearProgram(
-                objective=c,
-                lhs=-a,
-                relations=("<=",) * m,
-                rhs=-b,
-                sense="min",
-            )
-        )
-        assert {primal.status, dual.status, negated.status} == {"optimal"}
-        tol = 1e-7 * (1.0 + abs(primal.objective_value))
-        gap = abs(primal.objective_value - dual.objective_value)
-        assert gap <= tol, (
-            f"duality gap {gap} (primal {primal.objective_value}, "
-            f"dual {dual.objective_value})"
-        )
-        # Each LP's read-off duals solve the other LP: the `>=` rows of the
-        # `min` LP give y >= 0, its negated `<=` rows -y <= 0, and the `<=`
-        # rows of the `max` LP give x >= 0.
+        primal = solve_lp(LinearProgram(objective=c, lhs=a, rhs=b, sense="max"))
+        negated = solve_lp(LinearProgram(objective=-c, lhs=a, rhs=b, sense="min"))
+        dual = linprog(b, A_ub=-a.T, b_ub=-c, bounds=[(0.0, None)] * m, method="highs")
+        assert dual.status == 0, dual.message
+        assert primal.status == negated.status == "optimal"
+        tol = 1e-7 * (1.0 + abs(dual.fun))
+        gap = abs(primal.objective_value - dual.fun)
+        assert gap <= tol, f"duality gap {gap} (primal {primal.objective_value}, dual {dual.fun})"
+        assert abs(negated.objective_value + dual.fun) <= tol
+        x = primal.solution
+        assert (x >= -1e-9).all() and (a @ x <= b + 1e-9).all(), x
+        # the `<=` rows' duals are >= 0 in the `max` LP and <= 0 in the `min` LP
         for y in (primal.duals, -negated.duals):
-            assert (y >= -1e-7).all() and (a.T @ y <= c + 1e-7).all(), y
-            assert abs(b @ y - dual.objective_value) <= tol
-        x = dual.duals
-        assert (x >= -1e-7).all() and (a @ x >= b - 1e-7).all(), x
-        assert abs(c @ x - primal.objective_value) <= tol
+            assert (y >= -1e-7).all() and (a.T @ y >= c - 1e-7).all(), y
+            assert abs(b @ y - dual.fun) <= tol
 
 
 def check_set_relation_monotonicity(rng: np.random.Generator, games: int) -> None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from vecgame import equilibria
 from vecgame import lp as lp_module
@@ -31,7 +32,7 @@ from vecgame.game import (
     row_generator_matrix,
     row_strategy,
 )
-from vecgame.lp import LinearProgram, solve_batch, solve_lp
+from vecgame.lp import solve_batch, solve_lp
 from vecgame.polyhedra import build_lower_set, build_upper_set
 from vecgame.solver import StrategyFront, classify_grid
 
@@ -50,7 +51,25 @@ from properties import (
 def _strong_lp_value(game, p, q):
     """The value of the pair's separation LP, solved alone."""
     vi, vii = _payoff_sets(game, p, q)
-    return _strong_values([((vi.normals, vi.offsets), (vii.normals, vii.offsets))])[0]
+    payoff = expected_payoff(game, p, q).as_array()
+    return _strong_values([((vi.normals, vi.offsets), (vii.normals, vii.offsets))], payoff[None])[0]
+
+
+def _highs_strong_value(game, p, q):
+    """HiGHS's value of the pair's separation LP as first defined, without
+    the shift: over a free y and t >= 0, maximize sum(t) subject to
+    a1 y <= b1 (V_I(p)) and a2 (y - t) >= b2 (V_II(q))."""
+    vi, vii = _payoff_sets(game, p, q)
+    k = game.dim
+    res = linprog(
+        np.concatenate([np.zeros(k), -np.ones(k)]),
+        A_ub=np.block([[vi.normals, np.zeros_like(vi.normals)], [-vii.normals, vii.normals]]),
+        b_ub=np.concatenate([vi.offsets, -vii.offsets]),
+        bounds=[(None, None)] * k + [(0.0, None)] * k,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -403,40 +422,49 @@ def test_strong_lps_solve_in_lockstep_bit_for_bit(corley, corley_fine_fronts, mo
 
 
 def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_three):
-    sets = [
-        build_lower_set(row_generator_matrix(three_by_three, row_strategy(*p)))
-        for p in ((1, 0, 0), (0.2, 0.3, 0.5), (0.5, 0.5, 0))
-    ]
-    sets += [
-        build_upper_set(col_generator_matrix(three_by_three, col_strategy(*q)))
-        for q in ((0, 1, 0), (0.25, 0.25, 0.5), (0.6, 0, 0.4))
-    ]
-    facets = [(s.normals, s.offsets) for s in sets]
-    pairs = [(vi, vii) for vi in facets[:3] for vii in facets[3:]]
+    ps = [row_strategy(*p) for p in ((1, 0, 0), (0.2, 0.3, 0.5), (0.5, 0.5, 0))]
+    qs = [col_strategy(*q) for q in ((0, 1, 0), (0.25, 0.25, 0.5), (0.6, 0, 0.4))]
+    row_sets = [build_lower_set(row_generator_matrix(three_by_three, p)) for p in ps]
+    col_sets = [build_upper_set(col_generator_matrix(three_by_three, q)) for q in qs]
+    pairs = [((vi.normals, vi.offsets), (vii.normals, vii.offsets))
+             for vi in row_sets for vii in col_sets]
+    payoffs = np.array([expected_payoff(three_by_three, p, q).as_array() for p in ps for q in qs])
     counts = {(len(b1), len(b2)) for (_, b1), (_, b2) in pairs}
-    stacks = _strong_lps(pairs)
+    stacks = _strong_lps(pairs, payoffs)
     assert len(counts) > 1 and len(stacks) == len(counts)
     built = {i: lp for idx, stack in stacks for i, lp in zip(idx, unstack_lp(stack), strict=True)}
     assert sorted(built) == list(range(len(pairs)))
     for i, ((a1, b1), (a2, b2)) in enumerate(pairs):
-        got = built[i]
+        # in the shift d = y - v: a1 d <= b1 - a1·v and -a2 d + a2 t <= a2·v - b2
+        got, v = built[i], payoffs[i]
         f, k = a1.shape
         lhs = np.zeros((f + len(a2), 2 * k))
         lhs[:f, :k] = a1
-        lhs[f:, :k] = a2
-        lhs[f:, k:] = -a2
-        want = LinearProgram(
-            objective=np.concatenate([np.zeros(k), np.ones(k)]),
-            lhs=lhs,
-            relations=("<=",) * f + (">=",) * len(a2),
-            rhs=np.concatenate([b1, b2]),
-            sense="max",
-            bounds=((None, None),) * k + ((0.0, None),) * k,
-        )
-        for field in ("objective", "lhs", "rhs"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-            assert getattr(got, field).shape == getattr(want, field).shape, field
-        assert (got.relations, got.sense, got.bounds) == (want.relations, want.sense, want.bounds)
+        lhs[f:, :k] = -a2
+        lhs[f:, k:] = a2
+        rhs = np.concatenate([b1 - a1 @ v, a2 @ v - b2])
+        assert (rhs >= -1e-7).all()
+        assert got.objective.tobytes() == np.concatenate([np.zeros(k), np.ones(k)]).tobytes()
+        assert got.lhs.tobytes() == lhs.tobytes() and got.lhs.shape == lhs.shape
+        assert got.rhs == pytest.approx(np.maximum(rhs, 0.0), abs=1e-12)
+        assert (got.rhs >= 0.0).all()
+        assert (got.sense, got.bounds) == ("max", ((None, None),) * k + ((0.0, None),) * k)
+
+
+@pytest.mark.parametrize("name, fronts, records", _GAMES_WITH_RECORDS)
+def test_the_shifted_strong_lp_agrees_with_highs_on_the_unshifted_definition(
+    request, name, fronts, records
+):
+    game = request.getfixturevalue(name)
+    shapley = [r for r in request.getfixturevalue(records) if r.shapley]
+    rng = np.random.default_rng(20240818)
+    pairs = [(game, r.p, r.q) for r in shapley[:: max(1, len(shapley) // 40)]]
+    for _ in range(20):
+        other = random_game(rng, 3, 3, int(rng.integers(1, 4)))
+        pairs.append((other, random_mixed(rng, 3, Player.ROW), random_mixed(rng, 3, Player.COL)))
+    for game, p, q in pairs:
+        want = _highs_strong_value(game, p, q)
+        assert _strong_lp_value(game, p, q) == pytest.approx(want, abs=1e-7 * (1.0 + abs(want)))
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -464,31 +492,18 @@ def test_boundary_mask_edge_cases():
 
 
 def _intersection_samples(game, p, q, directions):
+    """Points of V_I(p) ∩ V_II(q) that maximize each direction, by HiGHS, and
+    the midpoints of every two of them."""
     vi = build_lower_set(row_generator_matrix(game, p))
     vii = build_upper_set(col_generator_matrix(game, q))
-    rows, relations, rhs = [], [], []
-    for normal, offset in zip(vi.normals, vi.offsets):
-        rows.append(np.asarray(normal))
-        relations.append("<=")
-        rhs.append(offset)
-    for normal, offset in zip(vii.normals, vii.offsets):
-        rows.append(np.asarray(normal))
-        relations.append(">=")
-        rhs.append(offset)
-    lhs = np.array(rows)
+    lhs = np.vstack([vi.normals, -vii.normals])
+    rhs = np.concatenate([vi.offsets, -vii.offsets])
     points = []
     for d in directions:
-        lp = LinearProgram(
-            objective=np.asarray(d, dtype=float),
-            lhs=lhs,
-            relations=tuple(relations),
-            rhs=np.array(rhs),
-            sense="max",
-            bounds=((None, None),) * game.dim,
-        )
-        out = solve_lp(lp)
-        assert out.status == "optimal"
-        points.append(out.solution)
+        res = linprog(-np.asarray(d, dtype=float), A_ub=lhs, b_ub=rhs,
+                      bounds=[(None, None)] * game.dim, method="highs")
+        assert res.status == 0, res.message
+        points.append(res.x)
     points = np.array(points)
     mids = (points[:, None, :] + points[None, :, :]) / 2.0
     return np.vstack([points, mids.reshape(-1, points.shape[1])])

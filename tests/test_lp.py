@@ -1,7 +1,9 @@
-"""Dense simplex solver: statuses, the feasibility probe, and duality."""
+"""Dense simplex solver: statuses, the slack-basis start, the feasibility
+probe, and duality."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ from vecgame.solver import DECISION_TOL, maximality_lp, minimality_lp
 
 import full_tableau
 from properties import (
-    benson_cut_lp,
+    benson_cut_by_highs,
     check_lp_duality,
     exposing_normals,
     relabeled_game,
@@ -45,125 +47,110 @@ from properties import (
 
 
 def test_bounded_maximum():
-    out = solve_lp(
-        LinearProgram(
-            objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[3.0], sense="max"
-        )
-    )
+    out = solve_lp(LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[3.0], sense="max"))
     assert out.status == "optimal"
     assert abs(out.objective_value - 3.0) <= 1e-9
     assert abs(out.solution[0] - 3.0) <= 1e-9
 
 
 def test_unbounded_maximum():
-    out = solve_lp(
-        LinearProgram(
-            objective=[1.0], lhs=[[1.0]], relations=(">=",), rhs=[0.0], sense="max"
-        )
-    )
+    # max x  s.t.  -x <= 0
+    out = solve_lp(LinearProgram(objective=[1.0], lhs=[[-1.0]], rhs=[0.0], sense="max"))
     assert out.status == "unbounded"
     assert out.objective_value is None
 
 
-def test_infeasible_system():
-    out = solve_lp(
-        LinearProgram(
-            objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[-1.0], sense="min"
-        )
-    )
-    assert out.status == "infeasible"
-
-
 def test_iteration_budget_is_reported_as_its_own_status():
-    lp = LinearProgram(
-        objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[3.0], sense="max"
-    )
+    lp = LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[3.0], sense="max")
     out = solve_lp(lp, max_iter=0)
     assert out.status == "iteration_limit"
-    assert out.status != "infeasible"
+    assert out.objective_value is None
+
+
+def test_a_negative_rhs_is_rejected():
+    # the slack basis of x - y <= -1 is not feasible; check_feasibility takes it
+    lp = LinearProgram(objective=[1.0, 0.0], lhs=[[1.0, -1.0], [1.0, 1.0]], rhs=[-1.0, 4.0])
+    with pytest.raises(InputError, match="rhs >= 0"):
+        solve_lp(lp)
+    with pytest.raises(InputError, match="rhs >= 0"):
+        solve_batch(stack_lps([lp, dataclasses.replace(lp, rhs=[1.0, 4.0])]))
+    assert check_feasibility(lp).feasible
+
+
+def test_a_lower_bound_other_than_zero_is_rejected():
+    with pytest.raises(InputError, match=r"\(0, None\) or \(None, None\)"):
+        LinearProgram(objective=[1.0, 1.0], lhs=np.eye(2), rhs=[1.0, 1.0],
+                      bounds=((2.0, None), (0.0, None)))
+
+
+def test_relations_are_not_an_lp_field():
+    # every row is `<=`
+    with pytest.raises(TypeError, match="relations"):
+        LinearProgram(objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[1.0])
+
+
+# Beale's example ("Cycling in the dual simplex algorithm", Naval Research
+# Logistics Quarterly 2, 1955): from the slack basis, Dantzig's rule with
+# ties to the lowest index returns to that basis after six pivots.
+def _beale(cap=1.0):
+    """max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4  s.t.  1/4 x1 - 8 x2 - x3 + 9 x4 <= 0,
+    1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0  and  x3 <= cap; its optimum is
+    5/4 cap at x = (cap, 0, cap, 0)."""
+    return LinearProgram(
+        objective=[0.75, -20.0, 0.5, -6.0],
+        lhs=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        rhs=[0.0, 0.0, cap],
+        sense="max",
+    )
+
+
+def test_a_repeated_basis_switches_to_blands_rule(monkeypatch):
+    lp = _beale()
+    m = lp.num_constraints
+    bases = [tuple(range(4, 4 + m))]  # the slack basis
+    pivot = lp_module._pivot
+
+    def spy(T, labels, row, slot):
+        pivot(T, labels, row, slot)
+        bases.append(tuple(labels[:m]))
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    out = solve_lp(lp)
+    # pivot 6 returns to the slack basis, and Bland's rule takes over there
+    repeats = [i for i, basis in enumerate(bases) if basis in bases[:i]]
+    assert repeats[0] == 6 and bases[6] == bases[0]
+    assert out.status == "optimal" and out.iterations == 12 == len(bases) - 1
+    assert out.objective_value == pytest.approx(1.25, abs=1e-12)
+    assert np.allclose(out.solution, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
 # The row strategy (5, 8, 1, 2)/16 of the benchmark's 4x4x3 game r1000, as
-# three relabelings of the game list it.  Under Dantzig's rule phase 1 of its
-# improvement LP in the variables (p, eps) (`_pe_improvement_lp`) cycles with
-# period 8, and rounding raises the objective a little each cycle, so a switch
-# on a stalled objective never fired.  The package's LP in the shift
-# d = p - pbar starts feasible and runs no phase 1, so the cycling LP is
-# built here in the (p, eps) form.
+# three relabelings of the game list it.  Its improvement LP in the variables
+# (p, eps) cycled in phase 1 under Dantzig's rule, with period 8; the
+# package's LP in the shift d = p - pbar starts at its slack basis.
 CYCLING_POINTS = [(4, (1, 5, 2, 8)), (18, (1, 5, 2, 8)), (23, (5, 8, 2, 1))]
 
 
-def _pe_improvement_lp(game, p):
-    """The improvement LP of row strategy `p` in the variables (p, eps): n rows
-    per halfspace, then n rows per exposing normal with its slack, then the
-    simplex row.  Its optimum is the package's LP value."""
-    target = build_lower_set(row_generator_matrix(game, p))
-    exp_normals, exp_offsets = exposing_normals(target)
-    L = len(exp_offsets)
-    rows, rhs = [], []
-    F = len(target.offsets)
-    for ell, (normal, offset) in enumerate(
-        zip([*target.normals, *exp_normals], [*target.offsets, *exp_offsets])
-    ):
-        eps = np.zeros(L)
-        if ell >= F:
-            eps[ell - F] = 1.0
-        scal = game.entries @ np.array(normal)
-        for j in range(game.cols):
-            rows.append(np.concatenate([scal[:, j], eps]))
-            rhs.append(offset)
-    rows.append(np.concatenate([np.ones(game.rows), np.zeros(L)]))
-    return _row_built(rows, ("<=",) * (len(rows) - 1) + ("=",), rhs + [1.0],
-                      np.concatenate([np.zeros(game.rows), np.ones(L)]), "max")
-
-
-def _cycling_lps():
-    return [
-        _pe_improvement_lp(
-            relabeled_game(1000, (4, 4, 3), variant), row_strategy(*(c / 16 for c in counts))
-        )
-        for variant, counts in CYCLING_POINTS
-    ]
-
-
-def test_a_repeated_basis_switches_to_blands_rule():
-    verdicts = set()
+def test_the_points_whose_p_eps_lp_cycled_are_minimal():
     for variant, counts in CYCLING_POINTS:
         game = relabeled_game(1000, (4, 4, 3), variant)
-        verdicts.add(minimality_lp(game, row_strategy(*(c / 16 for c in counts))).is_minimal)
-    assert verdicts == {True}
-    # the (p, eps) LPs, whose phase 1 cycles under Dantzig's rule, finish too
-    for lp in _cycling_lps():
-        out = solve_lp(lp)
-        assert out.status == "optimal" and out.objective_value <= DECISION_TOL
+        p = row_strategy(*(c / 16 for c in counts))
+        assert minimality_lp(game, p).is_minimal
+        _assert_improvement_value_agrees_with_highs(game, p)
 
 
-def test_scalar_game_value_by_direct_lp(scalar_game):
+def test_scalar_game_value_by_the_mixed_strategy_lp(scalar_game):
     # min u  s.t.  p1*g1j + p2*g2j <= u for both columns, p on the simplex
     matrix = scalar_game.entries[:, :, 0]
-    lp = LinearProgram(
-        objective=[0.0, 0.0, 1.0],
-        lhs=[
-            [matrix[0, 0], matrix[1, 0], -1.0],
-            [matrix[0, 1], matrix[1, 1], -1.0],
-            [1.0, 1.0, 0.0],
-        ],
-        relations=("<=", "<=", "="),
-        rhs=[0.0, 0.0, 1.0],
-        sense="min",
-        bounds=((0.0, None), (0.0, None), (None, None)),
-    )
-    out = solve_lp(lp)
-    assert out.status == "optimal"
-    assert abs(out.objective_value - 2.0) <= 1e-9
-    assert np.allclose(out.solution[:2], [1 / 3, 2 / 3], atol=1e-9)
+    value, p, _ = poss._mixed_strategy_lp(matrix, np.zeros(2), np.ones(1), "scalar game")
+    assert abs(value - 2.0) <= 1e-9
+    assert np.allclose(p, [1 / 3, 2 / 3], atol=1e-9)
 
 
 def test_optimal_solution_is_primal_feasible():
     lp = LinearProgram(
         objective=[-1.0, -2.0],
         lhs=[[1.0, 1.0], [1.0, 3.0]],
-        relations=("<=", "<="),
         rhs=[4.0, 6.0],
         sense="min",
     )
@@ -174,111 +161,90 @@ def test_optimal_solution_is_primal_feasible():
 
 
 def test_free_and_upper_bounded_variables():
-    # min x + y  s.t.  x + y >= -3,  x >= -5,  y free
+    # min x + y  s.t.  -x - y <= 3,  x >= 0,  y free
     out = solve_lp(
         LinearProgram(
             objective=[1.0, 1.0],
-            lhs=[[1.0, 1.0]],
-            relations=(">=",),
-            rhs=[-3.0],
+            lhs=[[-1.0, -1.0]],
+            rhs=[3.0],
             sense="min",
-            bounds=((-5.0, None), (None, None)),
+            bounds=((0.0, None), (None, None)),
         )
     )
     assert out.status == "optimal"
     assert abs(out.objective_value - (-3.0)) <= 1e-9
     # an upper bound is rejected: it belongs in a constraint row
-    for bound in ((-5.0, 5.0), (None, 5.0)):
+    for bound in ((0.0, 5.0), (None, 5.0)):
         with pytest.raises(InputError):
             LinearProgram(
                 objective=[1.0, 1.0],
-                lhs=[[1.0, 1.0]],
-                relations=(">=",),
-                rhs=[-3.0],
+                lhs=[[-1.0, -1.0]],
+                rhs=[3.0],
                 bounds=(bound, (None, None)),
             )
 
 
 def test_malformed_lp_is_rejected():
     with pytest.raises(InputError):
-        LinearProgram(objective=[1.0], lhs=[[1.0, 2.0]], relations=("<=",), rhs=[1.0])
+        LinearProgram(objective=[1.0], lhs=[[1.0, 2.0]], rhs=[1.0])
     with pytest.raises(InputError):
-        LinearProgram(objective=[1.0], lhs=[[1.0]], relations=("<",), rhs=[1.0])
+        LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0, 2.0])
     with pytest.raises(InputError):
-        LinearProgram(
-            objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[1.0], sense="maximize"
-        )
+        LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], sense="maximize")
     with pytest.raises(InputError):
-        LinearProgram(
-            objective=[np.inf], lhs=[[1.0]], relations=("<=",), rhs=[1.0]
-        )
+        LinearProgram(objective=[np.inf], lhs=[[1.0]], rhs=[1.0])
 
 
 def test_check_feasibility_trivial_cases():
+    # x >= 1 and x <= 0
     infeasible = check_feasibility(
-        LinearProgram(
-            objective=[0.0],
-            lhs=[[1.0], [1.0]],
-            relations=(">=", "<="),
-            rhs=[1.0, 0.0],
-            bounds=((None, None),),
-        )
+        LinearProgram(objective=[0.0], lhs=[[-1.0], [1.0]], rhs=[-1.0, 0.0],
+                      bounds=((None, None),))
     )
     assert isinstance(infeasible, FeasibilityResult)
     assert not infeasible.feasible and infeasible.witness is None
 
+    # x >= 0 and x <= 1
     feasible = check_feasibility(
-        LinearProgram(
-            objective=[0.0],
-            lhs=[[1.0], [1.0]],
-            relations=(">=", "<="),
-            rhs=[0.0, 1.0],
-            bounds=((None, None),),
-        )
+        LinearProgram(objective=[0.0], lhs=[[-1.0], [1.0]], rhs=[0.0, 1.0],
+                      bounds=((None, None),))
     )
     assert feasible.feasible
+    assert feasible.witness.shape == (1,)
     assert -1e-9 <= feasible.witness[0] <= 1.0 + 1e-9
 
 
 def test_check_feasibility_ignores_the_objective():
-    # An unbounded objective must not disturb the feasibility answer.
-    lp = LinearProgram(
-        objective=[-1.0], lhs=[[1.0]], relations=(">=",), rhs=[2.0], sense="min"
-    )
-    assert check_feasibility(lp).feasible
+    # An unbounded objective must not disturb the feasibility answer: x >= 2.
+    lp = LinearProgram(objective=[-1.0], lhs=[[-1.0]], rhs=[-2.0], sense="min")
+    result = check_feasibility(lp)
+    assert result.feasible and result.witness[0] >= 2.0 - 1e-9
 
 
 def _improvement_system(game, p, margin):
-    """Containment plus a vertex push for V_I(p), as a plain feasibility LP.
+    """Containment plus a vertex push for V_I(p), as a plain feasibility system.
 
     Feasible iff some mixture keeps all columns inside the payoff set
-    while clearing the vertex's exposing hyperplane by `margin`.
+    while clearing the vertex's exposing hyperplane by `margin`; the
+    simplex row sum(p) = 1 is two `<=` rows.
     """
     poly = build_lower_set(row_generator_matrix(game, p))
     assert len(poly.vertices) == 1  # both tested strategies have one vertex
     (cut_normal,), (cut_offset,) = exposing_normals(poly)
     m = game.rows
-    rows, relations, rhs = [], [], []
+    rows, rhs = [], []
     for normal, offset in zip(poly.normals, poly.offsets):
         scal = game.entries @ np.array(normal)  # (m, n)
         for j in range(game.cols):
             rows.append(scal[:, j])
-            relations.append("<=")
             rhs.append(offset)
     scal = game.entries @ np.array(cut_normal)
     for j in range(game.cols):
         rows.append(scal[:, j])
-        relations.append("<=")
         rhs.append(cut_offset - margin)
-    rows.append(np.ones(m))
-    relations.append("=")
-    rhs.append(1.0)
-    return LinearProgram(
-        objective=np.zeros(m),
-        lhs=np.array(rows),
-        relations=tuple(relations),
-        rhs=np.array(rhs),
-    )
+    rows += [np.ones(m), -np.ones(m)]
+    rhs += [1.0, -1.0]
+    return LinearProgram(objective=np.zeros(m), lhs=np.array(rows), rhs=np.array(rhs))
 
 
 def test_improvement_system_feasibility_tracks_minimality(three_by_three):
@@ -296,6 +262,36 @@ def test_improvement_system_feasibility_tracks_minimality(three_by_three):
     assert not stuck.feasible
 
 
+@st.composite
+def _systems(draw):
+    """A small integer system lhs x <= rhs, with rhs of both signs and a mix
+    of free and nonnegative variables."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    coeff = st.integers(-4, 4).map(float)
+    return LinearProgram(
+        objective=np.zeros(n),
+        lhs=[draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)],
+        rhs=draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m)),
+        bounds=tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n))),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_systems())
+def test_check_feasibility_agrees_with_highs(lp):
+    got = check_feasibility(lp)
+    res = linprog(np.zeros(lp.num_vars), A_ub=lp.lhs, b_ub=lp.rhs,
+                  bounds=[(lo, None) for lo, _ in lp.bounds], method="highs")
+    assert res.status in (0, 2), res.message
+    assert got.feasible == (res.status == 0)
+    if got.feasible:
+        x = got.witness
+        assert x.shape == (lp.num_vars,)
+        assert np.all(lp.lhs @ x <= lp.rhs + 1e-9)
+        assert all(xi >= -1e-12 for xi, (lo, _) in zip(x, lp.bounds) if lo is not None)
+
+
 def test_duality_gap_on_random_instances():
     check_lp_duality(np.random.default_rng(20240817), count=12)
 
@@ -304,9 +300,8 @@ def test_identical_inputs_give_identical_outcomes():
     lp = LinearProgram(
         objective=[2.0, 1.0, 3.0],
         lhs=[[1.0, 1.0, 1.0], [2.0, 0.5, 1.0]],
-        relations=(">=", ">="),
         rhs=[2.0, 3.0],
-        sense="min",
+        sense="max",
     )
     first = solve_lp(lp)
     second = solve_lp(lp)
@@ -317,125 +312,96 @@ def test_identical_inputs_give_identical_outcomes():
     assert isinstance(first, LPOutcome)
 
 
-def _highs(c, A, relations, b, bounds, sense="min"):
-    """(status, value) of the LP by scipy's HiGHS; relations mix <=, >= and =.
+def _highs(lp):
+    """(status, value) of the one LP `lp` by scipy's HiGHS.
 
-    Only bounded LPs reach HiGHS with the objective: HiGHS can call an unbounded
-    LP infeasible (its presolve only knows "infeasible or unbounded") or give up
-    on it with an unknown status, so unboundedness is settled by a recession LP.
+    x = 0 is feasible, so the LP is optimal or unbounded.  Only bounded LPs
+    reach HiGHS with the objective: HiGHS can call an unbounded LP
+    infeasible (its presolve only knows "infeasible or unbounded") or give
+    up on it with an unknown status, so unboundedness is settled by a
+    recession LP.
     """
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float) * (1.0 if sense == "min" else -1.0)
-    rel = np.array(relations)
-    ub = rel != "="
-    flip = np.where(rel[ub] == ">=", -1.0, 1.0)
-
-    def solve(objective, rhs, var_bounds):
-        return linprog(
-            objective,
-            A_ub=A[ub] * flip[:, None] if ub.any() else None,
-            b_ub=rhs[ub] * flip if ub.any() else None,
-            A_eq=A[~ub] if (~ub).any() else None,
-            b_eq=rhs[~ub] if (~ub).any() else None,
-            bounds=var_bounds,
-            method="highs",
-        )
-
-    # A zero objective settles feasibility, so "infeasible or unbounded" never arises.
-    if solve(np.zeros(len(c)), b, bounds).status == 2:
-        return "infeasible", None
+    sign = 1.0 if lp.sense == "min" else -1.0
+    c = sign * lp.objective
     # A feasible LP is unbounded iff some direction d in its recession cone has
     # c @ d < 0; in the box |d| <= 1 that LP is feasible (d = 0) and bounded.
-    cone = [(None if lo is None else 0.0, None if hi is None else 0.0) for lo, hi in bounds]
-    box = [(-1.0 if lo is None else lo, 1.0 if hi is None else hi) for lo, hi in cone]
-    ray = solve(c, np.zeros_like(b), box)
+    box = [(-1.0 if lo is None else 0.0, 1.0) for lo, _ in lp.bounds]
+    ray = linprog(c, A_ub=lp.lhs, b_ub=np.zeros_like(lp.rhs), bounds=box, method="highs")
     assert ray.status == 0, ray.message
     if ray.fun < -1e-9:
         return "unbounded", None
-    res = solve(c, b, bounds)
+    res = linprog(c, A_ub=lp.lhs, b_ub=lp.rhs, bounds=[(lo, None) for lo, _ in lp.bounds],
+                  method="highs")
     assert res.status == 0, res.message
-    return "optimal", (1.0 if sense == "min" else -1.0) * res.fun
+    return "optimal", sign * res.fun
 
 
-_RELATION = st.sampled_from(("<=", ">=", "="))
-_LOWER = st.one_of(st.none(), st.just(0.0), st.integers(-3, 3).filter(bool).map(float))
+_LOWER = st.sampled_from((None, 0.0))
 
 
 @st.composite
-def _mixed_lps(draw):
-    """A small integer LP whose first row is an equality repeated as the last row."""
+def _slack_lps(draw):
+    """A small integer LP with rhs >= 0, so that its slack basis is
+    feasible; its first row may repeat as its last."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
     coeff = st.integers(-4, 4).map(float)
     A = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)]
-    b = draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m))
-    relations = ["="] + [draw(_RELATION) for _ in range(m - 1)]
-    return dict(
+    b = draw(st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m))
+    repeat = draw(st.booleans())
+    return LinearProgram(
         objective=draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)),
-        lhs=A + [A[0]],
-        relations=tuple(relations + ["="]),
-        rhs=b + [b[0]],
+        lhs=A + A[:1] if repeat else A,
+        rhs=b + b[:1] if repeat else b,
         sense=draw(st.sampled_from(("min", "max"))),
         bounds=tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n))),
     )
 
 
-_INFEASIBLE = dict(
-    objective=[1.0, 0.0], lhs=[[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
-    relations=("=", ">=", "="), rhs=[-2.0, 1.0, -2.0], sense="min",
-    bounds=((None, None), (0.0, None)),
-)
-_UNBOUNDED = dict(
-    objective=[1.0, 1.0], lhs=[[1.0, -1.0], [0.0, 1.0], [1.0, -1.0]],
-    relations=("=", ">=", "="), rhs=[-1.0, 2.0, -1.0], sense="max",
-    bounds=((-2.0, None), (None, None)),
-)
-
 # Unbounded (x2 falls without bound), but HiGHS's presolve reports it infeasible.
-_PRESOLVE_UNBOUNDED = dict(
+_PRESOLVE_UNBOUNDED = LinearProgram(
     objective=[0.0, 1.0, 0.0, 0.0],
-    lhs=[[0.0] * 4, [1.0, 1.0, 0.0, 0.0], [-1.0, -1.0, -1.0, 0.0], [0.0, -1.0, -1.0, 0.0], [0.0] * 4],
-    relations=("=", "<=", "<=", ">=", "="), rhs=[0.0, 0.0, 1.0, 0.0, 0.0], sense="min",
+    lhs=[[0.0] * 4, [1.0, 1.0, 0.0, 0.0], [-1.0, -1.0, -1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0] * 4],
+    rhs=[0.0, 0.0, 1.0, 0.0, 0.0], sense="min",
     bounds=((None, None), (None, None), (0.0, None), (None, None)),
 )
 
-# Unbounded (x3 grows without bound), but HiGHS without presolve gives up on it
-# with an unknown status.
-_UNKNOWN_UNBOUNDED = dict(
-    objective=[0.0, 0.0, 1.0, 2.0],
-    lhs=[[1.0, 0.0, -2.0, -1.0], [0.0, 0.0, 1.0, 2.0], [1.0, 0.0, -2.0, -1.0]],
-    relations=("=", ">=", "="), rhs=[-1.0, 0.0, -1.0], sense="max",
-    bounds=((0.0, None), (None, None), (0.0, None), (1.0, None)),
+# One stack, max x + y over a free x and y >= 0: an optimal LP, an
+# unbounded one, an optimal one that takes two pivots, and one unbounded
+# at the start.  A budget of 2 pivots stops the third.
+_STATUS_STACK = LinearProgram(
+    objective=[1.0, 1.0],
+    lhs=[[[1.0, 1.0], [-1.0, 0.0]], [[1.0, -1.0], [0.0, -1.0]],
+         [[2.0, 1.0], [-1.0, 1.0]], [[0.0, 1.0], [-1.0, -1.0]]],
+    rhs=[[2.0, 3.0], [1.0, 2.0], [4.0, 1.0], [5.0, 0.0]],
+    sense="max",
+    bounds=((None, None), (0.0, None)),
 )
 
 
 @settings(deadline=None, max_examples=300)
-@given(_mixed_lps())
-@example(_INFEASIBLE)
-@example(_UNBOUNDED)
+@given(_slack_lps())
 @example(_PRESOLVE_UNBOUNDED)
-@example(_UNKNOWN_UNBOUNDED)
-def test_solve_lp_agrees_with_highs(spec):
-    lp = LinearProgram(**spec)
+@example(unstack_lp(_STATUS_STACK)[1])
+def test_solve_lp_agrees_with_highs(lp):
     out = solve_lp(lp)
-    status, value = _highs(
-        spec["objective"], spec["lhs"], spec["relations"], spec["rhs"], spec["bounds"],
-        spec["sense"],
-    )
+    status, value = _highs(lp)
     assert out.status == status
     if status == "optimal":
         assert abs(out.objective_value - value) <= 1e-7 * (1.0 + abs(value))
         x = out.solution
-        lows = np.array([-np.inf if lo is None else lo for lo, _ in spec["bounds"]])
-        assert np.all(x >= lows - 1e-9)
+        assert np.all(lp.lhs @ x <= lp.rhs + 1e-9)
+        assert all(xi >= -1e-9 for xi, (lo, _) in zip(x, lp.bounds) if lo is not None)
         assert out.objective_value == pytest.approx(float(lp.objective @ x), abs=1e-12)
     for got in solve_batch(stack_lps([lp, lp, lp])):
         _assert_same_outcome(got, out)
 
 
-def test_the_highs_examples_cover_every_status():
-    statuses = {solve_lp(LinearProgram(**spec)).status for spec in (_INFEASIBLE, _UNBOUNDED)}
-    assert statuses == {"infeasible", "unbounded"}
+def test_the_status_stack_covers_every_status():
+    assert [out.status for out in solve_batch(_STATUS_STACK, max_iter=2)] == [
+        "optimal", "unbounded", "iteration_limit", "unbounded"
+    ]
+    assert [out.status for out in solve_batch(_STATUS_STACK)] == ["optimal", "unbounded"] * 2
 
 
 def _assert_same_outcome(got, want):
@@ -452,28 +418,26 @@ def _assert_same_outcome(got, want):
 
 @st.composite
 def _lp_stacks(draw):
-    """A few stacks of small integer LPs, each LP of a stack drawn from the
-    stack's objective, constraint shape, relations, bounds and sense; a
-    template may repeat its first row last."""
+    """A few stacks of small integer LPs with rhs >= 0, each LP of a stack
+    drawn from the stack's objective, constraint shape, bounds and sense;
+    a template may repeat its first row last."""
     stacks = []
     coeff = st.integers(-4, 4).map(float)
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 4))
         m = draw(st.integers(1, 4))
         objective = draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n))
-        relations = tuple(draw(st.lists(_RELATION, min_size=m, max_size=m)))
         bounds = tuple((lo, None) for lo in draw(st.lists(_LOWER, min_size=n, max_size=n)))
         sense = draw(st.sampled_from(("min", "max")))
         repeat = draw(st.booleans())
         lps = []
         for _ in range(draw(st.integers(1, 5))):
             A = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(m)]
-            b = draw(st.lists(st.integers(-6, 6).map(float), min_size=m, max_size=m))
+            b = draw(st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m))
             lps.append(
                 LinearProgram(
                     objective=objective,
                     lhs=A + A[:1] if repeat else A,
-                    relations=relations + relations[:1] if repeat else relations,
                     rhs=b + b[:1] if repeat else b,
                     sense=sense,
                     bounds=bounds,
@@ -483,47 +447,24 @@ def _lp_stacks(draw):
     return stacks
 
 
-# Two stacks: two infeasible LPs with two optimal ones, and two unbounded LPs.
-_STATUS_STACKS = [
-    stack_lps(
-        [
-            LinearProgram(**_INFEASIBLE),
-            LinearProgram(**dict(_INFEASIBLE, rhs=[-3.0, 2.0, -3.0])),
-            LinearProgram(**dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])),
-            LinearProgram(**dict(_INFEASIBLE, rhs=[3.0, -1.0, 3.0])),
-        ]
-    ),
-    stack_lps(
-        [LinearProgram(**_UNBOUNDED), LinearProgram(**dict(_UNBOUNDED, rhs=[1.0, 0.0, 1.0]))]
-    ),
-]
-
-
-def test_the_status_stack_covers_every_status():
-    statuses = [[out.status for out in solve_batch(stack)] for stack in _STATUS_STACKS]
-    assert statuses == [["infeasible"] * 2 + ["optimal"] * 2, ["unbounded"] * 2]
-
-
 @settings(deadline=None, max_examples=200)
-@given(_lp_stacks())
-@example(_STATUS_STACKS)
-def test_solve_batch_equals_solve_lp_bit_for_bit(stacks):
+@given(_lp_stacks(), st.sampled_from((None, 0, 1, 2)))
+@example([_STATUS_STACK], 2)
+def test_solve_batch_equals_solve_lp_bit_for_bit(stacks, max_iter):
     for stack in stacks:
-        want = [solve_lp(lp) for lp in unstack_lp(stack)]
-        for got, w in zip(solve_batch(stack), want, strict=True):
+        want = [solve_lp(lp, max_iter=max_iter) for lp in unstack_lp(stack)]
+        for got, w in zip(solve_batch(stack, max_iter=max_iter), want, strict=True):
             _assert_same_outcome(got, w)
 
 
 def test_a_stack_of_one_equals_solve_lp():
-    optimal = dict(_INFEASIBLE, rhs=[2.0, 1.0, 2.0])
-    for spec in (_INFEASIBLE, _UNBOUNDED, _PRESOLVE_UNBOUNDED, optimal):
-        lp = LinearProgram(**spec)
+    for lp in (_PRESOLVE_UNBOUNDED, *unstack_lp(_STATUS_STACK)):
         (got,) = solve_batch(stack_lps([lp]))
         _assert_same_outcome(got, solve_lp(lp))
 
 
 def test_malformed_stacks_are_rejected():
-    spec = dict(objective=[1.0, 1.0], relations=("<=", ">="), sense="max")
+    spec = dict(objective=[1.0, 1.0], sense="max")
     lhs = np.ones((3, 2, 2))
     with pytest.raises(InputError):  # lhs and rhs batch sizes disagree
         LinearProgram(lhs=lhs, rhs=np.ones((2, 2)), **spec)
@@ -533,23 +474,24 @@ def test_malformed_stacks_are_rejected():
         LinearProgram(lhs=np.ones((0, 2, 2)), rhs=np.ones((0, 2)), **spec)
     with pytest.raises(InputError):  # solve_lp given a stack
         solve_lp(LinearProgram(lhs=lhs, rhs=np.ones((3, 2)), **spec))
+    with pytest.raises(InputError):  # check_feasibility given a stack
+        check_feasibility(LinearProgram(lhs=lhs, rhs=np.ones((3, 2)), **spec))
 
 
 @pytest.mark.parametrize("bad", [[[1.0, 0.0], [1.0]], [[1.0, "a"], [0.0, 1.0]]])
 def test_ragged_or_non_numeric_coefficients_are_rejected(bad):
     with pytest.raises(InputError):
-        LinearProgram(objective=[1.0, 1.0], lhs=bad, relations=("<=", "<="), rhs=[1.0, 1.0])
+        LinearProgram(objective=[1.0, 1.0], lhs=bad, rhs=[1.0, 1.0])
     with pytest.raises(InputError):
-        LinearProgram(objective=[1.0, 1.0], lhs=np.eye(2), relations=("<=", "<="), rhs=bad)
+        LinearProgram(objective=[1.0, 1.0], lhs=np.eye(2), rhs=bad)
 
 
-@pytest.mark.parametrize("bounds", [((0.0,), (0.0, None)), (("a", None), (0.0, None)), (None, None)])
+@pytest.mark.parametrize(
+    "bounds", [((0.0,), (0.0, None)), (("a", None), (0.0, None)), (None, None)]
+)
 def test_malformed_bounds_are_rejected(bounds):
     with pytest.raises(InputError):
-        LinearProgram(
-            objective=[1.0, 1.0], lhs=np.eye(2), relations=("<=", "<="), rhs=[1.0, 1.0],
-            bounds=bounds,
-        )
+        LinearProgram(objective=[1.0, 1.0], lhs=np.eye(2), rhs=[1.0, 1.0], bounds=bounds)
 
 
 def _spy(monkeypatch, name):
@@ -565,38 +507,20 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _beale_stack():
+    return stack_lps([_beale(cap) for cap in (1.0, 2.0, 3.0)])
+
+
 def test_a_cycling_lp_finishes_under_blands_rule_inside_a_batch(monkeypatch):
-    lps = _cycling_lps()
+    lps = unstack_lp(_beale_stack())
     want = [solve_lp(lp) for lp in lps]
     runs = _spy(monkeypatch, "_run_simplex")
-    got = solve_batch(stack_lps(lps))
+    got = solve_batch(_beale_stack())
     # each LP of the one stack leaves the lockstep loop for Bland's rule
     assert [kwargs.get("bland") for _, kwargs in runs] == [True] * 3
-    for g, w in zip(got, want, strict=True):
+    for g, w, cap in zip(got, want, (1.0, 2.0, 3.0), strict=True):
         _assert_same_outcome(g, w)
-
-
-def test_a_leftover_artificial_is_handled_inside_a_batch(monkeypatch):
-    # The equality x + y + z = b appears twice, so phase 1 ends with one of
-    # its two artificials still basic, on a row that has become redundant.
-    lps = [
-        LinearProgram(
-            objective=[1.0, -2.0, 0.5],
-            lhs=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
-            relations=("=", "<=", "="),
-            rhs=[b, c, b],
-            sense=sense,
-        )
-        for sense in ("min", "max")
-        for b, c in ((1.0, 0.5), (2.0, -1.0), (3.0, 1.0))
-    ]
-    want = [solve_lp(lp) for lp in lps]
-    pivot_outs = _spy(monkeypatch, "_pivot_out_artificials")
-    runs = _spy(monkeypatch, "_run_simplex")
-    got = solve_batch(stack_lps(lps[:3])) + solve_batch(stack_lps(lps[3:]))
-    assert len(pivot_outs) == len(lps) and not runs
-    for g, w in zip(got, want, strict=True):
-        _assert_same_outcome(g, w)
+        assert g.objective_value == pytest.approx(1.25 * cap, abs=1e-12)
 
 
 def _assert_matches_the_full_tableau(stack, max_iter=None):
@@ -613,28 +537,16 @@ def _assert_matches_the_full_tableau(stack, max_iter=None):
 
 @settings(deadline=None, max_examples=200)
 @given(_lp_stacks(), st.sampled_from((None, 0, 1, 2)))
-@example(_STATUS_STACKS, None)
+@example([_STATUS_STACK], 2)
 def test_the_kernel_equals_the_full_tableau_bit_for_bit(stacks, max_iter):
-    # phase 1, `=` rows, free variables, redundant rows and small pivot budgets
+    # free variables, repeated rows and small pivot budgets
     for stack in stacks:
         _assert_matches_the_full_tableau(stack, max_iter)
 
 
-def test_the_kernel_equals_the_full_tableau_on_cycling_and_redundant_lps():
-    _assert_matches_the_full_tableau(stack_lps(_cycling_lps()))
-    # the equality x + y + z = b twice: phase 1 leaves an artificial on a redundant row
-    redundant = [
-        LinearProgram(
-            objective=[1.0, -2.0, 0.5],
-            lhs=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
-            relations=("=", "<=", "="),
-            rhs=[b, c, b],
-            sense="max",
-        )
-        for b, c in ((1.0, 0.5), (2.0, -1.0), (3.0, 1.0))
-    ]
-    for max_iter in (None, 0, 1, 2):
-        _assert_matches_the_full_tableau(stack_lps(redundant), max_iter)
+def test_the_kernel_equals_the_full_tableau_on_a_cycling_lp():
+    for max_iter in (None, 6, 7):
+        _assert_matches_the_full_tableau(_beale_stack(), max_iter)
 
 
 def test_every_improvement_lp_of_a_grid_replays_on_the_full_tableau(monkeypatch):
@@ -655,19 +567,10 @@ def test_every_improvement_lp_of_a_grid_replays_on_the_full_tableau(monkeypatch)
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2])
 def test_an_iteration_limit_inside_a_batch(max_iter):
-    lps = [
-        LinearProgram(
-            objective=[1.0, 1.0, 1.0],
-            lhs=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]],
-            relations=(">=", "<=", ">="),
-            rhs=rhs,
-            sense="max",
-        )
-        for rhs in ([1.0, 3.0, 1.0], [0.0, 2.0, 4.0], [2.0, 5.0, 2.0], [-1.0, 1.0, 3.0])
-    ]
+    lps = unstack_lp(_STATUS_STACK)
     want = [solve_lp(lp, max_iter=max_iter) for lp in lps]
     assert "iteration_limit" in {out.status for out in want}
-    for g, w in zip(solve_batch(stack_lps(lps), max_iter=max_iter), want, strict=True):
+    for g, w in zip(solve_batch(_STATUS_STACK, max_iter=max_iter), want, strict=True):
         _assert_same_outcome(g, w)
 
 
@@ -747,9 +650,7 @@ def test_the_cut_read_off_the_lift_lp_is_optimal_for_the_cut_lp(entries, point):
     # it, and the weights read off the lift LP's duals must be optimal for it.
     m, n, k = entries.shape
     v = np.array(point[:k], dtype=float)
-    lp = benson_cut_lp(entries, v)
-    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs, lp.bounds, lp.sense)
-    assert status == "optimal"
+    value, _, _ = benson_cut_by_highs(entries, v)
     lift, _, w = _verify_vertex(entries, v)
     assert w.shape == (n, k)
     assert (w >= -1e-9).all() and w.sum() == pytest.approx(1.0, abs=1e-9)
@@ -760,11 +661,10 @@ def test_the_cut_read_off_the_lift_lp_is_optimal_for_the_cut_lp(entries, point):
     assert offset - normal @ v == pytest.approx(lift, abs=tol)
 
 
-def _row_built(rows, relations, rhs, objective, sense, bounds=None):
+def _row_built(rows, rhs, objective, sense, bounds=None):
     return LinearProgram(
         objective=np.array(objective, dtype=float),
         lhs=np.array(rows),
-        relations=tuple(relations),
         rhs=np.array(rhs, dtype=float),
         sense=sense,
         bounds=bounds,
@@ -776,7 +676,7 @@ def _assert_same_lp(got, want):
     for field in ("objective", "lhs", "rhs"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         assert getattr(got, field).shape == getattr(want, field).shape, field
-    assert (got.relations, got.sense, got.bounds) == (want.relations, want.sense, want.bounds)
+    assert (got.sense, got.bounds) == (want.sense, want.bounds)
 
 
 def _row_built_improvement_lp(game, p):
@@ -812,7 +712,7 @@ def _row_built_improvement_lp(game, p):
         rhs.append(pbar[i])
     rows.append(np.concatenate([np.ones(m - 1), np.zeros(L)]))
     rhs.append(pbar[-1])
-    return _row_built(rows, ("<=",) * len(rows), rhs,
+    return _row_built(rows, rhs,
                       np.concatenate([np.zeros(m - 1), np.ones(L)]), "max",
                       ((None, None),) * (m - 1) + ((0.0, None),) * L)
 
@@ -864,35 +764,15 @@ def test_block_built_lps_equal_their_row_by_row_definitions(three_by_three, monk
             lift_rhs.append(lift_z0[s_lift] - (entries[s_lift, j, kk] - v[kk]))
     support_rows.append(np.concatenate([np.ones(m - 1), np.zeros(k)]))
     lift_rows.append(np.concatenate([np.ones(m - 1), [0.0]]))
-    relations = ("<=",) * (n * k + 1)
-    lift = _row_built(lift_rows, relations, lift_rhs + [1.0],
+    lift = _row_built(lift_rows, lift_rhs + [1.0],
                       np.concatenate([np.zeros(m - 1), [1.0]]), "min",
                       ((0.0, None),) * (m - 1) + (free,))
-    support = _row_built(support_rows, relations, support_rhs + [1.0],
+    support = _row_built(support_rows, support_rhs + [1.0],
                          np.concatenate([np.zeros(m - 1), direction]), "min",
                          ((0.0, None),) * (m - 1) + (free,) * k)
     _assert_same_lp(seen.pop(), lift)
     _assert_same_lp(seen.pop(), support)
     assert not seen
-
-
-def test_every_lp_poss_solves_alone_starts_at_a_feasible_slack_basis(monkeypatch):
-    # only <= rows with rhs >= 0: the slack basis is feasible, and no phase 1 runs
-    seen = []
-
-    def recording_solve_lp(lp):
-        seen.append(lp)
-        return solve_lp(lp)
-
-    monkeypatch.setattr(poss, "solve_lp", recording_solve_lp)
-    for case in range(3):
-        game = relabeled_game(2000 + case, (4, 4, 4), case)
-        for player in Player:
-            compute_security_image(game, player)
-    assert len(seen) > 100
-    for lp in seen:
-        assert set(lp.relations) == {"<="}
-        assert (lp.rhs >= 0.0).all()
 
 
 def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definition(
@@ -922,15 +802,47 @@ def test_each_member_of_a_stacked_improvement_lp_equals_its_row_by_row_definitio
             _assert_same_lp(g, w)
 
 
+def _pe_improvement_value(game, p):
+    """HiGHS's optimum of the improvement LP of row strategy `p` in the
+    variables (p, eps): n rows per halfspace, then n rows per exposing
+    normal with its slack, and p in the simplex.  It is the package's LP
+    value, which the package computes in the shift d = p - pbar."""
+    target = build_lower_set(row_generator_matrix(game, p))
+    exp_normals, exp_offsets = exposing_normals(target)
+    L = len(exp_offsets)
+    rows, rhs = [], []
+    F = len(target.offsets)
+    for ell, (normal, offset) in enumerate(
+        zip([*target.normals, *exp_normals], [*target.offsets, *exp_offsets])
+    ):
+        eps = np.zeros(L)
+        if ell >= F:
+            eps[ell - F] = 1.0
+        scal = game.entries @ np.array(normal)
+        for j in range(game.cols):
+            rows.append(np.concatenate([scal[:, j], eps]))
+            rhs.append(offset)
+    res = linprog(
+        np.concatenate([np.zeros(game.rows), -np.ones(L)]),
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        A_eq=np.concatenate([np.ones(game.rows), np.zeros(L)])[None],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (game.rows + L),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
 def _assert_improvement_value_agrees_with_highs(game, strategy, tol=1e-9):
     """The package's LP value, to `tol` (1 + |value|), and verdict for
     `strategy`, against HiGHS's optimum of the (p, eps) LP built on the
     owner's view of `game`."""
     owner = strategy.owner
-    lp = _pe_improvement_lp(game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW))
-    status, value = _highs(lp.objective, lp.lhs, lp.relations, lp.rhs,
-                           [(0.0, None)] * lp.num_vars, lp.sense)
-    assert status == "optimal"
+    value = _pe_improvement_value(
+        game.for_player(owner), MixedStrategy(strategy.weights, Player.ROW)
+    )
     cert = (minimality_lp if owner is Player.ROW else maximality_lp)(game, strategy)
     assert cert.lp_value == pytest.approx(value, abs=tol * (1.0 + abs(value)))
     assert cert.is_minimal == (value <= DECISION_TOL)

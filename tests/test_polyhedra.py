@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import row_generator_matrix, row_strategy
@@ -672,8 +673,6 @@ def test_every_generator_is_dominated_by_a_frontier_point():
     # point of its lower set (above some Pareto-minimal point for upper
     # sets); the witness is produced by pushing along the all-ones
     # direction, which cannot leave the set undominated.
-    from vecgame.lp import LinearProgram, solve_lp
-
     rng = np.random.default_rng(61)
     for _ in range(20):
         k = int(rng.integers(1, 4))
@@ -682,22 +681,19 @@ def test_every_generator_is_dominated_by_a_frontier_point():
             poly = build(pts)
             A = poly.normals
             b = poly.offsets
-            rel = "<=" if sense == "max" else ">="
-            # y >= g (lower sets) or y <= g (upper sets), as constraint rows
-            own = ">=" if sense == "max" else "<="
+            # a lower set's rows A y <= b and y >= g; an upper set's A y >= b
+            # and y <= g; each as `<=` rows for HiGHS, which minimizes
+            flip = 1.0 if sense == "max" else -1.0
             for g in poly.generators:
-                out = solve_lp(
-                    LinearProgram(
-                        objective=np.ones(k),
-                        lhs=np.vstack([A, np.eye(k)]),
-                        relations=(rel,) * len(b) + (own,) * k,
-                        rhs=np.concatenate([b, g]),
-                        sense=sense,
-                        bounds=((None, None),) * k,
-                    )
+                out = linprog(
+                    -flip * np.ones(k),
+                    A_ub=np.vstack([flip * A, -flip * np.eye(k)]),
+                    b_ub=np.concatenate([flip * b, -flip * np.asarray(g)]),
+                    bounds=[(None, None)] * k,
+                    method="highs",
                 )
-                assert out.status == "optimal"
-                y = out.solution
+                assert out.status == 0, out.message
+                y = out.x
                 assert contains_point(poly, y, tol=1e-7)
                 if sense == "max":
                     assert np.all(y >= np.array(g) - 1e-9)

@@ -440,8 +440,8 @@ def _small_games(draw) -> list:
 @example(rows=TWO_BY_TWO_ROWS, player=Player.ROW, den=2)
 @example(rows=TWO_BY_TWO_ROWS, player=Player.COL, den=3)
 # (0, 2/3, 1/3, 0) is separated from the image shifted along component 1
-# by GAP_EPS/232, about 4.3e-9, which the payoff-space LP's phase 1 reads
-# as feasible
+# by GAP_EPS/232, about 4.3e-9, which the payoff-space LP read as feasible
+# when the package's phase 1 solved it
 @example(
     rows=[[[0, 0, 0], [-1, 0, 0], [3, 0, 0], [3, 0, 0]],
           [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
@@ -513,12 +513,13 @@ def test_a_payoff_set_that_meets_the_image_falls_back_to_one_lp_per_component(
 
 def test_weights_that_do_not_separate_are_no_certificate(two_by_two, two_by_two_row_image,
                                                          monkeypatch):
-    # every separation LP claims uniform weights and t = 1; the margin is
-    # recomputed from the weights, so the pure first row still falls back
+    # every margin LP claims uniform weights: its F - 1 free weights read
+    # 1/F, which leaves 1/F to its start, and both levels read 0; the margin
+    # is recomputed from the weights, so the pure first row still falls back
     def uniform(lp):
         f = lp.lhs.shape[2] - 1
-        solution = np.append(np.full(f, 1.0 / f), 1.0)
-        return [LPOutcome("optimal", 1.0, solution.copy(), 0) for _ in lp.lhs]
+        solution = np.append(np.full(f - 1, 1.0 / f), [0.0, 0.0])
+        return [LPOutcome("optimal", -1.0, solution.copy(), 0) for _ in lp.lhs]
 
     monkeypatch.setattr(poss, "solve_batch", uniform)
     front = certify_every_grid_point(two_by_two, Player.ROW, Fraction(1, 1))
