@@ -17,7 +17,6 @@ from .equilibria import Classification, EquilibriumRecord, classify_pair, classi
 from .errors import InputError, NumericalError
 from .game import (
     MixedStrategy,
-    PayoffVector,
     Player,
     SimplexGrid,
     VectorPayoffGame,
@@ -60,7 +59,6 @@ __all__ = [
     "MixedStrategy",
     "NumericalError",
     "OrientedPayoffPolyhedron",
-    "PayoffVector",
     "Player",
     "SecurityImage",
     "SimplexGrid",

@@ -281,7 +281,7 @@ def _record_json(record, names: _Strategies) -> _JSONText:
     """A pair record as JSON text: `equilibria` writes thousands of them."""
     return _JSONText(
         f'{{"p":{names.json_obj(record.p)},"q":{names.json_obj(record.q)},'
-        f'"payoff":{_numbers(record.payoff.value)},"p_minimal":{_bool(record.p_minimal)},'
+        f'"payoff":{_numbers(record.payoff)},"p_minimal":{_bool(record.p_minimal)},'
         f'"q_maximal":{_bool(record.q_maximal)},"shapley":{_bool(record.shapley)},'
         f'"strong":{_bool(record.strong)},'
         f'"classification":{_json_string(record.classification.value)}}}'
@@ -450,7 +450,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         if args.format == "table":
             return (
                 f"pair p={names.text(p)} q={names.text(q)}: {phrase}\n"
-                f"  payoff: ({', '.join(format(v, '.17g') for v in record.payoff.value)})\n"
+                f"  payoff: ({', '.join(format(v, '.17g') for v in record.payoff)})\n"
                 f"  p minimal: {record.p_minimal}  q maximal: {record.q_maximal}\n"
                 f"  Shapley: {record.shapley}  strong: {record.strong}\n"
             )

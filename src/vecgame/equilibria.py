@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .game import (
     MixedStrategy,
-    PayoffVector,
     Player,
     VectorPayoffGame,
     col_generator_matrix,
@@ -63,7 +62,7 @@ class Classification(enum.Enum):
 class EquilibriumRecord:
     p: MixedStrategy
     q: MixedStrategy
-    payoff: PayoffVector
+    payoff: tuple[float, ...]
     p_minimal: bool
     q_maximal: bool
     shapley: bool
@@ -200,7 +199,7 @@ def _classify(game: VectorPayoffGame, rows: _Side, cols: _Side) -> list[Equilibr
                 EquilibriumRecord(
                     p=p,
                     q=q,
-                    payoff=PayoffVector(tuple(pay)),
+                    payoff=tuple(pay),
                     p_minimal=p_min,
                     q_maximal=q_max,
                     shapley=sh,

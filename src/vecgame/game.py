@@ -32,33 +32,6 @@ class Player(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PayoffVector:
-    """A point in payoff space (length K, finite components)."""
-
-    value: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.value)
-        if not vals:
-            raise InputError("payoff vector must have at least one component")
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError("payoff vector components must be finite")
-        object.__setattr__(self, "value", vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.value)
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def __getitem__(self, k: int) -> float:
-        return self.value[k]
-
-    def __iter__(self):
-        return iter(self.value)
-
-
-@dataclass(frozen=True)
 class MixedStrategy:
     """Probability weights over one player's pure strategies.
 

@@ -36,10 +36,11 @@ rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
 improvement LPs of a block of grid points and solves them as one stack
 per constraint shape.  `poss.verify_gap` solves one margin LP per optimal
 strategy; a player's LPs share one shape, so they go in stacks of at most
-`solver.GRID_BLOCK`.  Benson's verification and support LPs stay on
-`solve_lp`, because the loop needs each answer before it builds the next
-LP, and so do the gap check's few fallback systems, through
-`check_feasibility`.  The improvement LPs start at the tested strategy,
+`solver.GRID_BLOCK`, and a strategy they do not clear gets a stack of one
+margin LP per payoff component.  Benson's verification and support LPs
+stay on `solve_lp`, because the loop needs each answer before it builds
+the next LP.  No command calls `check_feasibility`: it serves the
+public API.  The improvement LPs start at the tested strategy,
 the strong LPs at the pair's payoff, and Benson's and the margin LPs at
 a pure strategy (`poss._mixed_strategy_lps`).
 
@@ -58,7 +59,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 # `check_feasibility` calls a system feasible when its least uniform
-# violation stays within this, relative to the largest |rhs|.
+# violation stays within this, relative to the largest |rhs|; a gap
+# certificate's margin must exceed it on the same scale (`poss.verify_gap`).
 TOL_FEAS = 1e-9
 # A rhs that rounding left in [-TOL_RHS, 0) is read as 0 (`clip_rhs`).
 TOL_RHS = 1e-7

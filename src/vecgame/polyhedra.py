@@ -317,10 +317,10 @@ def _lower_halfspaces(points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, 
     return out
 
 
-def _dedupe_points(points: np.ndarray, tol: float = VERTEX_MERGE_TOL) -> list[np.ndarray]:
+def _dedupe_points(points: np.ndarray) -> list[np.ndarray]:
     """Per member of a stack (B, n, K): its points in order, less each point
-    within `tol` (infinity norm) of a point kept before it."""
-    near = np.abs(points[:, :, None, :] - points[:, None, :, :]).max(axis=3) <= tol
+    within VERTEX_MERGE_TOL (infinity norm) of a point kept before it."""
+    near = np.abs(points[:, :, None, :] - points[:, None, :, :]).max(axis=3) <= VERTEX_MERGE_TOL
     kept = np.zeros(points.shape[:2], dtype=bool)
     for i in range(points.shape[1]):
         kept[:, i] = ~np.any(near[:, i, :i] & kept[:, :i], axis=1)

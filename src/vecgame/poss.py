@@ -23,7 +23,7 @@ from .game import (
     enumerate_simplex_grid,
     row_generator_matrix,
 )
-from .lp import TOL_FEAS, LinearProgram, LPOutcome, check_feasibility, solve_batch, solve_lp
+from .lp import TOL_FEAS, LinearProgram, LPOutcome, solve_batch, solve_lp
 from .polyhedra import (
     UPPER,
     ConeDD,
@@ -177,8 +177,9 @@ def _vertex_keys(rows: np.ndarray) -> list[tuple]:
     return [tuple(row) for row in np.round(rows, 9).tolist()]
 
 
-def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
-    """Settled DD of the row player's upper set, and its vertices' witnesses by `_vertex_keys`."""
+def _benson(entries: np.ndarray) -> tuple[ConeDD, np.ndarray, list[np.ndarray]]:
+    """Settled DD of the row player's upper set, its vertices (`upper_set_vertices`)
+    and a witness strategy for each vertex."""
     k = entries.shape[2]
     # the K coordinate bounds, then the bound along (1, ..., 1) / K
     normals = np.vstack([np.eye(k), np.full(k, 1.0 / k)])
@@ -195,7 +196,8 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
         if vertices.size == 0:
             raise NumericalError("outer approximation lost all vertices")
         cut = None
-        for v, key in zip(vertices, _vertex_keys(vertices)):
+        keys = _vertex_keys(vertices)
+        for v, key in zip(vertices, keys):
             if key in verified:
                 continue
             lift, witness, w = _verify_vertex(entries, v)
@@ -205,7 +207,7 @@ def _benson(entries: np.ndarray) -> tuple[ConeDD, dict]:
                 cut = _cut(entries, v, w)
                 break
         if cut is None:
-            return dd, verified
+            return dd, vertices, [verified[key] for key in keys]
         key = _vertex_keys(np.append(*cut)[None])[0]
         if key in cuts:
             raise NumericalError(f"cut through {tuple(v)} repeats an earlier one")
@@ -219,13 +221,12 @@ def compute_security_image(game: VectorPayoffGame, player: Player) -> SecurityIm
     Halfspaces and vertices are read off Benson's settled double description.
     Player II's image is player I's image of the mirrored game, negated.
     """
-    dd, verified = _benson(game.for_player(player).entries)
+    dd, vertices, witnesses = _benson(game.for_player(player).entries)
     rows = dd.done[0]
     facets = rows[facet_rows(dd.extreme_rays(), rows)]
     # each row is (-b, a) for a·y >= b; the row t >= 0 has a = 0 and drops out
     normals, offsets = unit_sum_halfspaces(facets[:, 1:], -facets[:, 0])
-    vertices = upper_set_vertices(dd)
-    attainments = tuple(_lp_strategy(verified[key], player) for key in _vertex_keys(vertices))
+    attainments = tuple(_lp_strategy(w, player) for w in witnesses)
     image = OrientedPayoffPolyhedron(UPPER, vertices, normals, offsets, vertices)
     if player is Player.ROW:
         return SecurityImage(player, image, attainments)
@@ -285,61 +286,51 @@ class GapReport:
 
 
 def _margin_lps(
-    img: OrientedPayoffPolyhedron, generators: np.ndarray
+    img: OrientedPayoffPolyhedron, generators: np.ndarray, components: np.ndarray
 ) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
     """The margin LPs of a stack (B, n, K) of generator sets against the
     image {w : A w >= b} (F facets), one per set, as `_mixed_strategy_lps`
-    returns them: over lambda in the simplex of R^F, maximize
-        GAP_EPS min_k (A^T lambda)_k - max_j sum_f lambda_f (a_f·y_j - b_f),
-    the margin that `_separated` checks.  They are `_mixed_strategy_lps`
-    that minimize its negation z_0 + z_1 over two levels:
+    returns them.  Row b of `components` (B, c) names the shifts e_k that
+    LP b must clear: over lambda in the simplex of R^F, it maximizes
+        GAP_EPS min_k (A^T lambda)_k - max_j sum_f lambda_f (a_f·y_j - b_f)
+    with k over components[b], the margin that `_separated` checks.  They
+    are `_mixed_strategy_lps` that minimize its negation z_0 + z_1 over
+    two levels:
         z_0 >= sum_f lambda_f (a_f·y_j - b_f)   for each generator y_j,
-        z_1 >= -GAP_EPS (A^T lambda)_k           for each component k.
-    Every LP has the shape (n + K + 1) x (F + 1)."""
-    count, n, k = generators.shape
-    f = len(img.offsets)
+        z_1 >= -GAP_EPS (A^T lambda)_k           for each k in components[b].
+    Every LP has the shape (n + c + 1) x (F + 1)."""
+    count, n, _ = generators.shape
+    c = components.shape[1]
     M = np.concatenate(
         [
             (generators @ img.normals.T - img.offsets).transpose(0, 2, 1),
-            np.broadcast_to(-GAP_EPS * img.normals, (count, f, k)),
+            (-GAP_EPS * img.normals[:, components]).transpose(1, 0, 2),
         ],
         axis=2,
     )
-    return _mixed_strategy_lps(M, np.zeros((count, n + k)), np.ones(2), np.repeat([0, 1], [n, k]))
+    return _mixed_strategy_lps(M, np.zeros((count, n + c)), np.ones(2), np.repeat([0, 1], [n, c]))
 
 
 def _separated(
-    img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, start: int, limit: float
+    img: OrientedPayoffPolyhedron, Y: np.ndarray, out: LPOutcome, start: int,
+    components: np.ndarray | list[int], limit: float,
 ) -> bool:
     """Whether the weights lambda of the margin LP that started at facet
     `start` prove that co(Y) - R^K_+ misses the image shifted by GAP_EPS
-    along every coordinate.
+    along e_k, for every k in `components`.
 
     The normals A are nonnegative, so h = A^T lambda is too: the lower set
     lies in {h·w <= max_j h·y_j}, and the image shifted along e_k lies in
-    {h·w >= lambda·b + GAP_EPS h_k} (Farkas).  The margin between the two
-    is recomputed in floats from lambda and must exceed `limit`.
+    {h·w >= lambda·b + GAP_EPS h_k} (Farkas).  The margin between the two,
+    at the least h_k over `components`, is recomputed in floats from
+    lambda and must exceed `limit`.
     """
     if out.status != "optimal":
         return False
     lam = np.maximum(_mixed_strategy(out.solution, start, len(img.offsets)), 0.0)
     h = lam @ img.normals
-    margin = GAP_EPS * h.min() - (float((Y @ h).max()) - float(lam @ img.offsets))
+    margin = GAP_EPS * h[components].min() - (float((Y @ h).max()) - float(lam @ img.offsets))
     return bool(margin > limit)
-
-
-def _meets_shifted_image(img: OrientedPayoffPolyhedron, Y: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether some mixture mu of the generators Y (n, K) has A Y^T mu >= rhs:
-    a point of co(Y) - R^K_+ in the shifted image {w : A w >= rhs}, since
-    A >= 0 makes the mixture itself the best point below it.  The rows are
-    -A Y^T mu <= -rhs and sum(mu) = 1 as two `<=` rows."""
-    n = len(Y)
-    lp = LinearProgram(
-        objective=np.zeros(n),
-        lhs=np.vstack([-(img.normals @ Y.T), np.ones(n), -np.ones(n)]),
-        rhs=np.concatenate([-rhs, [1.0, -1.0]]),
-    )
-    return check_feasibility(lp).feasible
 
 
 def verify_gap(
@@ -353,31 +344,39 @@ def verify_gap(
     The payoff set co(Y) - R^K_+ is read from the strategy's generators Y.
     One margin LP a strategy (`_margin_lps`), solved in stacks of at most
     GRID_BLOCK, clears all K shifts at once when its weights pass
-    `_separated`.  A strategy they do not clear gets one feasibility check
-    a shift (`_meets_shifted_image`).  A certificate's margin must exceed
-    the violation that `check_feasibility` still calls feasible on those
-    systems, TOL_FEAS (1 + max |rhs|).
+    `_separated`.  A strategy they do not clear gets one stack of K margin
+    LPs, where LP k clears e_k alone, and (strategy, k) is a violation
+    when LP k's weights do not.  By LP duality, LP k's optimal margin is
+    minus the least uniform violation of {mu in the simplex :
+    A Y^T mu >= b + GAP_EPS A e_k}, so a violation is a mixture of the
+    generators that reaches the shifted image within `limit`.
     """
     if front.player is not image.player:
         raise InputError("front and image belong to different players")
     img = _row_view(image)
     oriented = game.for_player(front.player)
     checked = [c.tested_strategy for c in front.certificates if c.is_minimal]
-    # column k: the rhs of the image shifted by GAP_EPS along e_k
-    shifted = img.offsets[:, None] + GAP_EPS * img.normals
-    limit = TOL_FEAS * (1.0 + float(np.abs(shifted).max()))
+    # the margin a certificate must exceed: TOL_FEAS relative to the
+    # largest |rhs| of the shifted images' systems A w >= b + GAP_EPS A e_k
+    limit = TOL_FEAS * (1.0 + float(np.abs(img.offsets[:, None] + GAP_EPS * img.normals).max()))
+    every = np.arange(game.dim)
     violations = []
     for lo in range(0, len(checked), GRID_BLOCK):
         block = checked[lo : lo + GRID_BLOCK]
         generators = np.stack([row_generator_matrix(oriented, s) for s in block])
-        lp, starts, _ = _margin_lps(img, generators)
+        lp, starts, _ = _margin_lps(img, generators, np.tile(every, (len(block), 1)))
         outcomes = solve_batch(lp)
         for strategy, Y, out, start in zip(block, generators, outcomes, starts.tolist()):
-            if not _separated(img, Y, out, start, limit):
-                violations.extend(
-                    (strategy, k) for k in range(game.dim)
-                    if _meets_shifted_image(img, Y, shifted[:, k])
-                )
+            if _separated(img, Y, out, start, every, limit):
+                continue
+            # one LP a shift: LP k clears e_k alone
+            copies = np.broadcast_to(Y, (len(every), *Y.shape))
+            lp_k, starts_k, _ = _margin_lps(img, copies, every[:, None])
+            for k, out_k, start_k in zip(every.tolist(), solve_batch(lp_k), starts_k.tolist()):
+                if out_k.status != "optimal":
+                    raise NumericalError(f"gap LP ended with status {out_k.status}")
+                if not _separated(img, Y, out_k, start_k, [k], limit):
+                    violations.append((strategy, k))
     return GapReport(
         player=front.player,
         eps=GAP_EPS,

@@ -21,7 +21,6 @@ from vecgame.equilibria import Classification, EquilibriumRecord, _boundary_mask
 from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     MixedStrategy,
-    PayoffVector,
     Player,
     VectorPayoffGame,
     col_generator_matrix,
@@ -45,18 +44,18 @@ from vecgame.solver import MinimalityCertificate, StrategyFront, minimality_lp
 import exact_oracle
 
 
-def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> PayoffVector:
+def expected_payoff(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> np.ndarray:
     """v(p, q) = sum_ij p_i g_ij q_j, the expected vector loss of player I."""
-    return PayoffVector(tuple(expected_payoffs(game, (p,), (q,))[0, 0]))
+    return expected_payoffs(game, (p,), (q,))[0, 0]
 
 
-def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> PayoffVector:
+def componentwise_security_point(game: VectorPayoffGame, strategy: MixedStrategy) -> np.ndarray:
     """Worst-case payoff per component: w(p) = max_j y_j(p) for the row
     player.  Player II's is the negated row answer on the mirrored game,
     the componentwise min over rows."""
     sign = 1.0 if strategy.owner is Player.ROW else -1.0
     worst = row_generator_matrix(game.for_player(strategy.owner), strategy).max(axis=0)
-    return PayoffVector(tuple(sign * worst))
+    return sign * worst
 
 
 def contains_point(poly: OrientedPayoffPolyhedron, y, *, tol: float = 1e-9) -> bool:
@@ -321,13 +320,13 @@ def random_mixed(rng: np.random.Generator, size: int, owner: Player) -> MixedStr
 def on_row_frontier(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
     """Whether the pair's payoff is Pareto-maximal in V_I(p), the row player's lower set."""
     vi = build_lower_set(row_generator_matrix(game, p))
-    return bool(_boundary_mask(vi, expected_payoff(game, p, q).as_array()[None])[0])
+    return bool(_boundary_mask(vi, expected_payoff(game, p, q)[None])[0])
 
 
 def on_col_frontier(game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy) -> bool:
     """Whether the pair's payoff is Pareto-minimal in V_II(q), the column player's upper set."""
     vii = build_upper_set(col_generator_matrix(game, q))
-    return bool(_boundary_mask(vii, expected_payoff(game, p, q).as_array()[None])[0])
+    return bool(_boundary_mask(vii, expected_payoff(game, p, q)[None])[0])
 
 
 def scalar_game_value(matrix: np.ndarray) -> float:

@@ -205,7 +205,7 @@ def test_criterion_04_three_by_three_game_counts_and_strong_rows(three_by_three)
             assert r.classification is expected, (
                 f"pair {pair}: program says {r.classification}, exact oracle says {expected}"
             )
-            assert np.allclose(r.payoff.value, [float(x) for x in verdict.payoff], atol=1e-12)
+            assert np.allclose(r.payoff, [float(x) for x in verdict.payoff], atol=1e-12)
             if verdict.shapley:
                 set_shapley.add(pair)
             if verdict.strong:

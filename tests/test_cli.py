@@ -318,6 +318,20 @@ def test_poss_report_strategies_and_gap(poss_report):
     assert gap["col"]["checked"] == 6
 
 
+def test_poss_on_a_front_with_no_optimal_grid_strategy(tmp_path):
+    # In matching pennies only the half-half mixtures are optimal, so the
+    # pure grid at step 1 holds no strategy for the gap check to test.
+    game = tmp_path / "pennies.json"
+    game.write_text(json.dumps(game_dict(VectorPayoffGame.from_rows(
+        [[[1], [-1]], [[-1], [1]]]))), encoding="utf-8")
+    out = tmp_path / "poss.json"
+    assert main(["poss", "-i", str(game), "--step-row", "1/1", "--workers", "1",
+                 "--output", str(out)]) == 0
+    gap = json.loads(out.read_text(encoding="utf-8"))["gap"]
+    for side in ("row", "col"):
+        assert (gap[side]["checked"], gap[side]["ok"]) == (0, True)
+
+
 @pytest.mark.parametrize("name", list(BUNDLED_GAMES))
 def test_poss_does_not_depend_on_the_worker_count(tmp_path, name, pool_pays):
     game = tmp_path / "game.json"

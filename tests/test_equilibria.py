@@ -51,7 +51,7 @@ from properties import (
 def _strong_lp_value(game, p, q):
     """The value of the pair's separation LP, solved alone."""
     vi, vii = _payoff_sets(game, p, q)
-    payoff = expected_payoff(game, p, q).as_array()
+    payoff = expected_payoff(game, p, q)
     return _strong_values([((vi.normals, vi.offsets), (vii.normals, vii.offsets))], payoff[None])[0]
 
 
@@ -298,7 +298,7 @@ def test_empty_fronts_give_an_empty_record_list(corley, corley_fronts):
 
 
 def _payoff_bits(record) -> bytes:
-    return np.array(record.payoff.value).tobytes()
+    return np.array(record.payoff).tobytes()
 
 
 def _assert_batch_matches_single_pairs(game, records):
@@ -309,7 +309,7 @@ def _assert_batch_matches_single_pairs(game, records):
         assert record.classification is single.classification
         assert _payoff_bits(record) == _payoff_bits(single)
         expected = expected_payoff(game, record.p, record.q)
-        assert _payoff_bits(record) == np.array(expected.value).tobytes()
+        assert _payoff_bits(record) == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", ["corley", "three_by_three"])
@@ -428,7 +428,7 @@ def test_block_built_strong_lps_equal_their_pair_by_pair_definition(three_by_thr
     col_sets = [build_upper_set(col_generator_matrix(three_by_three, q)) for q in qs]
     pairs = [((vi.normals, vi.offsets), (vii.normals, vii.offsets))
              for vi in row_sets for vii in col_sets]
-    payoffs = np.array([expected_payoff(three_by_three, p, q).as_array() for p in ps for q in qs])
+    payoffs = np.array([expected_payoff(three_by_three, p, q) for p in ps for q in qs])
     counts = {(len(b1), len(b2)) for (_, b1), (_, b2) in pairs}
     stacks = _strong_lps(pairs, payoffs)
     assert len(counts) > 1 and len(stacks) == len(counts)
@@ -512,7 +512,7 @@ def _intersection_samples(game, p, q, directions):
 def test_intersection_points_are_incomparable_to_the_pair_payoff(corley):
     p, q = row_strategy(0.125, 0.875), col_strategy(0.625, 0.375)
     assert classify_pair(corley, p, q).shapley
-    v = expected_payoff(corley, p, q).as_array()
+    v = expected_payoff(corley, p, q)
     angles = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     directions = np.column_stack([np.cos(angles), np.sin(angles)])
     samples = _intersection_samples(corley, p, q, directions)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from vecgame.errors import InputError
 from vecgame.game import (
     MixedStrategy,
-    PayoffVector,
     Player,
     VectorPayoffGame,
     col_generator_matrix,
@@ -223,15 +222,6 @@ def test_owner_helpers():
     assert Player.COL.opponent is Player.ROW
 
 
-def test_payoff_vector_validation():
-    with pytest.raises(InputError):
-        PayoffVector(())
-    with pytest.raises(InputError):
-        PayoffVector((1.0, float("nan")))
-    v = PayoffVector((1, 2))
-    assert v[1] == 2.0 and len(v) == 2 and list(v) == [1.0, 2.0]
-
-
 # --- algebraic properties --------------------------------------------------
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -281,19 +271,15 @@ def test_expected_payoff_is_bilinear(data):
     blend_p = MixedStrategy(
         tuple(a * x + (1 - a) * y for x, y in zip(p1.weights, p2.weights)), Player.ROW
     )
-    left = expected_payoff(game, blend_p, q1).as_array()
-    right = a * expected_payoff(game, p1, q1).as_array() + (1 - a) * expected_payoff(
-        game, p2, q1
-    ).as_array()
+    left = expected_payoff(game, blend_p, q1)
+    right = a * expected_payoff(game, p1, q1) + (1 - a) * expected_payoff(game, p2, q1)
     assert np.max(np.abs(left - right)) <= 1e-10
 
     blend_q = MixedStrategy(
         tuple(a * x + (1 - a) * y for x, y in zip(q1.weights, q2.weights)), Player.COL
     )
-    left = expected_payoff(game, p1, blend_q).as_array()
-    right = a * expected_payoff(game, p1, q1).as_array() + (1 - a) * expected_payoff(
-        game, p1, q2
-    ).as_array()
+    left = expected_payoff(game, p1, blend_q)
+    right = a * expected_payoff(game, p1, q1) + (1 - a) * expected_payoff(game, p1, q2)
     assert np.max(np.abs(left - right)) <= 1e-10
 
 
@@ -329,7 +315,7 @@ def test_batched_payoffs_equal_single_payoffs_bit_for_bit():
             for b, q in enumerate(qs):
                 single = np.einsum("i,ijk,j->k", p.as_array(), game.entries, q.as_array())
                 assert batch[a, b].tobytes() == single.tobytes()
-                assert np.array(expected_payoff(game, p, q).value).tobytes() == single.tobytes()
+                assert expected_payoff(game, p, q).tobytes() == single.tobytes()
     assert expected_payoffs(game, [], qs).shape == (0, num_q, k)
 
 

@@ -88,4 +88,4 @@ def test_column_security_point_is_the_componentwise_min_over_rows():
         game = random_game(rng, 3, 4, 3)
         q = MixedStrategy.cleaned(rng.random(4), Player.COL)
         expected = col_generator_matrix(game, q).min(axis=0)
-        assert componentwise_security_point(game, q).value == tuple(expected)
+        assert np.array_equal(componentwise_security_point(game, q), expected)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from vecgame import poss
-from vecgame.errors import InputError
+from vecgame.errors import InputError, NumericalError
 from vecgame.game import (
     Player,
     VectorPayoffGame,
@@ -189,7 +189,7 @@ def test_every_vertex_has_an_attainment(two_by_two, three_by_three, two_by_two_r
                         (three_by_three, three_by_three_row_image)):
         assert len(image.attainments) == len(image.vertices)
         for vertex, witness in zip(image.vertices, image.attainments):
-            point = np.array(tuple(componentwise_security_point(game, witness)))
+            point = componentwise_security_point(game, witness)
             assert point == pytest.approx(vertex, abs=1e-7)
 
 
@@ -213,10 +213,10 @@ def test_five_by_five_by_four_image_is_verified_and_valid(player):
     for vertex, witness in zip(image.vertices, image.attainments, strict=True):
         lift, _, _ = _verify_vertex(entries, sign * np.array(vertex))
         assert lift <= VERIFY_TOL
-        point = np.array(tuple(componentwise_security_point(game, witness)))
+        point = componentwise_security_point(game, witness)
         assert point == pytest.approx(vertex, abs=1e-7)
     grid = enumerate_simplex_grid(5, Fraction(1, 4), owner=player)
-    points = np.array([tuple(componentwise_security_point(game, s)) for s in grid.points])
+    points = np.array([componentwise_security_point(game, s) for s in grid.points])
     slack = sign * (points @ image.polyhedron.normals.T - image.polyhedron.offsets)
     assert slack.min() >= -1e-7
 
@@ -366,7 +366,7 @@ def test_poss_points_lie_on_the_image_boundary(three_by_three, three_by_three_ro
     b = three_by_three_row_image.polyhedron.offsets
     for s in poss_strategies(three_by_three, Player.ROW, Fraction(1, 10),
                              image=three_by_three_row_image):
-        w = np.array(tuple(componentwise_security_point(three_by_three, s)))
+        w = componentwise_security_point(three_by_three, s)
         residual = A @ w - b
         assert residual.min() >= -1e-7  # inside the image
         assert residual.min() <= 1e-6  # and touching its boundary
@@ -467,48 +467,42 @@ def test_gap_verdicts_match_the_payoff_space_lp(rows, player, den):
     assert [v for v in got if v not in disputed] == [v for v in want if v not in disputed]
 
 
-def _count_gap_lps(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record the stack size of each `solve_batch` call of `poss`, and one
-    entry per fallback feasibility LP."""
-    stacks, fallbacks = [], []
+def _count_gap_lps(monkeypatch) -> list[int]:
+    """Record the stack size of each `solve_batch` call of `poss`."""
+    stacks = []
 
     def solve(lp):
         stacks.append(len(lp.lhs))
         return poss_solve_batch(lp)
 
-    def feasibility(lp):
-        fallbacks.append(1)
-        return poss_check_feasibility(lp)
-
-    poss_solve_batch, poss_check_feasibility = poss.solve_batch, poss.check_feasibility
+    poss_solve_batch = poss.solve_batch
     monkeypatch.setattr(poss, "solve_batch", solve)
-    monkeypatch.setattr(poss, "check_feasibility", feasibility)
-    return stacks, fallbacks
+    return stacks
 
 
 def test_separation_certificates_clear_an_optimal_front_in_stacks(
     three_by_three, three_by_three_fronts, three_by_three_row_image, monkeypatch
 ):
     row, _ = three_by_three_fronts
-    stacks, fallbacks = _count_gap_lps(monkeypatch)
+    stacks = _count_gap_lps(monkeypatch)
     monkeypatch.setattr(poss, "GRID_BLOCK", 4)
     report = verify_gap(three_by_three, row, three_by_three_row_image)
     assert report.ok and len(report.checked) == 9
+    # no per-component stack follows the three screening stacks
     assert stacks == [4, 4, 1]
-    assert fallbacks == []
 
 
 def test_a_payoff_set_that_meets_the_image_falls_back_to_one_lp_per_component(
     two_by_two, two_by_two_row_image, monkeypatch
 ):
     # the pure first row's payoff set reaches into the image, so no
-    # separation certificate exists and each component is decided alone
+    # separation certificate exists and each component is decided alone,
+    # in one stack of a margin LP per component
     front = certify_every_grid_point(two_by_two, Player.ROW, Fraction(1, 1))
-    stacks, fallbacks = _count_gap_lps(monkeypatch)
+    stacks = _count_gap_lps(monkeypatch)
     report = verify_gap(two_by_two, front, two_by_two_row_image)
     assert [(s.weights, k) for s, k in report.violations] == [((1.0, 0.0), 0), ((1.0, 0.0), 1)]
-    assert stacks == [2]
-    assert len(fallbacks) == 2
+    assert stacks == [2, 2]
 
 
 def test_weights_that_do_not_separate_are_no_certificate(two_by_two, two_by_two_row_image,
@@ -525,6 +519,20 @@ def test_weights_that_do_not_separate_are_no_certificate(two_by_two, two_by_two_
     front = certify_every_grid_point(two_by_two, Player.ROW, Fraction(1, 1))
     report = verify_gap(two_by_two, front, two_by_two_row_image)
     assert [(s.weights, k) for s, k in report.violations] == [((1.0, 0.0), 0), ((1.0, 0.0), 1)]
+
+
+def test_a_margin_lp_of_one_component_that_does_not_end_optimal_is_a_numerical_error(
+    two_by_two, two_by_two_row_image, monkeypatch
+):
+    # a screening LP that fails sends its strategy to the per-component
+    # LPs, which are bounded and start feasible, so they must end optimal
+    def stalled(lp):
+        return [LPOutcome("iteration_limit", None, None, 0) for _ in lp.lhs]
+
+    monkeypatch.setattr(poss, "solve_batch", stalled)
+    front = classify_grid(two_by_two, Player.ROW, Fraction(1, 10))
+    with pytest.raises(NumericalError, match="gap LP ended with status iteration_limit"):
+        verify_gap(two_by_two, front, two_by_two_row_image)
 
 
 def test_gap_check_validates_its_inputs(two_by_two, two_by_two_col_image):

@@ -23,7 +23,7 @@ def test_star_import_succeeds():
 EXPORTED = (
     "Classification", "EquilibriumRecord", "FeasibilityResult", "GapReport", "InputError",
     "LPOutcome", "LinearProgram", "MinimalityCertificate", "MixedStrategy", "NumericalError",
-    "OrientedPayoffPolyhedron", "PayoffVector", "Player", "SecurityImage", "SimplexGrid",
+    "OrientedPayoffPolyhedron", "Player", "SecurityImage", "SimplexGrid",
     "StrategyFront", "VectorPayoffGame", "build_lower_set", "build_upper_set",
     "check_feasibility", "classify_grid", "classify_pair", "classify_pairs",
     "compute_security_image", "enumerate_simplex_grid", "maximality_lp",
