@@ -462,7 +462,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
     owner = _owner(args)
     strategy, typed = _parse_weights(args.strategy, owner)
     names = _Strategies(*typed)
-    cert = _certificate(game, strategy, args.tol)
+    cert, _ = _certificate(game, strategy, args.tol)
     kind = "minimal" if owner is Player.ROW else "maximal"
     if args.format == "table":
         verdict = kind if cert.is_minimal else f"not {kind}"

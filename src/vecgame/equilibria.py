@@ -7,7 +7,7 @@ variant additionally requires the whole intersection of the two payoff
 sets to consist of such points, which reduces to a zero-valued LP.
 `classify_pairs` classifies every pair of two grid fronts from their
 certificates' payoff sets; `classify_pair` classifies one pair, running
-its optimality LPs first.
+its optimality LPs first and reading the sets they tested.
 """
 
 from __future__ import annotations
@@ -19,29 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .game import (
-    MixedStrategy,
-    Player,
-    VectorPayoffGame,
-    col_generator_matrix,
-    expected_payoffs,
-    row_generator_matrix,
-)
+from .game import MixedStrategy, Player, VectorPayoffGame, expected_payoffs
 from .lp import LinearProgram, clip_rhs, solve_batch
-from .polyhedra import (
-    OrientedPayoffPolyhedron,
-    active_normal_sums,
-    build_lower_set,
-    build_upper_set,
-    negated_set,
-)
-from .solver import (
-    DECISION_TOL,
-    GRID_BLOCK,
-    StrategyFront,
-    maximality_lp,
-    minimality_lp,
-)
+from .polyhedra import OrientedPayoffPolyhedron, active_normal_sums, negated_set
+from .solver import DECISION_TOL, GRID_BLOCK, StrategyFront, _certificate, _require_owner
 
 # The strong test accepts when the separation LP value stays below this.
 STRONG_TOL = 1e-7
@@ -92,17 +73,6 @@ def _boundary_mask(poly: OrientedPayoffPolyhedron, points: np.ndarray) -> np.nda
     upper set.  A point with no active facet sums to the zero normal.
     """
     return np.all(active_normal_sums(poly.normals, poly.offsets, points) > POSITIVE_TOL, axis=1)
-
-
-def _payoff_sets(
-    game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, row_set=None, col_set=None
-) -> tuple[OrientedPayoffPolyhedron, OrientedPayoffPolyhedron]:
-    """V_I(p), the row player's lower set, and V_II(q), the column player's upper set;
-    a set a certificate carries is passed in (`col_set` on the mirrored game), not built."""
-    vi = build_lower_set(row_generator_matrix(game, p)) if row_set is None else row_set
-    if col_set is not None:
-        return vi, negated_set(col_set)
-    return vi, build_upper_set(col_generator_matrix(game, q))
 
 
 # A payoff set's facets, (normals (F, K), offsets (F,)), and a pair of
@@ -213,11 +183,18 @@ def _classify(game: VectorPayoffGame, rows: _Side, cols: _Side) -> list[Equilibr
 def classify_pair(
     game: VectorPayoffGame, p: MixedStrategy, q: MixedStrategy, *, tol: float = DECISION_TOL
 ) -> EquilibriumRecord:
-    """Full classification of one pair, running the optimality LPs."""
-    row = minimality_lp(game, p, tol=tol)
-    col = maximality_lp(game, q, tol=tol)
-    vi, vii = _payoff_sets(game, p, q, row.payoff_set, col.payoff_set)
-    return _classify(game, [(p, vi, row.is_minimal)], [(q, vii, col.is_minimal)])[0]
+    """Full classification of one pair, running the optimality LPs.
+
+    The pair is classified with the two sets its certificates tested,
+    whatever their verdicts, so each set is built once.  The column
+    certificate tests V_II(q) as a lower set of the mirrored game;
+    negating it gives the upper set.
+    """
+    _require_owner(p, Player.ROW)
+    _require_owner(q, Player.COL)
+    row, vi = _certificate(game, p, tol)
+    col, vii = _certificate(game, q, tol)
+    return _classify(game, [(p, vi, row.is_minimal)], [(q, negated_set(vii), col.is_minimal)])[0]
 
 
 def classify_pairs(

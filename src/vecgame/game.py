@@ -95,7 +95,7 @@ class VectorPayoffGame:
     def __post_init__(self) -> None:
         try:
             arr = np.array(self.entries, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"payoff entries must be an array of numbers: {exc}") from exc
         if arr.ndim != 3:
             raise InputError("entries must be an m x n x K array")

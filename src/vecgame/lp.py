@@ -103,7 +103,7 @@ class LinearProgram:
                 (None if lo is None else float(lo), None if hi is None else float(hi))
                 for lo, hi in self.bounds
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"LP coefficients and bounds must be numbers: {exc}") from exc
         if lhs.size == 0 and lhs.ndim < 3:
             lhs = np.zeros((rhs.size, obj.size))

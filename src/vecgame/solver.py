@@ -13,7 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,20 +52,17 @@ GRID_BREAK_EVEN = 256
 
 @dataclass(frozen=True)
 class MinimalityCertificate:
-    """Outcome of one improvement LP.
-
-    `slacks` holds the per-vertex separation achieved by the best
-    improving mixture; their sum is `lp_value`.  An optimal certificate
-    carries the lower payoff set it tested, in the owner's view of the
-    game, in `payoff_set`, so that fronts, pairs and the gap check never
-    build it again; other certificates leave it None.
+    """Outcome of one improvement LP: its value, the verdict, and the
+    improving mixture when the value exceeds the tolerance.  An optimal
+    certificate carries the lower payoff set it tested, in the owner's view
+    of the game, in `payoff_set`, so that fronts, pairs and the gap check
+    never build it again; other certificates leave it None.
     """
 
     tested_strategy: MixedStrategy
     lp_value: float
     improving_strategy: MixedStrategy | None
     is_minimal: bool
-    slacks: tuple[float, ...]
     payoff_set: OrientedPayoffPolyhedron | None = None
 
     def __post_init__(self) -> None:
@@ -100,19 +97,6 @@ def _lp_strategy(weights, owner: Player) -> MixedStrategy:
         return MixedStrategy.cleaned(weights, owner=owner)
     except InputError as exc:
         raise NumericalError(f"LP returned invalid strategy weights: {exc}") from exc
-
-
-class _Group(NamedTuple):
-    """The improvement LPs of the strategies of one grid block whose payoff
-    sets have F facets and V vertices: the strategies' places in the block,
-    their lower payoff sets, their exposing normals (B, V, K) and offsets
-    (B, V), and the stack of their LPs, whose shape F and V fix."""
-
-    members: list[int]
-    targets: list[OrientedPayoffPolyhedron]
-    exp_normals: np.ndarray
-    exp_offsets: np.ndarray
-    lp: LinearProgram
 
 
 def _improvement_lps(
@@ -179,27 +163,29 @@ def _improvement_lps(
 
 
 def _check_improvements(
-    game: VectorPayoffGame, points: Sequence[MixedStrategy], group: _Group,
-    outcomes: Sequence[LPOutcome], tol: float,
+    game: VectorPayoffGame, points: Sequence[MixedStrategy],
+    targets: Sequence[OrientedPayoffPolyhedron], exp_normals: np.ndarray,
+    exp_offsets: np.ndarray, outcomes: Sequence[LPOutcome], tol: float,
 ) -> list[MinimalityCertificate]:
-    """Check stage: the certificates of a group's strategies, of the block
-    `points`, from the outcomes of their improvement LPs, in group order."""
+    """Check stage: the certificates of one group's strategies `points`, in
+    order, from the outcomes of their improvement LPs.  `targets` are the
+    strategies' lower sets and `exp_normals` (B, V, K), `exp_offsets` (B, V)
+    the exposing normals and offsets `_improvement_lps` built for them."""
     m = game.rows
     for out in outcomes:
         if out.status != "optimal":
             raise NumericalError(f"improvement LP ended with status {out.status}")
     certificates = []
     improved = []
-    for i, target, out in zip(group.members, group.targets, outcomes):
-        pbar, value = points[i], float(out.objective_value)
-        slacks = tuple(out.solution[m - 1 :].tolist())
+    for pbar, target, out in zip(points, targets, outcomes):
+        value = float(out.objective_value)
         if value <= tol:
-            certificates.append(MinimalityCertificate(pbar, value, None, True, slacks, target))
+            certificates.append(MinimalityCertificate(pbar, value, None, True, target))
             continue
         d, p = out.solution[: m - 1], pbar.as_array()
         improving = _lp_strategy(np.append(p[:-1] + d, p[-1] - d.sum()), pbar.owner)
         improved.append(len(certificates))
-        certificates.append(MinimalityCertificate(pbar, value, improving, False, slacks))
+        certificates.append(MinimalityCertificate(pbar, value, improving, False))
     if not improved:
         return certificates
 
@@ -210,15 +196,15 @@ def _check_improvements(
     ys = np.stack([
         row_generator_matrix(game, certificates[k].improving_strategy) for k in improved
     ])
-    normals = np.stack([group.targets[k].normals for k in improved])
-    offsets = np.stack([group.targets[k].offsets for k in improved])
+    normals = np.stack([targets[k].normals for k in improved])
+    offsets = np.stack([targets[k].offsets for k in improved])
     if not np.all(ys @ normals.transpose(0, 2, 1) <= offsets[:, None, :] + 1e-7):
         raise NumericalError(
             "improvement LP produced a strategy whose payoff set is not contained "
             "in the tested one"
         )
-    separated = (ys @ group.exp_normals[improved].transpose(0, 2, 1)).max(axis=1) < (
-        group.exp_offsets[improved] - 1e-9
+    separated = (ys @ exp_normals[improved].transpose(0, 2, 1)).max(axis=1) < (
+        exp_offsets[improved] - 1e-9
     )
     if not np.all(np.any(separated, axis=1)):
         raise NumericalError(
@@ -229,14 +215,16 @@ def _check_improvements(
 
 def _certificates(
     game: VectorPayoffGame, points: Sequence[MixedStrategy], tol: float
-) -> list[MinimalityCertificate]:
-    """The certificates of a block of row strategies of `game`, in order.
+) -> tuple[list[MinimalityCertificate], tuple[OrientedPayoffPolyhedron, ...]]:
+    """The certificates of a block of row strategies of `game`, in order,
+    and the lower sets they tested.
 
     `game` is already the owner's view (`game.for_player(owner)`); each
     improving strategy keeps its tested strategy's owner.  The block's lower
     sets are built in one call.  The strategies whose sets share a facet
-    and a vertex count have LPs of one shape: each such group is built in
-    one pass, then solved as one stack and checked.
+    and a vertex count have LPs of one shape, and form a group.  The groups
+    run in first-seen order, one at a time: a group's LPs are built in one
+    pass, solved as one stack and checked before the next group's are built.
     """
     targets = build_lower_set(np.stack([row_generator_matrix(game, p) for p in points]))
     groups: dict[tuple[int, int], list[int]] = {}
@@ -244,25 +232,28 @@ def _certificates(
         if not len(t.vertices):
             raise NumericalError("payoff set has no identifiable vertex")
         groups.setdefault((len(t.offsets), len(t.vertices)), []).append(i)
-    built = []
-    for members in groups.values():
-        sets = [targets[i] for i in members]
-        pbar = np.array([points[i].weights for i in members])
-        built.append(_Group(members, sets, *_improvement_lps(game, sets, pbar)))
     certificates: list[MinimalityCertificate | None] = [None] * len(points)
-    for group in built:
-        checked = _check_improvements(game, points, group, solve_batch(group.lp), tol)
-        for i, cert in zip(group.members, checked):
+    for members in groups.values():
+        group = [points[i] for i in members]
+        sets = [targets[i] for i in members]
+        pbar = np.array([p.weights for p in group])
+        exp_normals, exp_offsets, lp = _improvement_lps(game, sets, pbar)
+        outcomes = solve_batch(lp)
+        checked = _check_improvements(game, group, sets, exp_normals, exp_offsets, outcomes, tol)
+        for i, cert in zip(members, checked):
             certificates[i] = cert
-    return certificates
+    return certificates, targets
 
 
 def _certificate(
     game: VectorPayoffGame, strategy: MixedStrategy, tol: float
-) -> MinimalityCertificate:
-    """Minimality (row) or maximality (column) test, keyed on the strategy's owner:
-    a block of one, whose stack of one runs the scalar pivot loop."""
-    return _certificates(game.for_player(strategy.owner), [strategy], tol)[0]
+) -> tuple[MinimalityCertificate, OrientedPayoffPolyhedron]:
+    """Minimality (row) or maximality (column) test, keyed on the strategy's
+    owner: a block of one, whose stack of one runs the scalar pivot loop.
+    Returns the certificate and the lower set it tested, in the owner's
+    view, whatever the verdict."""
+    certificates, targets = _certificates(game.for_player(strategy.owner), [strategy], tol)
+    return certificates[0], targets[0]
 
 
 def _require_owner(strategy: MixedStrategy, player: Player) -> None:
@@ -275,7 +266,7 @@ def minimality_lp(
 ) -> MinimalityCertificate:
     """Test a row strategy for minimality of its lower payoff set."""
     _require_owner(pbar, Player.ROW)
-    return _certificate(game, pbar, tol)
+    return _certificate(game, pbar, tol)[0]
 
 
 def maximality_lp(
@@ -283,7 +274,7 @@ def maximality_lp(
 ) -> MinimalityCertificate:
     """Test a column strategy for maximality of its upper payoff set."""
     _require_owner(qbar, Player.COL)
-    return _certificate(game, qbar, tol)
+    return _certificate(game, qbar, tol)[0]
 
 
 def check_workers(workers: int | None) -> None:
@@ -323,7 +314,7 @@ def _grid_blocks(count: int) -> list[slice]:
 
 def _block_certificates(task: tuple[VectorPayoffGame, Sequence[MixedStrategy]], tol: float):
     """One pool task: the certificates of a block of strategies of a game in its owner's view."""
-    return _certificates(*task, tol)
+    return _certificates(*task, tol)[0]
 
 
 def _classify_grids(

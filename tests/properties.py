@@ -245,7 +245,7 @@ def certify_every_grid_point(game: VectorPayoffGame, player: Player, step) -> St
     grid = enumerate_simplex_grid(oriented.rows, step, owner=player)
     certificates = tuple(
         MinimalityCertificate(
-            s, 0.0, None, True, (), build_lower_set(row_generator_matrix(oriented, s))
+            s, 0.0, None, True, build_lower_set(row_generator_matrix(oriented, s))
         )
         for s in grid.points
     )

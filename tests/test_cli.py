@@ -583,6 +583,13 @@ def test_ragged_or_non_numeric_payoffs_are_an_input_error(tmp_path, capsys, payo
     assert "input error" in capsys.readouterr().err
 
 
+def test_an_integer_payoff_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"rows":1,"cols":1,"dim":1,"payoffs":[[[1' + "0" * 400 + "]]]}")
+    assert main(["solve", "-i", str(path), "--step-row", "1/2", "--workers", "1"]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_bad_step(game_files, capsys):
     for step in ("0", "abc", "1/0", "nan", "inf", "3/10"):
         for flag in ("--step-row", "--step-col"):

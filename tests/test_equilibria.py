@@ -17,7 +17,6 @@ from vecgame.equilibria import (
     STRONG_TOL,
     Classification,
     _boundary_mask,
-    _payoff_sets,
     _strong_lps,
     _strong_values,
     classify_pair,
@@ -50,7 +49,8 @@ from properties import (
 
 def _strong_lp_value(game, p, q):
     """The value of the pair's separation LP, solved alone."""
-    vi, vii = _payoff_sets(game, p, q)
+    vi = build_lower_set(row_generator_matrix(game, p))
+    vii = build_upper_set(col_generator_matrix(game, q))
     payoff = expected_payoff(game, p, q)
     return _strong_values([((vi.normals, vi.offsets), (vii.normals, vii.offsets))], payoff[None])[0]
 
@@ -59,7 +59,8 @@ def _highs_strong_value(game, p, q):
     """HiGHS's value of the pair's separation LP as first defined, without
     the shift: over a free y and t >= 0, maximize sum(t) subject to
     a1 y <= b1 (V_I(p)) and a2 (y - t) >= b2 (V_II(q))."""
-    vi, vii = _payoff_sets(game, p, q)
+    vi = build_lower_set(row_generator_matrix(game, p))
+    vii = build_upper_set(col_generator_matrix(game, q))
     k = game.dim
     res = linprog(
         np.concatenate([np.zeros(k), -np.ones(k)]),
@@ -273,6 +274,13 @@ def test_set_relation_pairs_interchange(three_by_three_records):
     for p in ps:
         for q in qs:
             assert by_pair[p, q].classification in at_least_set_relation
+
+
+def test_classify_pair_rejects_a_strategy_of_the_wrong_player(two_by_two):
+    with pytest.raises(InputError, match="of player I$"):
+        classify_pair(two_by_two, col_strategy(1, 0), col_strategy(0, 1))
+    with pytest.raises(InputError, match="of player II$"):
+        classify_pair(two_by_two, row_strategy(1, 0), row_strategy(0, 1))
 
 
 def test_classifying_swapped_fronts_is_rejected(three_by_three, three_by_three_fronts):

@@ -66,6 +66,11 @@ def test_ragged_or_non_numeric_entries_are_an_input_error(rows):
         VectorPayoffGame(rows)
 
 
+def test_an_integer_entry_beyond_float_range_is_an_input_error():
+    with pytest.raises(InputError, match="must be an array of numbers"):
+        VectorPayoffGame([[[10**400]]])
+
+
 # --- generator matrices ----------------------------------------------------
 
 def test_row_generators_pure_strategy(two_by_two):

@@ -195,6 +195,11 @@ def test_malformed_lp_is_rejected():
         LinearProgram(objective=[np.inf], lhs=[[1.0]], rhs=[1.0])
 
 
+def test_an_integer_coefficient_beyond_float_range_is_an_input_error():
+    with pytest.raises(InputError, match="must be numbers"):
+        LinearProgram(objective=[10**400], lhs=[[1.0]], rhs=[1.0])
+
+
 def test_check_feasibility_trivial_cases():
     # x >= 1 and x <= 0
     infeasible = check_feasibility(

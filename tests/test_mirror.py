@@ -59,7 +59,6 @@ def _front_table(front):
                 c.tested_strategy.weights,
                 c.lp_value,
                 c.is_minimal,
-                c.slacks,
                 None if c.improving_strategy is None else c.improving_strategy.weights,
             )
             for c in front.certificates

@@ -1,9 +1,10 @@
 """Each payoff set is built once per run.
 
 An optimal certificate carries the lower set it tested; the equivalence
-pass of `classify_grid`, `classify_pairs`, `classify_pair` and
-`verify_gap` read it from there instead of running the double
-description again.
+pass of `classify_grid` and `classify_pairs` read it from there instead
+of running the double description again.  `classify_pair` reads the sets
+its own certificates tested, whatever their verdicts.  `verify_gap`
+reads no payoff set: it works from the generators.
 """
 
 from __future__ import annotations
@@ -59,16 +60,16 @@ def test_fronts_pairs_and_gap_build_each_set_once(three_by_three, monkeypatch):
     assert report.ok and len(report.checked) == len(row.optimal_indices())
 
 
-def test_classify_pair_builds_only_the_sets_no_certificate_carries(two_by_two, monkeypatch):
+def test_classify_pair_builds_only_the_sets_its_certificates_test(two_by_two, monkeypatch):
     calls = _count_builds(monkeypatch)
     optimal = equilibria.classify_pair(two_by_two, row_strategy(0, 1), col_strategy(0, 1))
     assert optimal.p_minimal and optimal.q_maximal
-    assert len(calls) == 2  # the two certificates
+    assert calls == ["build_lower_set", "build_lower_set"]
 
     del calls[:]
     mixed = equilibria.classify_pair(two_by_two, row_strategy(1, 0), col_strategy(0, 1))
     assert not mixed.p_minimal and mixed.q_maximal
-    assert calls == ["build_lower_set", "build_lower_set", "build_lower_set"]
+    assert calls == ["build_lower_set", "build_lower_set"]
 
 
 def test_a_column_certificate_set_negates_to_the_upper_set(three_by_three):

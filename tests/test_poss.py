@@ -412,7 +412,6 @@ def test_gap_report_flags_a_non_minimal_certificate(two_by_two, two_by_two_row_i
         lp_value=0.0,
         improving_strategy=None,
         is_minimal=True,
-        slacks=(0.0, 0.0),
         payoff_set=build_lower_set(row_generator_matrix(two_by_two, row_strategy(1.0, 0.0))),
     )
     fake = StrategyFront(

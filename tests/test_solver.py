@@ -118,12 +118,6 @@ def test_minimality_value_of_a_pure_strategy(three_by_three):
     assert cert.lp_value == pytest.approx(55 / 26, abs=1e-6)
 
 
-def test_certificate_slacks_sum_to_the_value(two_by_two):
-    cert = minimality_lp(two_by_two, row_strategy(1, 0))
-    assert isinstance(cert, MinimalityCertificate)
-    assert sum(cert.slacks) == pytest.approx(cert.lp_value, abs=1e-9)
-
-
 def _stub_improvement_lp(monkeypatch, weights):
     """Make every improvement LP report value 1 with `weights` as its mixture.
 
@@ -183,6 +177,34 @@ def test_each_stacked_improvement_lp_equals_the_one_at_a_time_build(monkeypatch)
         for shape in want:
             for (g_lhs, g_rhs), (w_lhs, w_rhs) in zip(got[shape], want[shape], strict=True):
                 assert g_lhs.tobytes() == w_lhs.tobytes() and g_rhs.tobytes() == w_rhs.tobytes()
+
+
+def test_each_group_is_solved_before_the_next_group_is_built(three_by_three, monkeypatch):
+    events = []
+    build, solve = solver._improvement_lps, solver.solve_batch
+
+    def recording_build(game, targets, pbar):
+        events.append(("build", len(targets[0].offsets), len(targets[0].vertices), len(targets)))
+        return build(game, targets, pbar)
+
+    def recording_solve(lp):
+        events.append(("solve", len(lp.rhs)))
+        return solve(lp)
+
+    monkeypatch.setattr(solver, "_improvement_lps", recording_build)
+    monkeypatch.setattr(solver, "solve_batch", recording_solve)
+    points = enumerate_simplex_grid(3, Fraction(1, 4)).points
+    certificates, _ = solver._certificates(three_by_three, points, DECISION_TOL)
+    assert len(certificates) == len(points)
+    # the (facet count, vertex count) groups, in first-seen order, with their sizes
+    groups = {}
+    for t in build_lower_set(np.stack([row_generator_matrix(three_by_three, p) for p in points])):
+        key = (len(t.offsets), len(t.vertices))
+        groups[key] = groups.get(key, 0) + 1
+    assert len(groups) >= 2
+    assert events == [
+        event for (f, v), size in groups.items() for event in (("build", f, v, size), ("solve", size))
+    ]
 
 
 # The row strategy (1, 0) of this game has the generators (3, 1) and (1, 3),
@@ -257,7 +279,7 @@ def test_only_optimal_certificates_carry_their_payoff_set(two_by_two):
     )
     assert minimality_lp(two_by_two, row_strategy(1, 0)).payoff_set is None
     with pytest.raises(InputError, match="must carry its payoff set"):
-        MinimalityCertificate(row_strategy(1, 0), 0.0, None, True, (0.0,))
+        MinimalityCertificate(row_strategy(1, 0), 0.0, None, True)
 
 
 def test_minimality_input_validation(two_by_two):
@@ -369,7 +391,6 @@ def _certificate_bytes(cert: MinimalityCertificate) -> tuple:
         cert.tested_strategy.weights,
         cert.is_minimal,
         np.float64(cert.lp_value).tobytes(),
-        np.array(cert.slacks).tobytes(),
         None if improving is None else np.array(improving.weights).tobytes(),
         None if payoff_set is None else tuple(getattr(payoff_set, f).tobytes() for f in fields),
     )
