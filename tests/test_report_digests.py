@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of the command line reports on the bundled games:
 every grid command in every format, `check` on uniform strategies, `plot`
 on uniform pairs (two payoff components only), and `random` with its
-defaults; and of one `solve` report on a 10x10x4 game.
+defaults; of one `solve` report on a 10x10x4 game; and of one
+`equilibria` report on Corley's game at 1/150, with 11,400 pairs.
 
 Reports are deterministic, so a change that keeps them byte-identical
 keeps these digests.  The digests depend on NumPy's floating point
@@ -10,8 +11,8 @@ recorded with.  Reports embed the input path, so every command runs
 from the directory holding the game file and names it relatively.
 
 To re-record after a deliberate change of the reports, run
-`python tests/test_report_digests.py` and paste its output over DIGESTS
-and LARGE_SOLVE_DIGEST.
+`python tests/test_report_digests.py` and paste its output over DIGESTS,
+LARGE_SOLVE_DIGEST and PAIRS_DIGEST.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ DIGESTS = {
 # lockstep pivots and meet the relative pivot bound (`lp.TOL_PIVOT`).
 LARGE_SOLVE_DIGEST = "e47bd9ff15ddc07f929d7f3eedc40a4cc339786100977b10382e50188831b054"
 
+# `equilibria --step-row 1/150` on Corley's game, the benchmark's `pairs`
+# input: 150 x 76 pairs of grid-optimal strategies, 5,626 strong LPs, and
+# a report of about 4 MB.
+PAIRS_DIGEST = "2f1a457b407aaf6df01ca3434903250e48b3942e19d9f2a22be9dbb1a89a04ab"
+
 
 def _uniform(count: int) -> str:
     return ",".join([f"1/{count}"] * count)
@@ -210,6 +216,16 @@ def _large_solve_digest(directory) -> str:
     return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
+def _pairs_digest(directory) -> str:
+    """The digest of the `equilibria` report of PAIRS_DIGEST."""
+    game = VectorPayoffGame.from_rows(conftest.CORLEY_ROWS)
+    (directory / "corley.json").write_text(json.dumps(game_dict(game)), encoding="utf-8")
+    report = directory / "report.out"
+    argv = ["equilibria", "-i", "corley.json", "--step-row", "1/150", "--workers", "1"]
+    assert main([*argv, "--output", report.name]) == 0
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
 def test_reports_match_their_recorded_digests(tmp_path, monkeypatch):
     if np.__version__ != RECORDED_NUMPY:
         pytest.skip(f"digests were recorded under numpy {RECORDED_NUMPY}, not {np.__version__}")
@@ -224,6 +240,13 @@ def test_a_10x10x4_solve_report_matches_its_recorded_digest(tmp_path, monkeypatc
     assert _large_solve_digest(tmp_path) == LARGE_SOLVE_DIGEST
 
 
+def test_the_corley_equilibria_report_at_1_150_matches_its_recorded_digest(tmp_path, monkeypatch):
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests were recorded under numpy {RECORDED_NUMPY}, not {np.__version__}")
+    monkeypatch.chdir(tmp_path)
+    assert _pairs_digest(tmp_path) == PAIRS_DIGEST
+
+
 if __name__ == "__main__":
     import os
     import tempfile
@@ -233,8 +256,10 @@ if __name__ == "__main__":
         os.chdir(tmp)
         digests = _digests(Path(tmp))
         large = _large_solve_digest(Path(tmp))
+        pairs = _pairs_digest(Path(tmp))
     print("DIGESTS = {")
     for key, value in digests.items():
         print(f'    "{key}": "{value}",')
     print("}")
     print(f'LARGE_SOLVE_DIGEST = "{large}"')
+    print(f'PAIRS_DIGEST = "{pairs}"')
