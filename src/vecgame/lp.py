@@ -71,6 +71,13 @@ TOL_OPT = 1e-8
 # 1: a degenerate row with an entry of 1e-9, in a column reaching 400, must
 # not win the ratio test, because pivoting on it wrecks the tableau.
 TOL_PIVOT = 1e-9
+# The leaving row is the smallest basis index among the ratio ties: the
+# rows with the least ratio, and the rows within 1e-9 (1 + |least|) of it
+# whose rhs the step leaves at most TIE_AFTER, rhs - least·entry <=
+# TIE_AFTER.  Without that second test a tie could win and leave a row of
+# the least ratio negative by the ratio gap times its entry, which in
+# rows reaching 6000 passes 1e-8 and stays in the tableau.
+TIE_AFTER = 1e-11
 
 Bound = tuple[float | None, float | None]
 
@@ -223,9 +230,11 @@ def _run_simplex(
         rows = (colvals > TOL_PIVOT * float(colvals.max(initial=1.0))).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iters
-        ratios = T[rows, -1] / colvals[rows]
+        b, a = T[rows, -1], colvals[rows]
+        ratios = b / a
         rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))].tolist()
+        window = (ratios <= rmin + 1e-9 * (1.0 + abs(rmin))) & (b - rmin * a <= TIE_AFTER)
+        ties = rows[window | (ratios == rmin)].tolist()
         # among ratio ties pick the smallest basis index (anti-cycling bias)
         leave = min(ties, key=labels.__getitem__)
         _pivot(T, labels, leave, enter)
@@ -316,6 +325,8 @@ def _run_lockstep(
         ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=pos)
         rmin = ratios.min(axis=1)
         ties = pos & (ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None])
+        ties &= rhs - rmin[:, None] * col <= TIE_AFTER
+        ties |= ratios == rmin[:, None]
         # among ratio ties pick the smallest basis index, as _run_simplex does
         leave = np.where(ties, lw[:, :m], past).argmin(axis=1)
         _pivot_stack(Tw, lw, leave, enter)

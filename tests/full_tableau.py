@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vecgame.lp import TOL_OPT, TOL_PIVOT, LinearProgram, LPOutcome
+from vecgame.lp import TIE_AFTER, TOL_OPT, TOL_PIVOT, LinearProgram, LPOutcome
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -56,9 +56,11 @@ def _run_simplex(
         rows = (colvals > TOL_PIVOT * float(colvals.max(initial=1.0))).nonzero()[0]
         if rows.size == 0:
             return "unbounded", iters
-        ratios = T[rows, -1] / colvals[rows]
+        b, a = T[rows, -1], colvals[rows]
+        ratios = b / a
         rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))].tolist()
+        window = (ratios <= rmin + 1e-9 * (1.0 + abs(rmin))) & (b - rmin * a <= TIE_AFTER)
+        ties = rows[window | (ratios == rmin)].tolist()
         # among ratio ties pick the smallest basis index (anti-cycling bias)
         leave = min(ties, key=basis.__getitem__)
         _pivot(T, basis, leave, enter)
@@ -135,6 +137,8 @@ def _run_lockstep(
         ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=pos)
         rmin = ratios.min(axis=1)
         ties = pos & (ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None])
+        ties &= rhs - rmin[:, None] * col <= TIE_AFTER
+        ties |= ratios == rmin[:, None]
         # among ratio ties pick the smallest basis index, as _run_simplex does
         leave = np.where(ties, bw, ncols).argmin(axis=1)
         _pivot_stack(Tw, bw, leave, enter)

@@ -9,10 +9,12 @@ iff the strategy it relabels is minimal (maximal) in the old one.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
 
+from vecgame.cli import game_dict, main
 from vecgame.game import Player, VectorPayoffGame
 from vecgame.solver import classify_grid
 
@@ -55,3 +57,25 @@ def test_grid_verdicts_survive_relabeling_translation_and_scaling():
             got = (_optimal(changed, Player.ROW), _optimal(changed, Player.COL))
             want = (_relabeled(minimal, rows), _relabeled(maximal, cols))
             assert got == want, (name, entries.tolist())
+
+
+# Components scaled by (1000, 0.001, 0.001) give improvement-LP rows with
+# entries up to 6000, where a ratio-test tie that left the row of least
+# ratio at -4.4e-8 made `solve` exit 3 (`lp.TIE_AFTER`).
+SCALED = [[[1, 0, 5], [1, 3, -2], [3, 5, -5]], [[0, -1, -5], [-5, -3, -3], [2, -3, 1]],
+          [[4, 0, -4], [-5, -2, -1], [0, -2, 4]]]
+
+
+def test_components_scaled_a_million_apart_keep_the_integer_games_solve_verdicts(tmp_path):
+    def verdicts(entries: np.ndarray) -> list[list[bool]]:
+        path, out = tmp_path / "game.json", tmp_path / "report.json"
+        path.write_text(json.dumps(game_dict(VectorPayoffGame(entries))), encoding="utf-8")
+        argv = ["solve", "-i", str(path), "--step-row", "1/6", "--workers", "1", "-o", str(out)]
+        assert main(argv) == 0
+        fronts = json.loads(out.read_text(encoding="utf-8"))["fronts"]
+        return [[c["minimal"] for c in fronts[who]["certificates"]] for who in ("row", "col")]
+
+    entries = np.array(SCALED, dtype=float)
+    want = verdicts(entries)
+    assert [sum(v) for v in want] == [18, 7]
+    assert verdicts(entries * np.array([1000.0, 0.001, 0.001])) == want
