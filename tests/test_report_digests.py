@@ -160,7 +160,7 @@ DIGESTS = {
 # `solve --step-row 1/2` on the benchmark's seed-7 10x10x4 game: 55 points
 # a player, whose improvement LPs of 110 to 420 rows take thousands of
 # lockstep pivots and meet the relative pivot bound (`lp.TOL_PIVOT`).
-LARGE_SOLVE_DIGEST = "e47bd9ff15ddc07f929d7f3eedc40a4cc339786100977b10382e50188831b054"
+LARGE_SOLVE_DIGEST = "94e146902f5b2d0b4871eb8e12a6917b3ac9f408541fa11c0ecc2277b1e3e462"
 
 # `equilibria --step-row 1/150` on Corley's game, the benchmark's `pairs`
 # input: 150 x 76 pairs of grid-optimal strategies, 5,626 strong LPs, and
