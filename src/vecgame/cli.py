@@ -21,11 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .equilibria import (
-    Classification,
-    classify_pair,
-    classify_pairs,
-)
+from .equilibria import Classification, PairTable, _grid_pair_table, classify_pair
 from .errors import InputError, NumericalError
 from .game import (
     MixedStrategy,
@@ -278,7 +274,7 @@ def _front_dict(front: StrategyFront, names: _Strategies) -> dict:
 
 
 def _record_json(record, names: _Strategies) -> _JSONText:
-    """A pair record as JSON text: `equilibria` writes thousands of them."""
+    """A pair record as JSON text, as `check --pair` writes it."""
     return _JSONText(
         f'{{"p":{names.json_obj(record.p)},"q":{names.json_obj(record.q)},'
         f'"payoff":{_numbers(record.payoff)},"p_minimal":{_bool(record.p_minimal)},'
@@ -351,42 +347,71 @@ def _cmd_solve(args: argparse.Namespace) -> str:
     return render_json(_report(args, _fronts_body(game, front_row, front_col, names)))
 
 
+# Every grid pair has a minimal p and a maximal q, so its flags and class
+# follow from its kind, shapley + strong (a strong pair is Shapley).
+_GRID_KINDS = (
+    (False, False, Classification.SET_RELATION),
+    (True, False, Classification.SET_SHAPLEY),
+    (True, True, Classification.STRONG_SET_SHAPLEY),
+)
+
+
+def _kinds(table: PairTable) -> list[int]:
+    """The kind of every pair of `table`, in row-major order."""
+    return (table.shapley.astype(int) + table.strong).ravel().tolist()
+
+
+def _pairs_json(table: PairTable, names: _Strategies) -> _JSONText:
+    """The pairs of the table as `_record_json` writes their records: each
+    row's head and each column's object are written once, each payoff
+    float is formatted once, and a pair's flags come from its kind."""
+    tails = [
+        f',"p_minimal":true,"q_maximal":true,"shapley":{_bool(sh)},"strong":{_bool(st)},'
+        f'"classification":{_json_string(c.value)}}}'
+        for sh, st, c in _GRID_KINDS
+    ]
+    numbers = iter(map(_number, table.payoffs.ravel().tolist()))
+    payoffs = map(",".join, zip(*[numbers] * table.payoffs.shape[2]))
+    kinds = iter(_kinds(table))
+    cols = [names.json_obj(q) for q in table.cols]
+    texts: list[str] = []
+    for p in table.rows:
+        head = f'{{"p":{names.json_obj(p)},"q":'
+        texts += [f'{head}{q},"payoff":[{pay}]{tails[k]}'
+                  for q, pay, k in zip(cols, payoffs, kinds)]
+    return _JSONText("[" + ",".join(texts) + "]")
+
+
 def _cmd_equilibria(args: argparse.Namespace) -> str:
     game = load_game(args.input)
     front_row, front_col = _fronts(game, args)
-    records = classify_pairs(game, front_row, front_col)
+    table = _grid_pair_table(game, front_row, front_col)
     names = _Strategies(args.step_row, args.step_col)
     if args.format == "csv":
+        rows = [names.text(p) for p in table.rows]
+        cols = [names.text(q) for q in table.cols]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["p", "q", "type"])
-        for record in records:
-            if record.classification in (
-                Classification.SET_SHAPLEY,
-                Classification.STRONG_SET_SHAPLEY,
-            ):
-                writer.writerow(
-                    [
-                        names.text(record.p),
-                        names.text(record.q),
-                        "strong" if record.strong else "not strong",
-                    ]
-                )
+        # the set Shapley pairs: every Shapley pair of the grid
+        writer.writerows(
+            [rows[i // len(cols)], cols[i % len(cols)], "strong" if k == 2 else "not strong"]
+            for i, k in enumerate(_kinds(table))
+            if k
+        )
         return buf.getvalue()
     if args.format == "table":
+        phrases = [CLASSIFICATION_PHRASES[c] for _, _, c in _GRID_KINDS]
+        cols = [f"{names.text(q):30} " for q in table.cols]
+        kinds = iter(_kinds(table))
         lines = [f"{'p':30} {'q':30} classification"]
-        for record in records:
-            lines.append(
-                f"{names.text(record.p):30} {names.text(record.q):30} "
-                f"{CLASSIFICATION_PHRASES[record.classification]}"
-            )
+        for p in table.rows:
+            head = f"{names.text(p):30} "
+            lines += [head + q + phrases[k] for q, k in zip(cols, kinds)]
         return "\n".join(lines) + "\n"
     report = _report(
         args,
-        {
-            **_fronts_body(game, front_row, front_col, names),
-            "pairs": _JSONText("[" + ",".join(_record_json(r, names) for r in records) + "]"),
-        },
+        {**_fronts_body(game, front_row, front_col, names), "pairs": _pairs_json(table, names)},
     )
     return render_json(report)
 

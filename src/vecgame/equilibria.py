@@ -5,16 +5,20 @@ is simultaneously a Pareto-maximal point of the row player's payoff
 set and a Pareto-minimal point of the column player's.  The strong
 variant additionally requires the whole intersection of the two payoff
 sets to consist of such points, which reduces to a zero-valued LP.
-`classify_pairs` classifies every pair of two grid fronts from their
-certificates' payoff sets; `classify_pair` classifies one pair, running
-its optimality LPs first and reading the sets they tested.
+Every pair of a set of row and column strategies is classified at once
+into one table (`_pair_table`): the payoffs of all pairs and the masks of
+the Shapley and the strong ones.  `_grid_pair_table` builds it for two
+grid fronts from their certificates' payoff sets, and the `equilibria`
+command writes its report straight from it.  `classify_pairs` reads one
+record per pair off that table; `classify_pair` classifies one pair,
+running its optimality LPs first and reading the sets they tested.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +32,13 @@ from .solver import DECISION_TOL, GRID_BLOCK, StrategyFront, _certificate, _requ
 STRONG_TOL = 1e-7
 # A summed normal counts as strictly positive when every component exceeds this.
 POSITIVE_TOL = 1e-9
+# The Shapley pairs whose strong LPs one `_strong_values` call takes.  On the
+# 5,626 strong LPs of Corley's game at 1/150, `_grid_pair_table` took (median
+# CPU of 9 runs, one process on a 2-vCPU Xeon) 0.134 s in slices of 128,
+# 0.116 s of 256, 0.108 s of 512 and of 1,024, and 0.114 s in one stack, at
+# 1.3, 1.7, 2.5, 3.9 and 15.5 MB of traced peak memory.  Each `solve_batch`
+# call pays its set-up, and a stack steps until its slowest LP ends.
+STRONG_SLICE = 4 * GRID_BLOCK
 
 
 class Classification(enum.Enum):
@@ -131,40 +142,58 @@ def _strong_values(pairs: Sequence[_Pair], payoffs: np.ndarray) -> list[float]:
     return values
 
 
-# One side of the pairs: per strategy, its payoff set and its optimality flag.
-_Side = Sequence[tuple[MixedStrategy, OrientedPayoffPolyhedron, bool]]
+# One side of the pairs: per strategy, its payoff set.
+_Side = Sequence[tuple[MixedStrategy, OrientedPayoffPolyhedron]]
 
 
-def _classify(game: VectorPayoffGame, rows: _Side, cols: _Side) -> list[EquilibriumRecord]:
-    """The record of every pair in rows x cols, in row-major order.
+class PairTable(NamedTuple):
+    """Every pair of `rows` x `cols` at once: the payoffs v(p, q) (A, B, K)
+    and the masks (A, B) of the Shapley and the strong pairs."""
+
+    rows: tuple[MixedStrategy, ...]
+    cols: tuple[MixedStrategy, ...]
+    payoffs: np.ndarray
+    shapley: np.ndarray
+    strong: np.ndarray
+
+
+def _pair_table(game: VectorPayoffGame, rows: _Side, cols: _Side) -> PairTable:
+    """The table of every pair in rows x cols.
 
     Each V_I(p) is tested against the payoffs of all its pairs in one
-    call, and so is each V_II(q).  The strong LPs run only on the
-    Shapley pairs, in row-major order, GRID_BLOCK pairs a `_strong_values`
-    call, so that no stack grows with the number of pairs.
+    call, and so is each V_II(q).  The strong LPs run only on the Shapley
+    pairs, in row-major order, STRONG_SLICE pairs a `_strong_values` call,
+    so that no stack grows with the number of pairs.
     """
-    payoffs = expected_payoffs(game, [p for p, _, _ in rows], [q for q, _, _ in cols])
+    ps, qs = tuple(p for p, _ in rows), tuple(q for q, _ in cols)
+    payoffs = expected_payoffs(game, ps, qs)
     shapley = np.zeros(payoffs.shape[:2], dtype=bool)
-    for a, (_, vi, _) in enumerate(rows):
+    for a, (_, vi) in enumerate(rows):
         shapley[a] = _boundary_mask(vi, payoffs[a])
-    for b, (_, vii, _) in enumerate(cols):
+    for b, (_, vii) in enumerate(cols):
         shapley[:, b] &= _boundary_mask(vii, payoffs[:, b])
 
-    row_facets = [(vi.normals, vi.offsets) for _, vi, _ in rows]
-    col_facets = [(vii.normals, vii.offsets) for _, vii, _ in cols]
+    row_facets = [(vi.normals, vi.offsets) for _, vi in rows]
+    col_facets = [(vii.normals, vii.offsets) for _, vii in cols]
     pairs = [(row_facets[a], col_facets[b]) for a, b in np.argwhere(shapley).tolist()]
     pair_payoffs = payoffs[shapley]
     values = []
-    for lo in range(0, len(pairs), GRID_BLOCK):
-        values += _strong_values(pairs[lo : lo + GRID_BLOCK], pair_payoffs[lo : lo + GRID_BLOCK])
+    for lo in range(0, len(pairs), STRONG_SLICE):
+        hi = lo + STRONG_SLICE
+        values += _strong_values(pairs[lo:hi], pair_payoffs[lo:hi])
     strong = np.zeros_like(shapley)
     strong[shapley] = np.array(values) <= STRONG_TOL
+    return PairTable(ps, qs, payoffs, shapley, strong)
 
+
+def _records(table: PairTable, p_min: bool, q_max: bool) -> list[EquilibriumRecord]:
+    """The record of every pair of `table`, in row-major order; `p_min`
+    and `q_max` say whether its rows are minimal and its columns maximal."""
     records = []
-    for (p, _, p_min), pay_row, sh_row, st_row in zip(
-        rows, payoffs.tolist(), shapley.tolist(), strong.tolist()
+    for p, pay_row, sh_row, st_row in zip(
+        table.rows, table.payoffs.tolist(), table.shapley.tolist(), table.strong.tolist()
     ):
-        for (q, _, q_max), pay, sh, st in zip(cols, pay_row, sh_row, st_row):
+        for q, pay, sh, st in zip(table.cols, pay_row, sh_row, st_row):
             records.append(
                 EquilibriumRecord(
                     p=p,
@@ -194,7 +223,28 @@ def classify_pair(
     _require_owner(q, Player.COL)
     row, vi = _certificate(game, p, tol)
     col, vii = _certificate(game, q, tol)
-    return _classify(game, [(p, vi, row.is_minimal)], [(q, negated_set(vii), col.is_minimal)])[0]
+    table = _pair_table(game, [(p, vi)], [(q, negated_set(vii))])
+    return _records(table, row.is_minimal, col.is_minimal)[0]
+
+
+def _grid_pair_table(
+    game: VectorPayoffGame, front_row: StrategyFront, front_col: StrategyFront
+) -> PairTable:
+    """The table of every pair of grid-optimal strategies, in grid order.
+
+    Payoff sets are taken from the fronts' certificates, so no set is
+    built again.  A column certificate holds V_II(q) as a lower set of
+    the mirrored game; negating it gives the upper set.
+    """
+    if front_row.player is not Player.ROW or front_col.player is not Player.COL:
+        raise InputError("expected a row front and a column front, in that order")
+    rows = [(c.tested_strategy, c.payoff_set) for c in front_row.certificates if c.is_minimal]
+    cols = [
+        (c.tested_strategy, negated_set(c.payoff_set))
+        for c in front_col.certificates
+        if c.is_minimal
+    ]
+    return _pair_table(game, rows, cols)
 
 
 def classify_pairs(
@@ -202,19 +252,7 @@ def classify_pairs(
     front_row: StrategyFront,
     front_col: StrategyFront,
 ) -> list[EquilibriumRecord]:
-    """One record per pair of grid-optimal strategies, in grid order.
-
-    Optimality flags and payoff sets are taken from the fronts'
-    certificates, so every record here has p_minimal and q_maximal set and
-    no set is built again.  A column certificate holds V_II(q) as a lower
-    set of the mirrored game; negating it gives the upper set.
-    """
-    if front_row.player is not Player.ROW or front_col.player is not Player.COL:
-        raise InputError("expected a row front and a column front, in that order")
-    rows = [(c.tested_strategy, c.payoff_set, True) for c in front_row.certificates if c.is_minimal]
-    cols = [
-        (c.tested_strategy, negated_set(c.payoff_set), True)
-        for c in front_col.certificates
-        if c.is_minimal
-    ]
-    return _classify(game, rows, cols)
+    """One record per pair of grid-optimal strategies, in grid order, read
+    from `_grid_pair_table`: every record here has p_minimal and q_maximal
+    set."""
+    return _records(_grid_pair_table(game, front_row, front_col), True, True)

@@ -43,7 +43,10 @@ class MixedStrategy:
     owner: Player = Player.ROW
 
     def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.weights)
+        try:
+            w = tuple(float(v) for v in self.weights)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"strategy weights must be numbers: {exc}") from exc
         if not w:
             raise InputError("strategy needs at least one weight")
         if not all(math.isfinite(v) and v >= 0.0 for v in w):
@@ -57,7 +60,10 @@ class MixedStrategy:
     @classmethod
     def cleaned(cls, weights: Iterable[float], owner: Player = Player.ROW) -> "MixedStrategy":
         """Clip tiny negatives and renormalize, then construct strictly."""
-        w = np.array(list(weights), dtype=float)
+        try:
+            w = np.array(list(weights), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"weights must be numbers: {exc}") from exc
         if w.size == 0 or not np.isfinite(w).all():
             raise InputError("weights must be a nonempty finite vector")
         if w.min() < -CLIP_TOL:

@@ -15,6 +15,8 @@ the kept columns, by the floating-point operations the full tableau would
 make on them, so it gives the full tableau's outcome bit for bit at a
 fraction of the cost: most improvement-LP columns are slacks.  The solver
 reports three statuses: "optimal", "unbounded" and "iteration_limit".
+The ratio test leaves by the smallest basis index among its ties, and a
+row ties only when the step leaves it feasible (`TIE_AFTER`).
 
 A `LinearProgram` is one LP, or a stack of B LPs that share their
 objective, bounds and sense and differ in `lhs` (B, m, n) and `rhs`
@@ -31,7 +33,8 @@ lockstep and finishes under the scalar loop's Bland rule.  The scalar
 loop stays because lockstep costs about 2.2x as much on a stack of one.
 
 Three callers build stacks.  `equilibria` solves its strong-equilibrium
-LPs as one stack per pair of facet counts: thousands of LPs with 5 or 6
+LPs in slices of `equilibria.STRONG_SLICE` = 512 Shapley pairs, as one
+stack per pair of facet counts of a slice: thousands of LPs with 5 or 6
 rows, whose cost in `solve_lp` was mostly per call.  `solver` builds the
 improvement LPs of a block of grid points and solves them as one stack
 per constraint shape.  `poss.verify_gap` solves one margin LP per optimal

@@ -5,13 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vecgame import poss, solver
+from vecgame import cli, poss, solver
 from vecgame.cli import _Strategies, game_dict, main
+from vecgame.equilibria import Classification, classify_pairs
 from vecgame.game import VectorPayoffGame
 from vecgame.lp import LPOutcome
 from vecgame.polyhedra import build_lower_set, upper_set_cone
@@ -723,3 +728,57 @@ def test_a_flag_the_subcommand_does_not_read_is_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _record_report(argv: list[str]) -> str:
+    """The `equilibria` report of `argv` as written from `classify_pairs`
+    records, one `_record_json` or csv or table row per record."""
+    args = cli._build_parser().parse_args(argv)
+    cli._check_options(args)
+    game = cli.load_game(args.input)
+    front_row, front_col = cli._fronts(game, args)
+    records = classify_pairs(game, front_row, front_col)
+    names = _Strategies(args.step_row, args.step_col)
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["p", "q", "type"])
+        for record in records:
+            if record.classification in (
+                Classification.SET_SHAPLEY,
+                Classification.STRONG_SET_SHAPLEY,
+            ):
+                writer.writerow([names.text(record.p), names.text(record.q),
+                                 "strong" if record.strong else "not strong"])
+        return buf.getvalue()
+    if args.format == "table":
+        lines = [f"{'p':30} {'q':30} classification"]
+        for record in records:
+            lines.append(
+                f"{names.text(record.p):30} {names.text(record.q):30} "
+                f"{cli.CLASSIFICATION_PHRASES[record.classification]}"
+            )
+        return "\n".join(lines) + "\n"
+    pairs = "[" + ",".join(cli._record_json(r, names) for r in records) + "]"
+    body = {**cli._fronts_body(game, front_row, front_col, names), "pairs": cli._JSONText(pairs)}
+    return cli.render_json(cli._report(args, body))
+
+
+_SMALL_GAMES = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.integers(-3, 3), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+    ).map(lambda v: np.array(v, dtype=float).reshape(shape))
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_SMALL_GAMES, st.sampled_from(["1/2", "1/3", "1/4"]), st.sampled_from(["1/2", "1/3"]))
+def test_equilibria_reports_equal_the_reports_of_their_pair_records(entries, step_row, step_col):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "game.json", Path(tmp) / "report.out"
+        path.write_text(json.dumps(game_dict(VectorPayoffGame(entries))), encoding="utf-8")
+        for fmt in ("json", "csv", "table"):
+            argv = ["equilibria", "-i", str(path), "--step-row", step_row, "--step-col", step_col,
+                    "--workers", "1", "--format", fmt]
+            assert main([*argv, "--output", str(out)]) == 0
+            assert out.read_bytes() == _record_report(argv).encode(), fmt

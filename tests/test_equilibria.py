@@ -396,7 +396,7 @@ def test_strong_lps_run_in_slices_of_grid_block_pairs(corley, corley_fine_fronts
         return solve_batch(lp)
 
     monkeypatch.setattr(equilibria, "solve_batch", recording_solve_batch)
-    monkeypatch.setattr(equilibria, "GRID_BLOCK", 4)
+    monkeypatch.setattr(equilibria, "STRONG_SLICE", 4)
     assert classify_pairs(corley, *corley_fine_fronts) == corley_fine_records
     assert sum(stacks) == sum(r.shapley for r in corley_fine_records) > 4
     assert max(stacks) <= 4

@@ -205,6 +205,13 @@ def test_mixed_strategy_validation():
         MixedStrategy((1.0,), owner="row")
 
 
+def test_a_weight_beyond_float_range_is_an_input_error():
+    with pytest.raises(InputError, match="strategy weights must be numbers"):
+        MixedStrategy((10**400,))
+    with pytest.raises(InputError, match="weights must be numbers"):
+        MixedStrategy.cleaned([10**400])
+
+
 def test_mixed_strategy_cleaned():
     s = MixedStrategy.cleaned([0.5, 0.5 + 1e-13, -1e-12])
     assert abs(sum(s.weights) - 1.0) <= 1e-12
