@@ -23,6 +23,7 @@ from vecgame.game import (
 )
 from vecgame import lp as lp_module
 from vecgame.lp import (
+    TIE_AFTER,
     FeasibilityResult,
     LinearProgram,
     LPOutcome,
@@ -87,6 +88,30 @@ def test_relations_are_not_an_lp_field():
     # every row is `<=`
     with pytest.raises(TypeError, match="relations"):
         LinearProgram(objective=[1.0], lhs=[[1.0]], relations=("<=",), rhs=[1.0])
+
+
+def _both_loops(lp: LinearProgram) -> list[LPOutcome]:
+    """`lp` solved alone (the scalar loop) and twice in a stack (lockstep)."""
+    stack = LinearProgram(objective=lp.objective, lhs=[lp.lhs, lp.lhs], rhs=[lp.rhs, lp.rhs],
+                          sense=lp.sense)
+    return [solve_lp(lp), *solve_batch(stack)]
+
+
+def test_a_ratio_tie_must_leave_the_row_of_the_least_ratio_feasible():
+    # Both rows lie in the ratio window of 1e-9 (1 + 1), and row 0 has the
+    # lower basis index; leaving on it would put row 1 at 6000 - 6000 (1 + 5e-10)
+    lp = LinearProgram(objective=[1.0], lhs=[[1.0], [6000.0]], rhs=[1.0 + 5e-10, 6000.0],
+                       sense="max")
+    for out in _both_loops(lp):
+        assert out.status == "optimal" and out.solution.tolist() == [1.0]
+
+
+def test_the_row_of_the_least_ratio_ties_when_its_step_rounds_past_tie_after():
+    b, a = 864408.5098109989, 3.1211920696638242
+    assert b - (b / a) * a > TIE_AFTER
+    lp = LinearProgram(objective=[1.0], lhs=[[a]], rhs=[b], sense="max")
+    for out in _both_loops(lp):
+        assert out.status == "optimal" and out.solution.tolist() == [b / a]
 
 
 # Beale's example ("Cycling in the dual simplex algorithm", Naval Research
