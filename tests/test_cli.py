@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecgame import cli, poss, solver
+from vecgame import cli, equilibria, poss, solver
 from vecgame.cli import _Strategies, game_dict, main
 from vecgame.equilibria import Classification, classify_pairs
-from vecgame.game import VectorPayoffGame
+from vecgame.game import VectorPayoffGame, col_strategy, row_strategy
 from vecgame.lp import LPOutcome
 from vecgame.polyhedra import build_lower_set, upper_set_cone
 
@@ -782,3 +782,18 @@ def test_equilibria_reports_equal_the_reports_of_their_pair_records(entries, ste
                     "--workers", "1", "--format", fmt]
             assert main([*argv, "--output", str(out)]) == 0
             assert out.read_bytes() == _record_report(argv).encode(), fmt
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_the_equilibria_command_builds_no_pair_record(game_files, reports_dir, monkeypatch, fmt):
+    def no_record(**fields):
+        raise AssertionError("a pair record was built")
+
+    monkeypatch.setattr(equilibria, "EquilibriumRecord", no_record)
+    out = reports_dir / f"no_records.{fmt}"
+    assert main(["equilibria", "-i", game_files["corley"], "--step-row", "1/10", "--workers", "1",
+                 "--format", fmt, "--output", str(out)]) == 0
+    # the record API itself still builds them
+    with pytest.raises(AssertionError, match="a pair record was built"):
+        equilibria.classify_pair(cli.load_game(game_files["corley"]),
+                                 row_strategy(1, 0), col_strategy(1, 0))
