@@ -21,7 +21,13 @@ import random
 import sys
 from fractions import Fraction
 
-from .equilibria import Classification, PairTable, _grid_pair_table, classify_pair
+from .equilibria import (
+    Classification,
+    PairTable,
+    _classification,
+    _grid_pair_table,
+    classify_pair,
+)
 from .errors import InputError, NumericalError
 from .game import (
     MixedStrategy,
@@ -349,11 +355,10 @@ def _cmd_solve(args: argparse.Namespace) -> str:
 
 # Every grid pair has a minimal p and a maximal q, so its flags and class
 # follow from its kind, shapley + strong (a strong pair is Shapley).
-_GRID_KINDS = (
-    (False, False, Classification.SET_RELATION),
-    (True, False, Classification.SET_SHAPLEY),
-    (True, True, Classification.STRONG_SET_SHAPLEY),
-)
+_GRID_KINDS = [
+    (sh, st, _classification(True, True, sh, st))
+    for sh, st in ((False, False), (True, False), (True, True))
+]
 
 
 def _kinds(table: PairTable) -> list[int]:
