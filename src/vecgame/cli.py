@@ -67,40 +67,28 @@ CLASSIFICATION_PHRASES = {
 }
 
 
-@functools.lru_cache(maxsize=4096)
-def _json_string(text: str) -> str:
-    """A JSON string literal; report keys and labels repeat on every record."""
-    return json.dumps(text)
-
-
 class _JSONText(str):
     """Text that `_emit` has already written; it is copied as it stands."""
 
 
 def _emit(value, pieces: list[str]) -> None:
-    """Minimal JSON writer with a fixed float format (17 significant digits)."""
-    if value is None or (isinstance(value, float) and value != value):
+    """Minimal JSON writer with a fixed float format (`_number`)."""
+    if value is None:
         pieces.append("null")
     elif isinstance(value, bool):
-        pieces.append("true" if value else "false")
+        pieces.append(_bool(value))
     elif isinstance(value, float):
-        if value in (float("inf"), float("-inf")):
-            pieces.append("null")
-        else:
-            pieces.append(format(value, ".17g"))
+        pieces.append(_number(value))
     elif isinstance(value, int):
         pieces.append(str(value))
     elif isinstance(value, _JSONText):
         pieces.append(value)
     elif isinstance(value, str):
-        pieces.append(_json_string(value))
+        pieces.append(json.dumps(value))
     elif isinstance(value, dict):
         pieces.append("{")
         for idx, (key, item) in enumerate(value.items()):
-            if idx:
-                pieces.append(",")
-            pieces.append(_json_string(str(key)))
-            pieces.append(":")
+            pieces.append(("," if idx else "") + json.dumps(str(key)) + ":")
             _emit(item, pieces)
         pieces.append("}")
     elif isinstance(value, (list, tuple)):
@@ -121,7 +109,8 @@ def render_json(value) -> str:
 
 
 def _number(x: float) -> str:
-    """A float as `_emit` writes it."""
+    """A float as every report writes it: 17 significant digits, and
+    `null` for NaN and the infinities, which JSON cannot hold."""
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
@@ -135,7 +124,7 @@ def _bool(flag: bool) -> str:
 
 
 class _Strategies:
-    """The text of one report's strategies; each distinct strategy is rendered once.
+    """The text of one report's strategies, written afresh at each call.
 
     A weight prints as the nearest fraction whose denominator is at most
     the largest denominator among `fractions` (the run's grid steps, or
@@ -144,16 +133,16 @@ class _Strategies:
     one of those denominators N is that fraction, c/N reduced: any other
     fraction within the bound lies at least 1 / (N max_den) from c/N, far
     beyond w's rounding, while the bound stays below 10**7.
+
+    Nothing is kept per strategy: only an optimal strategy is written more
+    than once (in its certificate row, its front's optimal list and, in
+    `equilibria`, the pair table), so a memo table would save little.
     """
 
     def __init__(self, *fractions: Fraction | None) -> None:
         dens = {f.denominator for f in fractions if f is not None}
         self.max_den = max([1000, *dens])
         self._dens = sorted(dens) if self.max_den <= 10**7 else []
-        self._rational: dict[MixedStrategy, list[str]] = {}
-        self._fields: dict[MixedStrategy, str] = {}
-        self._text: dict[MixedStrategy, str] = {}
-        self._json: dict[MixedStrategy, _JSONText] = {}
 
     def _fraction(self, w: float) -> str:
         for n in self._dens:
@@ -168,34 +157,21 @@ class _Strategies:
 
     def rational(self, s: MixedStrategy) -> list[str]:
         """Each weight as the text of a fraction."""
-        out = self._rational.get(s)
-        if out is None:
-            out = self._rational[s] = [self._fraction(w) for w in s.weights]
-        return out
+        return [self._fraction(w) for w in s.weights]
 
     def text(self, s: MixedStrategy) -> str:
         """The weights as "(a, b, ...)"."""
-        out = self._text.get(s)
-        if out is None:
-            out = self._text[s] = "(" + ", ".join(self.rational(s)) + ")"
-        return out
+        return "(" + ", ".join(self.rational(s)) + ")"
 
     def fields(self, s: MixedStrategy) -> str:
-        """The JSON members "weights" and "rational" of the strategy."""
-        out = self._fields.get(s)
-        if out is None:
-            rational = ",".join(map(_json_string, self.rational(s)))
-            out = self._fields[s] = f'"weights":{_numbers(s.weights)},"rational":[{rational}]'
-        return out
+        """The JSON members "weights" and "rational" of the strategy.  A
+        fraction's text holds only digits and "/", so it needs no escape."""
+        rational = ",".join(f'"{r}"' for r in self.rational(s))
+        return f'"weights":{_numbers(s.weights)},"rational":[{rational}]'
 
     def json_obj(self, s: MixedStrategy) -> _JSONText:
         """The strategy's JSON object: owner, weights and rational weights."""
-        out = self._json.get(s)
-        if out is None:
-            out = self._json[s] = _JSONText(
-                f'{{"player":{_json_string(s.owner.value)},{self.fields(s)}}}'
-            )
-        return out
+        return _JSONText(f'{{"player":{json.dumps(s.owner.value)},{self.fields(s)}}}')
 
 
 def _parse_weights(text: str, owner: Player) -> tuple[MixedStrategy, list[Fraction]]:
@@ -279,14 +255,19 @@ def _front_dict(front: StrategyFront, names: _Strategies) -> dict:
     }
 
 
+def _flags_json(p_min: bool, q_max: bool, shapley: bool, strong: bool) -> str:
+    """A pair record's flags and its class, which follows from them, as JSON members."""
+    c = _classification(p_min, q_max, shapley, strong)
+    return (f'"p_minimal":{_bool(p_min)},"q_maximal":{_bool(q_max)},"shapley":{_bool(shapley)},'
+            f'"strong":{_bool(strong)},"classification":{json.dumps(c.value)}')
+
+
 def _record_json(record, names: _Strategies) -> _JSONText:
     """A pair record as JSON text, as `check --pair` writes it."""
+    flags = _flags_json(record.p_minimal, record.q_maximal, record.shapley, record.strong)
     return _JSONText(
         f'{{"p":{names.json_obj(record.p)},"q":{names.json_obj(record.q)},'
-        f'"payoff":{_numbers(record.payoff)},"p_minimal":{_bool(record.p_minimal)},'
-        f'"q_maximal":{_bool(record.q_maximal)},"shapley":{_bool(record.shapley)},'
-        f'"strong":{_bool(record.strong)},'
-        f'"classification":{_json_string(record.classification.value)}}}'
+        f'"payoff":{_numbers(record.payoff)},{flags}}}'
     )
 
 
@@ -335,10 +316,10 @@ def _cmd_solve(args: argparse.Namespace) -> str:
                 writer.writerow(
                     [
                         front.player.value,
-                        " ".join(format(w, ".17g") for w in cert.tested_strategy.weights),
+                        " ".join(map(_number, cert.tested_strategy.weights)),
                         " ".join(names.rational(cert.tested_strategy)),
                         str(cert.is_minimal).lower(),
-                        format(cert.lp_value, ".17g"),
+                        _number(cert.lp_value),
                     ]
                 )
         return buf.getvalue()
@@ -354,11 +335,9 @@ def _cmd_solve(args: argparse.Namespace) -> str:
 
 
 # Every grid pair has a minimal p and a maximal q, so its flags and class
-# follow from its kind, shapley + strong (a strong pair is Shapley).
-_GRID_KINDS = [
-    (sh, st, _classification(True, True, sh, st))
-    for sh, st in ((False, False), (True, False), (True, True))
-]
+# follow from its kind k, shapley + strong (a strong pair is Shapley), whose
+# (shapley, strong) flags are _GRID_KINDS[k].
+_GRID_KINDS = ((False, False), (True, False), (True, True))
 
 
 def _kinds(table: PairTable) -> list[int]:
@@ -370,11 +349,7 @@ def _pairs_json(table: PairTable, names: _Strategies) -> _JSONText:
     """The pairs of the table as `_record_json` writes their records: each
     row's head and each column's object are written once, each payoff
     float is formatted once, and a pair's flags come from its kind."""
-    tails = [
-        f',"p_minimal":true,"q_maximal":true,"shapley":{_bool(sh)},"strong":{_bool(st)},'
-        f'"classification":{_json_string(c.value)}}}'
-        for sh, st, c in _GRID_KINDS
-    ]
+    tails = [f",{_flags_json(True, True, sh, st)}}}" for sh, st in _GRID_KINDS]
     numbers = iter(map(_number, table.payoffs.ravel().tolist()))
     payoffs = map(",".join, zip(*[numbers] * table.payoffs.shape[2]))
     kinds = iter(_kinds(table))
@@ -406,7 +381,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> str:
         )
         return buf.getvalue()
     if args.format == "table":
-        phrases = [CLASSIFICATION_PHRASES[c] for _, _, c in _GRID_KINDS]
+        phrases = [CLASSIFICATION_PHRASES[_classification(True, True, *k)] for k in _GRID_KINDS]
         cols = [f"{names.text(q):30} " for q in table.cols]
         kinds = iter(_kinds(table))
         lines = [f"{'p':30} {'q':30} classification"]
@@ -480,7 +455,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         if args.format == "table":
             return (
                 f"pair p={names.text(p)} q={names.text(q)}: {phrase}\n"
-                f"  payoff: ({', '.join(format(v, '.17g') for v in record.payoff)})\n"
+                f"  payoff: ({', '.join(map(_number, record.payoff))})\n"
                 f"  p minimal: {record.p_minimal}  q maximal: {record.q_maximal}\n"
                 f"  Shapley: {record.shapley}  strong: {record.strong}\n"
             )
@@ -498,7 +473,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         verdict = kind if cert.is_minimal else f"not {kind}"
         lines = [
             f"strategy {names.text(strategy)} "
-            f"for player {owner.value}: {verdict} (lp value {format(cert.lp_value, '.17g')})"
+            f"for player {owner.value}: {verdict} (lp value {_number(cert.lp_value)})"
         ]
         if cert.improving_strategy is not None:
             lines.append("  improving strategy: " + names.text(cert.improving_strategy))

@@ -463,13 +463,17 @@ def solve_batch(lp: LinearProgram, *, max_iter: int | None = None) -> list[LPOut
     tab = _setup(lp, max_iter)
     T, labels = tab.T, tab.labels
     status, iters = _run(T, labels, tab.budget)
-    iters = iters.tolist()
-    outcomes = [LPOutcome(st, None, None, it) for st, it in zip(status, iters)]
     ok = [b for b, st in enumerate(status) if st == "optimal"]
     if len(ok) < len(T):
         T, labels = T[ok], labels[ok]
-    for b, (x, duals) in zip(ok, _read_off(tab, T, labels)):
-        outcomes[b] = LPOutcome("optimal", float(lp.objective @ x), x, iters[b], duals)
+    solved = iter(_read_off(tab, T, labels))
+    outcomes = []
+    for st, it in zip(status, iters.tolist()):
+        if st == "optimal":
+            x, duals = next(solved)
+            outcomes.append(LPOutcome(st, float(lp.objective @ x), x, it, duals))
+        else:
+            outcomes.append(LPOutcome(st, None, None, it))
     return outcomes
 
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from vecgame import cli, equilibria, poss, solver
 from vecgame.cli import _Strategies, game_dict, main
 from vecgame.equilibria import Classification, classify_pairs
-from vecgame.game import VectorPayoffGame, col_strategy, row_strategy
+from vecgame.errors import InputError
+from vecgame.game import MixedStrategy, Player, VectorPayoffGame, col_strategy, row_strategy
 from vecgame.lp import LPOutcome
 from vecgame.polyhedra import build_lower_set, upper_set_cone
 
@@ -173,6 +174,43 @@ def test_a_grid_weight_prints_as_the_nearest_bounded_fraction():
             f = Fraction(w).limit_denominator(names.max_den)
             want = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
             assert names._fraction(w) == want, (steps, w)
+
+
+def test_render_json_writes_floats_booleans_and_containers_one_way():
+    value = {"none": None, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+             "tenth": 0.1, "zero": -0.0, "yes": True, "no": False, "int": 7, 3: "key",
+             "nested": {"list": [1, 2.5], "tuple": (0.25, [None, "a\"b"])}}
+    assert cli.render_json(value) == (
+        '{"none":null,"nan":null,"inf":null,"-inf":null,"tenth":0.10000000000000001,'
+        '"zero":-0,"yes":true,"no":false,"int":7,"3":"key",'
+        '"nested":{"list":[1,2.5],"tuple":[0.25,[null,"a\\"b"]]}}\n'
+    )
+    for other in (object(), {1, 2}, b"bytes", Fraction(1, 2), np.bool_(True)):
+        with pytest.raises(InputError, match="cannot serialize"):
+            cli.render_json({"x": [other]})
+
+
+def test_the_list_writer_writes_floats_as_render_json_does():
+    rng = np.random.default_rng(3)
+    floats = [0.1, -0.0, 2.0, 1 / 3, 1e300, -5e-324, float("nan"), float("inf"), -float("inf"),
+              *rng.normal(size=20).tolist(), *(rng.random(20) * 10.0 ** rng.integers(-20, 20, 20))]
+    assert cli._numbers(floats) + "\n" == cli.render_json(floats)
+    assert [cli._number(x) + "\n" for x in floats] == [cli.render_json(x) for x in floats]
+
+
+def test_a_strategys_json_fields_read_back_as_its_weights_and_rational_text():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(1, 5000))
+        counts = rng.multinomial(n, np.ones(k) / k)
+        grid = _Strategies(Fraction(1, n))
+        # a grid point's weights, as `enumerate_simplex_grid` computes them
+        on_grid = MixedStrategy(tuple(c / n for c in counts), Player.ROW)
+        typed, fractions = cli._parse_weights(",".join(f"{c}/{n}" for c in counts), Player.COL)
+        for names, s in ((grid, on_grid), (_Strategies(*fractions), typed)):
+            fields = json.loads("{" + names.fields(s) + "}")
+            assert fields == {"weights": list(s.weights), "rational": names.rational(s)}
+            assert [Fraction(r) for r in fields["rational"]] == [Fraction(c, n) for c in counts]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

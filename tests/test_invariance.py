@@ -4,6 +4,8 @@ Relabeling the rows, the columns or the payoff components, translating a
 component by an integer and scaling it by a positive integer leave every
 grid verdict in place: a strategy is minimal (maximal) in the new game
 iff the strategy it relabels is minimal (maximal) in the old one.
+Appending a copy of one player's strategy leaves the other player's
+verdicts in place.
 `tests/test_mirror.py` checks the mirror the same way.
 """
 
@@ -45,18 +47,36 @@ def _relabelings(rng: np.random.Generator, entries: np.ndarray):
     yield "scaling", entries * rng.integers(1, 4, size=k), None, None
 
 
-def test_grid_verdicts_survive_relabeling_translation_and_scaling():
+def _games():
+    """The fixed-seed games, each with its relabelings, drawn in turn from one generator."""
     rng = np.random.default_rng(20261019)
     for _ in range(GAMES):
         m, n, k = (int(x) for x in rng.integers(2, 4, size=3))
         entries = rng.integers(-5, 6, size=(m, n, k)).astype(float)
+        yield entries, list(_relabelings(rng, entries))
+
+
+def test_grid_verdicts_survive_relabeling_translation_and_scaling():
+    for entries, relabelings in _games():
         game = VectorPayoffGame(entries)
         minimal, maximal = _optimal(game, Player.ROW), _optimal(game, Player.COL)
-        for name, new, rows, cols in _relabelings(rng, entries):
+        for name, new, rows, cols in relabelings:
             changed = VectorPayoffGame(new)
             got = (_optimal(changed, Player.ROW), _optimal(changed, Player.COL))
             want = (_relabeled(minimal, rows), _relabeled(maximal, cols))
             assert got == want, (name, entries.tolist())
+
+
+def test_a_duplicated_strategy_leaves_the_other_players_verdicts_in_place():
+    # a copy of a column adds no point to any V_I(p), and a copy of a row
+    # none to any V_II(q); each game copies a different strategy
+    for i, (entries, _) in enumerate(_games()):
+        m, n = entries.shape[:2]
+        game = VectorPayoffGame(entries)
+        more_cols = VectorPayoffGame(np.concatenate([entries, entries[:, [i % n]]], axis=1))
+        more_rows = VectorPayoffGame(np.concatenate([entries, entries[[i % m]]], axis=0))
+        assert _optimal(more_cols, Player.ROW) == _optimal(game, Player.ROW), entries.tolist()
+        assert _optimal(more_rows, Player.COL) == _optimal(game, Player.COL), entries.tolist()
 
 
 # Components scaled by (1000, 0.001, 0.001) give improvement-LP rows with

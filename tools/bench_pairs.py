@@ -9,8 +9,13 @@ end-to-end metric of CHANGE's BENCHMARK.json this prints both medians,
 the parent's quartile spread (q3 - q1), the pairs the change wins (ties
 count for neither) and whether a gain holds: the change wins at least
 nine tenths of the pairs and the medians differ, in the metric's better
-direction, by more than the parent's spread.  The last line says whether
-every run ended `"correct": true`; the exit status is 0 only then.
+direction, by more than the parent's spread.  Its last column is the
+no-regression verdict against the metric's `bound`, a share of the
+parent's median: `worse` when the change's median is worse by more than
+that; `unresolved` when the parent's quartile spread exceeds it, unless
+every run of the change beats every run of the parent; `ok` otherwise.
+The last line says whether every run ended `"correct": true`; the exit
+status is 0 only then.
 Nothing under `perfbench/` is edited.
 """
 
@@ -45,11 +50,24 @@ def spread(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """Whether the change's runs are `worse` than the parent's, `unresolved`
+    or `ok`, for a metric where lower is better when `sign` is 1 and higher
+    when it is -1, and which may worsen by `bound` times the parent's median."""
+    mp = statistics.median(parent)
+    allowed = bound * abs(mp)
+    if sign * (statistics.median(change) - mp) > allowed:
+        return "worse"
+    if spread(parent) > allowed and min(sign * p for p in parent) <= max(sign * c for c in change):
+        return "unresolved"
+    return "ok"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """The report lines for runs `pairs`, (parent result, change result)
-    each, over the end-to-end `metrics` ({"name", "unit", "better"})."""
+    each, over the end-to-end `metrics` ({"name", "unit", "better", "bound"})."""
     lines = [f"{'metric':12} {'unit':5} {'parent':>10} {'change':>10} "
-             f"{'parent IQR':>10} {'wins':>7}  gain"]
+             f"{'parent IQR':>10} {'wins':>7}  gain  verdict"]
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
         both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -62,7 +80,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         mp, mc, iqr = statistics.median(parent), statistics.median(change), spread(parent)
         gain = wins * 10 >= 9 * len(pairs) and sign * (mp - mc) > iqr
         lines.append(f"{name:12} {metric['unit']:5} {mp:10.4g} {mc:10.4g} {iqr:10.4g} "
-                     f"{wins:>3}/{len(pairs):<3}  {'yes' if gain else 'no'}")
+                     f"{wins:>3}/{len(pairs):<3}  {'yes' if gain else 'no':4}  "
+                     f"{verdict(parent, change, sign, metric['bound'])}")
     runs = [r for pair in pairs for r in pair]
     correct = all(r.get("correct") is True for r in runs)
     lines.append(f"every run correct: {'yes' if correct else 'no'} ({len(runs)} runs)")
